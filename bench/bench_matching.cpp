@@ -3,7 +3,9 @@
 // the paper's Table-I operating points (query radius 0.1 / 0.2), plus the
 // WorkerPool thread-scaling axis of the sharded match pass (Sec IV-C: the
 // matching load of a key range spreads across the nodes covering it; here
-// one node's pass spreads across worker lanes the same way).
+// one node's pass spreads across worker lanes the same way). The
+// match_steady rows time the steady-state incremental pass: one pass, then
+// 1% new MBRs, then the timed second pass, checked against brute force.
 //
 // Usage: bench_matching [--smoke] [--json <path>] [--threads LIST]
 //   --smoke    one quick configuration (CI smoke label)
@@ -11,12 +13,14 @@
 //              the additive `threads` key, see bench_common.hpp)
 //   --threads  comma-separated lane counts for the scaling axis
 //              (default 1,2,4,8)
+#include <algorithm>
 #include <chrono>
 #include <cinttypes>
 #include <cstdio>
 #include <cstdlib>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bench_common.hpp"
@@ -42,26 +46,51 @@ std::string describe(const MatchConfig& config) {
   return buf;
 }
 
-/// Populates one store with Table-I-like content: 4-real-dimensional MBRs
-/// (two retained complex coefficients) whose routing intervals are narrow —
-/// batches of consecutive windows are strongly correlated (Fig 3b) — and
-/// subscriptions whose balls use the paper's radii.
+const sim::SimTime kExpires =
+    sim::SimTime::zero() + sim::Duration::seconds(3600);
+
+void add_box(core::IndexStore& store, StreamId stream,
+             std::vector<double> low, std::vector<double> high) {
+  core::IndexStore::StoredMbr entry;
+  entry.stream = stream;
+  entry.mbr = dsp::Mbr(std::move(low), std::move(high));
+  entry.expires = kExpires;
+  store.add_mbr(std::move(entry));
+}
+
+/// One Table-I-like MBR: 4 real dimensions (two retained complex
+/// coefficients) with a narrow routing interval — batches of consecutive
+/// windows are strongly correlated (Fig 3b).
+void add_random_mbr(core::IndexStore& store, common::Pcg32& rng,
+                    StreamId stream) {
+  std::vector<double> low(4);
+  std::vector<double> high(4);
+  for (std::size_t d = 0; d < low.size(); ++d) {
+    low[d] = rng.uniform(-1.0, 0.92);
+    high[d] = low[d] + rng.uniform(0.01, 0.06);
+  }
+  add_box(store, stream, std::move(low), std::move(high));
+}
+
+/// A batch of a stream that has just moved onto `point`.
+void add_mbr_around(core::IndexStore& store, common::Pcg32& rng,
+                    const dsp::FeatureVector& point, StreamId stream) {
+  std::vector<double> low = point.as_reals();
+  std::vector<double> high = low;
+  for (std::size_t d = 0; d < low.size(); ++d) {
+    low[d] -= rng.uniform(0.005, 0.03);
+    high[d] += rng.uniform(0.005, 0.03);
+  }
+  add_box(store, stream, std::move(low), std::move(high));
+}
+
+/// Populates one store with `config.mbrs` such MBRs and subscriptions whose
+/// balls use the paper's radii.
 core::IndexStore build_store(const MatchConfig& config, std::uint64_t seed) {
   common::Pcg32 rng(seed, 17);
   core::IndexStore store;
-  const auto expires = sim::SimTime::zero() + sim::Duration::seconds(3600);
   for (std::size_t i = 0; i < config.mbrs; ++i) {
-    std::vector<double> low(4);
-    std::vector<double> high(4);
-    for (std::size_t d = 0; d < low.size(); ++d) {
-      low[d] = rng.uniform(-1.0, 0.92);
-      high[d] = low[d] + rng.uniform(0.01, 0.06);
-    }
-    core::IndexStore::StoredMbr entry;
-    entry.stream = i;
-    entry.mbr = dsp::Mbr(std::move(low), std::move(high));
-    entry.expires = expires;
-    store.add_mbr(std::move(entry));
+    add_random_mbr(store, rng, i);
   }
   for (std::size_t q = 0; q < config.subs; ++q) {
     core::SimilarityQuery query;
@@ -72,7 +101,7 @@ core::IndexStore build_store(const MatchConfig& config, std::uint64_t seed) {
     query.radius = config.radius;
     store.add_subscription(
         std::make_shared<const core::SimilarityQuery>(std::move(query)), 0,
-        expires);
+        kExpires);
   }
   return store;
 }
@@ -105,6 +134,70 @@ EngineTiming time_engine(const MatchConfig& config, bool pruned,
                        static_cast<double>(config.repetitions);
   timing.pairs_per_sec = total_seconds > 0.0 ? pairs / total_seconds : 0.0;
   return timing;
+}
+
+using PairSet = std::vector<std::pair<core::QueryId, StreamId>>;
+
+PairSet pair_set(const std::vector<core::SimilarityMatch>& matches) {
+  PairSet pairs;
+  pairs.reserve(matches.size());
+  for (const core::SimilarityMatch& m : matches) {
+    pairs.emplace_back(m.query, m.stream);
+  }
+  std::sort(pairs.begin(), pairs.end());
+  return pairs;
+}
+
+/// The steady-state NPER pass: the store has matched once, then 1% new
+/// MBRs arrive — every other one inside a random subscription's ball, so
+/// the pass has matches to find — and the second pass is timed.
+/// `pairs_per_sec` counts the same mbrs x subs pairs as the first-pass
+/// rows, since the pass answers the same question over a store of that
+/// size. Returns false (and prints) when the timed pass differs from
+/// match_brute_force on a copy of the same store.
+bool time_steady(const MatchConfig& config, EngineTiming& timing) {
+  using Clock = std::chrono::steady_clock;
+  const std::size_t added = std::max<std::size_t>(1, config.mbrs / 100);
+  double total_seconds = 0.0;
+  for (int rep = 0; rep < config.repetitions; ++rep) {
+    const auto seed = static_cast<std::uint64_t>(rep) + 1;
+    core::IndexStore store = build_store(config, seed);
+    store.match(sim::SimTime::zero());
+    std::vector<const dsp::FeatureVector*> centers;
+    for (const auto& entry : store.subscriptions()) {
+      centers.push_back(&entry.second.query->features);
+    }
+    common::Pcg32 rng(seed, 29);
+    for (std::size_t i = 0; i < added; ++i) {
+      const StreamId stream = config.mbrs + i;
+      if (i % 2 == 0) {
+        add_random_mbr(store, rng, stream);
+      } else {
+        const auto pick =
+            rng.bounded(static_cast<std::uint32_t>(centers.size()));
+        add_mbr_around(store, rng, *centers[pick], stream);
+      }
+    }
+    core::IndexStore oracle = store;
+    const auto start = Clock::now();
+    const auto matches = store.match(sim::SimTime::zero());
+    const auto stop = Clock::now();
+    total_seconds += std::chrono::duration<double>(stop - start).count();
+    timing.matches += matches.size();
+    if (pair_set(matches) !=
+        pair_set(oracle.match_brute_force(sim::SimTime::zero()))) {
+      std::fprintf(stderr,
+                   "FATAL: steady pass diverges from brute force at %s\n",
+                   describe(config).c_str());
+      return false;
+    }
+  }
+  timing.wall_ms = total_seconds * 1e3;
+  const double pairs = static_cast<double>(config.mbrs) *
+                       static_cast<double>(config.subs) *
+                       static_cast<double>(config.repetitions);
+  timing.pairs_per_sec = total_seconds > 0.0 ? pairs / total_seconds : 0.0;
+  return true;
 }
 
 /// Hard equivalence guard for the sharded pass: same store seed, serial vs
@@ -202,6 +295,17 @@ int main(int argc, char** argv) {
     reporter.add(sdsi::bench::BenchResult{"match_pruned", label,
                                           pruned.pairs_per_sec,
                                           pruned.wall_ms, 1});
+    EngineTiming steady;
+    if (!time_steady(config, steady)) {
+      return 1;
+    }
+    std::printf("%-38s %14.3g %12.3f %10zu  steady, +1%% MBRs (%.1fx)\n",
+                label.c_str(), steady.pairs_per_sec, steady.wall_ms,
+                steady.matches,
+                steady.wall_ms > 0.0 ? pruned.wall_ms / steady.wall_ms : 0.0);
+    reporter.add(sdsi::bench::BenchResult{"match_steady", label,
+                                          steady.pairs_per_sec,
+                                          steady.wall_ms, 1});
   }
 
   // Thread-scaling axis: the sharded pass on the heaviest configuration.

@@ -92,6 +92,12 @@ void IndexStore::merge_pending() {
 }
 
 void IndexStore::compact() {
+  // Surviving entries shift down; the match watermark must keep separating
+  // the same entries.
+  matched_limit_ = static_cast<std::size_t>(std::count_if(
+      mbrs_.begin(),
+      mbrs_.begin() + static_cast<std::ptrdiff_t>(matched_limit_),
+      [this](const StoredMbr& entry) { return !dead(entry); }));
   std::erase_if(mbrs_, [this](const StoredMbr& entry) { return dead(entry); });
   alive_mbrs_ = mbrs_.size();
 
@@ -127,9 +133,10 @@ void IndexStore::compact() {
 }
 
 void IndexStore::match_subscription(QueryId id, Subscription& sub,
+                                    std::span<const IntervalRef> fresh,
                                     sim::SimTime now,
                                     std::vector<SimilarityMatch>& out,
-                                    std::uint64_t& scanned) const {
+                                    std::uint64_t& work) const {
   // expire(now) already dropped lapsed subscriptions, so the per-pair
   // expiry re-checks of the brute-force scan are gone; assert the lane
   // invariant instead.
@@ -142,29 +149,39 @@ void IndexStore::match_subscription(QueryId id, Subscription& sub,
   // high <= low + max_extent_ the second condition bounds the search to
   // low >= query_low - max_extent_, so both ends binary-search.
   const double scan_from = query_low - max_extent_;
-  auto it = std::lower_bound(
-      sorted_.begin(), sorted_.end(), scan_from,
-      [](const IntervalRef& ref, double value) { return ref.low < value; });
-  for (; it != sorted_.end() && it->low <= query_high; ++it) {
-    ++scanned;
-    if (it->high < query_low) {
+  const auto window = [&](std::span<const IntervalRef> refs) {
+    const auto first = std::lower_bound(
+        refs.begin(), refs.end(), scan_from,
+        [](const IntervalRef& ref, double value) { return ref.low < value; });
+    const auto last = std::upper_bound(
+        first, refs.end(), query_high,
+        [](double value, const IntervalRef& ref) { return value < ref.low; });
+    return std::span<const IntervalRef>(first, last);
+  };
+  const std::span<const IntervalRef> candidates = window(sorted_);
+  work += candidates.size();
+  // A scanned subscription has met every entry older than `fresh` on an
+  // earlier pass, and none of those answers can have changed since.
+  for (const IntervalRef& ref : sub.scanned ? window(fresh) : candidates) {
+    if (ref.high < query_low) {
       continue;  // first-dim gap alone already exceeds the radius
     }
-    if (it->expires <= horizon_) {
+    if (ref.expires <= horizon_) {
       continue;  // lazily-deleted slot awaiting compaction
     }
-    if (sub.reported.contains(it->stream)) {
+    if (sub.reported.contains(ref.stream)) {
       continue;
     }
     // Only a surviving candidate touches the cold slab, for the full
     // multi-dimensional lower bound.
-    const StoredMbr& entry = mbrs_[it->pos];
+    const StoredMbr& entry = mbrs_[ref.pos];
     const double bound = entry.mbr.min_distance(query.features);
     if (bound <= query.radius) {
       sub.reported.insert(entry.stream);
       out.push_back(SimilarityMatch{id, entry.stream, bound, now});
     }
   }
+  sub.scanned = true;
 }
 
 std::vector<SimilarityMatch> IndexStore::match(sim::SimTime now,
@@ -172,6 +189,18 @@ std::vector<SimilarityMatch> IndexStore::match(sim::SimTime now,
   expire(now);
   if (indexed_limit_ < mbrs_.size()) {
     merge_pending();
+  }
+  // The MBRs stored since the last pass, kept in index order so that a
+  // subscription meets them in the order a full scan would.
+  std::vector<IntervalRef> fresh_mbrs;
+  if (matched_limit_ < mbrs_.size()) {
+    fresh_mbrs.reserve(mbrs_.size() - matched_limit_);
+    for (const IntervalRef& ref : sorted_) {
+      if (ref.pos >= matched_limit_) {
+        fresh_mbrs.push_back(ref);
+      }
+    }
+    matched_limit_ = mbrs_.size();
   }
   std::vector<SimilarityMatch> fresh;
   // Visit subscriptions in canonical ascending-id order: the pass's output
@@ -192,7 +221,7 @@ std::vector<SimilarityMatch> IndexStore::match(sim::SimTime now,
   if (pool == nullptr || pool->thread_count() <= 1 ||
       subs.size() < kParallelThreshold) {
     for (auto* entry : subs) {
-      match_subscription(entry->first, entry->second, now, fresh,
+      match_subscription(entry->first, entry->second, fresh_mbrs, now, fresh,
                          last_match_work_);
     }
     return fresh;
@@ -203,12 +232,12 @@ std::vector<SimilarityMatch> IndexStore::match(sim::SimTime now,
   // outputs in the canonical order makes the result identical to the serial
   // loop.
   std::vector<std::vector<SimilarityMatch>> shards(subs.size());
-  std::vector<std::uint64_t> scanned(subs.size(), 0);
+  std::vector<std::uint64_t> work(subs.size(), 0);
   pool->parallel_for(subs.size(), [&](std::size_t i) {
-    match_subscription(subs[i]->first, subs[i]->second, now, shards[i],
-                       scanned[i]);
+    match_subscription(subs[i]->first, subs[i]->second, fresh_mbrs, now,
+                       shards[i], work[i]);
   });
-  for (const std::uint64_t n : scanned) {
+  for (const std::uint64_t n : work) {
     last_match_work_ += n;
   }
   std::size_t total = 0;

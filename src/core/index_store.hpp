@@ -18,6 +18,16 @@
 // candidates still get the full multi-dimensional MBR lower bound, so the
 // Sec IV-E no-false-dismissal guarantee is untouched.
 //
+// Matching is incremental. Stored MBRs and subscriptions never change, and
+// an entry only ever goes from alive to dead, so a pair tested once gives
+// the same answer on every later pass. A subscription new since the last
+// pass therefore gets one full pruned scan; every older subscription is
+// tested only against the MBRs stored since the last pass. "Since the last
+// pass" is a slab-position watermark (compaction remaps it), and the new
+// MBRs are visited in interval-index order, so each (query, stream) pair is
+// reported with the same first-matching MBR — bound, order and all — that a
+// full rescan would pick.
+//
 // Expiry is incremental ("expiry lanes"): a min-expiry heap per container
 // pops lapsed entries in O(log n) each instead of erase_if-scanning both
 // containers every NPER tick. MBR slots are deleted lazily (an entry is dead
@@ -27,6 +37,7 @@
 
 #include <memory>
 #include <queue>
+#include <span>
 #include <vector>
 
 #include "common/dense_map.hpp"
@@ -54,6 +65,9 @@ class IndexStore {
     /// Streams already reported by THIS node for this query; reports are
     /// deduplicated per node, the aggregator dedups across nodes.
     DenseSet<StreamId> reported;
+    /// Whether a match() pass has tested this subscription against the
+    /// whole index; later passes test it only against newer MBRs.
+    bool scanned = false;
   };
 
   /// Stores one MBR. Returns false without storing when the entry is already
@@ -76,7 +90,8 @@ class IndexStore {
   /// One matching pass (Eq. 8 + MBR lower bound): returns the NEW
   /// (query, stream) candidate pairs detected at `now`, recording them so
   /// they are never reported twice by this node. Runs expire(now) first, so
-  /// callers need no separate sweep.
+  /// callers need no separate sweep. Incremental (see the file comment):
+  /// the result equals a full rescan of every subscription, order included.
   ///
   /// With a WorkerPool the per-subscription candidate scans are sharded
   /// across its threads (each subscription is owned by exactly one task;
@@ -96,10 +111,13 @@ class IndexStore {
     return subscriptions_.size();
   }
 
-  /// Interval-index entries visited by the most recent match() pass — the
-  /// pass's scan cost, used by the overload layer as the node's "index work".
-  /// A sum over subscriptions, so the serial and pool-sharded passes report
-  /// the identical number (hot-arc decisions stay thread-count-invariant).
+  /// The node's "index work" in the most recent match() pass, used by the
+  /// overload layer: the sum over subscriptions of their interval-index
+  /// candidate window, upper_bound(query_high) - lower_bound(query_low -
+  /// max_extent). That is what a full rescan would visit, not the pairs the
+  /// incremental pass evaluated. A sum over subscriptions, so the serial and
+  /// pool-sharded passes report the identical number (hot-arc decisions
+  /// stay thread-count-invariant).
   std::uint64_t last_match_work() const noexcept { return last_match_work_; }
 
   /// Snapshot of the live MBR entries (insertion order preserved).
@@ -170,14 +188,17 @@ class IndexStore {
     return entry.expires <= horizon_;
   }
 
-  /// One subscription's candidate scan (the shared body of the serial and
-  /// sharded match paths). Appends fresh matches to `out` and records them
-  /// in sub.reported. Reads only the frozen slab/index state; writes only
-  /// `sub` and `out`, so concurrent calls on distinct subscriptions are
-  /// race-free.
-  void match_subscription(QueryId id, Subscription& sub, sim::SimTime now,
+  /// One subscription's share of a pass (the shared body of the serial and
+  /// sharded match paths): a full candidate scan of the index when the
+  /// subscription is new, otherwise a scan of `fresh` only — the index
+  /// entries stored since the last pass, in index order. Appends matches to
+  /// `out` and records them in sub.reported. Reads only the frozen
+  /// slab/index state; writes only `sub`, `out` and `work`, so concurrent
+  /// calls on distinct subscriptions are race-free.
+  void match_subscription(QueryId id, Subscription& sub,
+                          std::span<const IntervalRef> fresh, sim::SimTime now,
                           std::vector<SimilarityMatch>& out,
-                          std::uint64_t& scanned) const;
+                          std::uint64_t& work) const;
 
   /// Folds slab entries added since the last merge into the sorted index.
   void merge_pending();
@@ -189,6 +210,7 @@ class IndexStore {
   std::vector<StoredMbr> mbrs_;      // slab: live entries + lazy tombstones
   std::vector<IntervalRef> sorted_;  // interval index, ascending by low
   std::size_t indexed_limit_ = 0;    // slab positions >= this are unindexed
+  std::size_t matched_limit_ = 0;    // slab positions >= this are unmatched
   double max_extent_ = 0.0;  // widest routing interval in the index
   MinHeap<MbrExpiry> mbr_expiry_;
   // (stream, batch_seq) -> slab position; an entry whose slot is dead (lazy
@@ -201,7 +223,7 @@ class IndexStore {
   DenseMap<QueryId, Subscription> subscriptions_;
   MinHeap<SubExpiry> sub_expiry_;
 
-  std::uint64_t last_match_work_ = 0;  // scan cost of the latest match()
+  std::uint64_t last_match_work_ = 0;  // index work of the latest match()
 };
 
 }  // namespace sdsi::core

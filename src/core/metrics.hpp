@@ -187,7 +187,8 @@ class MetricsCollector final : public routing::MetricsHook {
   std::uint64_t node_load_total(NodeIndex node) const;
 
   /// Index *work* units performed at a node: MBR stores accepted, match
-  /// candidate scans, and aggregation pushes. Message load measures what the
+  /// candidate windows (IndexStore::last_match_work), and aggregation
+  /// pushes. Message load measures what the
   /// overlay delivers; work measures what the node then has to do — the
   /// quantity hot-arc splitting redistributes (a split cannot un-deliver a
   /// message, but it can move the store+match cost to a delegate). Increments

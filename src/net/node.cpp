@@ -717,6 +717,16 @@ void NetNode::reliability_tick(std::int64_t now_ms, sim::SimTime now) {
   }
   const NetReliabilityConfig& rel = config_.reliability;
 
+  // 0. Forget what has lapsed, as the sim's dispatch_tick does: no store
+  //    can match an expired batch, so there is nothing left to heal, and an
+  //    expired query is never refreshed again.
+  std::erase_if(published_, [now](const auto& item) {
+    return item.second.payload->expires <= now;
+  });
+  std::erase_if(own_queries_, [now](const OwnQuery& own) {
+    return own.query->issued_at + own.query->lifespan <= now;
+  });
+
   // 1. Fast retransmit of unacked publications.
   for (auto& [key, pending] : published_) {
     if (!pending.acked && pending.retries < rel.max_retries &&
@@ -739,9 +749,6 @@ void NetNode::reliability_tick(std::int64_t now_ms, sim::SimTime now) {
       send_mbr_multicast(pending, now);
     }
     for (const OwnQuery& own : own_queries_) {
-      if (own.query->issued_at + own.query->lifespan <= now) {
-        continue;  // expired: let it die
-      }
       ++counters_.query_refreshes;
       send_query_multicast(own, now);
     }

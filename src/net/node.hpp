@@ -146,8 +146,9 @@ class NetNode {
   /// heartbeat fan-out (every peer, dead ones included — that is how a
   /// restart is noticed).
   void heartbeat_tick(std::int64_t now_ms, sim::SimTime now);
-  /// reliability_tick: retransmits unacked publications and response
-  /// pushes, runs the periodic soft-state refresh, and exchanges
+  /// reliability_tick: forgets lapsed publications and queries, retransmits
+  /// unacked publications and response pushes, runs the periodic
+  /// soft-state refresh, and exchanges
   /// anti-entropy digests with the ring neighbors (plus any peer whose
   /// rejoin was just observed).
   void reliability_tick(std::int64_t now_ms, sim::SimTime now);

@@ -186,5 +186,230 @@ TEST(MatchPruning, EquivalenceAcrossCompaction) {
   EXPECT_EQ(pruned.mbr_count(), 0u);
 }
 
+// --- Incremental passes ------------------------------------------------------
+
+/// Two stores driven through one history: `incremental` answers with
+/// match(), `oracle` with match_brute_force() after the expiry step match()
+/// runs first. pass() checks that both agree as a set.
+struct TwinStores {
+  IndexStore incremental;
+  IndexStore oracle;
+
+  void add_mbr(const IndexStore::StoredMbr& entry) {
+    incremental.add_mbr(entry);
+    oracle.add_mbr(entry);
+  }
+  void add_subscription(const std::shared_ptr<const SimilarityQuery>& query,
+                        sim::SimTime expires) {
+    incremental.add_subscription(query, 0, expires);
+    oracle.add_subscription(query, 0, expires);
+  }
+  MatchSet pass(sim::SimTime now) {
+    const MatchSet got = to_set(incremental.match(now));
+    oracle.expire(now);
+    EXPECT_EQ(got, to_set(oracle.match_brute_force(now)));
+    return got;
+  }
+};
+
+/// The next batch of a stream whose summary drifts slowly, so consecutive
+/// batches of one stream overlap.
+IndexStore::StoredMbr drifting_mbr(common::Pcg32& rng,
+                                   std::vector<double>& center,
+                                   StreamId stream, std::uint64_t batch_seq,
+                                   sim::SimTime expires) {
+  std::vector<double> low(center.size());
+  std::vector<double> high(center.size());
+  for (std::size_t d = 0; d < center.size(); ++d) {
+    center[d] += rng.uniform(-0.05, 0.05);
+    low[d] = center[d] - rng.uniform(0.0, 0.1);
+    high[d] = center[d] + rng.uniform(0.0, 0.1);
+  }
+  IndexStore::StoredMbr entry;
+  entry.stream = stream;
+  entry.batch_seq = batch_seq;
+  entry.mbr = dsp::Mbr(std::move(low), std::move(high));
+  entry.expires = expires;
+  return entry;
+}
+
+std::shared_ptr<const SimilarityQuery> query_at(QueryId id, double x,
+                                                double radius) {
+  SimilarityQuery query;
+  query.id = id;
+  query.features = dsp::FeatureVector({dsp::Complex{x, 0.0}});
+  query.radius = radius;
+  return std::make_shared<const SimilarityQuery>(std::move(query));
+}
+
+IndexStore::StoredMbr box_at(StreamId stream, double x, double half_width,
+                             sim::SimTime expires) {
+  IndexStore::StoredMbr entry;
+  entry.stream = stream;
+  entry.mbr = dsp::Mbr({x - half_width, -half_width}, {x + half_width,
+                                                       half_width});
+  entry.expires = expires;
+  return entry;
+}
+
+TEST(MatchPruning, MultiPassHistoriesEqualBruteForce) {
+  // Streams publish many overlapping batches across passes; queries are
+  // refreshed, lapse and come back under the same id; short-lived batches
+  // fill the slab with tombstones so it compacts; every fifth pass sees
+  // nothing new and must report nothing.
+  common::Pcg32 rng(77, 1);
+  std::size_t total_matches = 0;
+  std::size_t readds = 0;
+  for (int trial = 0; trial < 6; ++trial) {
+    SCOPED_TRACE(testing::Message() << "trial " << trial);
+    const std::size_t dims = trial % 2 == 0 ? 2 : 4;
+    constexpr std::uint32_t kStreams = 24;
+    TwinStores stores;
+    std::vector<std::vector<double>> centers(kStreams,
+                                             std::vector<double>(dims));
+    for (auto& center : centers) {
+      for (double& x : center) {
+        x = rng.uniform(-0.8, 0.8);
+      }
+    }
+    std::vector<std::uint64_t> next_seq(kStreams, 0);
+    std::vector<std::shared_ptr<const SimilarityQuery>> queries;
+    std::vector<std::int64_t> expires_ms;
+    std::int64_t now_ms = 0;
+    for (int round = 0; round < 30; ++round) {
+      SCOPED_TRACE(testing::Message() << "round " << round);
+      const bool quiet = round % 5 == 4;
+      if (!quiet) {
+        for (int i = 0; i < 12; ++i) {
+          const auto s = static_cast<StreamId>(rng.bounded(kStreams));
+          const std::int64_t life =
+              round % 3 == 0 ? 50 + static_cast<std::int64_t>(rng.bounded(300))
+                             : 500 + static_cast<std::int64_t>(
+                                         rng.bounded(3000));
+          stores.add_mbr(drifting_mbr(rng, centers[s], s, next_seq[s]++,
+                                      at_ms(now_ms + life)));
+        }
+        for (int i = 0; i < 3; ++i) {
+          const std::int64_t expires =
+              now_ms + 200 + static_cast<std::int64_t>(rng.bounded(2500));
+          if (queries.empty() || rng.bounded(3) == 0) {
+            queries.push_back(random_query(
+                rng, static_cast<QueryId>(queries.size()) + 1, dims));
+            expires_ms.push_back(expires);
+            stores.add_subscription(queries.back(), at_ms(expires));
+            continue;
+          }
+          // Refresh a live id, or re-add one the last pass dropped.
+          const std::size_t k = rng.bounded(
+              static_cast<std::uint32_t>(queries.size()));
+          if (expires_ms[k] <= now_ms) {
+            ++readds;
+          }
+          expires_ms[k] = expires;
+          stores.add_subscription(queries[k], at_ms(expires));
+        }
+      }
+      now_ms += 1 + static_cast<std::int64_t>(rng.bounded(400));
+      const MatchSet got = stores.pass(at_ms(now_ms));
+      if (quiet) {
+        EXPECT_TRUE(got.empty()) << "a pass with nothing new reported pairs";
+      }
+      total_matches += got.size();
+    }
+  }
+  EXPECT_GT(total_matches, 0u);
+  EXPECT_GT(readds, 0u);
+}
+
+TEST(MatchPruning, ReaddedQueryIdStartsOver) {
+  // A query id that lapsed and comes back is a new subscription and owes
+  // its client every stream again; a refresh of a live one keeps its state.
+  TwinStores stores;
+  stores.add_mbr(box_at(7, 0.0, 0.01, at_ms(10000)));
+  const auto query = query_at(1, 0.0, 0.05);
+  stores.add_subscription(query, at_ms(500));
+  EXPECT_EQ(stores.pass(at_ms(1)), (MatchSet{{1, 7}}));
+  EXPECT_TRUE(stores.pass(at_ms(600)).empty());  // lapsed and dropped
+  stores.add_subscription(query, at_ms(5000));
+  EXPECT_EQ(stores.pass(at_ms(700)), (MatchSet{{1, 7}}));
+  stores.add_subscription(query, at_ms(9000));
+  EXPECT_TRUE(stores.pass(at_ms(800)).empty());
+}
+
+TEST(MatchPruning, CompactionBetweenPassesKeepsTheWatermark) {
+  // After the first pass all 200 stored batches lapse; the next pass
+  // compacts the slab before matching, which moves the ten batches stored
+  // in between down to the positions the dead ones held. They must still
+  // count as new for the subscription that was scanned already.
+  TwinStores stores;
+  stores.add_subscription(query_at(1, 0.0, 0.05), at_ms(10000));
+  for (StreamId s = 1; s <= 200; ++s) {
+    stores.add_mbr(box_at(s, 0.5, 0.02, at_ms(100)));
+  }
+  EXPECT_TRUE(stores.pass(at_ms(1)).empty());
+  for (StreamId s = 1001; s <= 1010; ++s) {
+    stores.add_mbr(box_at(s, 0.0, 0.01, at_ms(10000)));
+  }
+  EXPECT_EQ(stores.pass(at_ms(200)).size(), 10u);
+  EXPECT_EQ(stores.incremental.mbr_count(), 10u);
+}
+
+/// Sum over the live subscriptions of their interval-index candidate
+/// window: entries with low in [query_low - max_extent, query_high]. Valid
+/// for a store without lapsed entries, whose index then holds exactly
+/// mbrs().
+std::uint64_t candidate_windows(const IndexStore& store) {
+  const std::vector<IndexStore::StoredMbr> mbrs = store.mbrs();
+  double max_extent = 0.0;
+  for (const IndexStore::StoredMbr& entry : mbrs) {
+    max_extent = std::max(max_extent,
+                          entry.mbr.routing_high() - entry.mbr.routing_low());
+  }
+  std::uint64_t total = 0;
+  for (const auto& [id, sub] : store.subscriptions()) {
+    const SimilarityQuery& query = *sub.query;
+    const double center = query.features.routing_coordinate();
+    const double query_low = center - query.radius;
+    const double query_high = center + query.radius;
+    const double scan_from = query_low - max_extent;
+    for (const IndexStore::StoredMbr& entry : mbrs) {
+      const double low = entry.mbr.routing_low();
+      if (low >= scan_from && low <= query_high) {
+        ++total;
+      }
+    }
+  }
+  return total;
+}
+
+TEST(MatchPruning, WorkProxyIsTheCandidateWindowOnEveryPass) {
+  // On a steady pass old subscriptions meet only the new batches, but
+  // last_match_work() — the hot-arc detector's input and metrics.json
+  // load.per_node_work — must still report the full candidate windows.
+  common::Pcg32 rng(9, 4);
+  IndexStore store;
+  const auto forever = at_ms(1000000);
+  StreamId next = 1;
+  for (int i = 0; i < 300; ++i) {
+    store.add_mbr(random_mbr(rng, next++, 2, forever));
+  }
+  for (QueryId id = 1; id <= 40; ++id) {
+    store.add_subscription(random_query(rng, id, 2), 0, forever);
+  }
+  store.match(at_ms(1));
+  EXPECT_GT(store.last_match_work(), 0u);
+  EXPECT_EQ(store.last_match_work(), candidate_windows(store));
+  for (std::int64_t pass = 2; pass <= 4; ++pass) {
+    for (int i = 0; i < 3; ++i) {
+      store.add_mbr(random_mbr(rng, next++, 2, forever));
+    }
+    store.match(at_ms(pass));
+    EXPECT_EQ(store.last_match_work(), candidate_windows(store))
+        << "pass " << pass;
+  }
+  store.match(at_ms(5));  // nothing new
+  EXPECT_EQ(store.last_match_work(), candidate_windows(store));
+}
+
 }  // namespace
 }  // namespace sdsi::core

@@ -32,7 +32,8 @@ constexpr sim::Duration kLifespan = sim::Duration::seconds(3600);
 /// sharing one fake wall clock (the failure detector's time base).
 struct ChaosRig {
   ChaosRig(const WorkloadConfig& workload, const fault::FaultPlan& plan,
-           NetReliabilityConfig reliability)
+           NetReliabilityConfig reliability,
+           sim::Duration mbr_lifespan = kLifespan)
       : config(workload),
         space(workload.id_bits),
         ring(space,
@@ -41,7 +42,7 @@ struct ChaosRig {
         fabric(simulator, sim::Duration::millis(1)) {
     NetNodeConfig node_config;
     node_config.features = config.features;
-    node_config.mbr_lifespan = kLifespan;
+    node_config.mbr_lifespan = mbr_lifespan;
     node_config.reliability = reliability;
     node_config.reliability.enabled = true;
     for (NodeIndex i = 0; i < config.nodes; ++i) {
@@ -222,6 +223,35 @@ TEST(NetChaos, DelayOnlyChaosCausesFalseSuspicionsButNoDeaths) {
   EXPECT_EQ(deaths, 0u) << "delay alone must never excise a peer";
   EXPECT_EQ(false_suspicions, suspects)
       << "every delay-induced suspicion must have healed";
+}
+
+TEST(NetChaos, RefreshStopsOnceEveryBatchHasLapsed) {
+  // Fault-free reliable ring with a 2 s MBR lifespan. The workload takes
+  // about 5 s, so by its end every published batch has lapsed; with nothing
+  // new published, later refresh rounds must send no mbr_update at all.
+  WorkloadConfig config;
+  config.nodes = 4;
+  config.samples_per_stream = 200;
+  ChaosRig rig(config, fault::FaultPlan{}, NetReliabilityConfig{},
+               sim::Duration::seconds(2));
+  rig.run_workload();
+
+  std::vector<NetNode::Counters> before;
+  std::uint64_t refreshed_while_live = 0;
+  for (const auto& node : rig.nodes) {
+    before.push_back(node->counters());
+    refreshed_while_live += node->counters().mbr_refreshes;
+  }
+  EXPECT_GT(refreshed_while_live, 0u) << "refresh must run while batches live";
+
+  rig.pump(2000);  // at least two more 800 ms refresh rounds
+  for (NodeIndex i = 0; i < config.nodes; ++i) {
+    const NetNode::Counters& after = rig.nodes[i]->counters();
+    EXPECT_GE(after.refresh_rounds, before[i].refresh_rounds + 2);
+    EXPECT_EQ(after.mbr_refreshes, before[i].mbr_refreshes) << "node " << i;
+    EXPECT_EQ(after.mbr_retransmits, before[i].mbr_retransmits)
+        << "node " << i;
+  }
 }
 
 }  // namespace
