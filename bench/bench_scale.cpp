@@ -11,12 +11,11 @@
 //     1–101 ms holds — but event bodies do constant work, so events/sec
 //     measures the scheduler, not the middleware. Run on both backends:
 //     the calendar queue and the pre-change binary-heap kernel
-//     (ExperimentConfig::queue_backend = kLegacyHeap, the
-//     SDSI_SIM_HEAP_QUEUE escape hatch). The chain closures mirror
-//     routing::RoutingSystem::schedule_msg: pooled (reference-carrying,
-//     inline in EventFn) on the calendar backend, message-by-value
-//     (heap-allocated closure) on the legacy backend — the same shapes the
-//     real message path produces on each.
+//     (ExperimentConfig::queue_backend = kLegacyHeap). The chain closures
+//     mirror routing::RoutingSystem::schedule_msg: pooled
+//     (reference-carrying, inline in EventFn) on the calendar backend,
+//     message-by-value (heap-allocated closure) on the legacy backend — the
+//     same shapes the real message path produces on each.
 //  2. Full-system run (PrefixRing substrate, Table I workload): end-to-end
 //     events/sec, peak RSS, and per-node load (messages/s/node — the
 //     paper's boundedness claim, carried two orders of magnitude past

@@ -2,9 +2,9 @@
 
 #include <algorithm>
 #include <set>
-#include <unordered_set>
 #include <utility>
 
+#include "core/arc_sync.hpp"
 #include "dsp/normalize.hpp"
 
 namespace sdsi::core {
@@ -1251,29 +1251,13 @@ void MiddlewareSystem::dispatch_tick(NodeIndex index, sim::SimTime now,
 
 // --- Replication & failover ---------------------------------------------------
 
-namespace {
-
-/// Whether the closed key interval [mlo, mhi] intersects the half-open ring
-/// arc (lo, hi]: an interval endpoint falls inside the arc, or the interval
-/// swallows the arc whole (then it contains hi).
-bool range_intersects_arc(const common::IdSpace& space, Key mlo, Key mhi,
-                          Key lo, Key hi) {
-  return space.in_half_open(mlo, lo, hi) || space.in_half_open(mhi, lo, hi) ||
-         space.in_closed(hi, mlo, mhi);
-}
-
-}  // namespace
-
-std::size_t MiddlewareSystem::mbr_entry_bytes(
-    const IndexStore::StoredMbr& entry) {
-  // Identity + expiry header, plus two doubles per MBR dimension.
-  return 40 + entry.mbr.dimensions() * 16;
-}
-
-std::size_t MiddlewareSystem::subscription_entry_bytes(
-    const IndexStore::Subscription& sub) {
-  // Query header, plus one complex coefficient per feature dimension.
-  return 48 + sub.query->features.size() * 16;
+void MiddlewareSystem::send_rerouted(NodeIndex from, NodeIndex to,
+                                     MsgKind kind, std::any payload) {
+  Message msg;
+  msg.kind = kind;
+  msg.payload = std::move(payload);
+  msg.reroute_on_dead = true;
+  routing_.send_direct(from, to, std::move(msg));
 }
 
 void MiddlewareSystem::emit_replication_trace(obs::TraceEventKind event,
@@ -1294,55 +1278,33 @@ void MiddlewareSystem::emit_replication_trace(obs::TraceEventKind event,
 
 void MiddlewareSystem::mirror_mbr(NodeIndex at,
                                   const IndexStore::StoredMbr& entry) {
-  const std::vector<NodeIndex> replicas =
-      routing_.successors(at, config_.replication_factor);
-  if (replicas.empty()) {
-    return;
-  }
-  const auto payload = std::make_shared<const ReplicaPutPayload>(
-      ReplicaPutPayload{at,
-                        {ReplicaMbrEntry{entry.stream, entry.source, entry.mbr,
-                                         entry.batch_seq, entry.expires}},
-                        {},
-                        false,
-                        false});
-  for (const NodeIndex replica : replicas) {
-    Message msg;
-    msg.kind = MsgKind::kReplicaPut;
-    msg.payload = payload;
-    msg.reroute_on_dead = true;
-    routing_.send_direct(at, replica, std::move(msg));
-    if (metrics_.recording()) {
-      ++metrics_.robustness().replica_puts;
-    }
-    if (metrics_.registry() != nullptr) {
-      metrics_.registry()->counter("replication.puts").add();
-    }
-  }
-  emit_replication_trace(obs::TraceEventKind::kReplicate, at, entry.stream,
-                         entry.batch_seq);
+  ReplicaPutPayload put;
+  put.mbrs.push_back(ReplicaMbrEntry{entry.stream, entry.source, entry.mbr,
+                                     entry.batch_seq, entry.expires});
+  mirror_put(at, std::move(put), entry.stream, entry.batch_seq);
 }
 
 void MiddlewareSystem::mirror_subscription(
     NodeIndex at, const IndexStore::Subscription& sub) {
+  ReplicaPutPayload put;
+  put.subscriptions.push_back(
+      ReplicaSubscriptionEntry{sub.query, sub.middle_key, sub.expires});
+  mirror_put(at, std::move(put), 0, sub.query->id);
+}
+
+void MiddlewareSystem::mirror_put(NodeIndex at, ReplicaPutPayload put,
+                                  StreamId trace_stream,
+                                  std::uint64_t trace_seq) {
   const std::vector<NodeIndex> replicas =
       routing_.successors(at, config_.replication_factor);
   if (replicas.empty()) {
     return;
   }
-  const auto payload = std::make_shared<const ReplicaPutPayload>(
-      ReplicaPutPayload{
-          at,
-          {},
-          {ReplicaSubscriptionEntry{sub.query, sub.middle_key, sub.expires}},
-          false,
-          false});
+  put.from = at;
+  const auto payload =
+      std::make_shared<const ReplicaPutPayload>(std::move(put));
   for (const NodeIndex replica : replicas) {
-    Message msg;
-    msg.kind = MsgKind::kReplicaPut;
-    msg.payload = payload;
-    msg.reroute_on_dead = true;
-    routing_.send_direct(at, replica, std::move(msg));
+    send_rerouted(at, replica, MsgKind::kReplicaPut, payload);
     if (metrics_.recording()) {
       ++metrics_.robustness().replica_puts;
     }
@@ -1350,8 +1312,8 @@ void MiddlewareSystem::mirror_subscription(
       metrics_.registry()->counter("replication.puts").add();
     }
   }
-  emit_replication_trace(obs::TraceEventKind::kReplicate, at, 0,
-                         sub.query->id);
+  emit_replication_trace(obs::TraceEventKind::kReplicate, at, trace_stream,
+                         trace_seq);
 }
 
 void MiddlewareSystem::mirror_aggregation(NodeIndex at, QueryId query,
@@ -1367,59 +1329,31 @@ void MiddlewareSystem::mirror_aggregation(NodeIndex at, QueryId query,
       AggregatorReplicaPayload{query, record.client, middle_key,
                                record.expires, at, {match}});
   for (const NodeIndex replica : replicas) {
-    Message msg;
-    msg.kind = MsgKind::kAggregatorReplica;
-    msg.payload = payload;
-    msg.reroute_on_dead = true;
-    routing_.send_direct(at, replica, std::move(msg));
+    send_rerouted(at, replica, MsgKind::kAggregatorReplica, payload);
   }
 }
 
 void MiddlewareSystem::handle_replica_put(NodeIndex at, const Message& msg) {
   const auto payload = payload_of<ReplicaPutPayload>(msg);
-  const sim::SimTime now = routing_.simulator().now();
-  MiddlewareNode& state = state_of(at);
-  std::size_t added = 0;
-  StreamId first_stream = 0;
-  std::uint64_t first_seq = 0;
-  for (const ReplicaMbrEntry& entry : payload->mbrs) {
-    if (state.store.add_mbr(IndexStore::StoredMbr{entry.stream, entry.source,
-                                                  entry.mbr, entry.batch_seq,
-                                                  now, entry.expires})) {
-      if (added == 0) {
-        first_stream = entry.stream;
-        first_seq = entry.batch_seq;
-      }
-      ++added;
-    }
-  }
-  for (const ReplicaSubscriptionEntry& entry : payload->subscriptions) {
-    if (entry.query == nullptr || entry.expires <= now) {
-      continue;
-    }
-    if (state.store.find_subscription(entry.query->id) == nullptr) {
-      ++added;
-    }
-    state.store.add_subscription(entry.query, entry.middle_key,
-                                 entry.expires);
-  }
-  if (added == 0) {
+  const AppliedPut applied = apply_replica_put(
+      state_of(at).store, *payload, routing_.simulator().now());
+  if (applied.added == 0) {
     return;  // everything deduplicated: redelivery is a no-op by design
   }
-  note_node_work(at, added);
+  note_node_work(at, applied.added);
   if (payload->repair) {
     if (metrics_.recording()) {
-      metrics_.robustness().replica_repairs += added;
+      metrics_.robustness().replica_repairs += applied.added;
     }
     if (metrics_.registry() != nullptr) {
       metrics_.registry()->counter("replication.repairs").add(
-          static_cast<double>(added));
+          static_cast<double>(applied.added));
     }
-    emit_replication_trace(obs::TraceEventKind::kRepair, at, first_stream,
-                           first_seq);
+    emit_replication_trace(obs::TraceEventKind::kRepair, at,
+                           applied.first_stream, applied.first_seq);
   } else if (payload->handoff) {
-    emit_replication_trace(obs::TraceEventKind::kHandoff, at, first_stream,
-                           first_seq);
+    emit_replication_trace(obs::TraceEventKind::kHandoff, at,
+                           applied.first_stream, applied.first_seq);
   }
 }
 
@@ -1429,55 +1363,18 @@ void MiddlewareSystem::handle_handoff_request(NodeIndex at,
   if (!routing_.is_alive(payload->requester)) {
     return;
   }
-  const sim::SimTime now = routing_.simulator().now();
-  MiddlewareNode& state = state_of(at);
-  state.store.expire(now);
-  const common::IdSpace& space = routing_.id_space();
-
-  std::vector<ReplicaMbrEntry> mbrs;
-  std::size_t bytes = 0;
-  for (const IndexStore::StoredMbr& entry : state.store.mbrs()) {
-    const auto [mlo, mhi] = strategy_->key_map().mbr_range(entry.mbr);
-    if (!range_intersects_arc(space, mlo, mhi, payload->lo, payload->hi)) {
-      continue;
-    }
-    mbrs.push_back(ReplicaMbrEntry{entry.stream, entry.source, entry.mbr,
-                                   entry.batch_seq, entry.expires});
-    bytes += mbr_entry_bytes(entry);
-  }
-  std::vector<ReplicaSubscriptionEntry> subs;
-  for (const auto& [id, sub] : state.store.subscriptions()) {
-    (void)id;
-    if (sub.expires <= now) {
-      continue;
-    }
-    const auto [qlo, qhi] =
-        strategy_->key_map().query_range(sub.query->features,
-                                         sub.query->radius);
-    if (!range_intersects_arc(space, qlo, qhi, payload->lo, payload->hi)) {
-      continue;
-    }
-    subs.push_back(
-        ReplicaSubscriptionEntry{sub.query, sub.middle_key, sub.expires});
-    bytes += subscription_entry_bytes(sub);
-  }
-  // Canonical ascending-id order: payload contents must not depend on the
-  // store's (history-dependent) iteration order.
-  std::sort(subs.begin(), subs.end(),
-            [](const ReplicaSubscriptionEntry& a,
-               const ReplicaSubscriptionEntry& b) {
-              return a.query->id < b.query->id;
-            });
-  if (mbrs.empty() && subs.empty()) {
+  ReplicaPutPayload put = arc_entries(
+      state_of(at).store, strategy_->key_map(), routing_.id_space(),
+      payload->lo, payload->hi, routing_.simulator().now());
+  const std::size_t entries = entry_count(put);
+  if (entries == 0) {
     return;
   }
-  const std::size_t entries = mbrs.size() + subs.size();
-  Message reply;
-  reply.kind = MsgKind::kReplicaPut;
-  reply.payload = std::make_shared<const ReplicaPutPayload>(ReplicaPutPayload{
-      at, std::move(mbrs), std::move(subs), true, false});
-  reply.reroute_on_dead = true;
-  routing_.send_direct(at, payload->requester, std::move(reply));
+  const std::size_t bytes = entry_bytes(put);
+  put.from = at;
+  put.handoff = true;
+  send_rerouted(at, payload->requester, MsgKind::kReplicaPut,
+                std::make_shared<const ReplicaPutPayload>(std::move(put)));
   if (metrics_.recording()) {
     metrics_.robustness().handoff_entries += entries;
     metrics_.robustness().handoff_bytes += bytes;
@@ -1510,46 +1407,19 @@ void MiddlewareSystem::anti_entropy_tick(NodeIndex index) {
   if (replicas.empty()) {
     return;
   }
-  const sim::SimTime now = routing_.simulator().now();
-  MiddlewareNode& state = nodes_[index];
-  state.store.expire(now);
-  const common::IdSpace& space = routing_.id_space();
-  const Key self_id = routing_.node_id(index);
-  const Key pred_id = routing_.node_id(routing_.predecessor_index(index));
-
   // Digest of the OWNED arc only: replicas answer for what they mirror, the
   // owner answers for what it owns. An empty digest is still sent — it is
   // exactly how a recovered-empty owner learns what it lost (the peers push
   // the gap back as repair).
-  std::vector<MbrBatchId> mbr_keys;
-  for (const IndexStore::StoredMbr& entry : state.store.mbrs()) {
-    const auto [mlo, mhi] = strategy_->key_map().mbr_range(entry.mbr);
-    if (range_intersects_arc(space, mlo, mhi, pred_id, self_id)) {
-      mbr_keys.push_back(MbrBatchId{entry.stream, entry.batch_seq});
-    }
-  }
-  std::vector<QueryId> query_ids;
-  for (const auto& [id, sub] : state.store.subscriptions()) {
-    if (sub.expires <= now) {
-      continue;
-    }
-    const auto [qlo, qhi] =
-        strategy_->key_map().query_range(sub.query->features,
-                                         sub.query->radius);
-    if (range_intersects_arc(space, qlo, qhi, pred_id, self_id)) {
-      query_ids.push_back(id);
-    }
-  }
-  std::sort(query_ids.begin(), query_ids.end());
-  const auto payload = std::make_shared<const AntiEntropyDigestPayload>(
-      AntiEntropyDigestPayload{index, pred_id, self_id, std::move(mbr_keys),
-                               std::move(query_ids)});
+  AntiEntropyDigestPayload digest = arc_digest(
+      nodes_[index].store, strategy_->key_map(), routing_.id_space(),
+      routing_.node_id(routing_.predecessor_index(index)),
+      routing_.node_id(index), routing_.simulator().now());
+  digest.from = index;
+  const auto payload =
+      std::make_shared<const AntiEntropyDigestPayload>(std::move(digest));
   for (const NodeIndex replica : replicas) {
-    Message msg;
-    msg.kind = MsgKind::kAntiEntropyDigest;
-    msg.payload = payload;
-    msg.reroute_on_dead = true;
-    routing_.send_direct(index, replica, std::move(msg));
+    send_rerouted(index, replica, MsgKind::kAntiEntropyDigest, payload);
   }
 }
 
@@ -1560,81 +1430,29 @@ void MiddlewareSystem::handle_anti_entropy_digest(NodeIndex at,
     return;
   }
   const sim::SimTime now = routing_.simulator().now();
-  MiddlewareNode& state = state_of(at);
-  state.store.expire(now);
+  IndexStore& store = state_of(at).store;
 
   // 1. What the owner holds that this replica misses: request backfill.
-  std::vector<MbrBatchId> want_mbrs;
-  for (const MbrBatchId& key : payload->mbr_keys) {
-    if (!state.store.contains_mbr(key.stream, key.batch_seq)) {
-      want_mbrs.push_back(key);
-    }
-  }
-  std::vector<QueryId> want_queries;
-  for (const QueryId id : payload->query_ids) {
-    if (state.store.find_subscription(id) == nullptr) {
-      want_queries.push_back(id);
-    }
-  }
-  if (!want_mbrs.empty() || !want_queries.empty()) {
-    Message req;
-    req.kind = MsgKind::kAntiEntropyRequest;
-    req.payload = std::make_shared<const AntiEntropyRequestPayload>(
-        AntiEntropyRequestPayload{at, std::move(want_mbrs),
-                                  std::move(want_queries)});
-    req.reroute_on_dead = true;
-    routing_.send_direct(at, payload->from, std::move(req));
+  AntiEntropyRequestPayload request = digest_gaps(store, *payload, now);
+  if (!request.mbr_keys.empty() || !request.query_ids.empty()) {
+    request.requester = at;
+    send_rerouted(
+        at, payload->from, MsgKind::kAntiEntropyRequest,
+        std::make_shared<const AntiEntropyRequestPayload>(std::move(request)));
   }
 
   // 2. What this replica holds on the owner's arc that the digest lacks:
   //    push it back as repair (heals an owner that recovered empty).
-  std::set<std::pair<StreamId, std::uint64_t>> digest_mbrs;
-  for (const MbrBatchId& key : payload->mbr_keys) {
-    digest_mbrs.emplace(key.stream, key.batch_seq);
-  }
-  std::unordered_set<QueryId> digest_queries(payload->query_ids.begin(),
-                                             payload->query_ids.end());
-  const common::IdSpace& space = routing_.id_space();
-  std::vector<ReplicaMbrEntry> push_mbrs;
-  for (const IndexStore::StoredMbr& entry : state.store.mbrs()) {
-    if (digest_mbrs.contains({entry.stream, entry.batch_seq})) {
-      continue;
-    }
-    const auto [mlo, mhi] = strategy_->key_map().mbr_range(entry.mbr);
-    if (!range_intersects_arc(space, mlo, mhi, payload->lo, payload->hi)) {
-      continue;
-    }
-    push_mbrs.push_back(ReplicaMbrEntry{entry.stream, entry.source, entry.mbr,
-                                        entry.batch_seq, entry.expires});
-  }
-  std::vector<ReplicaSubscriptionEntry> push_subs;
-  for (const auto& [id, sub] : state.store.subscriptions()) {
-    if (digest_queries.contains(id) || sub.expires <= now) {
-      continue;
-    }
-    const auto [qlo, qhi] =
-        strategy_->key_map().query_range(sub.query->features,
-                                         sub.query->radius);
-    if (!range_intersects_arc(space, qlo, qhi, payload->lo, payload->hi)) {
-      continue;
-    }
-    push_subs.push_back(
-        ReplicaSubscriptionEntry{sub.query, sub.middle_key, sub.expires});
-  }
-  std::sort(push_subs.begin(), push_subs.end(),
-            [](const ReplicaSubscriptionEntry& a,
-               const ReplicaSubscriptionEntry& b) {
-              return a.query->id < b.query->id;
-            });
-  if (push_mbrs.empty() && push_subs.empty()) {
+  ReplicaPutPayload push =
+      arc_entries(store, strategy_->key_map(), routing_.id_space(),
+                  payload->lo, payload->hi, now, payload.get());
+  if (entry_count(push) == 0) {
     return;
   }
-  Message back;
-  back.kind = MsgKind::kReplicaPut;
-  back.payload = std::make_shared<const ReplicaPutPayload>(ReplicaPutPayload{
-      at, std::move(push_mbrs), std::move(push_subs), false, true});
-  back.reroute_on_dead = true;
-  routing_.send_direct(at, payload->from, std::move(back));
+  push.from = at;
+  push.repair = true;
+  send_rerouted(at, payload->from, MsgKind::kReplicaPut,
+                std::make_shared<const ReplicaPutPayload>(std::move(push)));
 }
 
 void MiddlewareSystem::handle_anti_entropy_request(NodeIndex at,
@@ -1643,34 +1461,15 @@ void MiddlewareSystem::handle_anti_entropy_request(NodeIndex at,
   if (!routing_.is_alive(payload->requester)) {
     return;
   }
-  const sim::SimTime now = routing_.simulator().now();
-  MiddlewareNode& state = state_of(at);
-  std::vector<ReplicaMbrEntry> mbrs;
-  for (const MbrBatchId& key : payload->mbr_keys) {
-    const IndexStore::StoredMbr* entry =
-        state.store.find_mbr(key.stream, key.batch_seq);
-    if (entry != nullptr) {
-      mbrs.push_back(ReplicaMbrEntry{entry->stream, entry->source, entry->mbr,
-                                     entry->batch_seq, entry->expires});
-    }
-  }
-  std::vector<ReplicaSubscriptionEntry> subs;
-  for (const QueryId id : payload->query_ids) {
-    const IndexStore::Subscription* sub = state.store.find_subscription(id);
-    if (sub != nullptr && sub->expires > now) {
-      subs.push_back(
-          ReplicaSubscriptionEntry{sub->query, sub->middle_key, sub->expires});
-    }
-  }
-  if (mbrs.empty() && subs.empty()) {
+  ReplicaPutPayload put =
+      backfill(state_of(at).store, *payload, routing_.simulator().now());
+  if (entry_count(put) == 0) {
     return;
   }
-  Message reply;
-  reply.kind = MsgKind::kReplicaPut;
-  reply.payload = std::make_shared<const ReplicaPutPayload>(ReplicaPutPayload{
-      at, std::move(mbrs), std::move(subs), false, true});
-  reply.reroute_on_dead = true;
-  routing_.send_direct(at, payload->requester, std::move(reply));
+  put.from = at;
+  put.repair = true;
+  send_rerouted(at, payload->requester, MsgKind::kReplicaPut,
+                std::make_shared<const ReplicaPutPayload>(std::move(put)));
 }
 
 void MiddlewareSystem::handle_aggregator_replica(NodeIndex at,
@@ -1746,103 +1545,13 @@ void MiddlewareSystem::handle_node_join(NodeIndex index) {
   if (succ == index) {
     return;  // alone on the ring: nothing to pull
   }
-  Message msg;
-  msg.kind = MsgKind::kHandoffRequest;
-  msg.payload = std::make_shared<const HandoffRequestPayload>(
-      HandoffRequestPayload{
-          index, routing_.node_id(routing_.predecessor_index(index)),
-          routing_.node_id(index)});
-  msg.reroute_on_dead = true;
-  routing_.send_direct(index, succ, std::move(msg));
+  send_rerouted(index, succ, MsgKind::kHandoffRequest,
+                std::make_shared<const HandoffRequestPayload>(
+                    HandoffRequestPayload{
+                        index,
+                        routing_.node_id(routing_.predecessor_index(index)),
+                        routing_.node_id(index)}));
   emit_replication_trace(obs::TraceEventKind::kHandoff, index, 0, 0);
-}
-
-void MiddlewareSystem::handle_node_leave(NodeIndex index) {
-  if (!replication_on() || index >= nodes_.size() ||
-      !routing_.is_alive(index)) {
-    return;
-  }
-  const NodeIndex succ = routing_.successor_index(index);
-  if (succ == index) {
-    return;
-  }
-  const sim::SimTime now = routing_.simulator().now();
-  MiddlewareNode& state = nodes_[index];
-  state.store.expire(now);
-
-  std::vector<ReplicaMbrEntry> mbrs;
-  std::size_t bytes = 0;
-  for (const IndexStore::StoredMbr& entry : state.store.mbrs()) {
-    mbrs.push_back(ReplicaMbrEntry{entry.stream, entry.source, entry.mbr,
-                                   entry.batch_seq, entry.expires});
-    bytes += mbr_entry_bytes(entry);
-  }
-  std::vector<ReplicaSubscriptionEntry> subs;
-  for (const auto& [id, sub] : state.store.subscriptions()) {
-    (void)id;
-    if (sub.expires <= now) {
-      continue;
-    }
-    subs.push_back(
-        ReplicaSubscriptionEntry{sub.query, sub.middle_key, sub.expires});
-    bytes += subscription_entry_bytes(sub);
-  }
-  std::sort(subs.begin(), subs.end(),
-            [](const ReplicaSubscriptionEntry& a,
-               const ReplicaSubscriptionEntry& b) {
-              return a.query->id < b.query->id;
-            });
-  if (!mbrs.empty() || !subs.empty()) {
-    const std::size_t entries = mbrs.size() + subs.size();
-    Message push;
-    push.kind = MsgKind::kReplicaPut;
-    push.payload = std::make_shared<const ReplicaPutPayload>(ReplicaPutPayload{
-        index, std::move(mbrs), std::move(subs), true, false});
-    push.reroute_on_dead = true;
-    routing_.send_direct(index, succ, std::move(push));
-    if (metrics_.recording()) {
-      metrics_.robustness().handoff_entries += entries;
-      metrics_.robustness().handoff_bytes += bytes;
-    }
-    if (metrics_.registry() != nullptr) {
-      metrics_.registry()
-          ->counter("replication.handoff_entries")
-          .add(static_cast<double>(entries));
-      metrics_.registry()
-          ->counter("replication.handoff_bytes")
-          .add(static_cast<double>(bytes));
-    }
-    emit_replication_trace(obs::TraceEventKind::kHandoff, index, 0, entries);
-  }
-
-  // Partial aggregations travel as aggregator mirrors: the successor holds
-  // them as replicas and promotes once the arc changes hands. Acked matches
-  // are already client-visible; pending + unacked in-flight cover the rest.
-  std::vector<QueryId> mirror_order;
-  mirror_order.reserve(state.aggregations.size());
-  for (const auto& [query, record] : state.aggregations) {
-    (void)record;
-    mirror_order.push_back(query);
-  }
-  std::sort(mirror_order.begin(), mirror_order.end());
-  for (const QueryId query : mirror_order) {
-    const AggregatorRecord& record = state.aggregations.at(query);
-    if (record.expires <= now) {
-      continue;
-    }
-    std::vector<SimilarityMatch> matches = record.pending;
-    for (const auto& [seq, push] : record.inflight) {
-      (void)seq;
-      matches.insert(matches.end(), push.matches.begin(), push.matches.end());
-    }
-    Message msg;
-    msg.kind = MsgKind::kAggregatorReplica;
-    msg.payload = std::make_shared<const AggregatorReplicaPayload>(
-        AggregatorReplicaPayload{query, record.client, record.middle_key,
-                                 record.expires, index, std::move(matches)});
-    msg.reroute_on_dead = true;
-    routing_.send_direct(index, succ, std::move(msg));
-  }
 }
 
 void MiddlewareSystem::tick_all_nodes() {
@@ -1947,11 +1656,7 @@ void MiddlewareSystem::divert_store(NodeIndex at, NodeIndex target,
                         {},
                         false,
                         false});
-  Message msg;
-  msg.kind = MsgKind::kReplicaPut;
-  msg.payload = payload;
-  msg.reroute_on_dead = true;
-  routing_.send_direct(at, target, std::move(msg));
+  send_rerouted(at, target, MsgKind::kReplicaPut, payload);
   if (metrics_.recording()) {
     ++metrics_.robustness().split_diverted_stores;
   }
@@ -1990,11 +1695,7 @@ void MiddlewareSystem::mirror_subscriptions_to_delegates(NodeIndex node) {
   const auto payload = std::make_shared<const ReplicaPutPayload>(
       ReplicaPutPayload{node, {}, std::move(entries), false, false});
   for (const NodeIndex delegate : delegates) {
-    Message msg;
-    msg.kind = MsgKind::kReplicaPut;
-    msg.payload = payload;
-    msg.reroute_on_dead = true;
-    routing_.send_direct(node, delegate, std::move(msg));
+    send_rerouted(node, delegate, MsgKind::kReplicaPut, payload);
   }
 }
 
@@ -2008,11 +1709,7 @@ void MiddlewareSystem::forward_subscription_to_delegates(
           false,
           false});
   for (const NodeIndex delegate : nodes_[node].overload.split_delegates) {
-    Message msg;
-    msg.kind = MsgKind::kReplicaPut;
-    msg.payload = payload;
-    msg.reroute_on_dead = true;
-    routing_.send_direct(node, delegate, std::move(msg));
+    send_rerouted(node, delegate, MsgKind::kReplicaPut, payload);
   }
 }
 

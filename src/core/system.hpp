@@ -14,6 +14,7 @@
 // periodic notification machinery of Table I.
 #pragma once
 
+#include <any>
 #include <memory>
 #include <optional>
 #include <span>
@@ -290,11 +291,6 @@ class MiddlewareSystem {
   /// substrate has integrated the node (join/recover).
   void handle_node_join(NodeIndex index);
 
-  /// Graceful-leave handoff: pushes the node's stored entries and partial
-  /// aggregations to its successor before the substrate removes it. No-op
-  /// when replication is disabled. Call before the routing leave().
-  void handle_node_leave(NodeIndex index);
-
   /// Models the state loss of a crash: wipes everything the node held as
   /// soft state (stored MBRs and subscriptions, aggregations, buffered
   /// reports, location directory/cache, pending resolutions, publication
@@ -460,6 +456,11 @@ class MiddlewareSystem {
   /// Mirrors one just-installed subscription to `at`'s replica set.
   void mirror_subscription(NodeIndex at, const IndexStore::Subscription& sub);
 
+  /// The shared body of the two mirrors: sends `put` to `at`'s replica set
+  /// and traces it under (trace_stream, trace_seq).
+  void mirror_put(NodeIndex at, ReplicaPutPayload put, StreamId trace_stream,
+                  std::uint64_t trace_seq);
+
   /// Mirrors one freshly filed match of a locally aggregated query to the
   /// middle key's replica set (incremental AggregatorRecord replication).
   void mirror_aggregation(NodeIndex at, QueryId query,
@@ -476,16 +477,15 @@ class MiddlewareSystem {
   void anti_entropy_tick(NodeIndex index);
   void schedule_anti_entropy(NodeIndex index, sim::Duration offset);
 
+  /// Direct send of a replication-layer message; when `to` is dead it
+  /// detours to the successor list (Message::reroute_on_dead).
+  void send_rerouted(NodeIndex from, NodeIndex to, MsgKind kind,
+                     std::any payload);
+
   /// Emits a replication-layer trace event (replicate/handoff/repair/
   /// failover) when a trace sink is attached.
   void emit_replication_trace(obs::TraceEventKind event, NodeIndex node,
                               StreamId stream, std::uint64_t seq);
-
-  /// Approximate wire size of handoff payload entries (handoff_bytes
-  /// accounting).
-  static std::size_t mbr_entry_bytes(const IndexStore::StoredMbr& entry);
-  static std::size_t subscription_entry_bytes(
-      const IndexStore::Subscription& sub);
 
   // --- Overload-control helpers --------------------------------------------
 

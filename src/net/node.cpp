@@ -1,9 +1,11 @@
 #include "net/node.hpp"
 
 #include <algorithm>
+#include <optional>
 #include <utility>
 
 #include "common/check.hpp"
+#include "core/arc_sync.hpp"
 
 namespace sdsi::net {
 
@@ -59,11 +61,8 @@ void NetNode::publish_value(StreamId stream, Sample value, sim::SimTime now) {
 void NetNode::publish_mbr(StreamId stream, LocalStream& state, dsp::Mbr mbr,
                           sim::SimTime now) {
   // Primary range first (acks/refresh track it alone); extra probe ranges
-  // (multi-probe lsh; none for dft/ecm) go out fire-and-forget below.
+  // (multi-probe lsh; none for dft/ecm) go out fire-and-forget.
   strategy_->key_map().mbr_ranges(mbr, range_scratch_);
-  const auto [lo, hi] = range_scratch_.front();
-  const std::vector<std::pair<Key, Key>> probes(range_scratch_.begin() + 1,
-                                                range_scratch_.end());
   const sim::SimTime expires = now + config_.mbr_lifespan;
   const auto payload = std::make_shared<const core::MbrPayload>(
       core::MbrPayload{stream, self_, std::move(mbr), state.batch_seq++,
@@ -81,60 +80,13 @@ void NetNode::publish_mbr(StreamId stream, LocalStream& state, dsp::Mbr mbr,
     // Track the publication until the landing node acks it; refresh keeps
     // re-multicasting it afterwards (range replicas have no ack of their
     // own — soft state owns them).
-    auto [it, inserted] = published_.try_emplace(
-        std::make_pair(payload->stream, payload->batch_seq),
-        PendingMbr{payload, lo, hi, false, clock_ms_, 0});
-    send_mbr_multicast(it->second, now);
-    send_probe_multicasts(routing::MsgKind::kMbrUpdate, payload, probes, now);
-    return;
+    const auto [lo, hi] = range_scratch_.front();
+    published_.try_emplace(std::make_pair(payload->stream, payload->batch_seq),
+                           PendingMbr{payload, lo, hi, false, clock_ms_, 0});
   }
-
-  routing::Message msg;
-  msg.kind = routing::MsgKind::kMbrUpdate;
-  msg.origin = self_;
-  msg.payload = payload;
-  msg.has_range = true;
-  msg.range_lo = lo;
-  msg.range_hi = hi;
-  msg.range_dir = routing::RangeDir::kUp;  // sequential multicast
-  msg.sent_at = now;
-  msg.trace_id = next_trace_id();
-  route_to_key(lo, std::move(msg), now);
-  send_probe_multicasts(routing::MsgKind::kMbrUpdate, payload, probes, now);
-}
-
-void NetNode::send_probe_multicasts(
-    routing::MsgKind kind, std::any payload,
-    const std::vector<std::pair<Key, Key>>& probes, sim::SimTime now) {
-  // Extra probe arcs of a multi-probe strategy: same idempotent payload,
-  // fire-and-forget (dedup at the receivers; never acked or refreshed).
-  for (const auto& [plo, phi] : probes) {
-    routing::Message msg;
-    msg.kind = kind;
-    msg.origin = self_;
-    msg.payload = payload;
-    msg.has_range = true;
-    msg.range_lo = plo;
-    msg.range_hi = phi;
-    msg.range_dir = routing::RangeDir::kUp;
-    msg.sent_at = now;
-    msg.trace_id = next_trace_id();
-    route_to_key(plo, std::move(msg), now);
+  for (const auto& [lo, hi] : range_scratch_) {
+    send_range(routing::MsgKind::kMbrUpdate, payload, lo, hi, now);
   }
-}
-
-void NetNode::send_mbr_multicast(const PendingMbr& pending, sim::SimTime now) {
-  routing::Message msg;
-  msg.kind = routing::MsgKind::kMbrUpdate;
-  msg.origin = self_;
-  msg.payload = pending.payload;
-  msg.has_range = true;
-  msg.range_lo = pending.lo;
-  msg.range_hi = pending.hi;
-  msg.range_dir = routing::RangeDir::kUp;
-  msg.sent_at = now;
-  msg.trace_id = next_trace_id();
-  route_to_key(pending.lo, std::move(msg), now);
 }
 
 void NetNode::subscribe_similarity(core::QueryId id,
@@ -145,49 +97,33 @@ void NetNode::subscribe_similarity(core::QueryId id,
                             now});
   strategy_->key_map().query_ranges(query->features, radius, range_scratch_);
   const auto [lo, hi] = range_scratch_.front();
-  const std::vector<std::pair<Key, Key>> probes(range_scratch_.begin() + 1,
-                                                range_scratch_.end());
-  const Key middle = ring_.space().midpoint(lo, hi);
   const auto payload = std::make_shared<const core::SimilarityQueryPayload>(
-      core::SimilarityQueryPayload{query, middle});
+      core::SimilarityQueryPayload{std::move(query),
+                                   ring_.space().midpoint(lo, hi)});
   results_.try_emplace(id);
   ++counters_.queries_posed;
   if (reliable()) {
-    own_queries_.push_back(OwnQuery{query, lo, hi, middle});
-    send_query_multicast(own_queries_.back(), now);
-    send_probe_multicasts(routing::MsgKind::kSimilarityQuery, payload, probes,
-                          now);
-    return;
+    own_queries_.push_back(OwnQuery{payload, lo, hi});
   }
+  for (const auto& [range_lo, range_hi] : range_scratch_) {
+    send_range(routing::MsgKind::kSimilarityQuery, payload, range_lo,
+               range_hi, now);
+  }
+}
 
+void NetNode::send_range(routing::MsgKind kind, std::any payload, Key lo,
+                         Key hi, sim::SimTime now) {
   routing::Message msg;
-  msg.kind = routing::MsgKind::kSimilarityQuery;
+  msg.kind = kind;
   msg.origin = self_;
-  msg.payload = payload;
+  msg.payload = std::move(payload);
   msg.has_range = true;
   msg.range_lo = lo;
   msg.range_hi = hi;
-  msg.range_dir = routing::RangeDir::kUp;
+  msg.range_dir = routing::RangeDir::kUp;  // sequential multicast
   msg.sent_at = now;
   msg.trace_id = next_trace_id();
   route_to_key(lo, std::move(msg), now);
-  send_probe_multicasts(routing::MsgKind::kSimilarityQuery, payload, probes,
-                        now);
-}
-
-void NetNode::send_query_multicast(const OwnQuery& own, sim::SimTime now) {
-  routing::Message msg;
-  msg.kind = routing::MsgKind::kSimilarityQuery;
-  msg.origin = self_;
-  msg.payload = std::make_shared<const core::SimilarityQueryPayload>(
-      core::SimilarityQueryPayload{own.query, own.middle});
-  msg.has_range = true;
-  msg.range_lo = own.lo;
-  msg.range_hi = own.hi;
-  msg.range_dir = routing::RangeDir::kUp;
-  msg.sent_at = now;
-  msg.trace_id = next_trace_id();
-  route_to_key(own.lo, std::move(msg), now);
 }
 
 void NetNode::route_to_key(Key key, routing::Message msg, sim::SimTime now) {
@@ -321,29 +257,9 @@ void NetNode::handle_mbr(const routing::Message& msg, sim::SimTime now) {
     return;  // duplicate redelivery: already mirrored the first time
   }
   core::ReplicaPutPayload put;
-  put.from = self_;
   put.mbrs.push_back({payload->stream, payload->source, payload->mbr,
                       payload->batch_seq, payload->expires});
-  const auto shared =
-      std::make_shared<const core::ReplicaPutPayload>(std::move(put));
-  std::vector<NodeIndex> replicas;
-  NodeIndex cursor = self_;
-  while (replicas.size() < config_.reliability.replication) {
-    cursor = next_live_successor(cursor);
-    if (cursor == kInvalidNode ||
-        std::find(replicas.begin(), replicas.end(), cursor) !=
-            replicas.end()) {
-      break;  // ring exhausted or wrapped
-    }
-    replicas.push_back(cursor);
-  }
-  for (const NodeIndex replica : replicas) {
-    if (replica == payload->source) {
-      continue;  // the source holds its own copy already
-    }
-    send_direct(replica, routing::MsgKind::kReplicaPut, shared, now);
-    ++counters_.replica_puts_sent;
-  }
+  mirror(std::move(put), payload->source, now);
 }
 
 void NetNode::handle_similarity_query(const routing::Message& msg,
@@ -360,25 +276,30 @@ void NetNode::handle_similarity_query(const routing::Message& msg,
   // Landing node: mirror the fresh subscription alongside the MBR replicas
   // so a crash cannot silently unsubscribe the client.
   core::ReplicaPutPayload put;
-  put.from = self_;
   put.subscriptions.push_back({payload->query, payload->middle_key,
                                query.issued_at + query.lifespan});
+  mirror(std::move(put), query.client, now);
+}
+
+void NetNode::mirror(core::ReplicaPutPayload put, NodeIndex holder,
+                     sim::SimTime now) {
+  put.from = self_;
   const auto shared =
       std::make_shared<const core::ReplicaPutPayload>(std::move(put));
   std::vector<NodeIndex> replicas;
   NodeIndex cursor = self_;
   while (replicas.size() < config_.reliability.replication) {
-    cursor = next_live_successor(cursor);
+    cursor = next_live(cursor, true);
     if (cursor == kInvalidNode ||
         std::find(replicas.begin(), replicas.end(), cursor) !=
             replicas.end()) {
-      break;
+      break;  // ring exhausted or wrapped
     }
     replicas.push_back(cursor);
   }
   for (const NodeIndex replica : replicas) {
-    if (replica == query.client) {
-      continue;
+    if (replica == holder) {
+      continue;  // the holder keeps its own copy already
     }
     send_direct(replica, routing::MsgKind::kReplicaPut, shared, now);
     ++counters_.replica_puts_sent;
@@ -437,33 +358,24 @@ void NetNode::handle_response_ack(const routing::Message& msg) {
 void NetNode::handle_replica_put(const routing::Message& msg,
                                  sim::SimTime now) {
   const auto payload = payload_of<core::ReplicaPutPayload>(msg);
-  for (const core::ReplicaMbrEntry& entry : payload->mbrs) {
-    if (store_.add_mbr({entry.stream, entry.source, entry.mbr,
-                        entry.batch_seq, now, entry.expires})) {
-      ++counters_.replica_entries_stored;
-    }
-  }
-  for (const core::ReplicaSubscriptionEntry& entry : payload->subscriptions) {
-    if (entry.query != nullptr) {
-      store_.add_subscription(entry.query, entry.middle_key, entry.expires);
-      ++counters_.replica_entries_stored;
-    }
-  }
+  counters_.replica_entries_stored +=
+      core::apply_replica_put(store_, *payload, now).added;
 }
 
 void NetNode::handle_handoff_request(const routing::Message& msg,
                                      sim::SimTime now) {
   const auto payload = payload_of<core::HandoffRequestPayload>(msg);
-  std::optional<core::ReplicaPutPayload> put =
-      collect_arc_entries(payload->lo, payload->hi);
-  if (!put.has_value()) {
+  core::ReplicaPutPayload put =
+      core::arc_entries(store_, strategy_->key_map(), ring_.space(),
+                        payload->lo, payload->hi, now);
+  if (core::entry_count(put) == 0) {
     return;
   }
-  put->handoff = true;
-  counters_.handoff_entries_sent += put->mbrs.size() + put->subscriptions.size();
+  put.from = self_;
+  put.handoff = true;
+  counters_.handoff_entries_sent += core::entry_count(put);
   send_direct(payload->requester, routing::MsgKind::kReplicaPut,
-              std::make_shared<const core::ReplicaPutPayload>(
-                  std::move(*put)),
+              std::make_shared<const core::ReplicaPutPayload>(std::move(put)),
               now);
 }
 
@@ -471,19 +383,10 @@ void NetNode::handle_anti_entropy_digest(const routing::Message& msg,
                                          sim::SimTime now) {
   const auto payload = payload_of<core::AntiEntropyDigestPayload>(msg);
   // Pull direction: request every digest entry this store is missing.
-  core::AntiEntropyRequestPayload request;
-  request.requester = self_;
-  for (const core::MbrBatchId& id : payload->mbr_keys) {
-    if (!store_.contains_mbr(id.stream, id.batch_seq)) {
-      request.mbr_keys.push_back(id);
-    }
-  }
-  for (const core::QueryId id : payload->query_ids) {
-    if (store_.find_subscription(id) == nullptr) {
-      request.query_ids.push_back(id);
-    }
-  }
+  core::AntiEntropyRequestPayload request =
+      core::digest_gaps(store_, *payload, now);
   if (!request.mbr_keys.empty() || !request.query_ids.empty()) {
+    request.requester = self_;
     ++counters_.anti_entropy_requests;
     send_direct(payload->from, routing::MsgKind::kAntiEntropyRequest,
                 std::make_shared<const core::AntiEntropyRequestPayload>(
@@ -491,124 +394,65 @@ void NetNode::handle_anti_entropy_digest(const routing::Message& msg,
                 now);
   }
   // Push direction: back-fill arc entries the digest's sender is missing.
-  std::optional<core::ReplicaPutPayload> put =
-      collect_arc_entries(payload->lo, payload->hi);
-  if (!put.has_value()) {
-    return;
-  }
-  core::ReplicaPutPayload missing;
-  missing.from = self_;
-  missing.repair = true;
-  for (core::ReplicaMbrEntry& entry : put->mbrs) {
-    const bool listed = std::any_of(
-        payload->mbr_keys.begin(), payload->mbr_keys.end(),
-        [&](const core::MbrBatchId& id) {
-          return id.stream == entry.stream && id.batch_seq == entry.batch_seq;
-        });
-    if (!listed) {
-      missing.mbrs.push_back(std::move(entry));
-    }
-  }
-  for (core::ReplicaSubscriptionEntry& entry : put->subscriptions) {
-    const core::QueryId id = entry.query->id;
-    const bool listed = std::find(payload->query_ids.begin(),
-                                  payload->query_ids.end(),
-                                  id) != payload->query_ids.end();
-    if (!listed) {
-      missing.subscriptions.push_back(std::move(entry));
-    }
-  }
-  if (missing.mbrs.empty() && missing.subscriptions.empty()) {
-    return;
-  }
-  counters_.repair_entries_sent +=
-      missing.mbrs.size() + missing.subscriptions.size();
-  send_direct(payload->from, routing::MsgKind::kReplicaPut,
-              std::make_shared<const core::ReplicaPutPayload>(
-                  std::move(missing)),
-              now);
+  core::ReplicaPutPayload missing =
+      core::arc_entries(store_, strategy_->key_map(), ring_.space(),
+                        payload->lo, payload->hi, now, payload.get());
+  send_repair(payload->from, std::move(missing), now);
 }
 
 void NetNode::handle_anti_entropy_request(const routing::Message& msg,
                                           sim::SimTime now) {
   const auto payload = payload_of<core::AntiEntropyRequestPayload>(msg);
-  core::ReplicaPutPayload put;
-  put.from = self_;
-  put.repair = true;
-  for (const core::MbrBatchId& id : payload->mbr_keys) {
-    if (const core::IndexStore::StoredMbr* entry =
-            store_.find_mbr(id.stream, id.batch_seq)) {
-      put.mbrs.push_back({entry->stream, entry->source, entry->mbr,
-                          entry->batch_seq, entry->expires});
-    }
-  }
-  for (const core::QueryId id : payload->query_ids) {
-    if (const core::IndexStore::Subscription* sub =
-            store_.find_subscription(id)) {
-      put.subscriptions.push_back({sub->query, sub->middle_key, sub->expires});
-    }
-  }
-  if (put.mbrs.empty() && put.subscriptions.empty()) {
+  send_repair(payload->requester, core::backfill(store_, *payload, now), now);
+}
+
+void NetNode::send_repair(NodeIndex peer, core::ReplicaPutPayload put,
+                          sim::SimTime now) {
+  if (core::entry_count(put) == 0) {
     return;
   }
-  counters_.repair_entries_sent += put.mbrs.size() + put.subscriptions.size();
-  send_direct(payload->requester, routing::MsgKind::kReplicaPut,
+  put.from = self_;
+  put.repair = true;
+  counters_.repair_entries_sent += core::entry_count(put);
+  send_direct(peer, routing::MsgKind::kReplicaPut,
               std::make_shared<const core::ReplicaPutPayload>(std::move(put)),
               now);
 }
 
 void NetNode::forward_range_copies(const routing::Message& msg) {
-  const Key self_id = ring_.id(self_);
-  const Key pred_id = ring_.id(ring_.predecessor_index(self_));
-  const common::IdSpace& space = ring_.space();
-  const bool covers_lo = space.in_half_open(msg.range_lo, pred_id, self_id);
-  const bool covers_hi = space.in_half_open(msg.range_hi, pred_id, self_id);
+  const routing::RangeSteps steps = routing::range_steps(
+      ring_.space(), ring_.id(ring_.predecessor_index(self_)),
+      ring_.id(self_), msg);
+  if (steps.up) {
+    forward_copy(msg, true);
+  }
+  if (steps.down) {
+    forward_copy(msg, false);
+  }
+}
 
-  const bool go_up = (msg.range_dir == routing::RangeDir::kUp ||
-                      msg.range_dir == routing::RangeDir::kBoth) &&
-                     !covers_hi;
-  const bool go_down = (msg.range_dir == routing::RangeDir::kDown ||
-                        msg.range_dir == routing::RangeDir::kBoth) &&
-                       !covers_lo;
-  if (go_up) {
-    routing::Message copy = msg;
-    copy.range_internal = true;
-    copy.range_dir = routing::RangeDir::kUp;
-    copy.origin = self_;
-    copy.hops = 1;
-    NodeIndex next = ring_.successor_index(self_);
-    if (reliable()) {
-      while (next != self_ && !detector_.usable(next)) {
-        next = ring_.successor_index(next);
-        ++counters_.detours;
-      }
-    }
-    if (next != self_) {
-      copy.target_key = ring_.id(next);
-      if (!transport_.send(next, copy)) {
-        ++counters_.send_failures;
-      }
+void NetNode::forward_copy(const routing::Message& msg, bool up) {
+  const auto step = [&](NodeIndex n) {
+    return up ? ring_.successor_index(n) : ring_.predecessor_index(n);
+  };
+  NodeIndex next = step(self_);
+  if (reliable()) {
+    while (next != self_ && !detector_.usable(next)) {
+      next = step(next);
+      ++counters_.detours;
     }
   }
-  if (go_down) {
-    routing::Message copy = msg;
-    copy.range_internal = true;
-    copy.range_dir = routing::RangeDir::kDown;
-    copy.origin = self_;
-    copy.hops = 1;
-    NodeIndex prev = ring_.predecessor_index(self_);
-    if (reliable()) {
-      while (prev != self_ && !detector_.usable(prev)) {
-        prev = ring_.predecessor_index(prev);
-        ++counters_.detours;
-      }
-    }
-    if (prev != self_) {
-      copy.target_key = ring_.id(prev);
-      if (!transport_.send(prev, copy)) {
-        ++counters_.send_failures;
-      }
-    }
+  if (next == self_) {
+    return;
+  }
+  routing::Message copy = msg;
+  copy.range_internal = true;
+  copy.range_dir = up ? routing::RangeDir::kUp : routing::RangeDir::kDown;
+  copy.origin = self_;
+  copy.hops = 1;
+  copy.target_key = ring_.id(next);
+  if (!transport_.send(next, copy)) {
+    ++counters_.send_failures;
   }
 }
 
@@ -634,56 +478,27 @@ void NetNode::tick(sim::SimTime now) {
     if (client >= ring_.size()) {
       continue;  // corrupted subscription frame carried a garbage client
     }
+    // Acked push: the client confirms receipt, otherwise the push is
+    // retransmitted from reliability_tick until retries run out.
+    const bool acked = reliable() && client != self_;
     core::ResponsePayload response;
     response.query = query_id;
     response.client = client;
     response.matches = std::move(matches);
-    if (reliable() && client != self_) {
-      // Acked push: the client confirms receipt, otherwise the push is
-      // retransmitted from reliability_tick until retries run out.
+    if (acked) {
       response.aggregator = self_;
       response.push_seq = ++push_seq_;
     }
-
     const auto payload =
         std::make_shared<const core::ResponsePayload>(std::move(response));
     ++counters_.responses_sent;
-    if (client == self_) {
-      routing::Message msg;
-      msg.kind = routing::MsgKind::kResponse;
-      msg.origin = self_;
-      msg.target_key = ring_.id(client);
-      msg.sent_at = now;
-      msg.trace_id = next_trace_id();
-      msg.payload = payload;
-      handle_response(msg, now);
-      continue;
-    }
-    if (reliable()) {
-      const PendingResponse pending{payload, client, clock_ms_, 0};
+    if (acked) {
       unacked_responses_.emplace(
-          std::make_pair(payload->query, payload->push_seq), pending);
-      send_response_push(pending, now);
-      continue;
+          std::make_pair(payload->query, payload->push_seq),
+          PendingResponse{payload, client, clock_ms_, 0});
     }
-    routing::Message msg;
-    msg.kind = routing::MsgKind::kResponse;
-    msg.origin = self_;
-    msg.target_key = ring_.id(client);
-    msg.sent_at = now;
-    msg.trace_id = next_trace_id();
-    msg.hops = 1;
-    msg.payload = payload;
-    if (!transport_.send(client, msg)) {
-      ++counters_.send_failures;
-    }
+    send_direct(client, routing::MsgKind::kResponse, payload, now);
   }
-}
-
-void NetNode::send_response_push(const PendingResponse& pending,
-                                 sim::SimTime now) {
-  send_direct(pending.client, routing::MsgKind::kResponse, pending.payload,
-              now);
 }
 
 void NetNode::heartbeat_tick(std::int64_t now_ms, sim::SimTime now) {
@@ -724,7 +539,8 @@ void NetNode::reliability_tick(std::int64_t now_ms, sim::SimTime now) {
     return item.second.payload->expires <= now;
   });
   std::erase_if(own_queries_, [now](const OwnQuery& own) {
-    return own.query->issued_at + own.query->lifespan <= now;
+    const core::SimilarityQuery& query = *own.payload->query;
+    return query.issued_at + query.lifespan <= now;
   });
 
   // 1. Fast retransmit of unacked publications.
@@ -734,7 +550,8 @@ void NetNode::reliability_tick(std::int64_t now_ms, sim::SimTime now) {
       ++pending.retries;
       pending.last_sent_ms = now_ms;
       ++counters_.mbr_retransmits;
-      send_mbr_multicast(pending, now);
+      send_range(routing::MsgKind::kMbrUpdate, pending.payload, pending.lo,
+                 pending.hi, now);
     }
   }
 
@@ -744,13 +561,15 @@ void NetNode::reliability_tick(std::int64_t now_ms, sim::SimTime now) {
   if (now_ms - last_refresh_ms_ >= rel.refresh_period_ms) {
     last_refresh_ms_ = now_ms;
     ++counters_.refresh_rounds;
-    for (auto& [key, pending] : published_) {
+    for (const auto& [key, pending] : published_) {
       ++counters_.mbr_refreshes;
-      send_mbr_multicast(pending, now);
+      send_range(routing::MsgKind::kMbrUpdate, pending.payload, pending.lo,
+                 pending.hi, now);
     }
     for (const OwnQuery& own : own_queries_) {
       ++counters_.query_refreshes;
-      send_query_multicast(own, now);
+      send_range(routing::MsgKind::kSimilarityQuery, own.payload, own.lo,
+                 own.hi, now);
     }
   }
 
@@ -766,7 +585,8 @@ void NetNode::reliability_tick(std::int64_t now_ms, sim::SimTime now) {
       ++pending.retries;
       pending.last_sent_ms = now_ms;
       ++counters_.response_retransmits;
-      send_response_push(pending, now);
+      send_direct(pending.client, routing::MsgKind::kResponse, pending.payload,
+                  now);
     }
     ++it;
   }
@@ -776,11 +596,11 @@ void NetNode::reliability_tick(std::int64_t now_ms, sim::SimTime now) {
   if (now_ms - last_anti_entropy_ms_ >= rel.anti_entropy_period_ms) {
     last_anti_entropy_ms_ = now_ms;
     ++counters_.anti_entropy_rounds;
-    const NodeIndex up = next_live_successor(self_);
+    const NodeIndex up = next_live(self_, true);
     if (up != kInvalidNode) {
       send_digest_to(up, now);
     }
-    const NodeIndex down = next_live_predecessor(self_);
+    const NodeIndex down = next_live(self_, false);
     if (down != kInvalidNode && down != up) {
       send_digest_to(down, now);
     }
@@ -801,12 +621,12 @@ void NetNode::request_handoff(sim::SimTime now) {
       core::HandoffRequestPayload{self_,
                                   ring_.id(ring_.predecessor_index(self_)),
                                   ring_.id(self_)});
-  const NodeIndex up = next_live_successor(self_);
+  const NodeIndex up = next_live(self_, true);
   if (up != kInvalidNode) {
     ++counters_.handoff_requests_sent;
     send_direct(up, routing::MsgKind::kHandoffRequest, payload, now);
   }
-  const NodeIndex down = next_live_predecessor(self_);
+  const NodeIndex down = next_live(self_, false);
   if (down != kInvalidNode && down != up) {
     ++counters_.handoff_requests_sent;
     send_direct(down, routing::MsgKind::kHandoffRequest, payload, now);
@@ -817,86 +637,20 @@ void NetNode::send_digest_to(NodeIndex peer, sim::SimTime now) {
   // Digest the entries relevant to `peer`'s owned arc (its static ring
   // predecessor to itself; a dead predecessor only widens what the peer is
   // offered, never narrows it).
-  const Key lo = ring_.id(ring_.predecessor_index(peer));
-  const Key hi = ring_.id(peer);
-  core::AntiEntropyDigestPayload digest;
+  core::AntiEntropyDigestPayload digest = core::arc_digest(
+      store_, strategy_->key_map(), ring_.space(),
+      ring_.id(ring_.predecessor_index(peer)), ring_.id(peer), now);
   digest.from = self_;
-  digest.lo = lo;
-  digest.hi = hi;
-  for (const core::IndexStore::StoredMbr& entry : store_.mbrs()) {
-    const auto [rlo, rhi] = strategy_->key_map().mbr_range(entry.mbr);
-    if (range_intersects_arc(rlo, rhi, lo, hi)) {
-      digest.mbr_keys.push_back({entry.stream, entry.batch_seq});
-    }
-  }
-  for (const auto& [id, sub] : store_.subscriptions()) {
-    if (sub.query == nullptr) {
-      continue;
-    }
-    const auto [rlo, rhi] =
-        strategy_->key_map().query_range(sub.query->features,
-                                         sub.query->radius);
-    if (range_intersects_arc(rlo, rhi, lo, hi)) {
-      digest.query_ids.push_back(id);
-    }
-  }
   send_direct(peer, routing::MsgKind::kAntiEntropyDigest,
               std::make_shared<const core::AntiEntropyDigestPayload>(
                   std::move(digest)),
               now);
 }
 
-std::optional<core::ReplicaPutPayload> NetNode::collect_arc_entries(Key lo,
-                                                                    Key hi) {
-  core::ReplicaPutPayload put;
-  put.from = self_;
-  for (const core::IndexStore::StoredMbr& entry : store_.mbrs()) {
-    const auto [rlo, rhi] = strategy_->key_map().mbr_range(entry.mbr);
-    if (range_intersects_arc(rlo, rhi, lo, hi)) {
-      put.mbrs.push_back({entry.stream, entry.source, entry.mbr,
-                          entry.batch_seq, entry.expires});
-    }
-  }
-  for (const auto& [id, sub] : store_.subscriptions()) {
-    if (sub.query == nullptr) {
-      continue;
-    }
-    const auto [rlo, rhi] =
-        strategy_->key_map().query_range(sub.query->features,
-                                         sub.query->radius);
-    if (range_intersects_arc(rlo, rhi, lo, hi)) {
-      put.subscriptions.push_back({sub.query, sub.middle_key, sub.expires});
-    }
-  }
-  if (put.mbrs.empty() && put.subscriptions.empty()) {
-    return std::nullopt;
-  }
-  return put;
-}
-
-bool NetNode::range_intersects_arc(Key lo, Key hi, Key a, Key b) const {
-  const common::IdSpace& space = ring_.space();
-  // [lo, hi] meets (a, b] iff the range starts inside the arc, ends inside
-  // it, or swallows it whole.
-  return space.in_half_open(lo, a, b) || space.in_half_open(hi, a, b) ||
-         space.in_closed(b, lo, hi);
-}
-
-NodeIndex NetNode::next_live_successor(NodeIndex from) {
+NodeIndex NetNode::next_live(NodeIndex from, bool up) const {
   NodeIndex n = from;
   for (std::size_t i = 0; i < ring_.size(); ++i) {
-    n = ring_.successor_index(n);
-    if (n != self_ && detector_.usable(n)) {
-      return n;
-    }
-  }
-  return kInvalidNode;
-}
-
-NodeIndex NetNode::next_live_predecessor(NodeIndex from) {
-  NodeIndex n = from;
-  for (std::size_t i = 0; i < ring_.size(); ++i) {
-    n = ring_.predecessor_index(n);
+    n = up ? ring_.successor_index(n) : ring_.predecessor_index(n);
     if (n != self_ && detector_.usable(n)) {
       return n;
     }

@@ -4,18 +4,20 @@
 // One NetNode is one ring member: it summarizes its local streams
 // (StreamSummarizer -> MbrBatcher), routes closed MBRs and similarity
 // subscriptions over the content ring (Eq. 6 ranges, sequential range
-// multicast replicated exactly from RoutingSystem::forward_range_copies),
-// stores and matches what lands on it (IndexStore), and reports matches.
+// multicast by the range-walk rule RoutingSystem shares,
+// routing::range_steps), stores and matches what lands on it (IndexStore),
+// and reports matches. Replica repair (handoff, anti-entropy digests,
+// backfill) runs the store-side functions the sim middleware shares
+// (core/arc_sync.hpp).
 //
 // Scope (documented divergence from the sim middleware, see
 // docs/ARCHITECTURE.md "Transport layer"): a detecting node responds to the
 // query's client DIRECTLY instead of aggregating reports at the range's
-// middle node first, and the reliability layers (acks, refresh, replication,
-// overload control) are off. The client-visible matched (stream, query) sets
-// are invariant to both choices on a fault-free run — the per-node
-// IndexStore dedup plus the client-side stream-set dedup make the report
-// route invisible — which is exactly the property the sim-vs-socket
-// equivalence test pins.
+// middle node first, and there are no inner-product queries and no overload
+// control. The client-visible matched (stream, query) sets are invariant to
+// the report route on a fault-free run — the per-node IndexStore dedup plus
+// the client-side stream-set dedup make it invisible — which is exactly the
+// property the sim-vs-socket equivalence test pins.
 //
 // Clocking: the node never reads a clock; callers pass `now` (the sim clock
 // under SimTransport, a wall-clock-derived SimTime in sdsi_node). Lifespans
@@ -26,7 +28,6 @@
 #include <cstdint>
 #include <map>
 #include <memory>
-#include <optional>
 #include <set>
 #include <unordered_map>
 #include <utility>
@@ -105,7 +106,7 @@ class NetNode {
     std::uint64_t response_acks_sent = 0;
     std::uint64_t response_acks_received = 0;
     std::uint64_t replica_puts_sent = 0;
-    std::uint64_t replica_entries_stored = 0;
+    std::uint64_t replica_entries_stored = 0;  // new to the store only
     std::uint64_t anti_entropy_rounds = 0;
     std::uint64_t anti_entropy_requests = 0;
     std::uint64_t repair_entries_sent = 0;
@@ -199,10 +200,9 @@ class NetNode {
 
   /// One locally-posed query, kept for the periodic re-subscription sweep.
   struct OwnQuery {
-    std::shared_ptr<const core::SimilarityQuery> query;
+    std::shared_ptr<const core::SimilarityQueryPayload> payload;
     Key lo = 0;
     Key hi = 0;
-    Key middle = 0;
   };
 
   bool reliable() const noexcept { return config_.reliability.enabled; }
@@ -223,39 +223,40 @@ class NetNode {
   void handle_anti_entropy_request(const routing::Message& msg,
                                    sim::SimTime now);
 
-  /// Re-emits the range multicast for one tracked publication (retransmit
-  /// and refresh share it; receiver-side dedup keeps it idempotent).
-  void send_mbr_multicast(const PendingMbr& pending, sim::SimTime now);
-  void send_query_multicast(const OwnQuery& own, sim::SimTime now);
-  void send_response_push(const PendingResponse& pending, sim::SimTime now);
+  /// Sequential range multicast of one payload over [lo, hi]: publish,
+  /// subscribe, probe ranges, retransmit and refresh all send through here
+  /// (receiver-side dedup keeps every resend idempotent).
+  void send_range(routing::MsgKind kind, std::any payload, Key lo, Key hi,
+                  sim::SimTime now);
   /// Point-to-point frame to a specific ring member (no range machinery).
   void send_direct(NodeIndex peer, routing::MsgKind kind, std::any payload,
+                   sim::SimTime now);
+  /// Mirrors `put` to the live successor set, skipping `holder`, which
+  /// keeps its own copy.
+  void mirror(core::ReplicaPutPayload put, NodeIndex holder,
+              sim::SimTime now);
+  /// Sends a repair put (digest push-back or backfill) to `peer` unless it
+  /// is empty.
+  void send_repair(NodeIndex peer, core::ReplicaPutPayload put,
                    sim::SimTime now);
   /// Sends an anti-entropy digest of this store's entries that intersect
   /// `peer`'s owned arc.
   void send_digest_to(NodeIndex peer, sim::SimTime now);
-  /// Builds a ReplicaPutPayload of the stored entries whose key range
-  /// intersects the clockwise arc (lo, hi]; empty optional when none do.
-  std::optional<core::ReplicaPutPayload> collect_arc_entries(Key lo, Key hi);
-  /// Whether the closed key range [lo, hi] intersects the arc (a, b].
-  bool range_intersects_arc(Key lo, Key hi, Key a, Key b) const;
-  /// First non-dead successor after `from` (wrapping, never self unless the
-  /// whole ring is dead); `steps` caps the walk.
-  NodeIndex next_live_successor(NodeIndex from);
-  NodeIndex next_live_predecessor(NodeIndex from);
-  /// Replica of RoutingSystem::forward_range_copies over the transport:
-  /// walk the neighbor in every direction whose range endpoint this node
-  /// does not cover.
+  /// First non-dead ring neighbor after `from`, walking successors when
+  /// `up` and predecessors otherwise (never self; kInvalidNode when every
+  /// other peer is dead).
+  NodeIndex next_live(NodeIndex from, bool up) const;
+  /// Forwards the range multicast over the transport, deciding the next
+  /// hops by the rule RoutingSystem shares (routing::range_steps).
   void forward_range_copies(const routing::Message& msg);
+  /// Sends one internal range copy to the next usable neighbor in a
+  /// direction (successor when `up`), detouring past dead peers.
+  void forward_copy(const routing::Message& msg, bool up);
   /// Routes `msg` to successor(key): local delivery loops back through
   /// deliver() without touching the transport, exactly like the sim's
   /// zero-latency local path.
   void route_to_key(Key key, routing::Message msg, sim::SimTime now);
   std::uint64_t next_trace_id() noexcept;
-  /// Fire-and-forget multicasts over a multi-probe strategy's extra arcs.
-  void send_probe_multicasts(routing::MsgKind kind, std::any payload,
-                             const std::vector<std::pair<Key, Key>>& probes,
-                             sim::SimTime now);
 
   const NetRing& ring_;
   NodeIndex self_;

@@ -140,46 +140,28 @@ void RoutingSystem::emit_trace(obs::TraceEventKind event, NodeIndex node,
 }
 
 void RoutingSystem::forward_range_copies(NodeIndex at, const Message& msg) {
-  const Key self = node_id(at);
-  const Key pred = node_id(predecessor_index(at));
-  // This node covers the keys in (pred, self]; it is the last hop in a
-  // direction exactly when it covers that direction's range endpoint.
-  const bool covers_lo = space_.in_half_open(msg.range_lo, pred, self);
-  const bool covers_hi = space_.in_half_open(msg.range_hi, pred, self);
-
-  const bool go_up = (msg.range_dir == RangeDir::kUp ||
-                      msg.range_dir == RangeDir::kBoth) &&
-                     !covers_hi;
-  const bool go_down = (msg.range_dir == RangeDir::kDown ||
-                        msg.range_dir == RangeDir::kBoth) &&
-                       !covers_lo;
-
+  const RangeSteps steps =
+      range_steps(space_, node_id(predecessor_index(at)), node_id(at), msg);
   // Forwarded copies keep the original sent_at: a copy's delivery latency
   // then measures how long the range walk took to reach that node, which is
   // exactly the sequential-propagation delay Sec IV-C worries about.
-  if (go_up) {
+  const auto forward = [&](RangeDir dir, NodeIndex next) {
     Message copy = msg;
     copy.range_internal = true;
-    copy.range_dir = RangeDir::kUp;
+    copy.range_dir = dir;
     copy.origin = at;
     copy.hops = 0;
-    copy.target_key = node_id(successor_index(at));
+    copy.target_key = node_id(next);
     notify_send(at, copy);
     if (!message_lost(copy)) {
-      route_direct(at, successor_index(at), std::move(copy));
+      route_direct(at, next, std::move(copy));
     }
+  };
+  if (steps.up) {
+    forward(RangeDir::kUp, successor_index(at));
   }
-  if (go_down) {
-    Message copy = msg;
-    copy.range_internal = true;
-    copy.range_dir = RangeDir::kDown;
-    copy.origin = at;
-    copy.hops = 0;
-    copy.target_key = node_id(predecessor_index(at));
-    notify_send(at, copy);
-    if (!message_lost(copy)) {
-      route_direct(at, predecessor_index(at), std::move(copy));
-    }
+  if (steps.down) {
+    forward(RangeDir::kDown, predecessor_index(at));
   }
 }
 

@@ -284,10 +284,9 @@ class RoutingSystem {
   /// With the pooled kernel the Message lives in a free-list slot and the
   /// closure captures only a 24-byte handle, keeping the whole capture
   /// inside EventFn's inline buffer, so steady-state hops allocate nothing.
-  /// Under the legacy heap backend (SDSI_SIM_HEAP_QUEUE) the envelope is
-  /// captured by value — the closure outgrows the inline buffer —
-  /// faithfully reproducing the pre-pool allocation profile that
-  /// BENCH_scale.json uses as its baseline.
+  /// Under the legacy heap backend the envelope is captured by value — the
+  /// closure outgrows the inline buffer — faithfully reproducing the
+  /// pre-pool allocation profile that BENCH_scale.json uses as its baseline.
   template <typename Fn>
   void schedule_msg(sim::Duration delay, Message msg, Fn fn) {
     if (transmit_filter_) {

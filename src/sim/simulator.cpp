@@ -1,35 +1,18 @@
 #include "sim/simulator.hpp"
 
 #include <algorithm>
-#include <cstdlib>
 #include <limits>
 #include <utility>
 
 namespace sdsi::sim {
 namespace {
 
-bool heap_queue_requested() {
-  const char* env = std::getenv("SDSI_SIM_HEAP_QUEUE");
-  return env != nullptr && env[0] != '\0' &&
-         !(env[0] == '0' && env[1] == '\0');
-}
-
 constexpr std::int64_t kNoHorizon = std::numeric_limits<std::int64_t>::max();
 
 }  // namespace
 
-Simulator::Simulator(QueueBackend backend) {
-  switch (backend) {
-    case QueueBackend::kAuto:
-      calendar_ = !heap_queue_requested();
-      break;
-    case QueueBackend::kCalendar:
-      calendar_ = true;
-      break;
-    case QueueBackend::kLegacyHeap:
-      calendar_ = false;
-      break;
-  }
+Simulator::Simulator(QueueBackend backend)
+    : calendar_(backend == QueueBackend::kCalendar) {
   if (calendar_) {
     buckets_.resize(kNumBuckets);
     wheel_end_ = static_cast<std::int64_t>(kNumBuckets);

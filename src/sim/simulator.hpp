@@ -20,12 +20,12 @@
 //    allocation and no O(log total-pending) sift over fat entries.
 //
 //  - kLegacyHeap: the pre-calendar kernel (one global std::priority_queue
-//    plus a shared_ptr<bool> liveness flag per event), kept for one release
-//    behind the SDSI_SIM_HEAP_QUEUE environment variable as the measured
-//    baseline of BENCH_scale.json and the scheduler-equivalence test. It
-//    deliberately preserves the pre-change cost profile, including
-//    pending_events() counting cancelled entries until their deadline
-//    (the calendar backend reports live events only).
+//    plus a shared_ptr<bool> liveness flag per event). No user switch
+//    selects it: it stays as the reference the scheduler-equivalence test
+//    compares the calendar queue against and as the measured baseline of
+//    BENCH_scale.json. It deliberately preserves the pre-change cost
+//    profile, including pending_events() counting cancelled entries until
+//    their deadline (the calendar backend reports live events only).
 #pragma once
 
 #include <cstddef>
@@ -44,10 +44,8 @@ namespace sdsi::sim {
 
 class Simulator;
 
-/// Scheduler backend selection. kAuto honors the SDSI_SIM_HEAP_QUEUE
-/// environment variable (non-empty, not "0" => legacy heap), otherwise
-/// picks the calendar queue.
-enum class QueueBackend : std::uint8_t { kAuto, kCalendar, kLegacyHeap };
+/// Scheduler backend selection (see the file comment).
+enum class QueueBackend : std::uint8_t { kCalendar, kLegacyHeap };
 
 /// Cancellation handle for periodic tasks (and one-shot events). Destroying
 /// the handle does NOT cancel; call cancel(). A handle may outlive the
@@ -78,7 +76,7 @@ class TaskHandle {
 
 class Simulator {
  public:
-  Simulator() : Simulator(QueueBackend::kAuto) {}
+  Simulator() : Simulator(QueueBackend::kCalendar) {}
   explicit Simulator(QueueBackend backend);
 
   Simulator(const Simulator&) = delete;
@@ -227,7 +225,7 @@ class Simulator {
   std::size_t stale_refs_ = 0;    // cancelled refs awaiting lazy purge
   std::uint32_t executing_slot_ = kNoSlot;
 
-  // ---- legacy heap backend (SDSI_SIM_HEAP_QUEUE) ----
+  // ---- legacy heap backend ----
 
   // The entry layout is the seed kernel's, byte for byte: a 16-byte-SBO
   // std::function (so the periodic reschedule closure heap-allocates on

@@ -14,6 +14,7 @@
 #include <memory>
 #include <vector>
 
+#include "core/arc_sync.hpp"
 #include "fault/model.hpp"
 #include "net/equivalence.hpp"
 #include "net/faulty_transport.hpp"
@@ -40,7 +41,6 @@ struct ChaosRig {
              routing::hash_node_ids(workload.nodes, space,
                                     workload.ring_salt)),
         fabric(simulator, sim::Duration::millis(1)) {
-    NetNodeConfig node_config;
     node_config.features = config.features;
     node_config.mbr_lifespan = mbr_lifespan;
     node_config.reliability = reliability;
@@ -55,12 +55,17 @@ struct ChaosRig {
     for (NodeIndex i = 0; i < config.nodes; ++i) {
       nodes.push_back(
           std::make_unique<NetNode>(ring, i, *faults[i], node_config));
-      NetNode* node = nodes.back().get();
-      sim::Simulator* sim_ptr = &simulator;
-      sims[i]->set_deliver([node, sim_ptr](routing::Message&& msg) {
-        node->deliver(std::move(msg), sim_ptr->now());
+      sims[i]->set_deliver([this, i](routing::Message&& msg) {
+        nodes[i]->deliver(std::move(msg), simulator.now());
       });
     }
+  }
+
+  /// Restarts node `i` as a fresh process (empty store) under `epoch`.
+  void restart(NodeIndex i, std::uint64_t epoch) {
+    NetNodeConfig fresh = node_config;
+    fresh.epoch = epoch;
+    nodes[i] = std::make_unique<NetNode>(ring, i, *faults[i], fresh);
   }
 
   /// Advances wall + sim time together in 10 ms steps, driving every
@@ -116,6 +121,7 @@ struct ChaosRig {
   }
 
   WorkloadConfig config;
+  NetNodeConfig node_config;
   sim::Simulator simulator;
   common::IdSpace space;
   NetRing ring;
@@ -251,6 +257,59 @@ TEST(NetChaos, RefreshStopsOnceEveryBatchHasLapsed) {
     EXPECT_EQ(after.mbr_refreshes, before[i].mbr_refreshes) << "node " << i;
     EXPECT_EQ(after.mbr_retransmits, before[i].mbr_retransmits)
         << "node " << i;
+  }
+}
+
+TEST(NetChaos, RejoinedEmptyNodeRecoversItsArcThroughRepairAlone) {
+  // Fault-free reliable ring whose refresh never runs, so the rejoined
+  // node's arc can come back only through handoff, digests and backfill.
+  WorkloadConfig config;
+  config.nodes = 4;
+  config.samples_per_stream = 200;
+  NetReliabilityConfig reliability;
+  reliability.refresh_period_ms = std::int64_t{1} << 40;
+  ChaosRig rig(config, fault::FaultPlan{}, reliability);
+  rig.run_workload();
+
+  constexpr NodeIndex kRejoiner = 1;
+  rig.restart(kRejoiner, 1);
+  rig.nodes[kRejoiner]->request_handoff(rig.simulator.now());
+  rig.pump(1500);
+
+  const Key lo = rig.ring.id(rig.ring.predecessor_index(kRejoiner));
+  const Key hi = rig.ring.id(kRejoiner);
+  const auto strategy = core::IndexingStrategy::make(
+      rig.node_config.strategy, config.features, rig.space);
+  const core::ContentKeyMap& keys = strategy->key_map();
+  const core::IndexStore& recovered = rig.nodes[kRejoiner]->store();
+  std::size_t owed = 0;
+  for (NodeIndex i = 0; i < config.nodes; ++i) {
+    if (i == kRejoiner) {
+      continue;
+    }
+    const core::IndexStore& store = rig.nodes[i]->store();
+    for (const core::IndexStore::StoredMbr& entry : store.mbrs()) {
+      const auto [mlo, mhi] = keys.mbr_range(entry.mbr);
+      if (core::range_meets_arc(rig.space, mlo, mhi, lo, hi)) {
+        ++owed;
+        EXPECT_TRUE(recovered.contains_mbr(entry.stream, entry.batch_seq))
+            << "node " << i << " stream " << entry.stream << " batch "
+            << entry.batch_seq;
+      }
+    }
+    for (const auto& [id, sub] : store.subscriptions()) {
+      const auto [qlo, qhi] =
+          keys.query_range(sub.query->features, sub.query->radius);
+      if (core::range_meets_arc(rig.space, qlo, qhi, lo, hi)) {
+        ++owed;
+        EXPECT_NE(recovered.find_subscription(id), nullptr)
+            << "node " << i << " query " << id;
+      }
+    }
+  }
+  EXPECT_GT(owed, 0u) << "the rejoiner's arc should have held entries";
+  for (const auto& node : rig.nodes) {
+    EXPECT_EQ(node->counters().mbr_refreshes, 0u);
   }
 }
 

@@ -1,7 +1,7 @@
 // Scheduler-backend determinism gate: the canonical seeded chaos scenario
 // (bursty link loss + a crash wave + the self-healing path, as in
 // test_chaos.cpp) must be bit-identical under the old binary-heap kernel
-// (the SDSI_SIM_HEAP_QUEUE escape hatch) and the calendar-queue kernel —
+// (kept as this test's reference) and the calendar-queue kernel —
 // the identical event execution order (when, seq) stream, identical
 // per-query matched stream sets, and a byte-equal metrics.json.
 //

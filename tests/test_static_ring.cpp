@@ -184,6 +184,23 @@ TEST(StaticRing, FullCircleRangeReachesEveryNode) {
   EXPECT_EQ(h.delivered_nodes().size(), ids.size());
 }
 
+TEST(StaticRing, RangeRunningTheLongWayReachesEveryNode) {
+  // [10, 220] starts below the first id and ends above the last, so both
+  // ends fall on node 50's arc (200, 50] while the range runs the long way
+  // round through every other node.
+  const std::vector<Key> ids{50, 100, 150, 200};
+  for (const MulticastStrategy strategy :
+       {MulticastStrategy::kSequential, MulticastStrategy::kBidirectional}) {
+    Harness h(common::IdSpace(8), ids);
+    Message msg;
+    msg.kind = static_cast<routing::MsgKind>(1);
+    h.ring.send_range(1, 10, 220, std::move(msg), strategy);
+    h.sim.run_all();
+    EXPECT_EQ(h.delivered_nodes().size(), ids.size())
+        << "strategy=" << static_cast<int>(strategy);
+  }
+}
+
 TEST(StaticRing, SingleNodeRangeNoForwarding) {
   Harness h(common::IdSpace(5), figure1_ids());
   Message msg;

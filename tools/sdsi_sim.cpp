@@ -63,9 +63,6 @@ using namespace sdsi;
       "  --anti-entropy-period S digest exchange period (0 = off)\n"
       "  --threads N          worker lanes for match/ingest (1 = serial,\n"
       "                       0 = hardware concurrency; results identical)\n"
-      "  --heap-queue         run on the legacy binary-heap scheduler\n"
-      "                       (same results, pre-calendar performance;\n"
-      "                       equivalent to SDSI_SIM_HEAP_QUEUE=1)\n"
       "  --adversarial        skewed workload with defaults (Zipf pattern\n"
       "                       pool; see --zipf/--pattern-pool)\n"
       "  --zipf S             Zipf exponent for pattern/client skew\n"
@@ -250,8 +247,6 @@ int main(int argc, char** argv) {
           sim::Duration::seconds(parse_double(value(), argv[0]));
     } else if (is("--threads")) {
       config.threads = static_cast<std::size_t>(parse_long(value(), argv[0]));
-    } else if (is("--heap-queue")) {
-      config.queue_backend = sim::QueueBackend::kLegacyHeap;
     } else if (is("--adversarial")) {
       adversarial();
     } else if (is("--zipf")) {
@@ -333,9 +328,6 @@ int main(int argc, char** argv) {
   if (config.message_loss > 0.0) {
     std::printf("message loss: %.1f%% of transmissions dropped\n",
                 config.message_loss * 100.0);
-  }
-  if (config.queue_backend == sim::QueueBackend::kLegacyHeap) {
-    std::printf("scheduler: legacy binary-heap backend (--heap-queue)\n");
   }
   if (config.adversarial.has_value()) {
     const auto& adv = *config.adversarial;
