@@ -2,16 +2,7 @@
 
 namespace sdsi::baseline {
 
-namespace {
-
-template <typename T>
-std::shared_ptr<const T> payload_of(const routing::Message& msg) {
-  const auto* ptr = std::any_cast<std::shared_ptr<const T>>(&msg.payload);
-  SDSI_CHECK(ptr != nullptr);
-  return *ptr;
-}
-
-}  // namespace
+using routing::payload_of;
 
 CentralizedSystem::CentralizedSystem(routing::RoutingSystem& routing,
                                      core::MiddlewareConfig config,
@@ -162,7 +153,6 @@ void CentralizedSystem::periodic_tick() {
         core::ResponsePayload{it->first, record.client, false,
                               std::move(record.pending), 0.0});
     record.pending.clear();
-    ++record.pushes;
     routing_.send(center_, routing_.node_id(record.client), std::move(msg));
     ++it;
   }

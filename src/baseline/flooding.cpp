@@ -2,16 +2,7 @@
 
 namespace sdsi::baseline {
 
-namespace {
-
-template <typename T>
-std::shared_ptr<const T> payload_of(const routing::Message& msg) {
-  const auto* ptr = std::any_cast<std::shared_ptr<const T>>(&msg.payload);
-  SDSI_CHECK(ptr != nullptr);
-  return *ptr;
-}
-
-}  // namespace
+using routing::payload_of;
 
 FloodingSystem::FloodingSystem(routing::RoutingSystem& routing,
                                core::MiddlewareConfig config)
@@ -163,7 +154,6 @@ void FloodingSystem::periodic_tick(NodeIndex index) {
           core::ResponsePayload{it->first, record.client, false,
                                 std::move(record.pending), 0.0});
       record.pending.clear();
-      ++record.pushes;
       routing_.send(index, routing_.node_id(record.client), std::move(msg));
     }
     ++it;

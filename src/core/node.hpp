@@ -3,7 +3,6 @@
 #pragma once
 
 #include <deque>
-#include <map>
 #include <memory>
 #include <vector>
 
@@ -12,6 +11,7 @@
 #include "core/index_store.hpp"
 #include "core/precision.hpp"
 #include "core/query.hpp"
+#include "core/resend.hpp"
 #include "core/strategy.hpp"
 #include "sim/simulator.hpp"
 
@@ -44,6 +44,12 @@ struct LocalStream {
       : id(stream), summarizer(strategy.make_summarizer()), batcher(batching) {}
 };
 
+/// The routing-free part of ingesting one value (summarizer, features,
+/// batcher, adaptive precision); closed MBRs are appended to `closed` for
+/// the caller to route. Every ingest path of both hosts runs it.
+void summarize_value(LocalStream& local, Sample value,
+                     std::vector<dsp::Mbr>& closed);
+
 /// Aggregation state for one similarity query whose range middle key this
 /// node covers (Sec IV-F: range nodes report candidates to the middle node,
 /// which periodically pushes responses to the client).
@@ -53,35 +59,9 @@ struct AggregatorRecord {
   sim::SimTime expires;
   std::vector<SimilarityMatch> pending;  // to include in the next push
   DenseSet<StreamId> seen;               // cross-node deduplication
-  std::uint64_t pushes = 0;
-
-  /// One match-bearing push awaiting its client ack (self-healing response
-  /// path): kept so a lost push can be retransmitted verbatim.
-  struct InflightPush {
-    std::vector<SimilarityMatch> matches;
-    sim::SimTime sent_at;
-    int attempts = 0;  // retransmissions so far
-  };
-  std::uint64_t next_push_seq = 1;
-  std::map<std::uint64_t, InflightPush> inflight;  // push_seq -> unacked
-};
-
-/// One acked MBR publication (self-healing data path): the batch was routed
-/// over [lo, hi] but the landing node has not confirmed storage yet, or it
-/// has and the record is retained so soft-state refresh can re-route it
-/// until the batch expires.
-struct PublishedMbr {
-  std::shared_ptr<const MbrPayload> payload;
-  Key lo = 0;
-  Key hi = 0;
-  sim::SimTime first_sent;
-  int attempts = 0;  // retransmissions so far
-  bool acked = false;
-  sim::TaskHandle retry_timer;
-  /// One trace id for the publication's whole life: the original send,
-  /// every retry and refresh re-use it, so the trace stream tells the
-  /// batch's full story under a single correlation id (obs/trace.hpp).
-  std::uint64_t trace_id = 0;
+  /// Match-bearing pushes awaiting their client ack (self-healing response
+  /// path), kept so a lost push can be retransmitted verbatim.
+  PushLedger inflight;
 };
 
 /// Passive mirror of one query's partial aggregation (replication layer):
@@ -142,9 +122,9 @@ struct MiddlewareNode {
   DenseMap<StreamId, std::vector<std::shared_ptr<const InnerProductQuery>>>
       pending_inner_queries;
 
-  /// Acked MBR publications originated here, keyed (stream, batch_seq).
-  /// Ordered so soft-state refresh walks batches deterministically.
-  std::map<std::pair<StreamId, std::uint64_t>, PublishedMbr> published_mbrs;
+  /// Acked MBR publications originated here, walked in (stream, batch_seq)
+  /// order by the soft-state refresh.
+  PublicationLedger published_mbrs;
 
   /// Location-get retries already spent per unresolved stream (drives the
   /// capped exponential backoff); erased once the stream resolves.

@@ -1,0 +1,232 @@
+// The sender side of the self-healing data path, shared by the simulator
+// middleware (core::MiddlewareSystem) and the socket node (net::NetNode).
+// Index entries are soft state (Sec VII): a source keeps each MBR
+// publication until its batch lapses, acked or not, so the refresh sweep
+// can re-route it; an aggregator keeps each match push until its client
+// acks it. The ledgers hold that state and decide, in key order; hosts
+// bring the time and send. The simulator arms a timer per publication and
+// sweeps pushes from its NPER tick; NetNode polls both ledgers.
+#pragma once
+
+#include <cstddef>
+#include <cstdint>
+#include <map>
+#include <memory>
+#include <utility>
+
+#include "common/rng.hpp"
+#include "common/types.hpp"
+#include "core/query.hpp"
+#include "sim/simulator.hpp"
+
+namespace sdsi::core {
+
+/// Capped exponential backoff with seeded jitter. Retry n (0-based) waits
+/// min(timeout * 2^n, max_backoff) + uniform[0, jitter); at most
+/// max_attempts retransmissions follow the first send. The polled sweeps
+/// resend every `timeout`: there the poll cadence stands in for backoff.
+struct RetryPolicy {
+  bool enabled = false;
+  sim::Duration timeout = sim::Duration::millis(1500);
+  sim::Duration max_backoff = sim::Duration::millis(12'000);
+  sim::Duration jitter = sim::Duration::millis(250);
+  int max_attempts = 4;  // retransmission budget beyond the first send
+
+  /// The wait before retry number `attempts` (0-based). Draws from `rng`
+  /// only when jitter is positive.
+  sim::Duration delay(int attempts, common::Pcg32& rng) const;
+
+  /// Counts one more retransmission in `attempts`; false, counting nothing,
+  /// once the budget is spent.
+  bool spend(int& attempts) const {
+    if (attempts >= max_attempts) {
+      return false;
+    }
+    ++attempts;
+    return true;
+  }
+};
+
+/// One source's acked MBR publications, keyed (stream, batch_seq).
+class PublicationLedger {
+ public:
+  struct Publication {
+    std::shared_ptr<const MbrPayload> payload;
+    Key lo = 0;  // the primary range the batch is routed over
+    Key hi = 0;
+    sim::SimTime first_sent;
+    sim::SimTime last_sent;  // the first send or the latest retry
+    int attempts = 0;        // retransmissions so far
+    bool acked = false;
+    /// A timer host's pending retry; acking or dropping the record cancels it.
+    sim::TaskHandle retry_timer;
+    /// One trace id for the publication's whole life (first send, retries,
+    /// refreshes): the batch's story under one correlation id (obs/trace).
+    std::uint64_t trace_id = 0;
+  };
+
+  enum class Retry { kNone, kSpent, kResend };
+
+  /// Tracks a publication routed over [lo, hi] and sent at `now`, replacing
+  /// any record under the same key.
+  Publication& track(std::shared_ptr<const MbrPayload> payload, Key lo, Key hi,
+                     sim::SimTime now) {
+    Publication& pub = records_[{payload->stream, payload->batch_seq}];
+    pub = Publication{};
+    pub.payload = std::move(payload);
+    pub.lo = lo;
+    pub.hi = hi;
+    pub.first_sent = pub.last_sent = now;
+    return pub;
+  }
+
+  /// Marks (stream, seq) acked and cancels its retry timer. Returns the
+  /// record on the first ack only.
+  const Publication* ack(StreamId stream, std::uint64_t seq) {
+    const auto it = records_.find({stream, seq});
+    if (it == records_.end() || it->second.acked) {
+      return nullptr;
+    }
+    it->second.acked = true;
+    it->second.retry_timer.cancel();
+    return &it->second;
+  }
+
+  /// The decision at (stream, seq)'s ack deadline `now`: kNone when the
+  /// record is gone or acked, or its batch lapsed (the record is dropped);
+  /// kSpent, with the record, once the budget is spent; otherwise kResend,
+  /// with the record, the retry counted and stamped `now`.
+  std::pair<Retry, Publication*> retry(StreamId stream, std::uint64_t seq,
+                                       sim::SimTime now,
+                                       const RetryPolicy& policy) {
+    const auto it = records_.find({stream, seq});
+    if (it == records_.end() || it->second.acked) {
+      return {Retry::kNone, nullptr};
+    }
+    if (it->second.payload->expires <= now) {
+      drop(it);  // nothing left to heal
+      return {Retry::kNone, nullptr};
+    }
+    if (!policy.spend(it->second.attempts)) {
+      return {Retry::kSpent, &it->second};
+    }
+    it->second.last_sent = now;
+    return {Retry::kResend, &it->second};
+  }
+
+  /// The record of (stream, seq) while it is tracked, unacked and not
+  /// lapsed at `now`; nullptr otherwise.
+  const Publication* owed(StreamId stream, std::uint64_t seq,
+                          sim::SimTime now) const {
+    const auto it = records_.find({stream, seq});
+    const bool live = it != records_.end() && !it->second.acked &&
+                      it->second.payload->expires > now;
+    return live ? &it->second : nullptr;
+  }
+
+  /// Polled retries: resends each unacked record last sent policy.timeout
+  /// or more before `now` while its budget lasts. Drop lapsed ones first.
+  template <typename Resend>
+  void resend_overdue(sim::SimTime now, const RetryPolicy& policy,
+                      Resend&& resend) {
+    for (auto& [id, pub] : records_) {
+      if (!pub.acked && now - pub.last_sent >= policy.timeout &&
+          policy.spend(pub.attempts)) {
+        pub.last_sent = now;
+        resend(std::as_const(pub));
+      }
+    }
+  }
+
+  /// The refresh sweep: drops the records lapsed by `now` and calls
+  /// `send(publication)` on each live one.
+  template <typename Send>
+  void refresh(sim::SimTime now, Send&& send) {
+    for (auto it = records_.begin(); it != records_.end();) {
+      if (it->second.payload->expires <= now) {
+        it = drop(it);
+      } else {
+        send(std::as_const(it->second));
+        ++it;
+      }
+    }
+  }
+
+  /// Drops every record whose batch lapsed by `now`.
+  void drop_lapsed(sim::SimTime now) {
+    refresh(now, [](const Publication&) {});
+  }
+
+  /// Drops every record (a crash wipes the source's soft state).
+  void clear() {
+    for (auto it = records_.begin(); it != records_.end();) {
+      it = drop(it);
+    }
+  }
+
+  std::size_t size() const noexcept { return records_.size(); }
+
+ private:
+  using Records = std::map<std::pair<StreamId, std::uint64_t>, Publication>;
+
+  Records::iterator drop(Records::iterator it) {
+    it->second.retry_timer.cancel();
+    return records_.erase(it);
+  }
+
+  Records records_;
+};
+
+/// One aggregator's match pushes awaiting the client's kResponseAck, keyed
+/// (query, push_seq).
+class PushLedger {
+ public:
+  /// Numbers `push` (push_seq 1, 2, ...) and tracks it, sent at `now`,
+  /// until it is acked or out of budget.
+  std::shared_ptr<const ResponsePayload> track(ResponsePayload push,
+                                               sim::SimTime now) {
+    push.push_seq = ++last_seq_;
+    auto shared = std::make_shared<const ResponsePayload>(std::move(push));
+    pushes_.emplace(std::pair(shared->query, shared->push_seq),
+                    Push{shared, now, 0});
+    return shared;
+  }
+
+  /// Retires an acked push; unknown pushes are ignored.
+  void ack(QueryId query, std::uint64_t push_seq) {
+    pushes_.erase({query, push_seq});
+  }
+
+  /// Resends each push last sent policy.timeout or more before `now`
+  /// verbatim, or forgets it once its budget is spent.
+  template <typename Resend>
+  void resend_overdue(sim::SimTime now, const RetryPolicy& policy,
+                      Resend&& resend) {
+    for (auto it = pushes_.begin(); it != pushes_.end();) {
+      Push& push = it->second;
+      if (now - push.sent_at < policy.timeout) {
+        ++it;
+      } else if (!policy.spend(push.attempts)) {
+        it = pushes_.erase(it);
+      } else {
+        push.sent_at = now;
+        resend(push.payload);
+        ++it;
+      }
+    }
+  }
+
+  std::size_t size() const noexcept { return pushes_.size(); }
+
+ private:
+  struct Push {
+    std::shared_ptr<const ResponsePayload> payload;
+    sim::SimTime sent_at;
+    int attempts = 0;  // resends so far
+  };
+
+  std::map<std::pair<QueryId, std::uint64_t>, Push> pushes_;
+  std::uint64_t last_seq_ = 0;
+};
+
+}  // namespace sdsi::core

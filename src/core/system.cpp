@@ -9,16 +9,7 @@
 
 namespace sdsi::core {
 
-namespace {
-
-template <typename T>
-std::shared_ptr<const T> payload_of(const routing::Message& msg) {
-  const auto* ptr = std::any_cast<std::shared_ptr<const T>>(&msg.payload);
-  SDSI_CHECK(ptr != nullptr);
-  return *ptr;
-}
-
-}  // namespace
+using routing::payload_of;
 
 MiddlewareSystem::MiddlewareSystem(routing::RoutingSystem& routing,
                                    MiddlewareConfig config)
@@ -50,35 +41,32 @@ MiddlewareSystem::MiddlewareSystem(routing::RoutingSystem& routing,
       [this](NodeIndex at, const Message& msg) { on_deliver(at, msg); });
 }
 
-void MiddlewareSystem::schedule_tick(NodeIndex index, sim::Duration offset) {
+void MiddlewareSystem::schedule_node(NodeIndex index, std::int64_t slot,
+                                     std::int64_t slots) {
+  // Each cadence starts slot/slots of its period late: data centers do not
+  // share a clock.
   sim::Simulator& sim = routing_.simulator();
-  sim.schedule_periodic(sim.now() + offset + config_.notify_period,
-                        config_.notify_period,
-                        [this, index] { periodic_tick(index); });
+  const auto every = [&](sim::Duration period,
+                         void (MiddlewareSystem::*body)(NodeIndex)) {
+    const auto offset =
+        sim::Duration::micros(period.count_micros() * slot / slots);
+    sim.schedule_periodic(sim.now() + offset + period, period,
+                          [this, index, body] { (this->*body)(index); });
+  };
+  every(config_.notify_period, &MiddlewareSystem::periodic_tick);
+  if (config_.mbr_refresh_period > sim::Duration()) {
+    every(config_.mbr_refresh_period, &MiddlewareSystem::refresh_node_mbrs);
+  }
+  if (replication_on() && config_.anti_entropy_period > sim::Duration()) {
+    every(config_.anti_entropy_period, &MiddlewareSystem::anti_entropy_tick);
+  }
 }
 
 void MiddlewareSystem::start() {
   SDSI_CHECK(!started_);
   started_ = true;
-  const std::int64_t period_us = config_.notify_period.count_micros();
-  const std::int64_t refresh_us = config_.mbr_refresh_period.count_micros();
-  const std::int64_t entropy_us =
-      replication_on() ? config_.anti_entropy_period.count_micros() : 0;
   for (NodeIndex i = 0; i < nodes_.size(); ++i) {
-    // Stagger ticks across one period: data centers do not share a clock.
-    schedule_tick(i, sim::Duration::micros(
-                         period_us * static_cast<std::int64_t>(i) /
-                         static_cast<std::int64_t>(nodes_.size())));
-    if (refresh_us > 0) {
-      schedule_mbr_refresh(
-          i, sim::Duration::micros(refresh_us * static_cast<std::int64_t>(i) /
-                                   static_cast<std::int64_t>(nodes_.size())));
-    }
-    if (entropy_us > 0) {
-      schedule_anti_entropy(
-          i, sim::Duration::micros(entropy_us * static_cast<std::int64_t>(i) /
-                                   static_cast<std::int64_t>(nodes_.size())));
-    }
+    schedule_node(i, i, static_cast<std::int64_t>(nodes_.size()));
   }
   if (config_.overload.has_value()) {
     // One GLOBAL detector window (not per-node, not staggered): split and
@@ -104,14 +92,7 @@ void MiddlewareSystem::attach_node(NodeIndex index) {
     nodes_.emplace_back();
     nodes_.back().index = fresh;
     if (started_) {
-      schedule_tick(fresh, sim::Duration());
-      if (config_.mbr_refresh_period > sim::Duration()) {
-        schedule_mbr_refresh(fresh, sim::Duration());
-      }
-      if (replication_on() &&
-          config_.anti_entropy_period > sim::Duration()) {
-        schedule_anti_entropy(fresh, sim::Duration());
-      }
+      schedule_node(fresh, 0, 1);
     }
   }
   metrics_.ensure_nodes(nodes_.size());
@@ -125,9 +106,6 @@ void MiddlewareSystem::reset_node_soft_state(NodeIndex index) {
   state.location_directory.clear();
   state.location_cache.clear();
   state.pending_inner_queries.clear();
-  for (auto& [key, pub] : state.published_mbrs) {
-    pub.retry_timer.cancel();
-  }
   state.published_mbrs.clear();
   state.location_retry_attempts.clear();
   state.aggregation_replicas.clear();
@@ -173,12 +151,6 @@ void MiddlewareSystem::unregister_stream(NodeIndex node, StreamId stream) {
   routing_.send(node, mapper_.key_for_stream(stream), std::move(msg));
 }
 
-namespace {
-
-/// The pure (routing-free) part of ingesting one value: summarizer push,
-/// feature extraction, batcher update, adaptive-precision observation.
-/// Closed MBRs are appended to `closed` for the caller to route. Shared by
-/// the per-value and burst ingest paths so they cannot diverge.
 void summarize_value(LocalStream& local, Sample value,
                      std::vector<dsp::Mbr>& closed) {
   local.summarizer->push(value);
@@ -193,8 +165,6 @@ void summarize_value(LocalStream& local, Sample value,
     closed.push_back(std::move(*mbr));
   }
 }
-
-}  // namespace
 
 void MiddlewareSystem::post_stream_value(NodeIndex node, StreamId stream,
                                          Sample value) {
@@ -294,95 +264,73 @@ void MiddlewareSystem::publish_mbr(NodeIndex source, LocalStream& stream,
     publish_hook_(*payload);
   }
 
-  if (config_.store_local_summaries) {
-    const IndexStore::StoredMbr entry{payload->stream, source, payload->mbr,
-                                      payload->batch_seq, now, expires};
-    const bool added = nodes_[source].store.add_mbr(entry);
-    if (added) {
-      note_node_work(source, 1);
-    }
-    // When the source itself owns the range's hi end, the routed copy will
-    // dedup against this local store and handle_mbr never sees a first
-    // store — mirror from here so the batch still reaches the replica set.
-    if (added && replication_on() && covers_key(source, hi)) {
-      mirror_mbr(source, entry);
-    }
+  const IndexStore::StoredMbr entry{payload->stream, source, payload->mbr,
+                                    payload->batch_seq, now, expires};
+  const bool added = nodes_[source].store.add_mbr(entry);
+  if (added) {
+    note_node_work(source, 1);
+  }
+  // When the source itself owns the range's hi end, the routed copy will
+  // dedup against this local store and handle_mbr never sees a first
+  // store — mirror from here so the batch still reaches the replica set.
+  if (added && replication_on() && covers_key(source, hi)) {
+    mirror_mbr(source, entry);
   }
 
-  Message msg;
-  msg.kind = MsgKind::kMbrUpdate;
-  msg.payload = payload;
-  // With replication on, a landing copy whose terminal hop died in flight
-  // detours to the successor-list replica, which stores and acks — cutting
-  // the retry tail short.
-  msg.reroute_on_dead = replication_on();
   // Allocate the publication's trace id up front so retries and refreshes
   // can re-use it (routing would otherwise mint a fresh one per send).
   const std::uint64_t trace_id = routing_.allocate_trace_id();
-  msg.trace_id = trace_id;
-  routing_.send_range(source, lo, hi, std::move(msg), config_.multicast);
+  send_mbr(source, payload, lo, hi, trace_id);
   ++mbrs_routed_;
 
   // Extra probe ranges (multi-probe strategies; none for dft/ecm). Each
   // carries the same idempotent payload, so redundant landings dedup; they
   // are fire-and-forget — only the primary range is acked and refreshed.
   for (std::size_t i = 1; i < range_scratch_.size(); ++i) {
-    Message probe;
-    probe.kind = MsgKind::kMbrUpdate;
-    probe.payload = payload;
-    probe.reroute_on_dead = replication_on();
-    routing_.send_range(source, range_scratch_[i].first,
-                        range_scratch_[i].second, std::move(probe),
-                        config_.multicast);
+    send_mbr(source, payload, range_scratch_[i].first,
+             range_scratch_[i].second, 0);
   }
 
   if (config_.mbr_ack.enabled ||
       config_.mbr_refresh_period > sim::Duration()) {
-    PublishedMbr pub;
-    pub.payload = payload;
-    pub.lo = lo;
-    pub.hi = hi;
-    pub.first_sent = now;
+    PublicationLedger::Publication& pub =
+        nodes_[source].published_mbrs.track(payload, lo, hi, now);
     pub.trace_id = trace_id;
-    nodes_[source].published_mbrs.insert_or_assign(
-        std::make_pair(payload->stream, payload->batch_seq), std::move(pub));
     if (config_.mbr_ack.enabled) {
-      arm_mbr_retry(source, payload->stream, payload->batch_seq);
+      arm_mbr_retry(source, pub);
     }
   }
 }
 
-sim::Duration MiddlewareSystem::backoff_delay(const RetryPolicy& policy,
-                                              int attempts) {
-  const std::int64_t cap = policy.max_backoff.count_micros();
-  std::int64_t delay = policy.timeout.count_micros();
-  for (int i = 0; i < attempts && delay < cap; ++i) {
-    delay *= 2;
-  }
-  delay = std::min(delay, cap);
-  const std::int64_t jitter_span = policy.jitter.count_micros();
-  if (jitter_span > 0) {
-    delay += rng_.uniform_int(0, jitter_span - 1);
-  }
-  return sim::Duration::micros(delay);
+void MiddlewareSystem::send_mbr(NodeIndex source,
+                                std::shared_ptr<const MbrPayload> payload,
+                                Key lo, Key hi, std::uint64_t trace_id) {
+  Message msg;
+  msg.kind = MsgKind::kMbrUpdate;
+  msg.payload = std::move(payload);
+  msg.trace_id = trace_id;
+  // With replication on, a landing copy whose terminal hop died in flight
+  // detours to the successor-list replica, which stores and acks — cutting
+  // the retry tail short.
+  msg.reroute_on_dead = replication_on();
+  routing_.send_range(source, lo, hi, std::move(msg), config_.multicast);
 }
 
-void MiddlewareSystem::emit_heal_trace(obs::TraceEventKind event,
-                                       NodeIndex node, StreamId stream,
-                                       std::uint64_t seq,
-                                       std::uint64_t trace_id) {
+void MiddlewareSystem::emit_heal_trace(
+    obs::TraceEventKind event, NodeIndex node,
+    const PublicationLedger::Publication& pub) {
   obs::TraceSink* sink = routing_.trace_sink();
   if (sink == nullptr) {
     return;
   }
   obs::TraceRecord record;
-  record.trace_id = trace_id;
+  record.trace_id = pub.trace_id;
   record.event = event;
   record.at_us = routing_.simulator().now().count_micros();
   record.node = node;
   record.kind = static_cast<int>(MsgKind::kMbrUpdate);
-  record.stream = stream;
-  record.batch_seq = seq;
+  record.stream = pub.payload->stream;
+  record.batch_seq = pub.payload->batch_seq;
   sink->record(record);
 }
 
@@ -391,19 +339,15 @@ void MiddlewareSystem::note_mbr_ack(NodeIndex source, StreamId stream,
   if (source >= nodes_.size()) {
     return;
   }
-  MiddlewareNode& state = nodes_[source];
-  const auto it = state.published_mbrs.find({stream, seq});
-  if (it == state.published_mbrs.end() || it->second.acked) {
+  const PublicationLedger::Publication* pub =
+      nodes_[source].published_mbrs.ack(stream, seq);
+  if (pub == nullptr) {
     return;
   }
-  PublishedMbr& pub = it->second;
-  pub.acked = true;
-  pub.retry_timer.cancel();
-  if (pub.attempts > 0) {
+  if (pub->attempts > 0) {
     const double ms =
-        (routing_.simulator().now() - pub.first_sent).as_millis();
-    emit_heal_trace(obs::TraceEventKind::kHeal, source, stream, seq,
-                    pub.trace_id);
+        (routing_.simulator().now() - pub->first_sent).as_millis();
+    emit_heal_trace(obs::TraceEventKind::kHeal, source, *pub);
     // The registry series cover the whole run (warm-up included), like the
     // routing-side series in MetricsCollector.
     if (metrics_.registry() != nullptr) {
@@ -418,14 +362,12 @@ void MiddlewareSystem::note_mbr_ack(NodeIndex source, StreamId stream,
   }
 }
 
-void MiddlewareSystem::arm_mbr_retry(NodeIndex source, StreamId stream,
-                                     std::uint64_t seq) {
-  MiddlewareNode& state = nodes_[source];
-  const auto it = state.published_mbrs.find({stream, seq});
-  SDSI_CHECK(it != state.published_mbrs.end());
-  PublishedMbr& pub = it->second;
+void MiddlewareSystem::arm_mbr_retry(NodeIndex source,
+                                     PublicationLedger::Publication& pub) {
+  const StreamId stream = pub.payload->stream;
+  const std::uint64_t seq = pub.payload->batch_seq;
   pub.retry_timer = routing_.simulator().schedule_after(
-      backoff_delay(config_.mbr_ack, pub.attempts),
+      config_.mbr_ack.delay(pub.attempts, rng_),
       [this, source, stream, seq] { on_mbr_ack_timeout(source, stream, seq); });
 }
 
@@ -434,39 +376,22 @@ void MiddlewareSystem::on_mbr_ack_timeout(NodeIndex source, StreamId stream,
   if (!routing_.is_alive(source)) {
     return;  // a recovered source starts over via reset_node_soft_state
   }
-  MiddlewareNode& state = nodes_[source];
-  const auto it = state.published_mbrs.find({stream, seq});
-  if (it == state.published_mbrs.end() || it->second.acked) {
-    return;
+  const auto [step, pub] = nodes_[source].published_mbrs.retry(
+      stream, seq, routing_.simulator().now(), config_.mbr_ack);
+  if (step == PublicationLedger::Retry::kSpent && metrics_.recording()) {
+    ++metrics_.robustness().mbr_retry_exhausted;
   }
-  PublishedMbr& pub = it->second;
-  const sim::SimTime now = routing_.simulator().now();
-  if (pub.payload->expires <= now) {
-    state.published_mbrs.erase(it);  // batch lapsed; nothing left to heal
-    return;
+  if (step != PublicationLedger::Retry::kResend) {
+    return;  // a spent budget leaves the soft-state refresh as the backstop
   }
-  if (pub.attempts >= config_.mbr_ack.max_attempts) {
-    if (metrics_.recording()) {
-      ++metrics_.robustness().mbr_retry_exhausted;
-    }
-    return;  // budget spent; the soft-state refresh is the backstop now
-  }
-  ++pub.attempts;
   if (metrics_.recording()) {
     ++metrics_.robustness().mbr_retries;
   }
   if (metrics_.registry() != nullptr) {
     metrics_.registry()->counter("heal.retries").add();
   }
-  emit_heal_trace(obs::TraceEventKind::kRetry, source, stream, seq,
-                  pub.trace_id);
-  Message retry;
-  retry.kind = MsgKind::kMbrUpdate;
-  retry.payload = pub.payload;
-  retry.trace_id = pub.trace_id;
-  retry.reroute_on_dead = replication_on();
-  routing_.send_range(source, pub.lo, pub.hi, std::move(retry),
-                      config_.multicast);
+  emit_heal_trace(obs::TraceEventKind::kRetry, source, *pub);
+  send_mbr(source, pub->payload, pub->lo, pub->hi, pub->trace_id);
   if (replication_on()) {
     // Hedged retry: a second multicast staggered past the mean burst
     // length, so a loss burst that swallows the retry no longer doubles the
@@ -478,36 +403,20 @@ void MiddlewareSystem::on_mbr_ack_timeout(NodeIndex source, StreamId stream,
           if (!routing_.is_alive(source)) {
             return;
           }
-          MiddlewareNode& src_state = nodes_[source];
-          const auto hedge_it = src_state.published_mbrs.find({stream, seq});
-          if (hedge_it == src_state.published_mbrs.end() ||
-              hedge_it->second.acked ||
-              hedge_it->second.payload->expires <=
-                  routing_.simulator().now()) {
+          const PublicationLedger::Publication* pending =
+              nodes_[source].published_mbrs.owed(stream, seq,
+                                                 routing_.simulator().now());
+          if (pending == nullptr) {
             return;
           }
-          PublishedMbr& pending = hedge_it->second;
           if (metrics_.registry() != nullptr) {
             metrics_.registry()->counter("heal.retry_hedges").add();
           }
-          Message hedge;
-          hedge.kind = MsgKind::kMbrUpdate;
-          hedge.payload = pending.payload;
-          hedge.trace_id = pending.trace_id;
-          hedge.reroute_on_dead = true;
-          routing_.send_range(source, pending.lo, pending.hi,
-                              std::move(hedge), config_.multicast);
+          send_mbr(source, pending->payload, pending->lo, pending->hi,
+                   pending->trace_id);
         });
   }
-  arm_mbr_retry(source, stream, seq);
-}
-
-void MiddlewareSystem::schedule_mbr_refresh(NodeIndex index,
-                                            sim::Duration offset) {
-  sim::Simulator& sim = routing_.simulator();
-  sim.schedule_periodic(sim.now() + offset + config_.mbr_refresh_period,
-                        config_.mbr_refresh_period,
-                        [this, index] { refresh_node_mbrs(index); });
+  arm_mbr_retry(source, *pub);
 }
 
 void MiddlewareSystem::refresh_node_mbrs(NodeIndex index) {
@@ -515,33 +424,18 @@ void MiddlewareSystem::refresh_node_mbrs(NodeIndex index) {
     return;
   }
   MiddlewareNode& state = nodes_[index];
-  const sim::SimTime now = routing_.simulator().now();
-  for (auto it = state.published_mbrs.begin();
-       it != state.published_mbrs.end();) {
-    PublishedMbr& pub = it->second;
-    if (pub.payload->expires <= now) {
-      pub.retry_timer.cancel();
-      it = state.published_mbrs.erase(it);
-      continue;
-    }
-    Message msg;
-    msg.kind = MsgKind::kMbrUpdate;
-    msg.payload = pub.payload;
-    msg.trace_id = pub.trace_id;
-    msg.reroute_on_dead = replication_on();
-    emit_heal_trace(obs::TraceEventKind::kRefresh, index,
-                    pub.payload->stream, pub.payload->batch_seq,
-                    pub.trace_id);
-    routing_.send_range(index, pub.lo, pub.hi, std::move(msg),
-                        config_.multicast);
-    if (metrics_.recording()) {
-      ++metrics_.robustness().mbr_refreshes;
-    }
-    if (metrics_.registry() != nullptr) {
-      metrics_.registry()->counter("heal.refreshes").add();
-    }
-    ++it;
-  }
+  state.published_mbrs.refresh(
+      routing_.simulator().now(),
+      [&](const PublicationLedger::Publication& pub) {
+        emit_heal_trace(obs::TraceEventKind::kRefresh, index, pub);
+        send_mbr(index, pub.payload, pub.lo, pub.hi, pub.trace_id);
+        if (metrics_.recording()) {
+          ++metrics_.robustness().mbr_refreshes;
+        }
+        if (metrics_.registry() != nullptr) {
+          metrics_.registry()->counter("heal.refreshes").add();
+        }
+      });
   // Heal the h2 directory too: the fragment holding one of our streams'
   // mappings may itself have crashed and lost the registration.
   for (const auto& [stream_id, local] : state.streams) {
@@ -746,7 +640,7 @@ void MiddlewareSystem::on_deliver(NodeIndex at, const Message& msg) {
 void MiddlewareSystem::handle_mbr(NodeIndex at, const Message& msg) {
   const auto payload = payload_of<MbrPayload>(msg);
   const sim::SimTime now = routing_.simulator().now();
-  if (!(config_.store_local_summaries && at == payload->source)) {
+  if (at != payload->source) {
     // Load shedding: a node past its per-window ingest budget (or under a
     // forced-shed experiment) refuses the store as an ACCOUNTED drop before
     // paying for dedup, indexing, or matching. Shed copies are not acked,
@@ -827,10 +721,9 @@ void MiddlewareSystem::handle_response_ack(NodeIndex at, const Message& msg) {
   const auto payload = payload_of<ResponseAckPayload>(msg);
   MiddlewareNode& state = state_of(at);
   const auto it = state.aggregations.find(payload->query);
-  if (it == state.aggregations.end()) {
-    return;
+  if (it != state.aggregations.end()) {
+    it->second.inflight.ack(payload->query, payload->push_seq);
   }
-  it->second.inflight.erase(payload->push_seq);
 }
 
 void MiddlewareSystem::handle_similarity_query(NodeIndex at,
@@ -1019,7 +912,7 @@ void MiddlewareSystem::handle_location_reply(NodeIndex at,
     policy.jitter =
         sim::Duration::micros(config_.notify_period.count_micros() / 8);
     routing_.simulator().schedule_after(
-        backoff_delay(policy, attempts),
+        policy.delay(attempts, rng_),
         [this, at, stream] { retry_location_get(at, stream); });
     return;
   }
@@ -1099,15 +992,7 @@ void MiddlewareSystem::dispatch_tick(NodeIndex index, sim::SimTime now,
 
   // 0. Drop publication records whose batch lapsed (acked entries have no
   //    timer left to prune them otherwise).
-  for (auto it = state.published_mbrs.begin();
-       it != state.published_mbrs.end();) {
-    if (it->second.payload->expires <= now) {
-      it->second.retry_timer.cancel();
-      it = state.published_mbrs.erase(it);
-    } else {
-      ++it;
-    }
-  }
+  state.published_mbrs.drop_lapsed(now);
 
   // 1. File the candidates the match pass detected against the local index
   //    (Eq. 8 / MBR bound). match() advanced the store's expiry lanes
@@ -1162,58 +1047,38 @@ void MiddlewareSystem::dispatch_tick(NodeIndex index, sim::SimTime now,
   }
 
   // 3. Aggregators push periodic responses to their clients (Sec IV-F).
-  //    With response acks enabled, match-bearing pushes stay in an in-flight
-  //    window until the client confirms them; unacked pushes retransmit
-  //    verbatim (same push_seq — the client's content dedup makes
-  //    redelivery harmless) under the response_ack policy.
+  //    With response acks on, match-bearing pushes wait in the record's
+  //    ledger and are resent verbatim (same push_seq — the client's content
+  //    dedup makes redelivery harmless) until acked or out of budget.
   for (auto it = state.aggregations.begin(); it != state.aggregations.end();) {
     AggregatorRecord& record = it->second;
     if (record.expires <= now) {
       it = state.aggregations.erase(it);
       continue;
     }
-    const QueryId query_id = it->first;
-    if (config_.response_ack.enabled) {
-      for (auto push = record.inflight.begin();
-           push != record.inflight.end();) {
-        AggregatorRecord::InflightPush& inflight = push->second;
-        if (now - inflight.sent_at < config_.response_ack.timeout) {
-          ++push;
-          continue;
-        }
-        if (inflight.attempts >= config_.response_ack.max_attempts) {
-          push = record.inflight.erase(push);  // budget spent
-          continue;
-        }
-        ++inflight.attempts;
-        inflight.sent_at = now;
-        if (metrics_.recording()) {
-          ++metrics_.robustness().response_retries;
-        }
-        Message resend;
-        resend.kind = MsgKind::kResponse;
-        resend.payload = std::make_shared<const ResponsePayload>(
-            ResponsePayload{query_id, record.client, false, inflight.matches,
-                            0.0, index, push->first});
-        routing_.send(index, routing_.node_id(record.client),
-                      std::move(resend));
-        ++push;
-      }
-    }
+    record.inflight.resend_overdue(
+        now, config_.response_ack,
+        [&](const std::shared_ptr<const ResponsePayload>& push) {
+          if (metrics_.recording()) {
+            ++metrics_.robustness().response_retries;
+          }
+          Message resend;
+          resend.kind = MsgKind::kResponse;
+          resend.payload = push;
+          routing_.send(index, routing_.node_id(record.client),
+                        std::move(resend));
+        });
     const bool track = config_.response_ack.enabled && !record.pending.empty();
-    const std::uint64_t seq = track ? record.next_push_seq++ : 0;
-    std::vector<SimilarityMatch> matches = std::move(record.pending);
+    ResponsePayload push{it->first, record.client, false,
+                         std::move(record.pending), 0.0,
+                         config_.response_ack.enabled ? index : kInvalidNode,
+                         0};
     record.pending.clear();
-    if (track) {
-      record.inflight.emplace(
-          seq, AggregatorRecord::InflightPush{matches, now, 0});
-    }
     Message msg;
     msg.kind = MsgKind::kResponse;
-    msg.payload = std::make_shared<const ResponsePayload>(ResponsePayload{
-        query_id, record.client, false, std::move(matches), 0.0,
-        config_.response_ack.enabled ? index : kInvalidNode, seq});
-    ++record.pushes;
+    msg.payload =
+        track ? record.inflight.track(std::move(push), now)
+              : std::make_shared<const ResponsePayload>(std::move(push));
     routing_.send(index, routing_.node_id(record.client), std::move(msg));
     ++it;
   }
@@ -1388,14 +1253,6 @@ void MiddlewareSystem::handle_handoff_request(NodeIndex at,
         .add(static_cast<double>(bytes));
   }
   emit_replication_trace(obs::TraceEventKind::kHandoff, at, 0, entries);
-}
-
-void MiddlewareSystem::schedule_anti_entropy(NodeIndex index,
-                                             sim::Duration offset) {
-  sim::Simulator& sim = routing_.simulator();
-  sim.schedule_periodic(sim.now() + offset + config_.anti_entropy_period,
-                        config_.anti_entropy_period,
-                        [this, index] { anti_entropy_tick(index); });
 }
 
 void MiddlewareSystem::anti_entropy_tick(NodeIndex index) {

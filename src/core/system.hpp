@@ -25,23 +25,12 @@
 #include "core/mapper.hpp"
 #include "core/metrics.hpp"
 #include "core/node.hpp"
+#include "core/resend.hpp"
 #include "core/strategy.hpp"
 #include "core/worker_pool.hpp"
 #include "routing/api.hpp"
 
 namespace sdsi::core {
-
-/// Capped exponential backoff with seeded jitter, shared by the acked MBR
-/// publication and acked response paths. Retry n (0-based) waits
-/// min(timeout * 2^n, max_backoff) + uniform[0, jitter) before giving the
-/// transmission up for lost.
-struct RetryPolicy {
-  bool enabled = false;
-  sim::Duration timeout = sim::Duration::millis(1500);
-  sim::Duration max_backoff = sim::Duration::millis(12'000);
-  sim::Duration jitter = sim::Duration::millis(250);
-  int max_attempts = 4;  // retransmission budget beyond the first send
-};
 
 /// Overload-control knobs (adversarial-skew extension). Three cooperating
 /// mechanisms, each individually disableable:
@@ -104,10 +93,6 @@ struct MiddlewareConfig {
 
   /// NPER: period of matching, neighbor digests, and response pushes.
   sim::Duration notify_period = sim::Duration::millis(2000);
-
-  /// Also keep each summary in the source node's local store ("each stream
-  /// summary is stored locally, and also routed").
-  bool store_local_summaries = true;
 
   /// Soft-state refresh of similarity subscriptions: the client re-routes
   /// each live query over its key range at this period, so nodes that
@@ -389,7 +374,9 @@ class MiddlewareSystem {
   /// nodes_[index], growing the table for late joiners.
   MiddlewareNode& state_of(NodeIndex index);
 
-  void schedule_tick(NodeIndex index, sim::Duration offset);
+  /// Starts the node's NPER tick, MBR refresh and anti-entropy digests (the
+  /// last two when configured), each `slot` / `slots` of its period late.
+  void schedule_node(NodeIndex index, std::int64_t slot, std::int64_t slots);
 
   /// Routes the MBR just closed for (node, stream): the backpressure gate
   /// (defer when the source's publish budget is spent) in front of
@@ -399,6 +386,11 @@ class MiddlewareSystem {
   /// The actual publication body: assigns the batch_seq, stores locally,
   /// range-multicasts, and arms acks/refresh tracking.
   void publish_mbr(NodeIndex source, LocalStream& stream, dsp::Mbr mbr);
+
+  /// Range-multicasts one MBR batch over [lo, hi]: first sends, probes,
+  /// retries, hedges and refreshes (trace_id 0 lets routing mint one).
+  void send_mbr(NodeIndex source, std::shared_ptr<const MbrPayload> payload,
+                Key lo, Key hi, std::uint64_t trace_id);
 
   /// Files a detected match either into the local aggregator (if this node
   /// covers the middle key) or into the outgoing digest buffer.
@@ -416,30 +408,23 @@ class MiddlewareSystem {
   /// came back unknown (registration racing through the overlay).
   void retry_location_get(NodeIndex client, StreamId stream);
 
-  /// Delay before retry number `attempts` (0-based) under `policy`:
-  /// min(timeout * 2^attempts, max_backoff) + uniform[0, jitter).
-  sim::Duration backoff_delay(const RetryPolicy& policy, int attempts);
-
-  /// Marks (stream, batch_seq) as confirmed stored at `source`; records the
-  /// heal latency when retransmissions were needed. No-op if the record is
-  /// gone or already confirmed.
+  /// Records the ack of (stream, batch_seq) at `source`, and the heal latency
+  /// when it is the first ack of a retransmitted publication.
   void note_mbr_ack(NodeIndex source, StreamId stream, std::uint64_t seq);
 
   /// (Re)arms the ack timeout of a tracked publication.
-  void arm_mbr_retry(NodeIndex source, StreamId stream, std::uint64_t seq);
+  void arm_mbr_retry(NodeIndex source, PublicationLedger::Publication& pub);
   void on_mbr_ack_timeout(NodeIndex source, StreamId stream,
                           std::uint64_t seq);
 
   /// Emits a self-healing trace event (retry/heal/refresh) under the
   /// publication's trace id when a trace sink is attached.
   void emit_heal_trace(obs::TraceEventKind event, NodeIndex node,
-                       StreamId stream, std::uint64_t seq,
-                       std::uint64_t trace_id);
+                       const PublicationLedger::Publication& pub);
 
   /// Soft-state refresh body for one node: re-route every live published
   /// batch and re-register local streams with the location service.
   void refresh_node_mbrs(NodeIndex index);
-  void schedule_mbr_refresh(NodeIndex index, sim::Duration offset);
 
   // --- Replication & failover helpers -------------------------------------
 
@@ -475,7 +460,6 @@ class MiddlewareSystem {
   /// Anti-entropy body for one node: digest of its owned arc to its replica
   /// set.
   void anti_entropy_tick(NodeIndex index);
-  void schedule_anti_entropy(NodeIndex index, sim::Duration offset);
 
   /// Direct send of a replication-layer message; when `to` is dead it
   /// detours to the successor list (Message::reroute_on_dead).

@@ -1,24 +1,13 @@
 #include "net/node.hpp"
 
 #include <algorithm>
-#include <optional>
 #include <utility>
 
-#include "common/check.hpp"
 #include "core/arc_sync.hpp"
 
 namespace sdsi::net {
 
-namespace {
-
-template <typename T>
-std::shared_ptr<const T> payload_of(const routing::Message& msg) {
-  const auto* ptr = std::any_cast<std::shared_ptr<const T>>(&msg.payload);
-  SDSI_CHECK(ptr != nullptr && *ptr != nullptr);
-  return *ptr;
-}
-
-}  // namespace
+using routing::payload_of;
 
 NetNode::NetNode(const NetRing& ring, NodeIndex self, Transport& transport,
                  NetNodeConfig config)
@@ -38,51 +27,37 @@ std::uint64_t NetNode::next_trace_id() noexcept {
 }
 
 void NetNode::publish_value(StreamId stream, Sample value, sim::SimTime now) {
-  auto it = streams_.find(stream);
-  if (it == streams_.end()) {
-    auto state = std::make_unique<LocalStream>(LocalStream{
-        strategy_->make_summarizer(), core::MbrBatcher(config_.batching), 0});
-    it = streams_.emplace(stream, std::move(state)).first;
-  }
-  LocalStream& state = *it->second;
-  state.summarizer->push(value);
-  if (!state.summarizer->ready()) {
-    return;
-  }
-  dsp::FeatureVector features;
-  if (!state.summarizer->features_into(features)) {
-    return;  // degenerate window: no direction on the unit sphere
-  }
-  if (std::optional<dsp::Mbr> closed = state.batcher.push(features)) {
-    publish_mbr(stream, state, std::move(*closed), now);
+  core::LocalStream& local =
+      streams_.try_emplace(stream, stream, *strategy_, config_.batching)
+          .first->second;
+  std::vector<dsp::Mbr> closed;
+  core::summarize_value(local, value, closed);
+  for (dsp::Mbr& mbr : closed) {
+    publish_mbr(local, std::move(mbr), now);
   }
 }
 
-void NetNode::publish_mbr(StreamId stream, LocalStream& state, dsp::Mbr mbr,
+void NetNode::publish_mbr(core::LocalStream& local, dsp::Mbr mbr,
                           sim::SimTime now) {
   // Primary range first (acks/refresh track it alone); extra probe ranges
   // (multi-probe lsh; none for dft/ecm) go out fire-and-forget.
   strategy_->key_map().mbr_ranges(mbr, range_scratch_);
   const sim::SimTime expires = now + config_.mbr_lifespan;
   const auto payload = std::make_shared<const core::MbrPayload>(
-      core::MbrPayload{stream, self_, std::move(mbr), state.batch_seq++,
+      core::MbrPayload{local.id, self_, std::move(mbr), local.batch_seq++,
                        expires});
-
-  if (config_.store_local_summaries) {
-    if (store_.add_mbr({payload->stream, self_, payload->mbr,
-                        payload->batch_seq, now, expires})) {
-      ++counters_.mbrs_stored;
-    }
+  if (store_.add_mbr({payload->stream, self_, payload->mbr,
+                      payload->batch_seq, now, expires})) {
+    ++counters_.mbrs_stored;
   }
 
   ++counters_.mbrs_published;
   if (reliable()) {
-    // Track the publication until the landing node acks it; refresh keeps
-    // re-multicasting it afterwards (range replicas have no ack of their
-    // own — soft state owns them).
+    // Tracked before the first send: a copy landing here is delivered, and
+    // acks, synchronously. Refresh re-multicasts it after the ack too (range
+    // replicas have no ack of their own — soft state owns them).
     const auto [lo, hi] = range_scratch_.front();
-    published_.try_emplace(std::make_pair(payload->stream, payload->batch_seq),
-                           PendingMbr{payload, lo, hi, false, clock_ms_, 0});
+    published_.track(payload, lo, hi, retry_clock());
   }
   for (const auto& [lo, hi] : range_scratch_) {
     send_range(routing::MsgKind::kMbrUpdate, payload, lo, hi, now);
@@ -223,29 +198,30 @@ void NetNode::deliver(routing::Message&& msg, sim::SimTime now) {
 
 void NetNode::handle_mbr(const routing::Message& msg, sim::SimTime now) {
   const auto payload = payload_of<core::MbrPayload>(msg);
+  const bool own = payload->source == self_;
   // The source already stored this batch at publish time; every other node
   // stores it here (the payload's absolute expiry keeps redelivery
   // idempotent, same as the sim's handle_mbr).
-  bool stored = false;
-  if (!(config_.store_local_summaries && payload->source == self_)) {
-    stored = store_.add_mbr({payload->stream, payload->source, payload->mbr,
-                             payload->batch_seq, now, payload->expires});
-    if (stored) {
+  bool first_landing = false;
+  if (!own) {
+    first_landing =
+        store_.add_mbr({payload->stream, payload->source, payload->mbr,
+                        payload->batch_seq, now, payload->expires});
+    if (first_landing) {
       ++counters_.mbrs_stored;
     }
   }
   if (!reliable() || msg.range_internal) {
     return;
   }
-  // This node is the landing node (successor of the range's low end):
-  // acknowledge the publication end-to-end and mirror the entry to the
-  // live successor set so a crash here cannot erase it.
-  if (payload->source == self_) {
-    const auto it = published_.find(
-        std::make_pair(payload->stream, payload->batch_seq));
-    if (it != published_.end()) {
-      it->second.acked = true;
-    }
+  // This node is the landing node (successor of the range's low end): ack
+  // the publication end-to-end and, on its first landing, mirror the entry
+  // to the live successors so a crash here cannot erase it. A batch landing
+  // on its own source was stored at publish time; its first ack is its
+  // first landing.
+  if (own) {
+    first_landing =
+        published_.ack(payload->stream, payload->batch_seq) != nullptr;
   } else {
     send_direct(payload->source, routing::MsgKind::kMbrAck,
                 std::make_shared<const core::MbrAckPayload>(
@@ -253,8 +229,8 @@ void NetNode::handle_mbr(const routing::Message& msg, sim::SimTime now) {
                 now);
     ++counters_.mbr_acks_sent;
   }
-  if (!stored && !(config_.store_local_summaries && payload->source == self_)) {
-    return;  // duplicate redelivery: already mirrored the first time
+  if (!first_landing) {
+    return;  // redelivery (retransmit or refresh): mirrored the first time
   }
   core::ReplicaPutPayload put;
   put.mbrs.push_back({payload->stream, payload->source, payload->mbr,
@@ -288,7 +264,7 @@ void NetNode::mirror(core::ReplicaPutPayload put, NodeIndex holder,
       std::make_shared<const core::ReplicaPutPayload>(std::move(put));
   std::vector<NodeIndex> replicas;
   NodeIndex cursor = self_;
-  while (replicas.size() < config_.reliability.replication) {
+  while (replicas.size() < kReplication) {
     cursor = next_live(cursor, true);
     if (cursor == kInvalidNode ||
         std::find(replicas.begin(), replicas.end(), cursor) !=
@@ -342,17 +318,13 @@ void NetNode::handle_heartbeat(const routing::Message& msg) {
 void NetNode::handle_mbr_ack(const routing::Message& msg) {
   const auto payload = payload_of<core::MbrAckPayload>(msg);
   ++counters_.mbr_acks_received;
-  const auto it =
-      published_.find(std::make_pair(payload->stream, payload->batch_seq));
-  if (it != published_.end()) {
-    it->second.acked = true;
-  }
+  published_.ack(payload->stream, payload->batch_seq);
 }
 
 void NetNode::handle_response_ack(const routing::Message& msg) {
   const auto payload = payload_of<core::ResponseAckPayload>(msg);
   ++counters_.response_acks_received;
-  unacked_responses_.erase(std::make_pair(payload->query, payload->push_seq));
+  unacked_responses_.ack(payload->query, payload->push_seq);
 }
 
 void NetNode::handle_replica_put(const routing::Message& msg,
@@ -481,23 +453,15 @@ void NetNode::tick(sim::SimTime now) {
     // Acked push: the client confirms receipt, otherwise the push is
     // retransmitted from reliability_tick until retries run out.
     const bool acked = reliable() && client != self_;
-    core::ResponsePayload response;
-    response.query = query_id;
-    response.client = client;
-    response.matches = std::move(matches);
-    if (acked) {
-      response.aggregator = self_;
-      response.push_seq = ++push_seq_;
-    }
-    const auto payload =
-        std::make_shared<const core::ResponsePayload>(std::move(response));
+    core::ResponsePayload response{query_id, client, false, std::move(matches),
+                                   0.0, acked ? self_ : kInvalidNode, 0};
     ++counters_.responses_sent;
-    if (acked) {
-      unacked_responses_.emplace(
-          std::make_pair(payload->query, payload->push_seq),
-          PendingResponse{payload, client, clock_ms_, 0});
-    }
-    send_direct(client, routing::MsgKind::kResponse, payload, now);
+    send_direct(client, routing::MsgKind::kResponse,
+                acked ? unacked_responses_.track(std::move(response),
+                                                 retry_clock())
+                      : std::make_shared<const core::ResponsePayload>(
+                            std::move(response)),
+                now);
   }
 }
 
@@ -530,42 +494,36 @@ void NetNode::reliability_tick(std::int64_t now_ms, sim::SimTime now) {
   if (!reliable()) {
     return;
   }
-  const NetReliabilityConfig& rel = config_.reliability;
-
   // 0. Forget what has lapsed, as the sim's dispatch_tick does: no store
   //    can match an expired batch, so there is nothing left to heal, and an
   //    expired query is never refreshed again.
-  std::erase_if(published_, [now](const auto& item) {
-    return item.second.payload->expires <= now;
-  });
+  published_.drop_lapsed(now);
   std::erase_if(own_queries_, [now](const OwnQuery& own) {
     const core::SimilarityQuery& query = *own.payload->query;
     return query.issued_at + query.lifespan <= now;
   });
 
   // 1. Fast retransmit of unacked publications.
-  for (auto& [key, pending] : published_) {
-    if (!pending.acked && pending.retries < rel.max_retries &&
-        now_ms - pending.last_sent_ms >= rel.ack_timeout_ms) {
-      ++pending.retries;
-      pending.last_sent_ms = now_ms;
-      ++counters_.mbr_retransmits;
-      send_range(routing::MsgKind::kMbrUpdate, pending.payload, pending.lo,
-                 pending.hi, now);
-    }
-  }
+  published_.resend_overdue(
+      retry_clock(), kAckPolicy,
+      [&](const core::PublicationLedger::Publication& pub) {
+        ++counters_.mbr_retransmits;
+        send_range(routing::MsgKind::kMbrUpdate, pub.payload, pub.lo, pub.hi,
+                   now);
+      });
 
   // 2. Periodic soft-state refresh: re-multicast everything this node owns.
   //    Receiver-side dedup makes the sweep idempotent; it is what heals
   //    range replicas and anything a detoured delivery mis-placed.
-  if (now_ms - last_refresh_ms_ >= rel.refresh_period_ms) {
+  if (now_ms - last_refresh_ms_ >= config_.reliability.refresh_period_ms) {
     last_refresh_ms_ = now_ms;
     ++counters_.refresh_rounds;
-    for (const auto& [key, pending] : published_) {
-      ++counters_.mbr_refreshes;
-      send_range(routing::MsgKind::kMbrUpdate, pending.payload, pending.lo,
-                 pending.hi, now);
-    }
+    published_.refresh(
+        now, [&](const core::PublicationLedger::Publication& pub) {
+          ++counters_.mbr_refreshes;
+          send_range(routing::MsgKind::kMbrUpdate, pub.payload, pub.lo,
+                     pub.hi, now);
+        });
     for (const OwnQuery& own : own_queries_) {
       ++counters_.query_refreshes;
       send_range(routing::MsgKind::kSimilarityQuery, own.payload, own.lo,
@@ -573,27 +531,18 @@ void NetNode::reliability_tick(std::int64_t now_ms, sim::SimTime now) {
     }
   }
 
-  // 3. Retransmit unacked match pushes; give up after max_retries (a client
-  //    that stays gone is excised by the detector anyway).
-  for (auto it = unacked_responses_.begin(); it != unacked_responses_.end();) {
-    PendingResponse& pending = it->second;
-    if (now_ms - pending.last_sent_ms >= rel.ack_timeout_ms) {
-      if (pending.retries >= rel.max_retries) {
-        it = unacked_responses_.erase(it);
-        continue;
-      }
-      ++pending.retries;
-      pending.last_sent_ms = now_ms;
-      ++counters_.response_retransmits;
-      send_direct(pending.client, routing::MsgKind::kResponse, pending.payload,
-                  now);
-    }
-    ++it;
-  }
+  // 3. Retransmit unacked match pushes; a push out of budget is forgotten
+  //    (a client that stays gone is excised by the detector anyway).
+  unacked_responses_.resend_overdue(
+      retry_clock(), kAckPolicy,
+      [&](const std::shared_ptr<const core::ResponsePayload>& push) {
+        ++counters_.response_retransmits;
+        send_direct(push->client, routing::MsgKind::kResponse, push, now);
+      });
 
   // 4. Anti-entropy digests toward both live ring neighbors, plus any peer
   //    whose rejoin was observed since the last pass.
-  if (now_ms - last_anti_entropy_ms_ >= rel.anti_entropy_period_ms) {
+  if (now_ms - last_anti_entropy_ms_ >= kAntiEntropyPeriodMs) {
     last_anti_entropy_ms_ = now_ms;
     ++counters_.anti_entropy_rounds;
     const NodeIndex up = next_live(self_, true);

@@ -8,7 +8,8 @@
 // routing::range_steps), stores and matches what lands on it (IndexStore),
 // and reports matches. Replica repair (handoff, anti-entropy digests,
 // backfill) runs the store-side functions the sim middleware shares
-// (core/arc_sync.hpp).
+// (core/arc_sync.hpp), as does its ack/retransmit/refresh bookkeeping
+// (core/resend.hpp).
 //
 // Scope (documented divergence from the sim middleware, see
 // docs/ARCHITECTURE.md "Transport layer"): a detecting node responds to the
@@ -25,6 +26,7 @@
 #pragma once
 
 #include <any>
+#include <cstddef>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -36,7 +38,9 @@
 #include "core/batcher.hpp"
 #include "core/index_store.hpp"
 #include "core/mapper.hpp"
+#include "core/node.hpp"
 #include "core/query.hpp"
+#include "core/resend.hpp"
 #include "core/strategy.hpp"
 #include "net/failure_detector.hpp"
 #include "net/ring.hpp"
@@ -54,17 +58,24 @@ namespace sdsi::net {
 struct NetReliabilityConfig {
   bool enabled = false;
   FailureDetectorConfig detector;
-  /// Unacked MBR publication / response push retransmit deadline.
-  std::int64_t ack_timeout_ms = 250;
-  int max_retries = 10;
   /// Full soft-state refresh cadence: every tracked publication and every
   /// locally-posed query is re-multicast (receiver dedup keeps it
   /// idempotent), healing range replicas an ack cannot vouch for.
   std::int64_t refresh_period_ms = 800;
-  std::int64_t anti_entropy_period_ms = 600;
-  /// Live successors that mirror each entry landed on this node.
-  std::uint32_t replication = 2;
 };
+
+/// Ack timing of publications and response pushes on the wall clock: a
+/// resend every 250 ms, at most 10 resends. NetNode resends by polling the
+/// ledgers, and polled resends read only `timeout` and `max_attempts`: they
+/// never back off or jitter, whatever the rest of the policy holds.
+inline constexpr core::RetryPolicy kAckPolicy{
+    .timeout = sim::Duration::millis(250), .max_attempts = 10};
+
+/// Cadence of the anti-entropy digests to the live ring neighbors.
+inline constexpr std::int64_t kAntiEntropyPeriodMs = 600;
+
+/// Live successors that mirror each entry landed on a node.
+inline constexpr std::size_t kReplication = 2;
 
 struct NetNodeConfig {
   dsp::FeatureConfig features;
@@ -73,10 +84,6 @@ struct NetNodeConfig {
   core::StrategyOptions strategy;
   core::MbrBatcher::Options batching;
   sim::Duration mbr_lifespan = sim::Duration::seconds(3600);
-  /// Mirror of MiddlewareConfig::store_local_summaries — the sim stores
-  /// every closed MBR at its source regardless of key range, so the
-  /// equivalence run must too.
-  bool store_local_summaries = true;
   NetReliabilityConfig reliability;
   /// Process incarnation, bumped on every restart (rides in heartbeats so
   /// peers detect the rejoin and push repair state).
@@ -123,7 +130,8 @@ class NetNode {
   NodeIndex self() const noexcept { return self_; }
 
   /// Feeds one raw sample of a locally sourced stream; a closed MBR batch
-  /// is stored locally and range-multicast over the ring.
+  /// is stored locally and range-multicast over the ring (the sim's
+  /// post_stream_value step, core::summarize_value).
   void publish_value(StreamId stream, Sample value, sim::SimTime now);
 
   /// Poses a continuous similarity query from this node. `id` must be
@@ -148,10 +156,9 @@ class NetNode {
   /// restart is noticed).
   void heartbeat_tick(std::int64_t now_ms, sim::SimTime now);
   /// reliability_tick: forgets lapsed publications and queries, retransmits
-  /// unacked publications and response pushes, runs the periodic
-  /// soft-state refresh, and exchanges
-  /// anti-entropy digests with the ring neighbors (plus any peer whose
-  /// rejoin was just observed).
+  /// unacked publications and response pushes under kAckPolicy, runs the
+  /// periodic soft-state refresh, and exchanges anti-entropy digests with
+  /// the ring neighbors (plus any peer whose rejoin was just observed).
   void reliability_tick(std::int64_t now_ms, sim::SimTime now);
   /// Rejoin repair: asks both live ring neighbors for every stored entry
   /// whose key range intersects this node's owned arc. sdsi_node calls it
@@ -173,31 +180,6 @@ class NetNode {
   const core::IndexStore& store() const noexcept { return store_; }
 
  private:
-  struct LocalStream {
-    std::unique_ptr<core::Summarizer> summarizer;
-    core::MbrBatcher batcher;
-    std::uint64_t batch_seq = 0;
-  };
-
-  /// One tracked local publication: the full payload (for retransmit and
-  /// refresh) plus its ack state.
-  struct PendingMbr {
-    std::shared_ptr<const core::MbrPayload> payload;
-    Key lo = 0;
-    Key hi = 0;
-    bool acked = false;
-    std::int64_t last_sent_ms = 0;
-    int retries = 0;
-  };
-
-  /// One unacked match push awaiting the client's kResponseAck.
-  struct PendingResponse {
-    std::shared_ptr<const core::ResponsePayload> payload;
-    NodeIndex client = kInvalidNode;
-    std::int64_t last_sent_ms = 0;
-    int retries = 0;
-  };
-
   /// One locally-posed query, kept for the periodic re-subscription sweep.
   struct OwnQuery {
     std::shared_ptr<const core::SimilarityQueryPayload> payload;
@@ -206,9 +188,12 @@ class NetNode {
   };
 
   bool reliable() const noexcept { return config_.reliability.enabled; }
+  /// The ack ledgers' time base: the wall clock of the last tick.
+  sim::SimTime retry_clock() const noexcept {
+    return sim::SimTime::from_micros(clock_ms_ * 1000);
+  }
 
-  void publish_mbr(StreamId stream, LocalStream& state, dsp::Mbr mbr,
-                   sim::SimTime now);
+  void publish_mbr(core::LocalStream& local, dsp::Mbr mbr, sim::SimTime now);
   void handle_mbr(const routing::Message& msg, sim::SimTime now);
   void handle_similarity_query(const routing::Message& msg,
                                sim::SimTime now);
@@ -266,7 +251,7 @@ class NetNode {
   /// Scratch for multi-range probe sets (single-threaded message loop).
   std::vector<std::pair<Key, Key>> range_scratch_;
   core::IndexStore store_;
-  std::unordered_map<StreamId, std::unique_ptr<LocalStream>> streams_;
+  std::unordered_map<StreamId, core::LocalStream> streams_;
   std::map<core::QueryId, std::set<StreamId>> results_;
   std::uint64_t trace_counter_ = 0;
   Counters counters_;
@@ -278,10 +263,8 @@ class NetNode {
   std::uint64_t heartbeat_seq_ = 0;
   std::int64_t last_refresh_ms_ = 0;
   std::int64_t last_anti_entropy_ms_ = 0;
-  std::map<std::pair<StreamId, std::uint64_t>, PendingMbr> published_;
-  std::map<std::pair<core::QueryId, std::uint64_t>, PendingResponse>
-      unacked_responses_;
-  std::uint64_t push_seq_ = 0;
+  core::PublicationLedger published_;
+  core::PushLedger unacked_responses_;
   std::vector<OwnQuery> own_queries_;
   std::set<NodeIndex> pending_repair_;  // rejoined peers owed a digest
 };

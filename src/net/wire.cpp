@@ -40,6 +40,7 @@ using core::SimilarityQueryPayload;
 using routing::Message;
 using routing::MsgKind;
 using routing::RangeDir;
+using routing::payload_of;
 
 // --- Little-endian primitives -----------------------------------------------
 
@@ -289,19 +290,12 @@ std::vector<core::QueryId> get_query_ids(Reader& r) {
 
 // --- Per-kind payload codecs ------------------------------------------------
 
-template <typename T>
-const T& payload_of(const Message& msg) {
-  const auto* ptr = std::any_cast<std::shared_ptr<const T>>(&msg.payload);
-  SDSI_CHECK(ptr != nullptr && *ptr != nullptr);
-  return **ptr;
-}
-
 void encode_payload(Writer& w, const Message& msg) {
   switch (msg.kind) {
     case MsgKind::kInvalid:
       break;  // encode of an invalid kind is a bug; abort below
     case MsgKind::kMbrUpdate: {
-      const auto& p = payload_of<MbrPayload>(msg);
+      const auto& p = *payload_of<MbrPayload>(msg);
       w.u64(p.stream);
       w.u32(p.source);
       put_mbr(w, p.mbr);
@@ -310,14 +304,14 @@ void encode_payload(Writer& w, const Message& msg) {
       return;
     }
     case MsgKind::kSimilarityQuery: {
-      const auto& p = payload_of<SimilarityQueryPayload>(msg);
+      const auto& p = *payload_of<SimilarityQueryPayload>(msg);
       SDSI_CHECK(p.query != nullptr);
       put_query(w, *p.query);
       w.u64(p.middle_key);
       return;
     }
     case MsgKind::kInnerProductQuery: {
-      const auto& p = payload_of<InnerProductQueryPayload>(msg);
+      const auto& p = *payload_of<InnerProductQueryPayload>(msg);
       SDSI_CHECK(p.query != nullptr);
       const InnerProductQuery& q = *p.query;
       w.u64(q.id);
@@ -330,7 +324,7 @@ void encode_payload(Writer& w, const Message& msg) {
       return;
     }
     case MsgKind::kResponse: {
-      const auto& p = payload_of<ResponsePayload>(msg);
+      const auto& p = *payload_of<ResponsePayload>(msg);
       w.u64(p.query);
       w.u32(p.client);
       w.u8(p.inner_product ? 1 : 0);
@@ -341,7 +335,7 @@ void encode_payload(Writer& w, const Message& msg) {
       return;
     }
     case MsgKind::kNeighborExchange: {
-      const auto& p = payload_of<NeighborDigestPayload>(msg);
+      const auto& p = *payload_of<NeighborDigestPayload>(msg);
       w.u32(static_cast<std::uint32_t>(p.reports.size()));
       for (const MatchReport& report : p.reports) {
         put_match(w, report.match);
@@ -352,37 +346,37 @@ void encode_payload(Writer& w, const Message& msg) {
       return;
     }
     case MsgKind::kLocationPut: {
-      const auto& p = payload_of<LocationPutPayload>(msg);
+      const auto& p = *payload_of<LocationPutPayload>(msg);
       w.u64(p.stream);
       w.u32(p.source);
       return;
     }
     case MsgKind::kLocationGet: {
-      const auto& p = payload_of<LocationGetPayload>(msg);
+      const auto& p = *payload_of<LocationGetPayload>(msg);
       w.u64(p.stream);
       w.u32(p.requester);
       return;
     }
     case MsgKind::kLocationReply: {
-      const auto& p = payload_of<LocationReplyPayload>(msg);
+      const auto& p = *payload_of<LocationReplyPayload>(msg);
       w.u64(p.stream);
       w.u32(p.source);
       return;
     }
     case MsgKind::kMbrAck: {
-      const auto& p = payload_of<MbrAckPayload>(msg);
+      const auto& p = *payload_of<MbrAckPayload>(msg);
       w.u64(p.stream);
       w.u64(p.batch_seq);
       return;
     }
     case MsgKind::kResponseAck: {
-      const auto& p = payload_of<ResponseAckPayload>(msg);
+      const auto& p = *payload_of<ResponseAckPayload>(msg);
       w.u64(p.query);
       w.u64(p.push_seq);
       return;
     }
     case MsgKind::kReplicaPut: {
-      const auto& p = payload_of<ReplicaPutPayload>(msg);
+      const auto& p = *payload_of<ReplicaPutPayload>(msg);
       w.u32(p.from);
       w.u32(static_cast<std::uint32_t>(p.mbrs.size()));
       for (const ReplicaMbrEntry& entry : p.mbrs) {
@@ -404,14 +398,14 @@ void encode_payload(Writer& w, const Message& msg) {
       return;
     }
     case MsgKind::kHandoffRequest: {
-      const auto& p = payload_of<HandoffRequestPayload>(msg);
+      const auto& p = *payload_of<HandoffRequestPayload>(msg);
       w.u32(p.requester);
       w.u64(p.lo);
       w.u64(p.hi);
       return;
     }
     case MsgKind::kAntiEntropyDigest: {
-      const auto& p = payload_of<AntiEntropyDigestPayload>(msg);
+      const auto& p = *payload_of<AntiEntropyDigestPayload>(msg);
       w.u32(p.from);
       w.u64(p.lo);
       w.u64(p.hi);
@@ -420,14 +414,14 @@ void encode_payload(Writer& w, const Message& msg) {
       return;
     }
     case MsgKind::kAntiEntropyRequest: {
-      const auto& p = payload_of<AntiEntropyRequestPayload>(msg);
+      const auto& p = *payload_of<AntiEntropyRequestPayload>(msg);
       w.u32(p.requester);
       put_batch_ids(w, p.mbr_keys);
       put_query_ids(w, p.query_ids);
       return;
     }
     case MsgKind::kAggregatorReplica: {
-      const auto& p = payload_of<AggregatorReplicaPayload>(msg);
+      const auto& p = *payload_of<AggregatorReplicaPayload>(msg);
       w.u64(p.query);
       w.u32(p.client);
       w.u64(p.middle_key);
@@ -437,7 +431,7 @@ void encode_payload(Writer& w, const Message& msg) {
       return;
     }
     case MsgKind::kHeartbeat: {
-      const auto& p = payload_of<HeartbeatPayload>(msg);
+      const auto& p = *payload_of<HeartbeatPayload>(msg);
       w.u32(p.from);
       w.u64(p.epoch);
       w.u64(p.seq);

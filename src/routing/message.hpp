@@ -8,7 +8,9 @@
 
 #include <any>
 #include <cstdint>
+#include <memory>
 
+#include "common/check.hpp"
 #include "common/ring_math.hpp"
 #include "common/types.hpp"
 #include "sim/time.hpp"
@@ -135,6 +137,16 @@ struct Message {
   /// per-kind payload codecs of src/net/wire.hpp.
   std::any payload;
 };
+
+/// The typed payload `msg` carries (the middleware stores each payload as a
+/// std::shared_ptr<const T>); a payload of another type, or none, is a
+/// program bug and aborts.
+template <typename T>
+const std::shared_ptr<const T>& payload_of(const Message& msg) {
+  const auto* ptr = std::any_cast<std::shared_ptr<const T>>(&msg.payload);
+  SDSI_CHECK(ptr != nullptr && *ptr != nullptr);
+  return *ptr;
+}
 
 /// Which neighbors a node covering the arc (pred, self] forwards a range
 /// copy to: its successor (`up`), its predecessor (`down`), or neither.

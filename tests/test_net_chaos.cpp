@@ -10,8 +10,12 @@
 // tools/net_equiv --chaos, gated by the net-chaos-smoke ctest entry.
 #include <gtest/gtest.h>
 
+#include <any>
 #include <cstdint>
+#include <functional>
+#include <map>
 #include <memory>
+#include <tuple>
 #include <vector>
 
 #include "core/arc_sync.hpp"
@@ -56,7 +60,9 @@ struct ChaosRig {
       nodes.push_back(
           std::make_unique<NetNode>(ring, i, *faults[i], node_config));
       sims[i]->set_deliver([this, i](routing::Message&& msg) {
-        nodes[i]->deliver(std::move(msg), simulator.now());
+        if (!admit || admit(i, msg)) {
+          nodes[i]->deliver(std::move(msg), simulator.now());
+        }
       });
     }
   }
@@ -122,6 +128,8 @@ struct ChaosRig {
 
   WorkloadConfig config;
   NetNodeConfig node_config;
+  /// When set, sees every frame before node `at` does; false drops it.
+  std::function<bool(NodeIndex at, const routing::Message&)> admit;
   sim::Simulator simulator;
   common::IdSpace space;
   NetRing ring;
@@ -258,6 +266,83 @@ TEST(NetChaos, RefreshStopsOnceEveryBatchHasLapsed) {
     EXPECT_EQ(after.mbr_retransmits, before[i].mbr_retransmits)
         << "node " << i;
   }
+}
+
+TEST(NetChaos, UnackedResponsePushIsResentTenTimes250MsApart) {
+  // Fault-free reliable ring whose clients' response acks never arrive:
+  // every acked push goes out once, is resent exactly 10 times on a 250 ms
+  // timeout without backoff, and is then forgotten.
+  WorkloadConfig config;
+  config.nodes = 4;
+  config.samples_per_stream = 200;
+  ChaosRig rig(config, fault::FaultPlan{}, NetReliabilityConfig{});
+  // (aggregator, query, push_seq) -> wall clock of every delivery.
+  std::map<std::tuple<NodeIndex, core::QueryId, std::uint64_t>,
+           std::vector<std::int64_t>>
+      arrivals;
+  rig.admit = [&](NodeIndex, const routing::Message& msg) {
+    if (msg.kind == routing::MsgKind::kResponseAck) {
+      return false;
+    }
+    if (msg.kind == routing::MsgKind::kResponse) {
+      const auto& payload =
+          *std::any_cast<std::shared_ptr<const core::ResponsePayload>>(
+              &msg.payload);
+      if (payload->aggregator != kInvalidNode) {
+        arrivals[{payload->aggregator, payload->query, payload->push_seq}]
+            .push_back(rig.wall_ms);
+      }
+    }
+    return true;
+  };
+  rig.run_workload();
+  rig.pump(3000);  // the last round's pushes run out 2.5 s after their send
+
+  ASSERT_GT(arrivals.size(), 0u) << "the workload should push matches";
+  for (const auto& [push, at] : arrivals) {
+    ASSERT_EQ(at.size(), 11u) << "query " << std::get<1>(push);
+    // The first push leaves from tick() between pump steps and arrives on
+    // the next 10 ms step; its resend is due 250 ms after the node's last
+    // clock reading, so that first gap is one step short.
+    EXPECT_GE(at[1] - at[0], 240);
+    EXPECT_LE(at[1] - at[0], 250);
+    for (std::size_t k = 2; k < at.size(); ++k) {
+      EXPECT_EQ(at[k] - at[k - 1], 250) << "query " << std::get<1>(push);
+    }
+  }
+  std::uint64_t retransmits = 0;
+  std::uint64_t acks_received = 0;
+  for (const auto& node : rig.nodes) {
+    retransmits += node->counters().response_retransmits;
+    acks_received += node->counters().response_acks_received;
+  }
+  EXPECT_EQ(retransmits, 10 * arrivals.size());
+  EXPECT_EQ(acks_received, 0u);
+}
+
+TEST(NetChaos, RefreshDoesNotMirrorASelfLandingBatchAgain) {
+  // Fault-free 8-node reliable ring. After the workload nothing new is
+  // published, so the pump below only refreshes, and a refresh is a
+  // redelivery: no batch may be mirrored again, including those whose
+  // range lands on their own source.
+  WorkloadConfig config;
+  config.nodes = 8;
+  ChaosRig rig(config, fault::FaultPlan{}, NetReliabilityConfig{});
+  rig.run_workload();
+
+  std::vector<NetNode::Counters> before;
+  for (const auto& node : rig.nodes) {
+    before.push_back(node->counters());
+  }
+  rig.pump(4000);
+  std::uint64_t refreshes = 0;
+  for (NodeIndex i = 0; i < config.nodes; ++i) {
+    const NetNode::Counters& after = rig.nodes[i]->counters();
+    refreshes += after.mbr_refreshes - before[i].mbr_refreshes;
+    EXPECT_EQ(after.replica_puts_sent, before[i].replica_puts_sent)
+        << "node " << i;
+  }
+  EXPECT_GT(refreshes, 0u);
 }
 
 TEST(NetChaos, RejoinedEmptyNodeRecoversItsArcThroughRepairAlone) {

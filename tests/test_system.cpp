@@ -92,7 +92,6 @@ TEST(MiddlewareMbr, ReplicatedExactlyOnRangeNodes) {
 
 TEST(MiddlewareMbr, LocalCopyKeptWhenConfigured) {
   MiddlewareConfig config = small_config();
-  config.store_local_summaries = true;
   Harness h(8, config);
   h.system.register_stream(2, 5);
   h.feed_exponential(2, 5, 1.2, 30);
