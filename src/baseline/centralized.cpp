@@ -43,24 +43,18 @@ void CentralizedSystem::post_stream_value(NodeIndex node, StreamId stream,
   SDSI_CHECK(it != streams_.end());
   SDSI_CHECK(stream_homes_[stream] == node);
   core::LocalStream& local = *it->second;
-  local.summarizer->push(value);
-  const std::optional<dsp::FeatureVector> features =
-      local.summarizer->features();
-  if (!features.has_value()) {
-    return;
-  }
-  std::optional<dsp::Mbr> closed = local.batcher.push(*features);
-  if (!closed.has_value()) {
-    return;
-  }
+  std::vector<dsp::Mbr> closed;
+  core::summarize_value(local, value, closed);
   // Everything goes to the center, point-routed at its ring id.
-  routing::Message msg;
-  msg.kind = core::MsgKind::kMbrUpdate;
   const sim::SimTime now = routing_.simulator().now();
-  msg.payload = std::make_shared<const core::MbrPayload>(
-      core::MbrPayload{stream, node, std::move(*closed), local.batch_seq++,
-                       now + config_.mbr_lifespan});
-  routing_.send(node, routing_.node_id(center_), std::move(msg));
+  for (dsp::Mbr& mbr : closed) {
+    routing::Message msg;
+    msg.kind = core::MsgKind::kMbrUpdate;
+    msg.payload = std::make_shared<const core::MbrPayload>(
+        core::MbrPayload{stream, node, std::move(mbr), local.batch_seq++,
+                         now + config_.mbr_lifespan});
+    routing_.send(node, routing_.node_id(center_), std::move(msg));
+  }
 }
 
 core::QueryId CentralizedSystem::subscribe_similarity(

@@ -47,21 +47,15 @@ void FloodingSystem::post_stream_value(NodeIndex node, StreamId stream,
   const auto it = nodes_[node].streams.find(stream);
   SDSI_CHECK(it != nodes_[node].streams.end());
   core::LocalStream& local = it->second;
-  local.summarizer->push(value);
-  const std::optional<dsp::FeatureVector> features =
-      local.summarizer->features();
-  if (!features.has_value()) {
-    return;
-  }
-  std::optional<dsp::Mbr> closed = local.batcher.push(*features);
-  if (!closed.has_value()) {
-    return;
-  }
+  std::vector<dsp::Mbr> closed;
+  core::summarize_value(local, value, closed);
   // Summaries never leave the source: store locally, zero messages.
   const sim::SimTime now = routing_.simulator().now();
-  nodes_[node].store.add_mbr(core::IndexStore::StoredMbr{
-      stream, node, std::move(*closed), local.batch_seq++, now,
-      now + config_.mbr_lifespan});
+  for (dsp::Mbr& mbr : closed) {
+    nodes_[node].store.add_mbr(core::IndexStore::StoredMbr{
+        stream, node, std::move(mbr), local.batch_seq++, now,
+        now + config_.mbr_lifespan});
+  }
 }
 
 core::QueryId FloodingSystem::subscribe_similarity(NodeIndex client,

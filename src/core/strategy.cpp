@@ -28,14 +28,6 @@ std::optional<StrategyKind> parse_strategy(std::string_view name) noexcept {
   return std::nullopt;
 }
 
-std::optional<dsp::FeatureVector> Summarizer::features() const {
-  dsp::FeatureVector out;
-  if (!features_into(out)) {
-    return std::nullopt;
-  }
-  return out;
-}
-
 void ContentKeyMap::mbr_ranges(const dsp::Mbr& mbr,
                                std::vector<std::pair<Key, Key>>& out) const {
   out.clear();
@@ -187,6 +179,9 @@ class EcmStrategy final : public IndexingStrategy {
     SDSI_CHECK(options_.bins >= 2 && options_.bins % 2 == 0);
   }
 
+  std::size_t coefficients() const noexcept override {
+    return options_.bins / 2;
+  }
   std::unique_ptr<Summarizer> make_summarizer() const override {
     return std::make_unique<EcmSummarizer>(summarizer_options());
   }

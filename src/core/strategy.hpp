@@ -128,8 +128,6 @@ class Summarizer {
   /// Current feature vector into `out` (reusing capacity); false until
   /// ready() or when the window is degenerate. `out` unchanged on false.
   virtual bool features_into(dsp::FeatureVector& out) const = 0;
-  /// Allocating convenience used off the hot path.
-  std::optional<dsp::FeatureVector> features() const;
 
   /// Approximate raw window (oldest first, raw data scale) for local
   /// inner-product answering (paper Eq. 7); false when not ready. The dft
@@ -176,6 +174,11 @@ class IndexingStrategy {
   StrategyKind kind() const noexcept { return kind_; }
   const char* name() const noexcept { return strategy_name(kind_); }
   const dsp::FeatureConfig& features() const noexcept { return features_; }
+  /// Complex coefficients in each feature vector this strategy produces;
+  /// its MBRs span twice as many real dimensions.
+  virtual std::size_t coefficients() const noexcept {
+    return features_.num_coefficients;
+  }
 
   /// Fresh summarizer for one local stream.
   virtual std::unique_ptr<Summarizer> make_summarizer() const = 0;

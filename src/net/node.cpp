@@ -157,6 +157,10 @@ void NetNode::deliver(routing::Message&& msg, sim::SimTime now) {
     // Any frame is liveness evidence (epochs ride only in heartbeats).
     detector_.observe_alive(msg.origin, clock_ms_);
   }
+  if (!well_shaped(msg)) {
+    ++counters_.shape_rejects;
+    return;
+  }
   switch (msg.kind) {
     case routing::MsgKind::kMbrUpdate:
       handle_mbr(msg, now);
@@ -193,6 +197,37 @@ void NetNode::deliver(routing::Message&& msg, sim::SimTime now) {
   }
   if (msg.has_range) {
     forward_range_copies(msg);
+  }
+}
+
+bool NetNode::well_shaped(const routing::Message& msg) const {
+  const std::size_t coefficients = strategy_->coefficients();
+  const auto mbr_fits = [&](const dsp::Mbr& mbr) {
+    return mbr.dimensions() == 2 * coefficients;
+  };
+  const auto query_fits = [&](const core::SimilarityQuery& query) {
+    return query.features.size() == coefficients;
+  };
+  switch (msg.kind) {
+    case routing::MsgKind::kMbrUpdate:
+      return mbr_fits(payload_of<core::MbrPayload>(msg)->mbr);
+    case routing::MsgKind::kSimilarityQuery:
+      return query_fits(
+          *payload_of<core::SimilarityQueryPayload>(msg)->query);
+    case routing::MsgKind::kReplicaPut: {
+      const auto& put = *payload_of<core::ReplicaPutPayload>(msg);
+      return std::ranges::all_of(put.mbrs,
+                                 [&](const core::ReplicaMbrEntry& entry) {
+                                   return mbr_fits(entry.mbr);
+                                 }) &&
+             std::ranges::all_of(
+                 put.subscriptions,
+                 [&](const core::ReplicaSubscriptionEntry& entry) {
+                   return query_fits(*entry.query);
+                 });
+    }
+    default:
+      return true;
   }
 }
 

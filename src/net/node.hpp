@@ -99,6 +99,10 @@ class NetNode {
     std::uint64_t subscriptions_stored = 0;
     std::uint64_t responses_sent = 0;
     std::uint64_t send_failures = 0;  // transport had no route to the peer
+    /// Frames dropped unread because a summary in them has another shape
+    /// than this ring's strategy produces (core::IndexingStrategy::
+    /// coefficients()): matching it would read past the MBR.
+    std::uint64_t shape_rejects = 0;
     // Reliability layer (all zero unless config.reliability.enabled):
     std::uint64_t heartbeats_sent = 0;
     std::uint64_t heartbeats_received = 0;
@@ -193,6 +197,10 @@ class NetNode {
     return sim::SimTime::from_micros(clock_ms_ * 1000);
   }
 
+  /// Whether every summary `msg` carries (MBRs, query features) has the
+  /// shape of this node's strategy. The codec cannot check it: it does not
+  /// know the ring's strategy.
+  bool well_shaped(const routing::Message& msg) const;
   void publish_mbr(core::LocalStream& local, dsp::Mbr mbr, sim::SimTime now);
   void handle_mbr(const routing::Message& msg, sim::SimTime now);
   void handle_similarity_query(const routing::Message& msg,

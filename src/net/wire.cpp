@@ -1,8 +1,10 @@
 #include "net/wire.hpp"
 
 #include <bit>
+#include <concepts>
 #include <cstring>
 #include <memory>
+#include <type_traits>
 #include <utility>
 
 #include "common/check.hpp"
@@ -42,36 +44,231 @@ using routing::MsgKind;
 using routing::RangeDir;
 using routing::payload_of;
 
-// --- Little-endian primitives -----------------------------------------------
+// --- Field lists --------------------------------------------------------------
+//
+// One list per wire type, in v1 order (docs/WIRE_FORMAT.md § 2–4). The Writer
+// walks a list to encode and the Reader walks the same list to decode, so a
+// field cannot be added, reordered or resized in one direction only. A
+// field's wire width follows from its C++ type (see Writer).
 
+/// `P` is `T`, read-only (the Writer's view) or writable (the Reader's).
+template <typename P, typename T>
+concept Is = std::same_as<std::remove_const_t<P>, T>;
+
+template <typename IO, Is<FrameHeader> P>
+void fields(IO& io, P& h) {
+  io(h.version, h.kind, h.flags, h.range_dir, h.reserved, h.origin,
+     h.target_key, h.range_lo, h.range_hi, h.hops, h.payload_len,
+     h.sent_at_us, h.trace_id);
+}
+
+// Nested types.
+template <typename IO, Is<SimilarityQuery> P>
+void fields(IO& io, P& q) {
+  io(q.id, q.client, q.features, q.radius, q.lifespan, q.issued_at);
+}
+template <typename IO, Is<InnerProductQuery> P>
+void fields(IO& io, P& q) {
+  io(q.id, q.client, q.stream, q.index, q.weights, q.lifespan, q.issued_at);
+}
+template <typename IO, Is<SimilarityMatch> P>
+void fields(IO& io, P& m) {
+  io(m.query, m.stream, m.bound_distance, m.detected_at);
+}
+template <typename IO, Is<MatchReport> P>
+void fields(IO& io, P& r) {
+  io(r.match, r.client, r.middle_key, r.query_expires);
+}
+template <typename IO, Is<MbrBatchId> P>
+void fields(IO& io, P& id) {
+  io(id.stream, id.batch_seq);
+}
+template <typename IO, Is<ReplicaMbrEntry> P>
+void fields(IO& io, P& e) {
+  io(e.stream, e.source, e.mbr, e.batch_seq, e.expires);
+}
+template <typename IO, Is<ReplicaSubscriptionEntry> P>
+void fields(IO& io, P& e) {
+  io(e.query, e.middle_key, e.expires);
+}
+
+// Payloads, in kind order.
+template <typename IO, Is<MbrPayload> P>
+void fields(IO& io, P& p) {
+  io(p.stream, p.source, p.mbr, p.batch_seq, p.expires);
+}
+template <typename IO, Is<SimilarityQueryPayload> P>
+void fields(IO& io, P& p) {
+  io(p.query, p.middle_key);
+}
+template <typename IO, Is<InnerProductQueryPayload> P>
+void fields(IO& io, P& p) {
+  io(p.query);
+}
+template <typename IO, Is<ResponsePayload> P>
+void fields(IO& io, P& p) {
+  io(p.query, p.client, p.inner_product, p.matches, p.inner_product_value,
+     p.aggregator, p.push_seq);
+}
+template <typename IO, Is<NeighborDigestPayload> P>
+void fields(IO& io, P& p) {
+  io(p.reports);
+}
+template <typename IO, Is<LocationPutPayload> P>
+void fields(IO& io, P& p) {
+  io(p.stream, p.source);
+}
+template <typename IO, Is<LocationGetPayload> P>
+void fields(IO& io, P& p) {
+  io(p.stream, p.requester);
+}
+template <typename IO, Is<LocationReplyPayload> P>
+void fields(IO& io, P& p) {
+  io(p.stream, p.source);
+}
+template <typename IO, Is<MbrAckPayload> P>
+void fields(IO& io, P& p) {
+  io(p.stream, p.batch_seq);
+}
+template <typename IO, Is<ResponseAckPayload> P>
+void fields(IO& io, P& p) {
+  io(p.query, p.push_seq);
+}
+template <typename IO, Is<ReplicaPutPayload> P>
+void fields(IO& io, P& p) {
+  io(p.from, p.mbrs, p.subscriptions, p.handoff, p.repair);
+}
+template <typename IO, Is<HandoffRequestPayload> P>
+void fields(IO& io, P& p) {
+  io(p.requester, p.lo, p.hi);
+}
+template <typename IO, Is<AntiEntropyDigestPayload> P>
+void fields(IO& io, P& p) {
+  io(p.from, p.lo, p.hi, p.mbr_keys, p.query_ids);
+}
+template <typename IO, Is<AntiEntropyRequestPayload> P>
+void fields(IO& io, P& p) {
+  io(p.requester, p.mbr_keys, p.query_ids);
+}
+template <typename IO, Is<AggregatorReplicaPayload> P>
+void fields(IO& io, P& p) {
+  io(p.query, p.client, p.middle_key, p.expires, p.owner, p.matches);
+}
+template <typename IO, Is<HeartbeatPayload> P>
+void fields(IO& io, P& p) {
+  io(p.from, p.epoch, p.seq);
+}
+
+template <typename T>
+constexpr std::type_identity<T> as{};
+
+/// The kind → payload-type table, shared by both directions: calls `visit`
+/// with `as<P>` for the kind's payload struct P.
+template <typename Visit>
+void with_payload_type(MsgKind kind, Visit&& visit) {
+  switch (kind) {
+    case MsgKind::kInvalid: break;
+    case MsgKind::kMbrUpdate: return visit(as<MbrPayload>);
+    case MsgKind::kSimilarityQuery: return visit(as<SimilarityQueryPayload>);
+    case MsgKind::kInnerProductQuery:
+      return visit(as<InnerProductQueryPayload>);
+    case MsgKind::kResponse: return visit(as<ResponsePayload>);
+    case MsgKind::kNeighborExchange: return visit(as<NeighborDigestPayload>);
+    case MsgKind::kLocationPut: return visit(as<LocationPutPayload>);
+    case MsgKind::kLocationGet: return visit(as<LocationGetPayload>);
+    case MsgKind::kLocationReply: return visit(as<LocationReplyPayload>);
+    case MsgKind::kMbrAck: return visit(as<MbrAckPayload>);
+    case MsgKind::kResponseAck: return visit(as<ResponseAckPayload>);
+    case MsgKind::kReplicaPut: return visit(as<ReplicaPutPayload>);
+    case MsgKind::kHandoffRequest: return visit(as<HandoffRequestPayload>);
+    case MsgKind::kAntiEntropyDigest:
+      return visit(as<AntiEntropyDigestPayload>);
+    case MsgKind::kAntiEntropyRequest:
+      return visit(as<AntiEntropyRequestPayload>);
+    case MsgKind::kAggregatorReplica:
+      return visit(as<AggregatorReplicaPayload>);
+    case MsgKind::kHeartbeat: return visit(as<HeartbeatPayload>);
+  }
+  // decode_header admits only assigned kinds, so only an encode gets here.
+  SDSI_CHECK(false && "message kind carries no codec");
+}
+
+// --- Walkers ------------------------------------------------------------------
+
+/// A fixed-width integer field (bool is a field type of its own).
+template <typename T>
+concept WireInt = std::integral<T> && !std::same_as<T, bool>;
+
+/// Encodes by storing each field little-endian, unaligned: an integer at
+/// its own width (NodeIndex u32; ids, keys and sequence numbers u64), bool
+/// as u8, double as its f64 bit pattern, time and duration as i64 µs.
+/// Vectors, features and MBRs lead with a u32 element count. A Writer
+/// without a buffer only counts bytes: that pass sizes the frame, so it is
+/// allocated once and the writing pass needs no bounds checks.
 class Writer {
  public:
-  std::vector<std::uint8_t>& buf() noexcept { return buf_; }
+  Writer() = default;
+  explicit Writer(std::uint8_t* out) : out_(out) {}
 
-  void u8(std::uint8_t v) { buf_.push_back(v); }
-  void u16(std::uint16_t v) {
-    buf_.push_back(static_cast<std::uint8_t>(v));
-    buf_.push_back(static_cast<std::uint8_t>(v >> 8));
+  std::size_t size() const noexcept { return size_; }
+
+  template <typename... Fields>
+  void operator()(const Fields&... values) {
+    (put(values), ...);
   }
-  void u32(std::uint32_t v) {
-    for (int shift = 0; shift < 32; shift += 8) {
-      buf_.push_back(static_cast<std::uint8_t>(v >> shift));
-    }
-  }
-  void u64(std::uint64_t v) {
-    for (int shift = 0; shift < 64; shift += 8) {
-      buf_.push_back(static_cast<std::uint8_t>(v >> shift));
-    }
-  }
-  void i64(std::int64_t v) { u64(static_cast<std::uint64_t>(v)); }
-  /// IEEE-754 bit pattern, little-endian — exact round-trip for every
-  /// double including NaN payloads and signed zero.
-  void f64(double v) { u64(std::bit_cast<std::uint64_t>(v)); }
 
  private:
-  std::vector<std::uint8_t> buf_;
+  template <WireInt T>
+  void put(const T& v) {
+    if (out_ != nullptr) {
+      const auto bits = static_cast<std::make_unsigned_t<T>>(v);
+      for (std::size_t i = 0; i < sizeof(T); ++i) {
+        out_[size_ + i] = static_cast<std::uint8_t>(bits >> (8 * i));
+      }
+    }
+    size_ += sizeof(T);
+  }
+  void put(bool v) { put(static_cast<std::uint8_t>(v)); }
+  /// Bit-exact: NaN payloads and signed zero round-trip unchanged.
+  void put(double v) { put(std::bit_cast<std::uint64_t>(v)); }
+  void put(sim::SimTime t) { put(t.count_micros()); }
+  void put(sim::Duration d) { put(d.count_micros()); }
+  void put_count(std::size_t n) { put(static_cast<std::uint32_t>(n)); }
+  void put(const dsp::FeatureVector& features) {
+    put_count(features.size());
+    for (const dsp::Complex& c : features.coefficients()) {
+      put(c.real());
+      put(c.imag());
+    }
+  }
+  void put(const dsp::Mbr& mbr) {
+    put_count(mbr.dimensions());
+    for (const double v : mbr.low()) put(v);
+    for (const double v : mbr.high()) put(v);
+  }
+  template <typename T>
+  void put(const std::vector<T>& values) {
+    put_count(values.size());
+    for (const T& v : values) put(v);
+  }
+  template <typename T>
+  void put(const std::shared_ptr<const T>& ptr) {
+    SDSI_CHECK(ptr != nullptr);
+    put(*ptr);
+  }
+  template <typename T>
+  void put(const T& record) {
+    fields(*this, record);
+  }
+
+  std::uint8_t* out_ = nullptr;
+  std::size_t size_ = 0;
 };
 
+/// Decodes untrusted bytes by walking the same lists. A short read, a bool
+/// byte other than 00/01, a count above the bytes left (checked before any
+/// allocation), or an MBR that is empty or has low[i] > high[i] poisons the
+/// reader; every later read is then a no-op and decode_frame rejects.
 class Reader {
  public:
   explicit Reader(std::span<const std::uint8_t> bytes) : bytes_(bytes) {}
@@ -79,563 +276,101 @@ class Reader {
   bool ok() const noexcept { return ok_; }
   std::size_t remaining() const noexcept { return bytes_.size() - pos_; }
 
-  std::uint8_t u8() {
-    if (!take(1)) return 0;
-    return bytes_[pos_ - 1];
+  template <typename... Fields>
+  void operator()(Fields&... values) {
+    (get(values), ...);
   }
-  std::uint16_t u16() {
-    if (!take(2)) return 0;
-    return static_cast<std::uint16_t>(
-        bytes_[pos_ - 2] | (static_cast<std::uint16_t>(bytes_[pos_ - 1]) << 8));
-  }
-  std::uint32_t u32() {
-    if (!take(4)) return 0;
-    std::uint32_t v = 0;
-    for (std::size_t i = 0; i < 4; ++i) {
-      v |= static_cast<std::uint32_t>(bytes_[pos_ - 4 + i]) << (8 * i);
-    }
-    return v;
-  }
-  std::uint64_t u64() {
-    if (!take(8)) return 0;
-    std::uint64_t v = 0;
-    for (std::size_t i = 0; i < 8; ++i) {
-      v |= static_cast<std::uint64_t>(bytes_[pos_ - 8 + i]) << (8 * i);
-    }
-    return v;
-  }
-  std::int64_t i64() { return static_cast<std::int64_t>(u64()); }
-  double f64() { return std::bit_cast<double>(u64()); }
-
-  /// Canonical bool: exactly 0 or 1; anything else poisons the reader.
-  bool boolean() {
-    const std::uint8_t v = u8();
-    if (v > 1) ok_ = false;
-    return v == 1;
-  }
-
-  /// Element count of a length-prefixed vector. Rejects counts that cannot
-  /// possibly fit in the remaining bytes (every element is >= 1 byte), so a
-  /// corrupt length cannot drive a multi-gigabyte allocation.
-  std::size_t count() {
-    const std::uint32_t n = u32();
-    if (n > remaining()) {
-      ok_ = false;
-      return 0;
-    }
-    return n;
-  }
-
-  void fail() noexcept { ok_ = false; }
 
  private:
-  bool take(std::size_t n) {
-    if (!ok_ || remaining() < n) {
+  template <WireInt T>
+  void get(T& v) {
+    if (!ok_ || remaining() < sizeof(T)) {
       ok_ = false;
-      return false;
+      return;
     }
-    pos_ += n;
-    return true;
+    std::uint64_t bits = 0;
+    for (std::size_t i = 0; i < sizeof(T); ++i) {
+      bits |= std::uint64_t{bytes_[pos_ + i]} << (8 * i);
+    }
+    pos_ += sizeof(T);
+    v = static_cast<T>(bits);
+  }
+  void get(bool& v) {
+    std::uint8_t byte = 0;
+    get(byte);
+    ok_ = ok_ && byte <= 1;
+    v = byte == 1;
+  }
+  void get(double& v) {
+    std::uint64_t bits = 0;
+    get(bits);
+    v = std::bit_cast<double>(bits);
+  }
+  void get(sim::SimTime& t) {
+    std::int64_t us = 0;
+    get(us);
+    t = sim::SimTime::from_micros(us);
+  }
+  void get(sim::Duration& d) {
+    std::int64_t us = 0;
+    get(us);
+    d = sim::Duration::micros(us);
+  }
+  /// Every element takes at least one byte, so a larger count is corrupt and
+  /// cannot drive a multi-gigabyte allocation.
+  std::size_t get_count() {
+    std::uint32_t n = 0;
+    get(n);
+    ok_ = ok_ && n <= remaining();
+    return ok_ ? n : 0;
+  }
+  void get(dsp::FeatureVector& features) {
+    const std::size_t n = get_count();
+    std::vector<dsp::Complex> coeffs;
+    coeffs.reserve(n);
+    for (std::size_t i = 0; i < n && ok_; ++i) {
+      double re = 0.0;
+      double im = 0.0;
+      (*this)(re, im);
+      coeffs.emplace_back(re, im);
+    }
+    features = dsp::FeatureVector(std::move(coeffs));
+  }
+  void get(dsp::Mbr& mbr) {
+    const std::size_t dims = get_count();
+    std::vector<double> low(dims);
+    std::vector<double> high(dims);
+    for (double& v : low) get(v);
+    for (double& v : high) get(v);
+    // Mbr's constructor aborts on low[i] > high[i], and the store and the
+    // matcher assume a non-empty box: hostile bytes must reach neither.
+    ok_ = ok_ && dims > 0;
+    for (std::size_t i = 0; i < dims; ++i) ok_ = ok_ && low[i] <= high[i];
+    if (ok_) mbr = dsp::Mbr(std::move(low), std::move(high));
+  }
+  /// Elements are built only as far as the bytes go: a count is bounded by
+  /// the bytes left, not by what its elements would take to decode.
+  template <typename T>
+  void get(std::vector<T>& values) {
+    const std::size_t n = get_count();
+    values.reserve(n);
+    for (std::size_t i = 0; i < n && ok_; ++i) get(values.emplace_back());
+  }
+  template <typename T>
+  void get(std::shared_ptr<const T>& ptr) {
+    auto value = std::make_shared<T>();
+    get(*value);
+    ptr = std::move(value);
+  }
+  template <typename T>
+  void get(T& record) {
+    fields(*this, record);
   }
 
   std::span<const std::uint8_t> bytes_;
   std::size_t pos_ = 0;
   bool ok_ = true;
 };
-
-// --- Shared composite codecs ------------------------------------------------
-
-void put_time(Writer& w, sim::SimTime t) { w.i64(t.count_micros()); }
-sim::SimTime get_time(Reader& r) { return sim::SimTime::from_micros(r.i64()); }
-
-void put_duration(Writer& w, sim::Duration d) { w.i64(d.count_micros()); }
-sim::Duration get_duration(Reader& r) {
-  return sim::Duration::micros(r.i64());
-}
-
-void put_features(Writer& w, const dsp::FeatureVector& features) {
-  w.u32(static_cast<std::uint32_t>(features.size()));
-  for (const dsp::Complex& c : features.coefficients()) {
-    w.f64(c.real());
-    w.f64(c.imag());
-  }
-}
-dsp::FeatureVector get_features(Reader& r) {
-  const std::size_t n = r.count();
-  std::vector<dsp::Complex> coeffs;
-  coeffs.reserve(n);
-  for (std::size_t i = 0; i < n && r.ok(); ++i) {
-    const double re = r.f64();
-    const double im = r.f64();
-    coeffs.emplace_back(re, im);
-  }
-  return dsp::FeatureVector(std::move(coeffs));
-}
-
-void put_mbr(Writer& w, const dsp::Mbr& mbr) {
-  w.u32(static_cast<std::uint32_t>(mbr.dimensions()));
-  for (const double v : mbr.low()) w.f64(v);
-  for (const double v : mbr.high()) w.f64(v);
-}
-dsp::Mbr get_mbr(Reader& r) {
-  const std::size_t dims = r.count();
-  std::vector<double> low(dims), high(dims);
-  for (std::size_t i = 0; i < dims && r.ok(); ++i) low[i] = r.f64();
-  for (std::size_t i = 0; i < dims && r.ok(); ++i) high[i] = r.f64();
-  if (!r.ok() || dims == 0) {
-    return dsp::Mbr();
-  }
-  // Mbr's invariant (low_i <= high_i) is enforced by its constructor with an
-  // abort; a hostile frame must not reach it.
-  for (std::size_t i = 0; i < dims; ++i) {
-    if (!(low[i] <= high[i])) {
-      r.fail();
-      return dsp::Mbr();
-    }
-  }
-  return dsp::Mbr(std::move(low), std::move(high));
-}
-
-void put_doubles(Writer& w, const std::vector<double>& values) {
-  w.u32(static_cast<std::uint32_t>(values.size()));
-  for (const double v : values) w.f64(v);
-}
-std::vector<double> get_doubles(Reader& r) {
-  const std::size_t n = r.count();
-  std::vector<double> values;
-  values.reserve(n);
-  for (std::size_t i = 0; i < n && r.ok(); ++i) values.push_back(r.f64());
-  return values;
-}
-
-void put_query(Writer& w, const SimilarityQuery& q) {
-  w.u64(q.id);
-  w.u32(q.client);
-  put_features(w, q.features);
-  w.f64(q.radius);
-  put_duration(w, q.lifespan);
-  put_time(w, q.issued_at);
-}
-SimilarityQuery get_query(Reader& r) {
-  SimilarityQuery q;
-  q.id = r.u64();
-  q.client = r.u32();
-  q.features = get_features(r);
-  q.radius = r.f64();
-  q.lifespan = get_duration(r);
-  q.issued_at = get_time(r);
-  return q;
-}
-
-void put_match(Writer& w, const SimilarityMatch& m) {
-  w.u64(m.query);
-  w.u64(m.stream);
-  w.f64(m.bound_distance);
-  put_time(w, m.detected_at);
-}
-SimilarityMatch get_match(Reader& r) {
-  SimilarityMatch m;
-  m.query = r.u64();
-  m.stream = r.u64();
-  m.bound_distance = r.f64();
-  m.detected_at = get_time(r);
-  return m;
-}
-
-void put_matches(Writer& w, const std::vector<SimilarityMatch>& matches) {
-  w.u32(static_cast<std::uint32_t>(matches.size()));
-  for (const SimilarityMatch& m : matches) put_match(w, m);
-}
-std::vector<SimilarityMatch> get_matches(Reader& r) {
-  const std::size_t n = r.count();
-  std::vector<SimilarityMatch> matches;
-  matches.reserve(n);
-  for (std::size_t i = 0; i < n && r.ok(); ++i) {
-    matches.push_back(get_match(r));
-  }
-  return matches;
-}
-
-void put_batch_ids(Writer& w, const std::vector<MbrBatchId>& ids) {
-  w.u32(static_cast<std::uint32_t>(ids.size()));
-  for (const MbrBatchId& id : ids) {
-    w.u64(id.stream);
-    w.u64(id.batch_seq);
-  }
-}
-std::vector<MbrBatchId> get_batch_ids(Reader& r) {
-  const std::size_t n = r.count();
-  std::vector<MbrBatchId> ids;
-  ids.reserve(n);
-  for (std::size_t i = 0; i < n && r.ok(); ++i) {
-    MbrBatchId id;
-    id.stream = r.u64();
-    id.batch_seq = r.u64();
-    ids.push_back(id);
-  }
-  return ids;
-}
-
-void put_query_ids(Writer& w, const std::vector<core::QueryId>& ids) {
-  w.u32(static_cast<std::uint32_t>(ids.size()));
-  for (const core::QueryId id : ids) w.u64(id);
-}
-std::vector<core::QueryId> get_query_ids(Reader& r) {
-  const std::size_t n = r.count();
-  std::vector<core::QueryId> ids;
-  ids.reserve(n);
-  for (std::size_t i = 0; i < n && r.ok(); ++i) ids.push_back(r.u64());
-  return ids;
-}
-
-// --- Per-kind payload codecs ------------------------------------------------
-
-void encode_payload(Writer& w, const Message& msg) {
-  switch (msg.kind) {
-    case MsgKind::kInvalid:
-      break;  // encode of an invalid kind is a bug; abort below
-    case MsgKind::kMbrUpdate: {
-      const auto& p = *payload_of<MbrPayload>(msg);
-      w.u64(p.stream);
-      w.u32(p.source);
-      put_mbr(w, p.mbr);
-      w.u64(p.batch_seq);
-      put_time(w, p.expires);
-      return;
-    }
-    case MsgKind::kSimilarityQuery: {
-      const auto& p = *payload_of<SimilarityQueryPayload>(msg);
-      SDSI_CHECK(p.query != nullptr);
-      put_query(w, *p.query);
-      w.u64(p.middle_key);
-      return;
-    }
-    case MsgKind::kInnerProductQuery: {
-      const auto& p = *payload_of<InnerProductQueryPayload>(msg);
-      SDSI_CHECK(p.query != nullptr);
-      const InnerProductQuery& q = *p.query;
-      w.u64(q.id);
-      w.u32(q.client);
-      w.u64(q.stream);
-      put_doubles(w, q.index);
-      put_doubles(w, q.weights);
-      put_duration(w, q.lifespan);
-      put_time(w, q.issued_at);
-      return;
-    }
-    case MsgKind::kResponse: {
-      const auto& p = *payload_of<ResponsePayload>(msg);
-      w.u64(p.query);
-      w.u32(p.client);
-      w.u8(p.inner_product ? 1 : 0);
-      put_matches(w, p.matches);
-      w.f64(p.inner_product_value);
-      w.u32(p.aggregator);
-      w.u64(p.push_seq);
-      return;
-    }
-    case MsgKind::kNeighborExchange: {
-      const auto& p = *payload_of<NeighborDigestPayload>(msg);
-      w.u32(static_cast<std::uint32_t>(p.reports.size()));
-      for (const MatchReport& report : p.reports) {
-        put_match(w, report.match);
-        w.u32(report.client);
-        w.u64(report.middle_key);
-        put_time(w, report.query_expires);
-      }
-      return;
-    }
-    case MsgKind::kLocationPut: {
-      const auto& p = *payload_of<LocationPutPayload>(msg);
-      w.u64(p.stream);
-      w.u32(p.source);
-      return;
-    }
-    case MsgKind::kLocationGet: {
-      const auto& p = *payload_of<LocationGetPayload>(msg);
-      w.u64(p.stream);
-      w.u32(p.requester);
-      return;
-    }
-    case MsgKind::kLocationReply: {
-      const auto& p = *payload_of<LocationReplyPayload>(msg);
-      w.u64(p.stream);
-      w.u32(p.source);
-      return;
-    }
-    case MsgKind::kMbrAck: {
-      const auto& p = *payload_of<MbrAckPayload>(msg);
-      w.u64(p.stream);
-      w.u64(p.batch_seq);
-      return;
-    }
-    case MsgKind::kResponseAck: {
-      const auto& p = *payload_of<ResponseAckPayload>(msg);
-      w.u64(p.query);
-      w.u64(p.push_seq);
-      return;
-    }
-    case MsgKind::kReplicaPut: {
-      const auto& p = *payload_of<ReplicaPutPayload>(msg);
-      w.u32(p.from);
-      w.u32(static_cast<std::uint32_t>(p.mbrs.size()));
-      for (const ReplicaMbrEntry& entry : p.mbrs) {
-        w.u64(entry.stream);
-        w.u32(entry.source);
-        put_mbr(w, entry.mbr);
-        w.u64(entry.batch_seq);
-        put_time(w, entry.expires);
-      }
-      w.u32(static_cast<std::uint32_t>(p.subscriptions.size()));
-      for (const ReplicaSubscriptionEntry& entry : p.subscriptions) {
-        SDSI_CHECK(entry.query != nullptr);
-        put_query(w, *entry.query);
-        w.u64(entry.middle_key);
-        put_time(w, entry.expires);
-      }
-      w.u8(p.handoff ? 1 : 0);
-      w.u8(p.repair ? 1 : 0);
-      return;
-    }
-    case MsgKind::kHandoffRequest: {
-      const auto& p = *payload_of<HandoffRequestPayload>(msg);
-      w.u32(p.requester);
-      w.u64(p.lo);
-      w.u64(p.hi);
-      return;
-    }
-    case MsgKind::kAntiEntropyDigest: {
-      const auto& p = *payload_of<AntiEntropyDigestPayload>(msg);
-      w.u32(p.from);
-      w.u64(p.lo);
-      w.u64(p.hi);
-      put_batch_ids(w, p.mbr_keys);
-      put_query_ids(w, p.query_ids);
-      return;
-    }
-    case MsgKind::kAntiEntropyRequest: {
-      const auto& p = *payload_of<AntiEntropyRequestPayload>(msg);
-      w.u32(p.requester);
-      put_batch_ids(w, p.mbr_keys);
-      put_query_ids(w, p.query_ids);
-      return;
-    }
-    case MsgKind::kAggregatorReplica: {
-      const auto& p = *payload_of<AggregatorReplicaPayload>(msg);
-      w.u64(p.query);
-      w.u32(p.client);
-      w.u64(p.middle_key);
-      put_time(w, p.expires);
-      w.u32(p.owner);
-      put_matches(w, p.matches);
-      return;
-    }
-    case MsgKind::kHeartbeat: {
-      const auto& p = *payload_of<HeartbeatPayload>(msg);
-      w.u32(p.from);
-      w.u64(p.epoch);
-      w.u64(p.seq);
-      return;
-    }
-  }
-  SDSI_CHECK(false && "encode_frame: message kind carries no codec");
-}
-
-template <typename T>
-void emplace_payload(Message* out, T value) {
-  out->payload = std::shared_ptr<const T>(std::make_shared<T>(std::move(value)));
-}
-
-/// Payload parser; returns false when the bytes violate the kind's schema.
-bool decode_payload(Reader& r, MsgKind kind, Message* out) {
-  switch (kind) {
-    case MsgKind::kInvalid:
-      return false;  // unreachable: decode_header rejects unknown kinds
-    case MsgKind::kMbrUpdate: {
-      MbrPayload p;
-      p.stream = r.u64();
-      p.source = r.u32();
-      p.mbr = get_mbr(r);
-      p.batch_seq = r.u64();
-      p.expires = get_time(r);
-      if (!r.ok()) return false;
-      emplace_payload(out, std::move(p));
-      return true;
-    }
-    case MsgKind::kSimilarityQuery: {
-      SimilarityQueryPayload p;
-      p.query = std::make_shared<const SimilarityQuery>(get_query(r));
-      p.middle_key = r.u64();
-      if (!r.ok()) return false;
-      emplace_payload(out, std::move(p));
-      return true;
-    }
-    case MsgKind::kInnerProductQuery: {
-      InnerProductQuery q;
-      q.id = r.u64();
-      q.client = r.u32();
-      q.stream = r.u64();
-      q.index = get_doubles(r);
-      q.weights = get_doubles(r);
-      q.lifespan = get_duration(r);
-      q.issued_at = get_time(r);
-      if (!r.ok()) return false;
-      InnerProductQueryPayload p;
-      p.query = std::make_shared<const InnerProductQuery>(std::move(q));
-      emplace_payload(out, std::move(p));
-      return true;
-    }
-    case MsgKind::kResponse: {
-      ResponsePayload p;
-      p.query = r.u64();
-      p.client = r.u32();
-      p.inner_product = r.boolean();
-      p.matches = get_matches(r);
-      p.inner_product_value = r.f64();
-      p.aggregator = r.u32();
-      p.push_seq = r.u64();
-      if (!r.ok()) return false;
-      emplace_payload(out, std::move(p));
-      return true;
-    }
-    case MsgKind::kNeighborExchange: {
-      NeighborDigestPayload p;
-      const std::size_t n = r.count();
-      p.reports.reserve(n);
-      for (std::size_t i = 0; i < n && r.ok(); ++i) {
-        MatchReport report;
-        report.match = get_match(r);
-        report.client = r.u32();
-        report.middle_key = r.u64();
-        report.query_expires = get_time(r);
-        p.reports.push_back(std::move(report));
-      }
-      if (!r.ok()) return false;
-      emplace_payload(out, std::move(p));
-      return true;
-    }
-    case MsgKind::kLocationPut: {
-      LocationPutPayload p;
-      p.stream = r.u64();
-      p.source = r.u32();
-      if (!r.ok()) return false;
-      emplace_payload(out, std::move(p));
-      return true;
-    }
-    case MsgKind::kLocationGet: {
-      LocationGetPayload p;
-      p.stream = r.u64();
-      p.requester = r.u32();
-      if (!r.ok()) return false;
-      emplace_payload(out, std::move(p));
-      return true;
-    }
-    case MsgKind::kLocationReply: {
-      LocationReplyPayload p;
-      p.stream = r.u64();
-      p.source = r.u32();
-      if (!r.ok()) return false;
-      emplace_payload(out, std::move(p));
-      return true;
-    }
-    case MsgKind::kMbrAck: {
-      MbrAckPayload p;
-      p.stream = r.u64();
-      p.batch_seq = r.u64();
-      if (!r.ok()) return false;
-      emplace_payload(out, std::move(p));
-      return true;
-    }
-    case MsgKind::kResponseAck: {
-      ResponseAckPayload p;
-      p.query = r.u64();
-      p.push_seq = r.u64();
-      if (!r.ok()) return false;
-      emplace_payload(out, std::move(p));
-      return true;
-    }
-    case MsgKind::kReplicaPut: {
-      ReplicaPutPayload p;
-      p.from = r.u32();
-      const std::size_t nmbrs = r.count();
-      p.mbrs.reserve(nmbrs);
-      for (std::size_t i = 0; i < nmbrs && r.ok(); ++i) {
-        ReplicaMbrEntry entry;
-        entry.stream = r.u64();
-        entry.source = r.u32();
-        entry.mbr = get_mbr(r);
-        entry.batch_seq = r.u64();
-        entry.expires = get_time(r);
-        p.mbrs.push_back(std::move(entry));
-      }
-      const std::size_t nsubs = r.count();
-      p.subscriptions.reserve(nsubs);
-      for (std::size_t i = 0; i < nsubs && r.ok(); ++i) {
-        ReplicaSubscriptionEntry entry;
-        entry.query = std::make_shared<const SimilarityQuery>(get_query(r));
-        entry.middle_key = r.u64();
-        entry.expires = get_time(r);
-        p.subscriptions.push_back(std::move(entry));
-      }
-      p.handoff = r.boolean();
-      p.repair = r.boolean();
-      if (!r.ok()) return false;
-      emplace_payload(out, std::move(p));
-      return true;
-    }
-    case MsgKind::kHandoffRequest: {
-      HandoffRequestPayload p;
-      p.requester = r.u32();
-      p.lo = r.u64();
-      p.hi = r.u64();
-      if (!r.ok()) return false;
-      emplace_payload(out, std::move(p));
-      return true;
-    }
-    case MsgKind::kAntiEntropyDigest: {
-      AntiEntropyDigestPayload p;
-      p.from = r.u32();
-      p.lo = r.u64();
-      p.hi = r.u64();
-      p.mbr_keys = get_batch_ids(r);
-      p.query_ids = get_query_ids(r);
-      if (!r.ok()) return false;
-      emplace_payload(out, std::move(p));
-      return true;
-    }
-    case MsgKind::kAntiEntropyRequest: {
-      AntiEntropyRequestPayload p;
-      p.requester = r.u32();
-      p.mbr_keys = get_batch_ids(r);
-      p.query_ids = get_query_ids(r);
-      if (!r.ok()) return false;
-      emplace_payload(out, std::move(p));
-      return true;
-    }
-    case MsgKind::kAggregatorReplica: {
-      AggregatorReplicaPayload p;
-      p.query = r.u64();
-      p.client = r.u32();
-      p.middle_key = r.u64();
-      p.expires = get_time(r);
-      p.owner = r.u32();
-      p.matches = get_matches(r);
-      if (!r.ok()) return false;
-      emplace_payload(out, std::move(p));
-      return true;
-    }
-    case MsgKind::kHeartbeat: {
-      HeartbeatPayload p;
-      p.from = r.u32();
-      p.epoch = r.u64();
-      p.seq = r.u64();
-      if (!r.ok()) return false;
-      emplace_payload(out, std::move(p));
-      return true;
-    }
-  }
-  return false;
-}
 
 }  // namespace
 
@@ -661,21 +396,10 @@ DecodeResult decode_header(std::span<const std::uint8_t> bytes,
   if (std::memcmp(bytes.data(), kWireMagic, sizeof(kWireMagic)) != 0) {
     return DecodeResult::kBadMagic;
   }
-  Reader r(bytes.subspan(4, kWireHeaderSize - 4));
+  Reader r(bytes.subspan(sizeof(kWireMagic),
+                         kWireHeaderSize - sizeof(kWireMagic)));
   FrameHeader h;
-  h.version = r.u16();
-  h.kind = r.u16();
-  h.flags = r.u8();
-  h.range_dir = r.u8();
-  const std::uint16_t reserved = r.u16();
-  h.origin = r.u32();
-  h.target_key = r.u64();
-  h.range_lo = r.u64();
-  h.range_hi = r.u64();
-  h.hops = r.u32();
-  h.payload_len = r.u32();
-  h.sent_at_us = r.i64();
-  h.trace_id = r.u64();
+  r(h);
   SDSI_CHECK(r.ok() && r.remaining() == 0);  // fixed-size read cannot fail
   if (h.version != kWireVersion) {
     return DecodeResult::kBadVersion;
@@ -683,7 +407,7 @@ DecodeResult decode_header(std::span<const std::uint8_t> bytes,
   if (!routing::msg_kind_known(h.kind)) {
     return DecodeResult::kUnknownKind;
   }
-  if (reserved != 0 ||
+  if (h.reserved != 0 ||
       (h.flags & ~(kFlagRangeInternal | kFlagHasRange | kFlagRerouteOnDead)) !=
           0 ||
       h.range_dir > static_cast<std::uint8_t>(RangeDir::kBoth) ||
@@ -699,37 +423,37 @@ DecodeResult decode_header(std::span<const std::uint8_t> bytes,
 }
 
 std::vector<std::uint8_t> encode_frame(const Message& msg) {
-  Writer w;
-  w.buf().reserve(kWireHeaderSize + 64);
-  for (const std::uint8_t b : kWireMagic) w.u8(b);
-  w.u16(kWireVersion);
-  w.u16(static_cast<std::uint16_t>(msg.kind));
-  std::uint8_t flags = 0;
-  if (msg.range_internal) flags |= kFlagRangeInternal;
-  if (msg.has_range) flags |= kFlagHasRange;
-  if (msg.reroute_on_dead) flags |= kFlagRerouteOnDead;
-  w.u8(flags);
-  w.u8(static_cast<std::uint8_t>(msg.range_dir));
-  w.u16(0);  // reserved
-  w.u32(msg.origin);
-  w.u64(msg.target_key);
-  w.u64(msg.range_lo);
-  w.u64(msg.range_hi);
   SDSI_CHECK(msg.hops >= 0);
-  w.u32(static_cast<std::uint32_t>(msg.hops));
-  w.u32(0);  // payload_len backpatched below
-  w.i64(msg.sent_at.count_micros());
-  w.u64(msg.trace_id);
-  SDSI_CHECK(w.buf().size() == kWireHeaderSize);
+  FrameHeader h;
+  h.version = kWireVersion;
+  h.kind = static_cast<std::uint16_t>(msg.kind);
+  h.flags = static_cast<std::uint8_t>(
+      (msg.range_internal ? kFlagRangeInternal : 0) |
+      (msg.has_range ? kFlagHasRange : 0) |
+      (msg.reroute_on_dead ? kFlagRerouteOnDead : 0));
+  h.range_dir = static_cast<std::uint8_t>(msg.range_dir);
+  h.origin = msg.origin;
+  h.target_key = msg.target_key;
+  h.range_lo = msg.range_lo;
+  h.range_hi = msg.range_hi;
+  h.hops = static_cast<std::uint32_t>(msg.hops);
+  h.sent_at_us = msg.sent_at.count_micros();
+  h.trace_id = msg.trace_id;
 
-  encode_payload(w, msg);
-  const std::size_t payload_len = w.buf().size() - kWireHeaderSize;
-  SDSI_CHECK(payload_len <= UINT32_MAX);
-  const auto len32 = static_cast<std::uint32_t>(payload_len);
-  for (std::size_t i = 0; i < 4; ++i) {
-    w.buf()[44 + i] = static_cast<std::uint8_t>(len32 >> (8 * i));
-  }
-  return std::move(w.buf());
+  std::vector<std::uint8_t> out;
+  with_payload_type(msg.kind, [&]<typename P>(std::type_identity<P>) {
+    const P& payload = *payload_of<P>(msg);
+    Writer sizer;
+    sizer(payload);
+    SDSI_CHECK(sizer.size() <= UINT32_MAX);
+    h.payload_len = static_cast<std::uint32_t>(sizer.size());
+    out.resize(kWireHeaderSize + h.payload_len);
+    std::memcpy(out.data(), kWireMagic, sizeof(kWireMagic));
+    Writer w(out.data() + sizeof(kWireMagic));
+    w(h, payload);
+    SDSI_CHECK(sizeof(kWireMagic) + w.size() == out.size());
+  });
+  return out;
 }
 
 DecodeResult decode_frame(std::span<const std::uint8_t> bytes, Message* out) {
@@ -761,7 +485,12 @@ DecodeResult decode_frame(std::span<const std::uint8_t> bytes, Message* out) {
   msg.trace_id = h.trace_id;
 
   Reader r(bytes.subspan(kWireHeaderSize, h.payload_len));
-  if (!decode_payload(r, msg.kind, &msg) || !r.ok() || r.remaining() != 0) {
+  with_payload_type(msg.kind, [&]<typename P>(std::type_identity<P>) {
+    auto payload = std::make_shared<P>();
+    r(*payload);
+    msg.payload = std::shared_ptr<const P>(std::move(payload));
+  });
+  if (!r.ok() || r.remaining() != 0) {
     return DecodeResult::kBadPayload;
   }
   *out = std::move(msg);

@@ -55,6 +55,7 @@ struct FrameHeader {
   std::uint16_t kind = 0;  // raw: may be unknown to this build
   std::uint8_t flags = 0;
   std::uint8_t range_dir = 0;
+  std::uint16_t reserved = 0;  // must be zero in v1
   std::uint32_t origin = 0;
   std::uint64_t target_key = 0;
   std::uint64_t range_lo = 0;

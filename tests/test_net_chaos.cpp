@@ -24,6 +24,7 @@
 #include "net/faulty_transport.hpp"
 #include "net/node.hpp"
 #include "net/sim_transport.hpp"
+#include "net/wire.hpp"
 #include "net/workload.hpp"
 #include "routing/static_ring.hpp"
 #include "sim/simulator.hpp"
@@ -396,6 +397,65 @@ TEST(NetChaos, RejoinedEmptyNodeRecoversItsArcThroughRepairAlone) {
   for (const auto& node : rig.nodes) {
     EXPECT_EQ(node->counters().mbr_refreshes, 0u);
   }
+}
+
+TEST(NetChaos, SummariesOfAnotherShapeAreDroppedAndCounted) {
+  // The codec cannot know the ring's strategy, so a summary of another shape
+  // decodes ok. A default node (dft, two coefficients, 4-dim MBRs) must drop
+  // it unread: matching it against a well-shaped peer reads past the MBR.
+  WorkloadConfig config;
+  config.nodes = 2;
+  ChaosRig rig(config, fault::FaultPlan{}, NetReliabilityConfig{});
+  const sim::SimTime expires = rig.simulator.now() + kLifespan;
+  const auto query = [](core::QueryId id, std::size_t coefficients) {
+    return std::make_shared<const core::SimilarityQuery>(core::SimilarityQuery{
+        id, 0,
+        dsp::FeatureVector(
+            std::vector<dsp::Complex>(coefficients, dsp::Complex(0.1, 0.1))),
+        2.0, kLifespan, sim::SimTime{}});
+  };
+  const auto box = [](std::size_t dims) {
+    return dsp::Mbr(std::vector<double>(dims, -0.5),
+                    std::vector<double>(dims, 0.5));
+  };
+  const auto send = [&](routing::MsgKind kind, std::any payload) {
+    routing::Message msg;
+    msg.kind = kind;
+    msg.origin = 0;
+    msg.target_key = rig.ring.id(1);
+    msg.payload = std::move(payload);
+    EXPECT_TRUE(rig.sims[0]->send_raw(1, encode_frame(msg)));
+  };
+  const auto mbr = [&](StreamId stream, std::size_t dims) {
+    return std::make_shared<const core::MbrPayload>(
+        core::MbrPayload{stream, 0, box(dims), 0, expires});
+  };
+  const auto subscription = [&](core::QueryId id, std::size_t coefficients) {
+    return std::make_shared<const core::SimilarityQueryPayload>(
+        core::SimilarityQueryPayload{query(id, coefficients), 0});
+  };
+  core::ReplicaPutPayload put;
+  put.from = 0;
+  put.mbrs = {{12, 0, box(4), 0, expires}};
+  put.subscriptions = {{query(3, 3), 0, expires}};
+
+  send(routing::MsgKind::kMbrUpdate, mbr(10, 4));
+  send(routing::MsgKind::kSimilarityQuery, subscription(1, 2));
+  send(routing::MsgKind::kMbrUpdate, mbr(11, 2));
+  send(routing::MsgKind::kSimilarityQuery, subscription(2, 3));
+  send(routing::MsgKind::kReplicaPut,
+       std::make_shared<const core::ReplicaPutPayload>(std::move(put)));
+  rig.pump(100);
+  rig.nodes[1]->tick(rig.simulator.now());
+
+  const core::IndexStore& store = rig.nodes[1]->store();
+  EXPECT_TRUE(store.contains_mbr(10, 0));
+  EXPECT_NE(store.find_subscription(1), nullptr);
+  EXPECT_FALSE(store.contains_mbr(11, 0));
+  EXPECT_EQ(store.find_subscription(2), nullptr);
+  EXPECT_FALSE(store.contains_mbr(12, 0)) << "a put is dropped whole";
+  EXPECT_EQ(store.find_subscription(3), nullptr);
+  EXPECT_EQ(rig.nodes[1]->counters().shape_rejects, 3u);
 }
 
 }  // namespace

@@ -182,6 +182,26 @@ TEST(WireCodec, NonCanonicalBoolRejects) {
   EXPECT_TRUE(found) << "no byte position rejected a non-canonical bool";
 }
 
+TEST(WireCodec, ZeroDimensionMbrRejects) {
+  // An empty box must not decode: IndexStore::add_mbr aborts on one.
+  routing::Message update = sample_message(MsgKind::kMbrUpdate);
+  core::MbrPayload mbr = *routing::payload_of<core::MbrPayload>(update);
+  mbr.mbr = dsp::Mbr();
+  testing::set_payload(update, std::move(mbr));
+
+  routing::Message put = sample_message(MsgKind::kReplicaPut);
+  core::ReplicaPutPayload entries =
+      *routing::payload_of<core::ReplicaPutPayload>(put);
+  entries.mbrs.front().mbr = dsp::Mbr();
+  testing::set_payload(put, std::move(entries));
+
+  for (const routing::Message& msg : {update, put}) {
+    routing::Message out;
+    EXPECT_EQ(decode_frame(encode_frame(msg), &out), DecodeResult::kBadPayload)
+        << msg_kind_name(msg.kind);
+  }
+}
+
 TEST(WireCodec, SingleByteFlipsNeverCrash) {
   // Exhaustive single-byte corruption over every kind's sample frame: any
   // outcome is acceptable except a crash/abort; kOk frames must re-encode.

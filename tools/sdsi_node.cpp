@@ -387,6 +387,7 @@ int main(int argc, char** argv) {
   counters["subscriptions_stored"] = c.subscriptions_stored;
   counters["responses_sent"] = c.responses_sent;
   counters["send_failures"] = c.send_failures;
+  counters["shape_rejects"] = c.shape_rejects;
   if (opts.reliable) {
     counters["heartbeats_sent"] = c.heartbeats_sent;
     counters["heartbeats_received"] = c.heartbeats_received;
