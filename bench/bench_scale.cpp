@@ -9,27 +9,17 @@
 //     the real system at N nodes — N periodic stream ticks at the Table I
 //     cadence plus N/4 self-perpetuating one-shot "message" chains with
 //     1–101 ms holds — but event bodies do constant work, so events/sec
-//     measures the scheduler, not the middleware. Run on both backends:
-//     the calendar queue and the pre-change binary-heap kernel
-//     (ExperimentConfig::queue_backend = kLegacyHeap). The chain closures
-//     mirror routing::RoutingSystem::schedule_msg: pooled
-//     (reference-carrying, inline in EventFn) on the calendar backend,
-//     message-by-value (heap-allocated closure) on the legacy backend — the
-//     same shapes the real message path produces on each.
+//     measures the scheduler, not the middleware. The chain closures mirror
+//     routing::RoutingSystem::schedule_msg: they carry a reference to a
+//     pooled message, so the capture stays inline in EventFn.
 //  2. Full-system run (PrefixRing substrate, Table I workload): end-to-end
 //     events/sec, peak RSS, and per-node load (messages/s/node — the
 //     paper's boundedness claim, carried two orders of magnitude past
 //     Section V).
 //
-// At the reference size (10000 nodes; 2000 under --smoke) both
-// measurements also run as heap-vs-calendar pairs. The release acceptance
-// bar is >= 3x on the kernel hold-model at 10000 nodes (scheduler_speedup
-// row); the full-system ratio (end_to_end_speedup row) is reported
-// alongside and is smaller by Amdahl's law — the shared middleware body
-// (DFT update, feature extraction, MBR batching, store upkeep) dominates
-// once per-event scheduling cost stops mattering. tools/scale_smoke
-// enforces floors on the smoke variant in CI. All rows land in the JSON so
-// successive PRs are measured against recorded numbers, not prose.
+// tools/scale_smoke enforces an events/sec floor on the smoke variant in
+// CI. All rows land in the JSON so successive PRs are measured against
+// recorded numbers, not prose.
 //
 // Flags: --smoke (truncated 2000-node sweep), --nodes LIST (comma-separated
 // override), --json PATH (BENCH_scale.json location).
@@ -46,17 +36,14 @@ namespace {
 // ---------------------------------------------------------------------------
 // Kernel hold-model.
 
-/// Stand-in for a routing::Message payload: big enough (72 bytes) that a
-/// by-value capture overflows every small-buffer tier, as the real Message
-/// does.
+/// Stand-in for a routing::Message payload (72 bytes, like the real one).
 struct FakeMsg {
   std::uint64_t words[9] = {};
 };
 
 /// N/4 self-perpetuating one-shot chains. Each hop draws its next hold from
-/// a per-chain LCG (identical on both backends, so event order matches
-/// bit-for-bit) and reschedules itself, carrying the message the way the
-/// real message path would on the active backend.
+/// a per-chain LCG and reschedules itself, carrying a reference to its
+/// message the way the pooled message path does.
 class HoldChains {
  public:
   HoldChains(sdsi::sim::Simulator& sim, std::size_t count)
@@ -77,22 +64,10 @@ class HoldChains {
     // Holds of 1..101 ms, the ballpark of substrate hop + processing delays.
     const sdsi::sim::Duration delay = sdsi::sim::Duration::micros(
         1000 + static_cast<std::int64_t>((r >> 33) % 100000));
-    if (sim_.pooled_events()) {
-      // Pooled shape: the closure carries only a reference (fits inline in
-      // EventFn), like the PoolPtr-backed schedule_msg path.
-      sim_.schedule_after(delay, [this, c] {
-        consume(msgs_[c]);
-        hop(c);
-      });
-    } else {
-      // Pre-change shape: the message rides in the closure by value, like
-      // the copy-captured routing::Message in a heap-allocated closure.
-      const FakeMsg m = msgs_[c];
-      sim_.schedule_after(delay, [this, c, m] {
-        consume(m);
-        hop(c);
-      });
-    }
+    sim_.schedule_after(delay, [this, c] {
+      consume(msgs_[c]);
+      hop(c);
+    });
   }
 
   void consume(const FakeMsg& m) noexcept { sink_ ^= m.words[0]; }
@@ -109,10 +84,9 @@ struct KernelRow {
   double wall_ms = 0.0;
 };
 
-KernelRow run_kernel_point(std::size_t nodes, sdsi::sim::QueueBackend backend,
-                           sdsi::sim::Duration horizon) {
+KernelRow run_kernel_point(std::size_t nodes, sdsi::sim::Duration horizon) {
   using namespace sdsi;
-  sim::Simulator sim(backend);
+  sim::Simulator sim;
 
   // N periodic "stream ticks" at the Table I cadence (200 ms), phases
   // spread across the period; bodies touch one per-task counter.
@@ -155,8 +129,7 @@ struct ScaleRow {
   std::size_t peak_rss_kb = 0;
 };
 
-ScaleRow run_system_point(std::size_t nodes, sdsi::sim::QueueBackend backend,
-                          sdsi::sim::Duration warmup,
+ScaleRow run_system_point(std::size_t nodes, sdsi::sim::Duration warmup,
                           sdsi::sim::Duration measure) {
   using namespace sdsi;
   core::ExperimentConfig config;
@@ -164,12 +137,11 @@ ScaleRow run_system_point(std::size_t nodes, sdsi::sim::QueueBackend backend,
   config.substrate = core::SubstrateKind::kPrefixRing;
   config.warmup = warmup;
   config.measure = measure;
-  config.queue_backend = backend;
   core::Experiment experiment(config);
 
   // Bootstrap (substrate build + workload scheduling) happens outside the
   // timed window: events/sec measures the kernel executing events, not the
-  // one-time ring construction both backends share.
+  // one-time ring construction.
   experiment.prepare();
   const auto start = std::chrono::steady_clock::now();
   experiment.run();
@@ -228,80 +200,39 @@ int main(int argc, char** argv) {
   if (!nodes_flag.empty()) {
     sweep = parse_nodes_list(nodes_flag);
   }
-  const std::size_t reference_nodes = smoke ? 2000 : 10000;
 
   std::printf("=== Kernel scale sweep (%s) ===\n", smoke ? "smoke" : "full");
   bench::JsonBenchReporter reporter("scale");
-  common::TextTable table({"Nodes", "Kernel cal ev/s", "Kernel heap ev/s",
-                           "Kern x", "System ev/s", "Load/node/s",
-                           "Peak RSS MB"});
+  common::TextTable table({"Nodes", "Kernel ev/s", "System ev/s",
+                           "Load/node/s", "Peak RSS MB"});
 
-  double reference_kernel_speedup = 0.0;
   for (const std::size_t nodes : sweep) {
-    // Scheduler-only rows: both backends execute the identical event
-    // stream, so the ratio isolates per-event scheduling cost. Trials are
-    // interleaved and the best of each side is kept: on a shared runner,
-    // co-tenant interference only ever slows a run down, so the fastest
-    // sample is the least-contaminated measurement of either backend.
-    KernelRow kernel_heap;
-    KernelRow kernel_cal;
+    // Scheduler-only rows. The best of several trials is kept: on a shared
+    // runner co-tenant interference only ever slows a run down, so the
+    // fastest sample is the least-contaminated measurement.
+    KernelRow kernel;
     const int trials = smoke ? 2 : 5;
     for (int trial = 0; trial < trials; ++trial) {
-      const KernelRow h = run_kernel_point(
-          nodes, sim::QueueBackend::kLegacyHeap, kernel_horizon);
-      const KernelRow c = run_kernel_point(
-          nodes, sim::QueueBackend::kCalendar, kernel_horizon);
-      if (h.events_per_sec > kernel_heap.events_per_sec) {
-        kernel_heap = h;
+      const KernelRow k = run_kernel_point(nodes, kernel_horizon);
+      if (k.events_per_sec > kernel.events_per_sec) {
+        kernel = k;
       }
-      if (c.events_per_sec > kernel_cal.events_per_sec) {
-        kernel_cal = c;
-      }
-    }
-    if (kernel_heap.events != kernel_cal.events) {
-      std::fprintf(
-          stderr, "kernel event-count mismatch @%zu: heap=%llu calendar=%llu\n",
-          nodes, static_cast<unsigned long long>(kernel_heap.events),
-          static_cast<unsigned long long>(kernel_cal.events));
-      return 1;
-    }
-    // Gated speedup = best-of-trials calendar over best-of-trials heap.
-    // On a shared runner co-tenant interference only ever slows a run, so
-    // each backend's fastest sample is its least-contaminated measurement;
-    // per-pair ratios are NOT used because the two sides of a pair run for
-    // very different wall times (the calendar clears the same event count
-    // ~3x faster) and so do not share an interference phase.
-    const double kernel_speedup =
-        kernel_heap.events_per_sec > 0.0
-            ? kernel_cal.events_per_sec / kernel_heap.events_per_sec
-            : 0.0;
-    if (nodes == reference_nodes) {
-      reference_kernel_speedup = kernel_speedup;
     }
 
-    const ScaleRow row = run_system_point(
-        nodes, sim::QueueBackend::kCalendar, warmup, measure);
+    const ScaleRow row = run_system_point(nodes, warmup, measure);
 
     table.begin_row().add_int(static_cast<long long>(nodes));
-    table.add_num(kernel_cal.events_per_sec, 0);
-    table.add_num(kernel_heap.events_per_sec, 0);
-    table.add_num(kernel_speedup, 2);
+    table.add_num(kernel.events_per_sec, 0);
     table.add_num(row.events_per_sec, 0);
     table.add_num(row.per_node_load, 3);
     table.add_num(static_cast<double>(row.peak_rss_kb) / 1024.0, 1);
 
     const std::string nodes_cfg = "nodes=" + std::to_string(nodes);
-    reporter.add(bench::BenchResult{"sim_kernel_events",
-                                    nodes_cfg + " backend=calendar",
-                                    kernel_cal.events_per_sec,
-                                    kernel_cal.wall_ms});
-    reporter.add(bench::BenchResult{"sim_kernel_events",
-                                    nodes_cfg + " backend=heap",
-                                    kernel_heap.events_per_sec,
-                                    kernel_heap.wall_ms});
-    bench::BenchResult events_row{
-        "system_events", nodes_cfg + " substrate=prefix backend=calendar",
-        row.events_per_sec, row.wall_ms};
+    reporter.add(bench::BenchResult{"sim_kernel_events", nodes_cfg,
+                                    kernel.events_per_sec, kernel.wall_ms});
+    bench::BenchResult events_row{"system_events",
+                                  nodes_cfg + " substrate=prefix",
+                                  row.events_per_sec, row.wall_ms};
     events_row.peak_rss_kb = row.peak_rss_kb;
     reporter.add(events_row);
     reporter.add(bench::BenchResult{"per_node_load",
@@ -309,49 +240,6 @@ int main(int argc, char** argv) {
                                     row.per_node_load, row.wall_ms});
   }
   std::printf("%s", table.render().c_str());
-
-  // End-to-end backend comparison at the reference size: identical
-  // configuration and event order, different scheduler internals, full
-  // middleware bodies. Heap first so the pooled run's RSS sample is not
-  // inflated by the baseline's queue.
-  std::printf("\n=== Full-system backends @ %zu nodes ===\n", reference_nodes);
-  const ScaleRow heap = run_system_point(reference_nodes,
-                                         sim::QueueBackend::kLegacyHeap,
-                                         warmup, measure);
-  const ScaleRow calendar = run_system_point(reference_nodes,
-                                             sim::QueueBackend::kCalendar,
-                                             warmup, measure);
-  const double end_to_end = heap.events_per_sec > 0.0
-                                ? calendar.events_per_sec / heap.events_per_sec
-                                : 0.0;
-  std::printf("heap:     %12.0f events/s (%.1f ms)\n", heap.events_per_sec,
-              heap.wall_ms);
-  std::printf("calendar: %12.0f events/s (%.1f ms)\n", calendar.events_per_sec,
-              calendar.wall_ms);
-  std::printf("end-to-end speedup: %.2fx (middleware body included)\n",
-              end_to_end);
-  std::printf("kernel speedup:     %.2fx (acceptance bar: >= 3x at 10000)\n",
-              reference_kernel_speedup);
-  if (heap.events != calendar.events) {
-    std::fprintf(stderr,
-                 "backend event-count mismatch: heap=%llu calendar=%llu\n",
-                 static_cast<unsigned long long>(heap.events),
-                 static_cast<unsigned long long>(calendar.events));
-    return 1;
-  }
-
-  const std::string ref_config = "nodes=" + std::to_string(reference_nodes);
-  bench::BenchResult heap_row{"system_events",
-                              ref_config + " substrate=prefix backend=heap",
-                              heap.events_per_sec, heap.wall_ms};
-  heap_row.peak_rss_kb = heap.peak_rss_kb;
-  reporter.add(heap_row);
-  reporter.add(bench::BenchResult{"scheduler_speedup",
-                                  ref_config + " kernel hold-model",
-                                  reference_kernel_speedup, 0.0});
-  reporter.add(bench::BenchResult{"end_to_end_speedup",
-                                  ref_config + " substrate=prefix", end_to_end,
-                                  heap.wall_ms + calendar.wall_ms});
 
   if (!json_path.empty() && !reporter.write(json_path)) {
     return 1;

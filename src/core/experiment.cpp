@@ -19,7 +19,6 @@ StreamId stream_id_for_node(NodeIndex node) { return 1000 + node; }
 Experiment::Experiment(ExperimentConfig config)
     : config_(config),
       rng_factory_(config.seed),
-      sim_(config.queue_backend),
       query_rng_(rng_factory_.make("query-arrivals")),
       query_walk_rng_(rng_factory_.make("query-patterns")),
       current_query_rate_(config.workload.query_rate_per_sec) {

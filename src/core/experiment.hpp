@@ -151,13 +151,6 @@ struct ExperimentConfig {
   /// so runs differing only in threads produce identical documents (the
   /// serial/parallel equivalence test relies on this).
   std::size_t threads = 1;
-
-  /// Event-queue backend for the simulation kernel. kLegacyHeap selects the
-  /// pre-calendar binary-heap kernel, the reference the scheduler tests and
-  /// bench_scale compare against. Like `threads`, the backend is
-  /// unobservable in results: both replay the identical event order, and
-  /// the scheduler-equivalence test asserts byte-identical metrics.json.
-  sim::QueueBackend queue_backend = sim::QueueBackend::kCalendar;
 };
 
 /// Fig 6(a): average per-node message load per second, seven components.

@@ -30,18 +30,23 @@ struct LocalStream {
   /// Strategy-made summary (core/strategy.hpp); never null. The dft
   /// strategy wraps streams::StreamSummarizer verbatim.
   std::unique_ptr<Summarizer> summarizer;
-  MbrBatcher batcher;
   /// Per-stream Sec VI-A closed loop, when the middleware enables it.
   std::optional<AdaptivePrecisionController> precision;
+  /// Fixed-count batching, or adaptive under `precision`'s extent budget.
+  MbrBatcher batcher;
   std::uint64_t batch_seq = 0;
   std::vector<InnerProductSubscription> inner_subscriptions;
   /// Per-tick feature scratch: overwritten in place on every ingested
   /// sample so the steady-state ingest path allocates nothing.
   dsp::FeatureVector features_scratch;
 
+  /// With `adaptive_precision` the stream runs the Sec VI-A closed loop:
+  /// the batcher switches to adaptive mode and starts from the controller's
+  /// initial extent budget.
   LocalStream(StreamId stream, const IndexingStrategy& strategy,
-              const MbrBatcher::Options& batching)
-      : id(stream), summarizer(strategy.make_summarizer()), batcher(batching) {}
+              MbrBatcher::Options batching,
+              const std::optional<AdaptivePrecisionController::Options>&
+                  adaptive_precision = std::nullopt);
 };
 
 /// The routing-free part of ingesting one value (summarizer, features,

@@ -115,18 +115,13 @@ void MiddlewareSystem::reset_node_soft_state(NodeIndex index) {
 // --- Application primitives --------------------------------------------------
 
 void MiddlewareSystem::register_stream(NodeIndex node, StreamId stream) {
-  MbrBatcher::Options batching = config_.batching;
-  if (config_.adaptive_precision.has_value()) {
-    batching.mode = MbrBatcher::Mode::kAdaptive;
-    batching.max_extent =
-        AdaptivePrecisionController(*config_.adaptive_precision).extent();
-  }
-  auto [it, inserted] = state_of(node).streams.try_emplace(
-      stream, stream, *strategy_, batching);
+  const bool inserted =
+      state_of(node)
+          .streams
+          .try_emplace(stream, stream, *strategy_, config_.batching,
+                       config_.adaptive_precision)
+          .second;
   SDSI_CHECK(inserted);
-  if (config_.adaptive_precision.has_value()) {
-    it->second.precision.emplace(*config_.adaptive_precision);
-  }
 
   Message msg;
   msg.kind = MsgKind::kLocationPut;
@@ -150,6 +145,22 @@ void MiddlewareSystem::unregister_stream(NodeIndex node, StreamId stream) {
       LocationPutPayload{stream, kInvalidNode});  // tombstone
   routing_.send(node, mapper_.key_for_stream(stream), std::move(msg));
 }
+
+LocalStream::LocalStream(
+    StreamId stream, const IndexingStrategy& strategy,
+    MbrBatcher::Options batching,
+    const std::optional<AdaptivePrecisionController::Options>&
+        adaptive_precision)
+    : id(stream),
+      summarizer(strategy.make_summarizer()),
+      precision(adaptive_precision),
+      batcher([&] {
+        if (precision.has_value()) {
+          batching.mode = MbrBatcher::Mode::kAdaptive;
+          batching.max_extent = precision->extent();
+        }
+        return batching;
+      }()) {}
 
 void summarize_value(LocalStream& local, Sample value,
                      std::vector<dsp::Mbr>& closed) {

@@ -3,8 +3,6 @@
 #include <cmath>
 #include <numbers>
 
-#include "dsp/haar.hpp"
-
 namespace sdsi::dsp {
 
 std::vector<double> FeatureVector::as_reals() const {
@@ -32,15 +30,6 @@ FeatureVector extract_features(std::span<const Sample> window,
   SDSI_CHECK(window.size() == config.window_size);
   const std::vector<Sample> normalized =
       normalize(window, config.normalization);
-  if (config.synopsis == Synopsis::kHaar) {
-    const std::vector<double> coefficients = haar_transform(normalized);
-    const std::size_t first = config.first_coefficient();
-    std::vector<Complex> kept(config.num_coefficients);
-    for (std::size_t i = 0; i < kept.size(); ++i) {
-      kept[i] = Complex{coefficients[first + i], 0.0};
-    }
-    return FeatureVector(std::move(kept));
-  }
   const std::vector<Complex> spectrum = naive_dft(normalized);
   return slice_features(spectrum, config);
 }
@@ -60,11 +49,6 @@ FeatureVector slice_features(std::span<const Complex> spectrum,
 double symmetric_lower_bound(const FeatureVector& a, const FeatureVector& b,
                              const FeatureConfig& config) noexcept {
   SDSI_DCHECK(a.size() == b.size());
-  if (config.synopsis == Synopsis::kHaar) {
-    // Haar coefficients are independent real coordinates: no mirror pairs,
-    // the plain distance is already the tightest subset bound.
-    return a.distance(b);
-  }
   const std::size_t first = config.first_coefficient();
   const std::size_t n = config.window_size;
   double total = 0.0;
@@ -85,13 +69,6 @@ std::vector<Sample> reconstruct(const FeatureVector& features,
   SDSI_CHECK(features.size() == config.num_coefficients);
   const std::size_t n = config.window_size;
   const std::size_t first = config.first_coefficient();
-  if (config.synopsis == Synopsis::kHaar) {
-    std::vector<double> prefix(first + features.size(), 0.0);
-    for (std::size_t i = 0; i < features.size(); ++i) {
-      prefix[first + i] = features[i].real();
-    }
-    return inverse_haar_prefix(prefix, n);
-  }
   const double scale = 1.0 / std::sqrt(static_cast<double>(n));
   std::vector<Sample> signal(n, 0.0);
   for (std::size_t j = 0; j < n; ++j) {

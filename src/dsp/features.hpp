@@ -13,15 +13,6 @@
 
 namespace sdsi::dsp {
 
-/// Which orthonormal transform produces the synopsis. Both preserve energy,
-/// so the Eq. 9 lower bound (no false dismissals) holds for either; they
-/// differ in what shapes they compact well (smooth oscillations vs
-/// piecewise-flat levels).
-enum class Synopsis {
-  kFourier,  // the paper's DFT coefficients (Sec III-C)
-  kHaar,     // Haar wavelet coefficients (the SWAT [5] family)
-};
-
 /// How windows are summarized into feature vectors.
 struct FeatureConfig {
   /// Sliding window length N (paper: "the most recent w values").
@@ -34,11 +25,6 @@ struct FeatureConfig {
   /// Eq. 1 (correlation queries) vs Eq. 2 (subsequence queries).
   Normalization normalization = Normalization::kZNormalize;
 
-  /// Transform family. Haar requires a power-of-two window and is supported
-  /// on the batch path plus an O(W)-per-sample summarizer mode (no O(k)
-  /// incremental update exists for sliding Haar).
-  Synopsis synopsis = Synopsis::kFourier;
-
   /// First retained coefficient index. With z-normalization the DC
   /// coefficient X_0 is identically 0 and carries no information, so
   /// retention starts at F=1; with unit normalization it starts at F=0
@@ -49,13 +35,14 @@ struct FeatureConfig {
     return normalization == Normalization::kZNormalize ? 1 : 0;
   }
 
+  /// Retained coefficients must stay within [0, N/2]: a real window has
+  /// X_{N-F} = conj(X_F), so a coefficient past N/2 mirrors one below it and
+  /// carries nothing new, while reconstruct() and symmetric_lower_bound()
+  /// would count the pair twice (Rafiei & Mendelzon).
   void validate() const {
     SDSI_CHECK(window_size >= 2);
     SDSI_CHECK(num_coefficients >= 1);
-    SDSI_CHECK(first_coefficient() + num_coefficients <= window_size);
-    if (synopsis == Synopsis::kHaar) {
-      SDSI_CHECK((window_size & (window_size - 1)) == 0);
-    }
+    SDSI_CHECK(first_coefficient() + num_coefficients <= window_size / 2 + 1);
   }
 };
 

@@ -281,28 +281,18 @@ class RoutingSystem {
 
   /// Schedules `fn(msg)` after `delay` — the hot path of every substrate:
   /// each overlay hop parks the in-flight envelope inside an event closure.
-  /// With the pooled kernel the Message lives in a free-list slot and the
-  /// closure captures only a 24-byte handle, keeping the whole capture
-  /// inside EventFn's inline buffer, so steady-state hops allocate nothing.
-  /// Under the legacy heap backend the envelope is captured by value — the
-  /// closure outgrows the inline buffer — faithfully reproducing the
-  /// pre-pool allocation profile that BENCH_scale.json uses as its baseline.
+  /// The Message lives in a free-list slot and the closure captures only a
+  /// 24-byte handle, keeping the whole capture inside EventFn's inline
+  /// buffer, so steady-state hops allocate nothing.
   template <typename Fn>
   void schedule_msg(sim::Duration delay, Message msg, Fn fn) {
     if (transmit_filter_) {
       transmit_filter_(msg);
     }
-    if (sim_.pooled_events()) {
-      sim_.schedule_after(delay, [fn = std::move(fn),
-                                  p = msg_pool_.make(std::move(msg))]() mutable {
-        fn(std::move(*p));
-      });
-    } else {
-      sim_.schedule_after(delay, [fn = std::move(fn),
-                                  m = std::move(msg)]() mutable {
-        fn(std::move(m));
-      });
-    }
+    sim_.schedule_after(delay, [fn = std::move(fn),
+                                p = msg_pool_.make(std::move(msg))]() mutable {
+      fn(std::move(*p));
+    });
   }
 
   /// Per-transmission latency: the constant hop latency plus any jitter the

@@ -11,32 +11,11 @@ constexpr std::int64_t kNoHorizon = std::numeric_limits<std::int64_t>::max();
 
 }  // namespace
 
-Simulator::Simulator(QueueBackend backend)
-    : calendar_(backend == QueueBackend::kCalendar) {
-  if (calendar_) {
-    buckets_.resize(kNumBuckets);
-    wheel_end_ = static_cast<std::int64_t>(kNumBuckets);
-  }
-}
-
-// ---------------------------------------------------------------------------
-// Scheduling (both backends assign sequence numbers identically, so the
-// (when, seq) execution order is the same bit-for-bit).
+Simulator::Simulator() : buckets_(kNumBuckets) {}
 
 TaskHandle Simulator::schedule_at(SimTime when, EventFn fn) {
   SDSI_CHECK(when >= now_);
   SDSI_CHECK(fn != nullptr);
-  if (!calendar_) {
-    auto alive = std::make_shared<bool>(true);
-    // EventFn is move-only, std::function requires copyable: park the body
-    // behind a shared_ptr. The wrapper's 16-byte capture fits the
-    // std::function SBO, so the per-event allocation count matches the
-    // pre-change kernel (one heap closure per scheduled event).
-    heap_queue_.push(HeapEntry{
-        when, next_seq_++, alive,
-        [body = std::make_shared<EventFn>(std::move(fn))] { (*body)(); }});
-    return TaskHandle(std::move(alive));
-  }
   const std::uint32_t slot = acquire_slot(std::move(fn), 0);
   const std::uint32_t gen = slot_at(slot).gen;
   insert_ref(Ref{when.count_micros(), next_seq_++, slot, gen});
@@ -47,40 +26,12 @@ TaskHandle Simulator::schedule_at(SimTime when, EventFn fn) {
 TaskHandle Simulator::schedule_periodic(SimTime first, Duration period,
                                         EventFn fn) {
   SDSI_CHECK(period > Duration());
-  if (!calendar_) {
-    auto alive = std::make_shared<bool>(true);
-    // The wrapper reschedules itself while the shared flag stays true.
-    auto body = std::make_shared<EventFn>(std::move(fn));
-    auto tick = std::make_shared<std::function<void(SimTime)>>();
-    *tick = [this, period, alive, body,
-             tick_weak = std::weak_ptr<std::function<void(SimTime)>>(tick)](
-                SimTime scheduled) {
-      if (!*alive) {
-        return;
-      }
-      (*body)();
-      if (!*alive) {  // fn may cancel its own task
-        return;
-      }
-      if (auto self = tick_weak.lock()) {
-        const SimTime next = scheduled + period;
-        heap_queue_.push(HeapEntry{next, next_seq_++, alive,
-                                   [self, next] { (*self)(next); }});
-      }
-    };
-    heap_queue_.push(HeapEntry{first, next_seq_++, alive,
-                               [tick, first] { (*tick)(first); }});
-    return TaskHandle(std::move(alive));
-  }
   const std::uint32_t slot = acquire_slot(std::move(fn), period.count_micros());
   const std::uint32_t gen = slot_at(slot).gen;
   insert_ref(Ref{first.count_micros(), next_seq_++, slot, gen});
   ++live_events_;
   return TaskHandle(live_token_, slot, gen);
 }
-
-// ---------------------------------------------------------------------------
-// Calendar backend.
 
 std::uint32_t Simulator::acquire_slot(EventFn fn, std::int64_t period_us) {
   std::uint32_t slot;
@@ -200,32 +151,35 @@ void Simulator::pull_overflow(std::int64_t new_end) {
   overflow_.resize(keep);
 }
 
+bool Simulator::ready_cursor(std::int64_t horizon_us) {
+  if (wheel_refs_ == 0) {
+    if (overflow_.empty()) {
+      return false;
+    }
+    // Wheel drained: jump the window straight to the earliest far-future
+    // event instead of scanning empty buckets toward it.
+    std::int64_t min_bucket = std::numeric_limits<std::int64_t>::max();
+    for (const Ref& ref : overflow_) {
+      min_bucket = std::min(min_bucket, ref.when_us >> kBucketBits);
+    }
+    if ((min_bucket << kBucketBits) > horizon_us) {
+      return false;
+    }
+    cur_bucket_ = min_bucket;
+    wheel_end_ = min_bucket;  // window restarts at the jump target
+    pull_overflow(min_bucket + static_cast<std::int64_t>(kNumBuckets));
+    return true;
+  }
+  // Keep at least half the wheel ahead of the cursor so newly pulled
+  // overflow events never alias onto a not-yet-drained physical bucket.
+  if (wheel_end_ - cur_bucket_ < static_cast<std::int64_t>(kNumBuckets / 2)) {
+    pull_overflow(cur_bucket_ + static_cast<std::int64_t>(kNumBuckets));
+  }
+  return true;
+}
+
 bool Simulator::pop_ref(std::int64_t horizon_us, Ref& out) {
-  for (;;) {
-    if (wheel_refs_ == 0) {
-      if (overflow_.empty()) {
-        return false;
-      }
-      // Wheel drained: jump the window straight to the earliest far-future
-      // event instead of scanning empty buckets toward it.
-      std::int64_t min_bucket = std::numeric_limits<std::int64_t>::max();
-      for (const Ref& ref : overflow_) {
-        min_bucket = std::min(min_bucket, ref.when_us >> kBucketBits);
-      }
-      if ((min_bucket << kBucketBits) > horizon_us) {
-        return false;
-      }
-      cur_bucket_ = min_bucket;
-      wheel_end_ = min_bucket;  // window restarts at the jump target
-      pull_overflow(min_bucket + static_cast<std::int64_t>(kNumBuckets));
-      continue;
-    }
-    // Keep at least half the wheel ahead of the cursor so newly pulled
-    // overflow events never alias onto a not-yet-drained physical bucket.
-    if (wheel_end_ - cur_bucket_ <
-        static_cast<std::int64_t>(kNumBuckets / 2)) {
-      pull_overflow(cur_bucket_ + static_cast<std::int64_t>(kNumBuckets));
-    }
+  while (ready_cursor(horizon_us)) {
     auto& bucket =
         buckets_[static_cast<std::size_t>(cur_bucket_) & (kNumBuckets - 1)];
     if (!bucket.empty()) {
@@ -252,6 +206,7 @@ bool Simulator::pop_ref(std::int64_t horizon_us, Ref& out) {
     }
     ++cur_bucket_;
   }
+  return false;
 }
 
 void Simulator::purge_stale() {
@@ -311,36 +266,12 @@ std::uint64_t Simulator::execute_ref(const Ref& ref) {
   return 1;
 }
 
-std::uint64_t Simulator::run_calendar(std::int64_t horizon_us) {
+std::uint64_t Simulator::drain(std::int64_t horizon_us) {
   std::uint64_t ran = 0;
-  for (;;) {
-    if (wheel_refs_ == 0) {
-      if (overflow_.empty()) {
-        return ran;
-      }
-      // Wheel drained: jump the window straight to the earliest far-future
-      // event instead of scanning empty buckets toward it.
-      std::int64_t min_bucket = std::numeric_limits<std::int64_t>::max();
-      for (const Ref& ref : overflow_) {
-        min_bucket = std::min(min_bucket, ref.when_us >> kBucketBits);
-      }
-      if ((min_bucket << kBucketBits) > horizon_us) {
-        return ran;
-      }
-      cur_bucket_ = min_bucket;
-      wheel_end_ = min_bucket;  // window restarts at the jump target
-      pull_overflow(min_bucket + static_cast<std::int64_t>(kNumBuckets));
-      continue;
-    }
-    // Keep at least half the wheel ahead of the cursor so newly pulled
-    // overflow events never alias onto a not-yet-drained physical bucket.
-    // Checking once per bucket (not per event) is enough: insertions made
-    // while this bucket drains fall back to the overflow store if they land
-    // past wheel_end_, and get pulled at the next bucket boundary.
-    if (wheel_end_ - cur_bucket_ <
-        static_cast<std::int64_t>(kNumBuckets / 2)) {
-      pull_overflow(cur_bucket_ + static_cast<std::int64_t>(kNumBuckets));
-    }
+  // The window is readied once per bucket, not per event: insertions made
+  // while this bucket drains fall back to the overflow store if they land
+  // past wheel_end_, and get pulled at the next bucket boundary.
+  while (ready_cursor(horizon_us)) {
     const std::int64_t cur = cur_bucket_;
     auto& bucket =
         buckets_[static_cast<std::size_t>(cur) & (kNumBuckets - 1)];
@@ -379,71 +310,20 @@ std::uint64_t Simulator::run_calendar(std::int64_t horizon_us) {
     }
     ++cur_bucket_;
   }
-}
-
-// ---------------------------------------------------------------------------
-// Legacy heap backend.
-
-void Simulator::execute_legacy(HeapEntry& entry) {
-  now_ = entry.when;
-  if (entry.alive && !*entry.alive) {
-    return;  // cancelled; consumed without counting as executed
-  }
-  ++executed_;
-  if (probe_) {
-    probe_(now_, entry.seq);
-  }
-  entry.fn();
-}
-
-// Moving out of priority_queue::top() before pop() is safe here: the
-// comparator orders only by (when, seq), which the move leaves intact, and
-// the entry is popped before any other queue operation can observe it.
-
-std::uint64_t Simulator::run_legacy(SimTime horizon, bool bounded) {
-  std::uint64_t ran = 0;
-  while (!heap_queue_.empty() &&
-         (!bounded || heap_queue_.top().when <= horizon)) {
-    HeapEntry entry = std::move(const_cast<HeapEntry&>(heap_queue_.top()));
-    heap_queue_.pop();
-    const std::uint64_t before = executed_;
-    execute_legacy(entry);
-    ran += executed_ - before;
-  }
   return ran;
 }
 
-// ---------------------------------------------------------------------------
-// Run loops (backend dispatch).
-
 std::uint64_t Simulator::run_until(SimTime horizon) {
-  const std::uint64_t ran =
-      calendar_ ? run_calendar(horizon.count_micros())
-                : run_legacy(horizon, /*bounded=*/true);
+  const std::uint64_t ran = drain(horizon.count_micros());
   if (now_ < horizon) {
     now_ = horizon;
   }
   return ran;
 }
 
-std::uint64_t Simulator::run_all() {
-  return calendar_ ? run_calendar(kNoHorizon)
-                   : run_legacy(SimTime(), /*bounded=*/false);
-}
+std::uint64_t Simulator::run_all() { return drain(kNoHorizon); }
 
 bool Simulator::step() {
-  if (!calendar_) {
-    while (!heap_queue_.empty()) {
-      HeapEntry entry = std::move(const_cast<HeapEntry&>(heap_queue_.top()));
-      heap_queue_.pop();
-      const std::uint64_t before = executed_;
-      execute_legacy(entry);
-      if (executed_ != before) {
-        return true;
-      }
-    }
-    return false;
-  }
   Ref ref;
   while (pop_ref(kNoHorizon, ref)) {
     if (execute_ref(ref) != 0) {

@@ -5,34 +5,21 @@
 // instant run in scheduling order (a monotone sequence number breaks ties),
 // which makes whole simulations bit-reproducible.
 //
-// Two interchangeable scheduler backends execute the exact same
-// (when, seq) lexicographic order, so a whole simulation is bit-identical
-// on either:
-//
-//  - kCalendar (the default): a calendar queue. Time is divided into
-//    2^kBucketBits-microsecond buckets on a kNumBuckets-wide wheel; each
-//    bucket is a small binary heap of 24-byte refs ordered by (when, seq),
-//    and events beyond the wheel span sit in an overflow store that is
-//    re-partitioned as the window advances. Event closures live in a
-//    free-list slot pool, periodic tasks reschedule in place (same slot,
-//    fresh sequence number), and cancellation is a generation-counter bump
-//    that is purged lazily — steady-state scheduling performs no heap
-//    allocation and no O(log total-pending) sift over fat entries.
-//
-//  - kLegacyHeap: the pre-calendar kernel (one global std::priority_queue
-//    plus a shared_ptr<bool> liveness flag per event). No user switch
-//    selects it: it stays as the reference the scheduler-equivalence test
-//    compares the calendar queue against and as the measured baseline of
-//    BENCH_scale.json. It deliberately preserves the pre-change cost
-//    profile, including pending_events() counting cancelled entries until
-//    their deadline (the calendar backend reports live events only).
+// The kernel is a calendar queue. Time is divided into 2^kBucketBits-
+// microsecond buckets on a kNumBuckets-wide wheel; each bucket is a small
+// binary heap of 24-byte refs ordered by (when, seq), and events beyond the
+// wheel span sit in an overflow store that is re-partitioned as the window
+// advances. Event closures live in a free-list slot pool, periodic tasks
+// reschedule in place (same slot, fresh sequence number), and cancellation
+// is a generation-counter bump that is purged lazily — steady-state
+// scheduling performs no heap allocation and no O(log total-pending) sift
+// over fat entries.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <queue>
 #include <vector>
 
 #include "common/check.hpp"
@@ -43,9 +30,6 @@
 namespace sdsi::sim {
 
 class Simulator;
-
-/// Scheduler backend selection (see the file comment).
-enum class QueueBackend : std::uint8_t { kCalendar, kLegacyHeap };
 
 /// Cancellation handle for periodic tasks (and one-shot events). Destroying
 /// the handle does NOT cancel; call cancel(). A handle may outlive the
@@ -60,15 +44,13 @@ class TaskHandle {
 
  private:
   friend class Simulator;
-  explicit TaskHandle(std::shared_ptr<bool> alive) : alive_(std::move(alive)) {}
   TaskHandle(const std::shared_ptr<Simulator>& sim, std::uint32_t slot,
              std::uint32_t gen)
       : sim_(sim), slot_(slot), gen_(gen) {}
 
-  std::shared_ptr<bool> alive_;  // legacy backend
-  // Calendar backend: pooled slot + generation. The weak_ptr tracks the
-  // Simulator's non-owning liveness token, so it expires with the Simulator
-  // and a stale handle never dereferences a dangling pointer.
+  // Pooled slot + generation. The weak_ptr tracks the Simulator's
+  // non-owning liveness token, so it expires with the Simulator and a stale
+  // handle never dereferences a dangling pointer.
   std::weak_ptr<Simulator> sim_;
   std::uint32_t slot_ = 0;
   std::uint32_t gen_ = 0;
@@ -76,8 +58,7 @@ class TaskHandle {
 
 class Simulator {
  public:
-  Simulator() : Simulator(QueueBackend::kCalendar) {}
-  explicit Simulator(QueueBackend backend);
+  Simulator();
 
   Simulator(const Simulator&) = delete;
   Simulator& operator=(const Simulator&) = delete;
@@ -111,32 +92,19 @@ class Simulator {
 
   std::uint64_t executed_events() const noexcept { return executed_; }
 
-  /// Number of scheduled events that will still run. The calendar backend
-  /// counts live events only (cancelled entries are excluded and purged
-  /// lazily); the legacy backend keeps the pre-change behavior of counting
-  /// cancelled entries until their deadline passes.
-  std::size_t pending_events() const noexcept {
-    return calendar_ ? live_events_ : heap_queue_.size();
-  }
-
-  bool using_calendar_queue() const noexcept { return calendar_; }
-
-  /// Whether callers should park bulky event payloads (routing messages) in
-  /// free-list pools. Reported off on the legacy backend so the escape
-  /// hatch reproduces the pre-change per-event heap traffic.
-  bool pooled_events() const noexcept { return calendar_; }
+  /// Number of scheduled events that will still run. Cancelled entries are
+  /// excluded at once (their refs are purged lazily).
+  std::size_t pending_events() const noexcept { return live_events_; }
 
   /// Test hook: invoked as probe(when, seq) immediately before each live
-  /// event executes. Used by the scheduler-equivalence test to assert both
-  /// backends replay the identical event order.
+  /// event executes. The scheduler tests fold it into an execution-order
+  /// digest; benches time event bodies with it.
   void set_execution_probe(std::function<void(SimTime, SeqNo)> probe) {
     probe_ = std::move(probe);
   }
 
  private:
   friend class TaskHandle;
-
-  // ---- calendar backend ----
 
   // 2^kBucketBits microseconds per bucket; kNumBuckets buckets on the
   // wheel => a ~2.1-second span before events spill to the overflow store.
@@ -203,6 +171,11 @@ class Simulator {
   /// otherwise leave the window wider than kNumBuckets, where two live
   /// logical buckets would alias one physical bucket and drain out of order.
   void shrink_window(std::int64_t new_end);
+  /// Points cur_bucket_ at a drainable window: jumps to the earliest
+  /// overflow event when the wheel is empty and keeps at least half the
+  /// wheel ahead of the cursor. Returns false once nothing <= horizon_us is
+  /// pending.
+  bool ready_cursor(std::int64_t horizon_us);
   /// Pops the earliest ref with when <= horizon_us. Returns false if none.
   bool pop_ref(std::int64_t horizon_us, Ref& out);
   /// Drops every cancelled ref still parked in the wheel/overflow.
@@ -211,7 +184,8 @@ class Simulator {
   /// reschedules periodics). Returns 1 if an event executed, else 0.
   std::uint64_t execute_ref(const Ref& ref);
 
-  std::uint64_t run_calendar(std::int64_t horizon_us);
+  /// Executes every event with when <= horizon_us; returns how many ran.
+  std::uint64_t drain(std::int64_t horizon_us);
 
   std::vector<std::vector<Ref>> buckets_;
   std::vector<Ref> overflow_;
@@ -219,47 +193,19 @@ class Simulator {
   std::uint32_t slot_count_ = 0;  // slots handed out across all chunks
   std::vector<std::uint32_t> free_slots_;
   std::int64_t cur_bucket_ = 0;   // next bucket to drain (absolute index)
-  std::int64_t wheel_end_ = 0;    // refs with bucket >= wheel_end_ overflow
+  // Refs with bucket >= wheel_end_ overflow.
+  std::int64_t wheel_end_ = static_cast<std::int64_t>(kNumBuckets);
   std::size_t wheel_refs_ = 0;    // refs currently parked on the wheel
   std::size_t live_events_ = 0;   // scheduled and not cancelled
   std::size_t stale_refs_ = 0;    // cancelled refs awaiting lazy purge
   std::uint32_t executing_slot_ = kNoSlot;
 
-  // ---- legacy heap backend ----
-
-  // The entry layout is the seed kernel's, byte for byte: a 16-byte-SBO
-  // std::function (so the periodic reschedule closure heap-allocates on
-  // every firing, as pre-change) next to the per-event shared_ptr<bool>.
-  struct HeapEntry {
-    SimTime when;
-    SeqNo seq;
-    std::shared_ptr<bool> alive;  // null => unconditional
-    std::function<void()> fn;
-  };
-  struct HeapLater {
-    bool operator()(const HeapEntry& a, const HeapEntry& b) const noexcept {
-      if (a.when != b.when) {
-        return a.when > b.when;
-      }
-      return a.seq > b.seq;
-    }
-  };
-
-  void execute_legacy(HeapEntry& entry);
-  std::uint64_t run_legacy(SimTime horizon, bool bounded);
-
-  std::priority_queue<HeapEntry, std::vector<HeapEntry>, HeapLater>
-      heap_queue_;
-
-  // ---- shared state ----
-
-  bool calendar_ = true;
   SimTime now_;
   SeqNo next_seq_ = 0;
   std::uint64_t executed_ = 0;
   std::function<void(SimTime, SeqNo)> probe_;
 
-  // Non-owning liveness token handed to calendar-backend TaskHandles (one
+  // Non-owning liveness token handed to TaskHandles (one
   // allocation per Simulator, not per event). Declared last so it is the
   // first member destroyed: every outstanding handle goes inert before the
   // slot pool and wheel tear down.
@@ -267,19 +213,12 @@ class Simulator {
 };
 
 inline void TaskHandle::cancel() noexcept {
-  if (alive_) {
-    *alive_ = false;
-    return;
-  }
   if (const auto sim = sim_.lock()) {
     sim->cancel_slot(slot_, gen_);
   }
 }
 
 inline bool TaskHandle::active() const noexcept {
-  if (alive_) {
-    return *alive_;
-  }
   const auto sim = sim_.lock();
   return sim != nullptr && sim->slot_active(slot_, gen_);
 }

@@ -1,4 +1,3 @@
-#include "dsp/haar.hpp"
 #include "streams/summarizer.hpp"
 
 #include <algorithm>
@@ -98,18 +97,6 @@ bool StreamSummarizer::features_into(dsp::FeatureVector& out) const {
   const std::size_t first = config_.first_coefficient();
   const std::span<dsp::Complex> coeffs =
       out.overwrite(config_.num_coefficients);
-  if (config_.synopsis == dsp::Synopsis::kHaar) {
-    // No O(k) incremental update exists for a sliding Haar transform, so
-    // this mode recomputes from the raw window: O(W) per call. The same
-    // normalization identity applies — only coefficient 0 carries the mean,
-    // so dividing the retained raw coefficients by the denominator yields
-    // the normalized synopsis.
-    const std::vector<double> raw = dsp::haar_transform(dft_.window());
-    for (std::size_t i = 0; i < coeffs.size(); ++i) {
-      coeffs[i] = dsp::Complex{raw[first + i] / denom, 0.0};
-    }
-    return true;
-  }
   const auto raw = dft_.coefficients();
   for (std::size_t i = 0; i < coeffs.size(); ++i) {
     coeffs[i] = raw[first + i] / denom;

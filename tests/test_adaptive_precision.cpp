@@ -1,18 +1,20 @@
-// The Sec VI-A adaptive precision controller: rate targeting, bounds, and
-// the closed-loop batcher.
+// The Sec VI-A adaptive precision controller: rate targeting and bounds,
+// and the closed loop a middleware stream runs (core::summarize_value on a
+// LocalStream built with adaptive precision).
 #include <gtest/gtest.h>
 
-#include <cmath>
+#include <algorithm>
+#include <memory>
+#include <optional>
+#include <span>
+#include <vector>
 
 #include "common/rng.hpp"
-#include "ext/adaptive_precision.hpp"
+#include "core/node.hpp"
+#include "core/precision.hpp"
 
-namespace sdsi::ext {
+namespace sdsi::core {
 namespace {
-
-dsp::FeatureVector fv(double re) {
-  return dsp::FeatureVector({dsp::Complex{re, 0.0}});
-}
 
 AdaptivePrecisionController::Options options(double target = 1.0) {
   AdaptivePrecisionController::Options opts;
@@ -76,10 +78,92 @@ TEST(AdaptiveController, AdaptsOnlyAtWindowBoundaries) {
   EXPECT_EQ(controller.adaptations(), 1u);
 }
 
-TEST(PrecisionAdaptiveBatcher, ConvergesToTargetRateOnFastStream) {
+/// Pass-through summary: each sample becomes a one-coefficient feature
+/// vector (value, 0), so the tests drive the batcher with exact coordinates.
+class PassThroughSummarizer final : public Summarizer {
+ public:
+  void push(Sample value) override {
+    last_ = value;
+    ++seen_;
+  }
+  void push_span(std::span<const Sample> values) override {
+    for (const Sample value : values) {
+      push(value);
+    }
+  }
+  bool ready() const noexcept override { return seen_ > 0; }
+  std::size_t samples_until_ready() const noexcept override {
+    return ready() ? 0 : 1;
+  }
+  std::uint64_t samples_seen() const noexcept override { return seen_; }
+  bool features_into(dsp::FeatureVector& out) const override {
+    if (!ready()) {
+      return false;
+    }
+    out.overwrite(1)[0] = dsp::Complex{last_, 0.0};
+    return true;
+  }
+  bool approx_window(std::vector<Sample>& out) const override {
+    out.assign(1, last_);
+    return ready();
+  }
+
+ private:
+  Sample last_ = 0.0;
+  std::uint64_t seen_ = 0;
+};
+
+/// One middleware stream with the closed loop on: built by the LocalStream
+/// constructor MiddlewareSystem::register_stream uses, and fed through
+/// core::summarize_value, the ingest step of every host.
+class AdaptiveStream {
+ public:
+  AdaptiveStream()
+      : strategy_(IndexingStrategy::make({}, dsp::FeatureConfig{},
+                                         common::IdSpace(32))),
+        local_(1, *strategy_, MbrBatcher::Options{}, options(1.0)) {
+    local_.summarizer = std::make_unique<PassThroughSummarizer>();
+  }
+
+  /// Ingests one sample; returns the MBR it closed, if any.
+  std::optional<dsp::Mbr> push(double value) {
+    closed_.clear();
+    summarize_value(local_, value, closed_);
+    if (closed_.empty()) {
+      return std::nullopt;
+    }
+    return closed_.front();
+  }
+
+  double current_extent() const { return local_.precision->extent(); }
+  const LocalStream& local() const { return local_; }
+
+ private:
+  std::unique_ptr<IndexingStrategy> strategy_;
+  LocalStream local_;
+  std::vector<dsp::Mbr> closed_;
+};
+
+TEST(AdaptivePrecisionLoop, StreamStartsAtTheControllerBudget) {
+  const AdaptiveStream stream;
+  ASSERT_TRUE(stream.local().precision.has_value());
+  const MbrBatcher::Options& batching = stream.local().batcher.options();
+  EXPECT_EQ(batching.mode, MbrBatcher::Mode::kAdaptive);
+  EXPECT_DOUBLE_EQ(batching.max_extent,
+                   AdaptivePrecisionController(options(1.0)).extent());
+
+  // Without the closed loop the stream keeps fixed-count batching.
+  const auto strategy = IndexingStrategy::make({}, dsp::FeatureConfig{},
+                                               common::IdSpace(32));
+  const LocalStream fixed(2, *strategy, MbrBatcher::Options{});
+  EXPECT_FALSE(fixed.precision.has_value());
+  EXPECT_EQ(fixed.batcher.options().mode, MbrBatcher::Mode::kFixedCount);
+}
+
+TEST(AdaptivePrecisionLoop, ConvergesToTargetRateOnFastStream) {
   // A fast-drifting stream: the fixed-extent batcher would emit constantly;
   // the controller widens boxes until the rate lands near target.
-  PrecisionAdaptiveBatcher batcher({}, options(1.0));
+  AdaptiveStream stream;
   common::Pcg32 rng(5, 5);
   double walk = 0.0;
   int emissions_late = 0;
@@ -88,7 +172,7 @@ TEST(PrecisionAdaptiveBatcher, ConvergesToTargetRateOnFastStream) {
   for (int i = 0; i < kTotal; ++i) {
     walk += rng.uniform(-0.02, 0.02);
     walk = std::clamp(walk, -0.95, 0.95);
-    const bool emitted = batcher.push(fv(walk)).has_value();
+    const bool emitted = stream.push(walk).has_value();
     if (i >= kTotal - kTail) {
       emissions_late += emitted ? 1 : 0;
     }
@@ -98,25 +182,25 @@ TEST(PrecisionAdaptiveBatcher, ConvergesToTargetRateOnFastStream) {
   EXPECT_LT(emissions_late, 420);
 }
 
-TEST(PrecisionAdaptiveBatcher, FlatStreamGainsPrecision) {
-  PrecisionAdaptiveBatcher batcher({}, options(1.0));
+TEST(AdaptivePrecisionLoop, FlatStreamGainsPrecision) {
+  AdaptiveStream stream;
   for (int i = 0; i < 2000; ++i) {
-    (void)batcher.push(fv(0.3));  // never moves: never emits
+    (void)stream.push(0.3);  // never moves: never emits
   }
   // Extent shrinks toward the minimum: maximal precision for free.
-  EXPECT_LT(batcher.current_extent(),
+  EXPECT_LT(stream.current_extent(),
             AdaptivePrecisionController(options(1.0)).extent());
 }
 
-TEST(PrecisionAdaptiveBatcher, EmittedBoxesRespectCurrentBudget) {
-  PrecisionAdaptiveBatcher batcher({}, options(1.0));
+TEST(AdaptivePrecisionLoop, EmittedBoxesRespectCurrentBudget) {
+  AdaptiveStream stream;
   common::Pcg32 rng(9, 9);
   double walk = 0.0;
   double max_budget_seen = 0.0;
   for (int i = 0; i < 3000; ++i) {
     walk += rng.uniform(-0.01, 0.01);
-    max_budget_seen = std::max(max_budget_seen, batcher.current_extent());
-    if (const auto box = batcher.push(fv(walk))) {
+    max_budget_seen = std::max(max_budget_seen, stream.current_extent());
+    if (const auto box = stream.push(walk)) {
       // A closed box never exceeds the largest budget that was in force.
       EXPECT_LE(box->routing_high() - box->routing_low(),
                 max_budget_seen + 1e-12);
@@ -124,10 +208,10 @@ TEST(PrecisionAdaptiveBatcher, EmittedBoxesRespectCurrentBudget) {
   }
 }
 
-TEST(PrecisionAdaptiveBatcher, FasterStreamsGetWiderBoxes) {
+TEST(AdaptivePrecisionLoop, FasterStreamsGetWiderBoxes) {
   // The Sec VI-A promise: precision adapts per stream automatically.
-  PrecisionAdaptiveBatcher slow({}, options(1.0));
-  PrecisionAdaptiveBatcher fast({}, options(1.0));
+  AdaptiveStream slow;
+  AdaptiveStream fast;
   common::Pcg32 rng(11, 11);
   double w_slow = 0.0;
   double w_fast = 0.0;
@@ -135,11 +219,11 @@ TEST(PrecisionAdaptiveBatcher, FasterStreamsGetWiderBoxes) {
     w_slow += rng.uniform(-0.001, 0.001);
     w_fast += rng.uniform(-0.05, 0.05);
     w_fast = std::clamp(w_fast, -0.95, 0.95);
-    (void)slow.push(fv(w_slow));
-    (void)fast.push(fv(w_fast));
+    (void)slow.push(w_slow);
+    (void)fast.push(w_fast);
   }
   EXPECT_GT(fast.current_extent(), 2.0 * slow.current_extent());
 }
 
 }  // namespace
-}  // namespace sdsi::ext
+}  // namespace sdsi::core

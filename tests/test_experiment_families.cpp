@@ -94,14 +94,6 @@ TEST(ExperimentVariants, AdaptivePrecisionCutsMbrRate) {
   EXPECT_LT(rate(b), 0.7 * rate(a));
 }
 
-TEST(ExperimentVariants, HaarSynopsisRunsEndToEnd) {
-  ExperimentConfig config = quick(20);
-  config.features.synopsis = dsp::Synopsis::kHaar;  // W=256 is a power of 2
-  Experiment experiment(config);
-  experiment.run();
-  EXPECT_GT(experiment.quality_report().responses_received, 0u);
-}
-
 TEST(ExperimentVariants, TwoStreamsPerNode) {
   // Beyond the paper's 1-stream-per-node setup: a node can source several.
   ExperimentConfig config = quick(10);

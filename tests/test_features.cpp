@@ -47,6 +47,16 @@ TEST(FeatureConfig, FirstCoefficientSkipsDcOnlyForZNorm) {
             0u);
 }
 
+TEST(FeatureConfig, RejectsCoefficientsPastHalfTheWindow) {
+  // A real window has X_{N-F} = conj(X_F). At W = 8, z-normalized, k = 4
+  // keeps X_1..X_4 (X_4 is the Nyquist bin) and already spans the whole
+  // spectrum; k = 5 would add X_5 = conj(X_3), which reconstruct() and
+  // symmetric_lower_bound() would count twice.
+  config(8, 4).validate();
+  config(8, 5, Normalization::kUnitNormalize).validate();  // X_0..X_4
+  EXPECT_DEATH(config(8, 5).validate(), "");
+}
+
 TEST(FeatureVector, AsRealsInterleavesReIm) {
   const FeatureVector fv({Complex{1.0, 2.0}, Complex{3.0, 4.0}});
   EXPECT_EQ(fv.as_reals(), (std::vector<double>{1.0, 2.0, 3.0, 4.0}));
@@ -147,6 +157,18 @@ TEST(Reconstruct, ExactForBandLimitedSignal) {
   const auto approx = reconstruct(fv, cfg);
   const auto normalized = z_normalize(window);
   for (std::size_t j = 0; j < kN; ++j) {
+    EXPECT_NEAR(approx[j], normalized[j], 1e-9) << "j=" << j;
+  }
+}
+
+TEST(Reconstruct, ExactWithEveryCoefficientUpToNyquist) {
+  // The largest valid k keeps the whole spectrum of a z-normalized window,
+  // so reconstruction returns the normalized window itself.
+  const auto window = random_window(8, 7);
+  const FeatureConfig cfg = config(8, 4);
+  const auto approx = reconstruct(extract_features(window, cfg), cfg);
+  const auto normalized = z_normalize(window);
+  for (std::size_t j = 0; j < 8; ++j) {
     EXPECT_NEAR(approx[j], normalized[j], 1e-9) << "j=" << j;
   }
 }

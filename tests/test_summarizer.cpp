@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <tuple>
+#include <vector>
 
 #include "common/rng.hpp"
 #include "streams/summarizer.hpp"
@@ -82,12 +84,27 @@ TEST_P(SummarizerMatchesBatch, IncrementalEqualsExtractFeatures) {
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    Shapes, SummarizerMatchesBatch,
-    ::testing::Combine(::testing::Values(4, 8, 32, 128),
-                       ::testing::Values(1, 2, 3),
-                       ::testing::Values(dsp::Normalization::kZNormalize,
-                                         dsp::Normalization::kUnitNormalize)));
+// Windows 4..128 x k 1..3 x both normalizations, except that (4, 3, znorm)
+// would keep X_3 of a 4-sample window, past N/2, which FeatureConfig
+// rejects; (6, 3, znorm) takes its place.
+std::vector<std::tuple<std::size_t, std::size_t, dsp::Normalization>>
+summarizer_shapes() {
+  std::vector<std::tuple<std::size_t, std::size_t, dsp::Normalization>> shapes;
+  for (const std::size_t w : {4u, 8u, 32u, 128u}) {
+    for (const std::size_t k : {1u, 2u, 3u}) {
+      for (const dsp::Normalization norm : {dsp::Normalization::kZNormalize,
+                                            dsp::Normalization::kUnitNormalize}) {
+        const bool past_half = w == 4 && k == 3 &&
+                               norm == dsp::Normalization::kZNormalize;
+        shapes.emplace_back(past_half ? 6u : w, k, norm);
+      }
+    }
+  }
+  return shapes;
+}
+
+INSTANTIATE_TEST_SUITE_P(Shapes, SummarizerMatchesBatch,
+                         ::testing::ValuesIn(summarizer_shapes()));
 
 TEST(StreamSummarizer, ReanchoringKeepsFeaturesContinuous) {
   const dsp::FeatureConfig cfg = config(16, 2, dsp::Normalization::kZNormalize);

@@ -4,18 +4,10 @@
 // Fig 6(a) load decomposition, Fig 7 overheads, Fig 8 hops, and the quality
 // summary, so a configuration can be explored without writing C++.
 //
-//   sdsi_sim [--nodes N] [--radius R] [--seed S] [--substrate chord|prefix|ideal]
-//            [--multicast seq|bidir] [--beta B] [--window W] [--coeffs K]
-//            [--warmup SECONDS] [--measure SECONDS] [--query-rate Q]
-//            [--adaptive-precision] [--loss P]
-//            [--burst-loss P] [--crash-wave F] [--jitter MS]
-//            [--mbr-acks] [--response-acks] [--mbr-refresh S]
-//            [--query-refresh S] [--replication-factor R]
-//            [--anti-entropy-period S] [--threads N] [--oracle S] [--drain S]
-//            [--adversarial] [--zipf S] [--pattern-pool N] [--zipf-clients]
-//            [--placement-skew S] [--flash-crowd T] [--overload]
-//            [--overload-window MS] [--split-ways N] [--ingest-capacity N]
-//            [--shed-rate P] [--publish-budget N] [--defer-capacity N]
+//   sdsi_sim [options]
+//
+// `sdsi_sim --help` lists every flag; EXPERIMENTS.md's flag reference
+// documents each one, and tools/check_cli_docs keeps the two in agreement.
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -45,7 +37,6 @@ using namespace sdsi;
       "  --beta B             MBR batch size (default 5)\n"
       "  --window W           sliding window length (default 256)\n"
       "  --coeffs K           retained coefficients (default 2)\n"
-      "  --synopsis KIND      dft | haar (default dft)\n"
       "  --warmup SECONDS     warm-up before measuring (default 80)\n"
       "  --measure SECONDS    measurement window (default 60)\n"
       "  --query-rate Q       queries per second (default 2)\n"
@@ -184,15 +175,6 @@ int main(int argc, char** argv) {
     } else if (is("--coeffs")) {
       config.features.num_coefficients =
           static_cast<std::size_t>(parse_long(value(), argv[0]));
-    } else if (is("--synopsis")) {
-      const std::string kind = value();
-      if (kind == "dft") {
-        config.features.synopsis = dsp::Synopsis::kFourier;
-      } else if (kind == "haar") {
-        config.features.synopsis = dsp::Synopsis::kHaar;
-      } else {
-        usage(argv[0]);
-      }
     } else if (is("--warmup")) {
       config.warmup = sim::Duration::seconds(parse_double(value(), argv[0]));
     } else if (is("--measure")) {
