@@ -4,6 +4,7 @@
 #pragma once
 
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
 #if defined(__unix__) || defined(__APPLE__)
 #include <sys/resource.h>
@@ -35,10 +36,10 @@ namespace sdsi::bench {
 //   }
 //
 // `name` identifies the code path, `config` the workload point (sizes,
-// radii, window lengths), `threads` the worker-lane count the row was
-// measured at (1 = serial; additive key, schema stays v1), `ops_per_sec`
-// the headline throughput, and `wall_ms` the total measured wall time
-// backing it. Rows that track memory additionally carry `peak_rss_kb`
+// radii, window lengths), `ops_per_sec` the headline throughput, and
+// `wall_ms` the total measured wall time backing it. `threads` is always 1:
+// every bench runs serially, and the key stays so v1 readers keep their
+// shape. Rows that track memory additionally carry `peak_rss_kb`
 // (process high-water resident set, additive trailing key — absent when a
 // bench does not measure it, so existing documents keep their shape).
 
@@ -47,8 +48,6 @@ struct BenchResult {
   std::string config;
   double ops_per_sec = 0.0;
   double wall_ms = 0.0;
-  std::size_t threads = 1;  // last so positional {name, config, ops, wall}
-                            // initializers keep their serial default
   std::size_t peak_rss_kb = 0;  // 0 = not measured; emitted only when set
 };
 
@@ -120,14 +119,14 @@ class JsonBenchReporter {
       char numbers[200];
       if (r.peak_rss_kb > 0) {
         std::snprintf(numbers, sizeof(numbers),
-                      "\"threads\": %zu, \"ops_per_sec\": %.6g, "
+                      "\"threads\": 1, \"ops_per_sec\": %.6g, "
                       "\"wall_ms\": %.6g, \"peak_rss_kb\": %zu",
-                      r.threads, r.ops_per_sec, r.wall_ms, r.peak_rss_kb);
+                      r.ops_per_sec, r.wall_ms, r.peak_rss_kb);
       } else {
         std::snprintf(numbers, sizeof(numbers),
-                      "\"threads\": %zu, \"ops_per_sec\": %.6g, "
+                      "\"threads\": 1, \"ops_per_sec\": %.6g, "
                       "\"wall_ms\": %.6g",
-                      r.threads, r.ops_per_sec, r.wall_ms);
+                      r.ops_per_sec, r.wall_ms);
       }
       out << "    {\"name\": \"" << json_escape(r.name) << "\", \"config\": \""
           << json_escape(r.config) << "\", " << numbers << "}"
@@ -145,13 +144,19 @@ class JsonBenchReporter {
 /// Extracts `<flag> <value>` from argv (removing both tokens); returns the
 /// value or "" when the flag is absent. Leaves every other argument intact
 /// so harness-specific flags (google-benchmark's, a bench's own) still
-/// parse.
+/// parse. A trailing flag with no value prints usage and exits 2: running
+/// on without the output the caller asked for would hide the mistake.
 inline std::string consume_value_flag(int& argc, char** argv,
                                       const std::string& flag) {
   std::string value;
   int write_at = 1;
   for (int i = 1; i < argc; ++i) {
-    if (flag == argv[i] && i + 1 < argc) {
+    if (flag == argv[i]) {
+      if (i + 1 == argc) {
+        std::fprintf(stderr, "%s: %s needs a value\nusage: %s ... %s <value>\n",
+                     argv[0], flag.c_str(), argv[0], flag.c_str());
+        std::exit(2);
+      }
       value = argv[++i];
       continue;
     }

@@ -13,7 +13,6 @@
 #include "bench_common.hpp"
 #include "common/rng.hpp"
 #include "core/index_store.hpp"
-#include "core/worker_pool.hpp"
 #include "dsp/dft.hpp"
 #include "dsp/features.hpp"
 #include "dsp/mbr.hpp"
@@ -116,43 +115,6 @@ void BM_SummarizerPushSpan(benchmark::State& state) {
                           static_cast<std::int64_t>(batch.size()));
 }
 BENCHMARK(BM_SummarizerPushSpan)->Arg(32)->Arg(128)->Arg(512);
-
-void BM_BurstIngestParallel(benchmark::State& state) {
-  // The ingest-burst shape MiddlewareSystem::post_stream_burst parallelizes:
-  // many independent (node, stream) summarizers each absorbing a long span.
-  // Arg = WorkerPool lane count; lanes=1 exercises the inline (no thread
-  // spawned) degradation path, so its row doubles as the overhead guard
-  // against BM_SummarizerPushSpan.
-  const auto threads = static_cast<std::size_t>(state.range(0));
-  constexpr std::size_t kStreams = 64;
-  dsp::FeatureConfig config;
-  config.window_size = 128;
-  config.num_coefficients = 2;
-  const auto batch = random_signal(1024);
-  core::WorkerPool pool(threads);
-  std::vector<streams::StreamSummarizer> summarizers;
-  summarizers.reserve(kStreams);
-  for (std::size_t i = 0; i < kStreams; ++i) {
-    summarizers.emplace_back(config);
-  }
-  for (auto _ : state) {
-    pool.parallel_for(summarizers.size(), [&](std::size_t i) {
-      summarizers[i].push_span(batch);
-    });
-    benchmark::DoNotOptimize(summarizers.front().features());
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(kStreams) *
-                          static_cast<std::int64_t>(batch.size()));
-  state.counters["threads"] = static_cast<double>(pool.thread_count());
-  state.SetLabel("streams=64 span=1024 n=128");
-}
-BENCHMARK(BM_BurstIngestParallel)
-    ->Arg(1)
-    ->Arg(2)
-    ->Arg(4)
-    ->Arg(8)
-    ->UseRealTime();
 
 void BM_ExtractFeaturesBatch(benchmark::State& state) {
   // One-shot extraction (query path).
@@ -278,13 +240,6 @@ class JsonCaptureReporter : public benchmark::ConsoleReporter {
                              run.real_accumulated_time;
       }
       result.wall_ms = run.real_accumulated_time * 1e3;
-      const auto threads = run.counters.find("threads");
-      if (threads != run.counters.end()) {
-        result.threads = static_cast<std::size_t>(threads->second);
-      }
-      if (!run.report_label.empty()) {
-        result.config = run.report_label;
-      }
       sink_->add(std::move(result));
     }
   }

@@ -1,23 +1,16 @@
 // Matching-engine microbench: the key-interval pruned IndexStore::match
 // against the brute-force O(subscriptions x MBRs) reference, at and beyond
-// the paper's Table-I operating points (query radius 0.1 / 0.2), plus the
-// WorkerPool thread-scaling axis of the sharded match pass (Sec IV-C: the
-// matching load of a key range spreads across the nodes covering it; here
-// one node's pass spreads across worker lanes the same way). The
+// the paper's Table-I operating points (query radius 0.1 / 0.2). The
 // match_steady rows time the steady-state incremental pass: one pass, then
 // 1% new MBRs, then the timed second pass, checked against brute force.
 //
-// Usage: bench_matching [--smoke] [--json <path>] [--threads LIST]
+// Usage: bench_matching [--smoke] [--json <path>]
 //   --smoke    one quick configuration (CI smoke label)
-//   --json     also emit BENCH_matching.json-style results (schema v1 with
-//              the additive `threads` key, see bench_common.hpp)
-//   --threads  comma-separated lane counts for the scaling axis
-//              (default 1,2,4,8)
+//   --json     also emit BENCH_matching.json-style results (schema v1, see
+//              bench_common.hpp)
 #include <algorithm>
 #include <chrono>
-#include <cinttypes>
 #include <cstdio>
-#include <cstdlib>
 #include <memory>
 #include <string>
 #include <utility>
@@ -26,7 +19,6 @@
 #include "bench_common.hpp"
 #include "common/rng.hpp"
 #include "core/index_store.hpp"
-#include "core/worker_pool.hpp"
 
 namespace {
 
@@ -112,9 +104,7 @@ struct EngineTiming {
   std::size_t matches = 0;
 };
 
-/// pool == nullptr -> serial pruned pass; otherwise the sharded pass.
-EngineTiming time_engine(const MatchConfig& config, bool pruned,
-                         core::WorkerPool* pool = nullptr) {
+EngineTiming time_engine(const MatchConfig& config, bool pruned) {
   using Clock = std::chrono::steady_clock;
   EngineTiming timing;
   double total_seconds = 0.0;
@@ -122,7 +112,7 @@ EngineTiming time_engine(const MatchConfig& config, bool pruned,
     core::IndexStore store =
         build_store(config, static_cast<std::uint64_t>(rep) + 1);
     const auto start = Clock::now();
-    const auto matches = pruned ? store.match(sim::SimTime::zero(), pool)
+    const auto matches = pruned ? store.match(sim::SimTime::zero())
                                 : store.match_brute_force(sim::SimTime::zero());
     const auto stop = Clock::now();
     total_seconds += std::chrono::duration<double>(stop - start).count();
@@ -200,55 +190,10 @@ bool time_steady(const MatchConfig& config, EngineTiming& timing) {
   return true;
 }
 
-/// Hard equivalence guard for the sharded pass: same store seed, serial vs
-/// `threads` lanes, exact match-VECTOR equality (order included). Returns
-/// false (and prints) on any divergence.
-bool verify_parallel_equivalence(const MatchConfig& config,
-                                 std::size_t threads) {
-  core::IndexStore serial_store = build_store(config, 1);
-  core::IndexStore pooled_store = build_store(config, 1);
-  core::WorkerPool pool(threads);
-  const auto serial = serial_store.match(sim::SimTime::zero());
-  const auto pooled = pooled_store.match(sim::SimTime::zero(), &pool);
-  if (serial.size() != pooled.size()) {
-    std::fprintf(stderr, "FATAL: %zu-lane pass found %zu matches, serial %zu\n",
-                 threads, pooled.size(), serial.size());
-    return false;
-  }
-  for (std::size_t i = 0; i < serial.size(); ++i) {
-    if (serial[i].query != pooled[i].query ||
-        serial[i].stream != pooled[i].stream ||
-        serial[i].bound_distance != pooled[i].bound_distance) {
-      std::fprintf(stderr,
-                   "FATAL: %zu-lane pass diverges from serial at entry %zu\n",
-                   threads, i);
-      return false;
-    }
-  }
-  return true;
-}
-
-std::vector<std::size_t> parse_thread_list(const std::string& text) {
-  std::vector<std::size_t> threads;
-  const char* cursor = text.c_str();
-  while (*cursor != '\0') {
-    char* end = nullptr;
-    const unsigned long value = std::strtoul(cursor, &end, 10);
-    if (end == cursor || value == 0) {
-      return {};
-    }
-    threads.push_back(static_cast<std::size_t>(value));
-    cursor = *end == ',' ? end + 1 : end;
-  }
-  return threads;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
   const std::string json_path = sdsi::bench::consume_json_flag(argc, argv);
-  const std::string thread_list =
-      sdsi::bench::consume_value_flag(argc, argv, "--threads");
   const bool smoke = sdsi::bench::consume_flag(argc, argv, "--smoke");
 
   std::vector<MatchConfig> configs;
@@ -259,15 +204,6 @@ int main(int argc, char** argv) {
     configs.push_back(MatchConfig{1000, 100, 0.1, 10});
     configs.push_back(MatchConfig{5000, 500, 0.1, 5});
     configs.push_back(MatchConfig{5000, 500, 0.2, 5});
-  }
-  std::vector<std::size_t> thread_axis =
-      parse_thread_list(thread_list.empty() ? "1,2,4,8" : thread_list);
-  if (thread_axis.empty()) {
-    std::fprintf(stderr, "bad --threads list: %s\n", thread_list.c_str());
-    return 2;
-  }
-  if (smoke) {
-    thread_axis = {1, 2};
   }
 
   sdsi::bench::JsonBenchReporter reporter("matching");
@@ -294,7 +230,7 @@ int main(int argc, char** argv) {
                                           brute.wall_ms});
     reporter.add(sdsi::bench::BenchResult{"match_pruned", label,
                                           pruned.pairs_per_sec,
-                                          pruned.wall_ms, 1});
+                                          pruned.wall_ms});
     EngineTiming steady;
     if (!time_steady(config, steady)) {
       return 1;
@@ -305,40 +241,9 @@ int main(int argc, char** argv) {
                 steady.wall_ms > 0.0 ? pruned.wall_ms / steady.wall_ms : 0.0);
     reporter.add(sdsi::bench::BenchResult{"match_steady", label,
                                           steady.pairs_per_sec,
-                                          steady.wall_ms, 1});
+                                          steady.wall_ms});
   }
 
-  // Thread-scaling axis: the sharded pass on the heaviest configuration.
-  // The 1-lane row doubles as the inline-degradation guard — WorkerPool(1)
-  // spawns no thread and must stay within noise of the serial pass above.
-  // 5000x500 r=0.1 in the full run (the PR 1 headline config).
-  const MatchConfig scaling = smoke ? configs.front() : configs[2];
-  std::printf("\nthread scaling (%s), sharded match pass:\n",
-              describe(scaling).c_str());
-  const EngineTiming serial_ref = time_engine(scaling, /*pruned=*/true);
-  for (const std::size_t threads : thread_axis) {
-    if (!verify_parallel_equivalence(scaling, threads)) {
-      return 1;
-    }
-    sdsi::core::WorkerPool pool(threads);
-    if (threads == 1 && !pool.inline_mode()) {
-      std::fprintf(stderr, "FATAL: WorkerPool(1) spawned a thread\n");
-      return 1;
-    }
-    const EngineTiming timing = time_engine(scaling, /*pruned=*/true, &pool);
-    if (timing.matches != serial_ref.matches) {
-      std::fprintf(stderr, "FATAL: %zu-lane match count diverged\n", threads);
-      return 1;
-    }
-    std::printf("  threads=%zu %14.3g pairs/s %12.3f ms  (%.2fx vs serial)\n",
-                threads, timing.pairs_per_sec, timing.wall_ms,
-                timing.wall_ms > 0.0 ? serial_ref.wall_ms / timing.wall_ms
-                                     : 0.0);
-    reporter.add(sdsi::bench::BenchResult{"match_pruned_parallel",
-                                          describe(scaling),
-                                          timing.pairs_per_sec,
-                                          timing.wall_ms, threads});
-  }
   if (!json_path.empty() && !reporter.write(json_path)) {
     return 1;
   }

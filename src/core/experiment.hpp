@@ -143,14 +143,6 @@ struct ExperimentConfig {
 
   /// Observability exports (metrics.json / trace.jsonl); off by default.
   ObsOptions obs;
-
-  /// Worker lanes for the parallel match/ingest engine (MiddlewareConfig::
-  /// threads): 1 = serial (default, zero overhead), 0 = hardware
-  /// concurrency. Results are byte-identical at every setting; only
-  /// wall-clock time changes. Deliberately NOT exported into metrics.json,
-  /// so runs differing only in threads produce identical documents (the
-  /// serial/parallel equivalence test relies on this).
-  std::size_t threads = 1;
 };
 
 /// Fig 6(a): average per-node message load per second, seven components.

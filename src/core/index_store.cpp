@@ -4,8 +4,6 @@
 #include <limits>
 #include <utility>
 
-#include "core/worker_pool.hpp"
-
 namespace sdsi::core {
 
 bool IndexStore::add_mbr(StoredMbr entry) {
@@ -184,8 +182,7 @@ void IndexStore::match_subscription(QueryId id, Subscription& sub,
   sub.scanned = true;
 }
 
-std::vector<SimilarityMatch> IndexStore::match(sim::SimTime now,
-                                               WorkerPool* pool) {
+std::vector<SimilarityMatch> IndexStore::match(sim::SimTime now) {
   expire(now);
   if (indexed_limit_ < mbrs_.size()) {
     merge_pending();
@@ -214,39 +211,10 @@ std::vector<SimilarityMatch> IndexStore::match(sim::SimTime now,
   }
   std::sort(subs.begin(), subs.end(),
             [](const auto* a, const auto* b) { return a->first < b->first; });
-  // Below this many subscriptions a fan-out costs more than it saves; the
-  // serial path is also the reference the sharded one must reproduce.
-  constexpr std::size_t kParallelThreshold = 4;
   last_match_work_ = 0;
-  if (pool == nullptr || pool->thread_count() <= 1 ||
-      subs.size() < kParallelThreshold) {
-    for (auto* entry : subs) {
-      match_subscription(entry->first, entry->second, fresh_mbrs, now, fresh,
-                         last_match_work_);
-    }
-    return fresh;
-  }
-  // Sharded pass: every task owns its subscription (and its `reported` set)
-  // exclusively, while the slab and interval index stay frozen, so the only
-  // coordination is the pool's end-of-pass barrier. Concatenating the shard
-  // outputs in the canonical order makes the result identical to the serial
-  // loop.
-  std::vector<std::vector<SimilarityMatch>> shards(subs.size());
-  std::vector<std::uint64_t> work(subs.size(), 0);
-  pool->parallel_for(subs.size(), [&](std::size_t i) {
-    match_subscription(subs[i]->first, subs[i]->second, fresh_mbrs, now,
-                       shards[i], work[i]);
-  });
-  for (const std::uint64_t n : work) {
-    last_match_work_ += n;
-  }
-  std::size_t total = 0;
-  for (const auto& shard : shards) {
-    total += shard.size();
-  }
-  fresh.reserve(total);
-  for (auto& shard : shards) {
-    fresh.insert(fresh.end(), shard.begin(), shard.end());
+  for (auto* entry : subs) {
+    match_subscription(entry->first, entry->second, fresh_mbrs, now, fresh,
+                       last_match_work_);
   }
   return fresh;
 }

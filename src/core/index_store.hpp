@@ -45,8 +45,6 @@
 
 namespace sdsi::core {
 
-class WorkerPool;
-
 class IndexStore {
  public:
   struct StoredMbr {
@@ -92,14 +90,7 @@ class IndexStore {
   /// they are never reported twice by this node. Runs expire(now) first, so
   /// callers need no separate sweep. Incremental (see the file comment):
   /// the result equals a full rescan of every subscription, order included.
-  ///
-  /// With a WorkerPool the per-subscription candidate scans are sharded
-  /// across its threads (each subscription is owned by exactly one task;
-  /// the MBR slab and interval index are frozen for the duration of the
-  /// pass) and the shard results are concatenated in the serial iteration
-  /// order — the returned vector is byte-identical to the pool-less call.
-  std::vector<SimilarityMatch> match(sim::SimTime now,
-                                     WorkerPool* pool = nullptr);
+  std::vector<SimilarityMatch> match(sim::SimTime now);
 
   /// Reference oracle: the original O(subscriptions x MBRs) scan over the
   /// same state. Kept for the equivalence tests and the matching microbench;
@@ -115,9 +106,7 @@ class IndexStore {
   /// overload layer: the sum over subscriptions of their interval-index
   /// candidate window, upper_bound(query_high) - lower_bound(query_low -
   /// max_extent). That is what a full rescan would visit, not the pairs the
-  /// incremental pass evaluated. A sum over subscriptions, so the serial and
-  /// pool-sharded passes report the identical number (hot-arc decisions
-  /// stay thread-count-invariant).
+  /// incremental pass evaluated.
   std::uint64_t last_match_work() const noexcept { return last_match_work_; }
 
   /// Snapshot of the live MBR entries (insertion order preserved).
@@ -188,13 +177,11 @@ class IndexStore {
     return entry.expires <= horizon_;
   }
 
-  /// One subscription's share of a pass (the shared body of the serial and
-  /// sharded match paths): a full candidate scan of the index when the
-  /// subscription is new, otherwise a scan of `fresh` only — the index
-  /// entries stored since the last pass, in index order. Appends matches to
-  /// `out` and records them in sub.reported. Reads only the frozen
-  /// slab/index state; writes only `sub`, `out` and `work`, so concurrent
-  /// calls on distinct subscriptions are race-free.
+  /// One subscription's share of a pass: a full candidate scan of the index
+  /// when the subscription is new, otherwise a scan of `fresh` only — the
+  /// index entries stored since the last pass, in index order. Appends
+  /// matches to `out`, records them in sub.reported and adds the candidate
+  /// window to `work`.
   void match_subscription(QueryId id, Subscription& sub,
                           std::span<const IntervalRef> fresh, sim::SimTime now,
                           std::vector<SimilarityMatch>& out,

@@ -53,13 +53,7 @@ class DftSummarizer final : public Summarizer {
       : inner_(config), config_(config) {}
 
   void push(Sample value) override { inner_.push(value); }
-  void push_span(std::span<const Sample> values) override {
-    inner_.push_span(values);
-  }
   bool ready() const noexcept override { return inner_.ready(); }
-  std::size_t samples_until_ready() const noexcept override {
-    return inner_.samples_until_ready();
-  }
   std::uint64_t samples_seen() const noexcept override {
     return inner_.samples_seen();
   }
@@ -141,13 +135,7 @@ class EcmSummarizer final : public Summarizer {
       : inner_(options) {}
 
   void push(Sample value) override { inner_.push(value); }
-  void push_span(std::span<const Sample> values) override {
-    inner_.push_span(values);
-  }
   bool ready() const noexcept override { return inner_.ready(); }
-  std::size_t samples_until_ready() const noexcept override {
-    return inner_.samples_until_ready();
-  }
   std::uint64_t samples_seen() const noexcept override {
     return inner_.samples_seen();
   }

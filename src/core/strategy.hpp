@@ -114,15 +114,9 @@ class Summarizer {
   virtual ~Summarizer() = default;
 
   virtual void push(Sample value) = 0;
-  /// Behaviorally identical to pushing one by one.
-  virtual void push_span(std::span<const Sample> values) = 0;
 
   /// True once a full window has been observed.
   virtual bool ready() const noexcept = 0;
-  /// Samples still needed before ready() flips (0 once ready). While this
-  /// exceeds 1 the next sample produces no features, so bulk ingestion may
-  /// push that cold prefix through push_span without consulting features.
-  virtual std::size_t samples_until_ready() const noexcept = 0;
   virtual std::uint64_t samples_seen() const noexcept = 0;
 
   /// Current feature vector into `out` (reusing capacity); false until

@@ -1,7 +1,6 @@
 #include "core/system.hpp"
 
 #include <algorithm>
-#include <set>
 #include <utility>
 
 #include "core/arc_sync.hpp"
@@ -17,9 +16,6 @@ MiddlewareSystem::MiddlewareSystem(routing::RoutingSystem& routing,
       config_(config),
       mapper_(routing.id_space()),
       metrics_(routing.num_nodes()),
-      pool_(WorkerPool::resolve(config.threads) > 1
-                ? std::make_unique<WorkerPool>(config.threads)
-                : nullptr),
       nodes_(routing.num_nodes()),
       rng_(common::RngFactory(config.rng_seed).make("middleware.jitter")) {
   config_.features.validate();
@@ -187,60 +183,6 @@ void MiddlewareSystem::post_stream_value(NodeIndex node, StreamId stream,
   summarize_value(local, value, closed);
   for (dsp::Mbr& mbr : closed) {
     route_mbr(node, local, std::move(mbr));
-  }
-}
-
-void MiddlewareSystem::post_stream_burst(
-    const std::vector<StreamBurst>& bursts) {
-  struct Task {
-    LocalStream* local = nullptr;
-    const StreamBurst* burst = nullptr;
-    std::vector<dsp::Mbr> closed;
-  };
-  std::vector<Task> tasks;
-  tasks.reserve(bursts.size());
-  std::set<std::pair<NodeIndex, StreamId>> targets;
-  for (const StreamBurst& burst : bursts) {
-    MiddlewareNode& state = state_of(burst.node);
-    const auto it = state.streams.find(burst.stream);
-    SDSI_CHECK(it != state.streams.end());
-    SDSI_CHECK(targets.emplace(burst.node, burst.stream).second &&
-               "bursts must target distinct (node, stream) pairs");
-    tasks.push_back(Task{&it->second, &burst, {}});
-  }
-  // Phase 1 — summarize, sharded across the pool. Each task owns its
-  // stream's summarizer/batcher exclusively (distinct targets, checked
-  // above) and touches nothing else, so the only coordination is the
-  // barrier. While the window cannot fill yet the serial path consults no
-  // features, so that cold prefix takes the batched push_span lane.
-  const auto summarize_burst = [](Task& task) {
-    LocalStream& local = *task.local;
-    std::span<const Sample> values(task.burst->values);
-    const std::size_t until_ready = local.summarizer->samples_until_ready();
-    if (until_ready > 1) {
-      const std::size_t cold = std::min(values.size(), until_ready - 1);
-      local.summarizer->push_span(values.first(cold));
-      values = values.subspan(cold);
-    }
-    for (const Sample value : values) {
-      summarize_value(local, value, task.closed);
-    }
-  };
-  if (pool_ != nullptr && tasks.size() > 1) {
-    pool_->parallel_for(tasks.size(),
-                        [&](std::size_t i) { summarize_burst(tasks[i]); });
-  } else {
-    for (Task& task : tasks) {
-      summarize_burst(task);
-    }
-  }
-  // Phase 2 — route the closed MBRs serially in burst order. Routing never
-  // feeds back into summarization, so this sequence (messages, batch_seq,
-  // retry-jitter rng draws) is exactly the per-value loop's.
-  for (Task& task : tasks) {
-    for (dsp::Mbr& mbr : task.closed) {
-      route_mbr(task.burst->node, *task.local, std::move(mbr));
-    }
   }
 }
 
@@ -975,22 +917,11 @@ void MiddlewareSystem::periodic_tick(NodeIndex index) {
     return;  // the data center crashed; its soft state dies with it
   }
   const sim::SimTime now = routing_.simulator().now();
-  // The match pass touches only this node's store, so it commutes with the
-  // bookkeeping steps of dispatch_tick — running it first lets
-  // tick_all_nodes hoist all the passes into one sharded pre-pass while
-  // this (simulator-driven, one node per event) path shards the pass
-  // internally across subscriptions.
-  dispatch_tick(index, now, nodes_[index].store.match(now, pool_.get()));
-}
-
-void MiddlewareSystem::dispatch_tick(NodeIndex index, sim::SimTime now,
-                                     std::vector<SimilarityMatch> fresh) {
   MiddlewareNode& state = nodes_[index];
 
-  // Credit the match pass that just ran for this node: its scan cost plus
-  // one unit per fresh candidate. The counter is a sum over subscriptions,
-  // so the sharded and serial passes credit the identical amount — hot-arc
-  // decisions downstream stay thread-count-invariant.
+  // The match pass runs first; it touches only this node's store. Credit
+  // its scan cost plus one unit per fresh candidate to the node's load.
+  std::vector<SimilarityMatch> fresh = state.store.match(now);
   note_node_work(index,
                  state.store.last_match_work() +
                      static_cast<std::uint64_t>(fresh.size()));
@@ -1420,35 +1351,6 @@ void MiddlewareSystem::handle_node_join(NodeIndex index) {
                         routing_.node_id(routing_.predecessor_index(index)),
                         routing_.node_id(index)}));
   emit_replication_trace(obs::TraceEventKind::kHandoff, index, 0, 0);
-}
-
-void MiddlewareSystem::tick_all_nodes() {
-  if (pool_ != nullptr && nodes_.size() > 1) {
-    // Sharded pre-pass: every alive node's match pass is independent (it
-    // reads and writes only that node's store; cross-node effects travel
-    // exclusively through simulator-queued messages, which cannot fire
-    // mid-pass). The barrier at the end of the pre-pass, plus the serial
-    // node-ordered dispatch phase, keeps the message sequence — and thus
-    // the whole simulation — byte-identical to the serial loop. The pool
-    // must not be re-entered from inside a task, so each node's pass runs
-    // serially here; node-level parallelism already uses every lane.
-    const sim::SimTime now = routing_.simulator().now();
-    std::vector<std::vector<SimilarityMatch>> fresh(nodes_.size());
-    pool_->parallel_for(nodes_.size(), [&](std::size_t i) {
-      if (routing_.is_alive(static_cast<NodeIndex>(i))) {
-        fresh[i] = nodes_[i].store.match(now);
-      }
-    });
-    for (NodeIndex i = 0; i < nodes_.size(); ++i) {
-      if (routing_.is_alive(i)) {
-        dispatch_tick(i, now, std::move(fresh[i]));
-      }
-    }
-    return;
-  }
-  for (NodeIndex i = 0; i < nodes_.size(); ++i) {
-    periodic_tick(i);
-  }
 }
 
 const ClientQueryRecord* MiddlewareSystem::client_record(QueryId id) const {

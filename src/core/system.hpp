@@ -15,6 +15,7 @@
 #pragma once
 
 #include <any>
+#include <functional>
 #include <memory>
 #include <optional>
 #include <span>
@@ -27,7 +28,6 @@
 #include "core/node.hpp"
 #include "core/resend.hpp"
 #include "core/strategy.hpp"
-#include "core/worker_pool.hpp"
 #include "routing/api.hpp"
 
 namespace sdsi::core {
@@ -140,31 +140,12 @@ struct MiddlewareConfig {
   /// dedup). Zero disables. Only active when replication_factor > 0.
   sim::Duration anti_entropy_period = sim::Duration();
 
-  // --- Parallel execution engine ------------------------------------------
-
-  /// Worker lanes for the hot paths: per-subscription candidate scans
-  /// inside each node's periodic match pass, the per-node match pre-pass of
-  /// tick_all_nodes, and per-stream summarization in post_stream_burst.
-  /// 1 (the default) never spawns a thread — the serial path of PR 1,
-  /// byte-identical and overhead-free. 0 resolves to the hardware
-  /// concurrency (1 when unknown). Results are identical at every setting
-  /// (see docs/PERFORMANCE.md, "Determinism").
-  std::size_t threads = 1;
-
   // --- Overload control (adversarial-skew extension) ----------------------
 
   /// Hot-arc splitting, load shedding, and ingest backpressure; nullopt
   /// (the default) disables the whole layer with zero overhead and leaves
   /// every existing run byte-identical.
   std::optional<OverloadOptions> overload;
-};
-
-/// One node-local ingest burst for post_stream_burst: `values` are fed to
-/// (node, stream) exactly as consecutive post_stream_value calls would be.
-struct StreamBurst {
-  NodeIndex node = kInvalidNode;
-  StreamId stream = 0;
-  std::vector<Sample> values;
 };
 
 /// What a client has observed for one of its continuous queries.
@@ -219,16 +200,6 @@ class MiddlewareSystem {
   /// Feeds one new data value of `stream` into its source node. Emits and
   /// routes an MBR whenever the batcher closes one.
   void post_stream_value(NodeIndex node, StreamId stream, Sample value);
-
-  /// Bulk ingest: equivalent to calling post_stream_value for every value
-  /// of every burst, in order (burst 0's values first). The per-stream
-  /// summarization — the CPU-bound part — runs sharded across the worker
-  /// pool (cold windows take the batched push_span path), then the closed
-  /// MBRs are routed serially in burst order, so the message sequence, rng
-  /// consumption, and all downstream state are byte-identical to the
-  /// per-value loop. Bursts must target pairwise-distinct (node, stream)
-  /// pairs (checked): a task owns its stream's summarizer exclusively.
-  void post_stream_burst(const std::vector<StreamBurst>& bursts);
 
   /// Poses a continuous similarity query (Sec IV-E). Returns its id.
   QueryId subscribe_similarity(NodeIndex client, dsp::FeatureVector features,
@@ -303,16 +274,6 @@ class MiddlewareSystem {
   /// Total MBRs routed since construction.
   std::uint64_t mbrs_routed() const noexcept { return mbrs_routed_; }
 
-  /// Runs one synchronous tick on every node (tests drive time manually).
-  /// With a worker pool, the per-node match passes run sharded with a
-  /// barrier before the (serial, node-ordered) dispatch phase — message
-  /// ordering and all state stay byte-identical to the serial loop, because
-  /// nodes only interact through simulator-queued messages.
-  void tick_all_nodes();
-
-  /// The parallel engine's pool; nullptr when config.threads resolves to 1.
-  WorkerPool* worker_pool() noexcept { return pool_.get(); }
-
   // --- Overload control ----------------------------------------------------
 
   /// Whether the overload-control layer is configured.
@@ -359,17 +320,10 @@ class MiddlewareSystem {
   void handle_anti_entropy_request(NodeIndex at, const Message& msg);
   void handle_aggregator_replica(NodeIndex at, const Message& msg);
 
-  /// The NPER periodic body for one node: the match pass (sharded across
-  /// the pool when one is attached), then dispatch_tick.
-  void periodic_tick(NodeIndex index);
-
-  /// Everything in the periodic body except the match pass itself:
+  /// The NPER periodic body for one node: the match pass, then
   /// aggregator-replica promotion, publication pruning, filing the fresh
-  /// matches, digest relays, response pushes, inner-product answers. Takes
-  /// the precomputed match set so tick_all_nodes can hoist the (pure,
-  /// per-node) match passes into a parallel pre-pass.
-  void dispatch_tick(NodeIndex index, sim::SimTime now,
-                     std::vector<SimilarityMatch> fresh);
+  /// matches, digest relays, response pushes and inner-product answers.
+  void periodic_tick(NodeIndex index);
 
   /// nodes_[index], growing the table for late joiners.
   MiddlewareNode& state_of(NodeIndex index);
@@ -529,12 +483,9 @@ class MiddlewareSystem {
   SummaryMapper mapper_;
   /// The pluggable summary/key-map pair; never null (defaults to "dft").
   std::unique_ptr<IndexingStrategy> strategy_;
-  /// Scratch for multi-range strategies' probe sets (serial paths only).
+  /// Scratch for multi-range strategies' probe sets.
   std::vector<std::pair<Key, Key>> range_scratch_;
   MetricsCollector metrics_;
-  /// Parallel engine for the hot paths; null when threads resolves to 1, so
-  /// the serial path carries zero pool overhead.
-  std::unique_ptr<WorkerPool> pool_;
   std::vector<MiddlewareNode> nodes_;
   std::unordered_map<QueryId, ClientQueryRecord> client_records_;
   QueryId next_query_id_ = 1;

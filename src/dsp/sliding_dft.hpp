@@ -37,13 +37,6 @@ class SlidingDft {
   std::uint64_t samples_seen() const noexcept { return seen_; }
   bool full() const noexcept { return seen_ >= window_size_; }
 
-  /// Samples still needed before full() flips; 0 once the window filled.
-  /// Bulk ingestion uses this to size the feature-less cold prefix it can
-  /// route through push_span in one call.
-  std::size_t samples_until_full() const noexcept {
-    return full() ? 0 : window_size_ - static_cast<std::size_t>(seen_);
-  }
-
   /// Feeds one sample and returns the evicted one (0 while the window is
   /// still filling, because the pre-fill window is treated as zero-padded).
   /// Until the window fills, coefficients are built up incrementally over

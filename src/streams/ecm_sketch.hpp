@@ -118,11 +118,6 @@ class EcmStreamSummarizer {
   }
 
   bool ready() const noexcept { return seen_ >= options_.window; }
-  std::size_t samples_until_ready() const noexcept {
-    return seen_ >= options_.window
-               ? 0
-               : options_.window - static_cast<std::size_t>(seen_);
-  }
   std::uint64_t samples_seen() const noexcept { return seen_; }
 
   /// Unit-L2 sqrt-frequency embedding of the estimated window histogram,

@@ -40,14 +40,6 @@ class StreamSummarizer {
   /// True once a full window has been observed.
   bool ready() const noexcept { return dft_.full(); }
 
-  /// Samples still needed before ready() flips (0 once ready). While this
-  /// exceeds 1 the next sample produces no features, so bulk ingestion can
-  /// push that cold prefix through push_span without consulting features()
-  /// in between.
-  std::size_t samples_until_ready() const noexcept {
-    return dft_.samples_until_full();
-  }
-
   std::uint64_t samples_seen() const noexcept { return dft_.samples_seen(); }
 
   /// Current normalized feature vector; nullopt until ready() or when the

@@ -6,7 +6,6 @@
 #include <algorithm>
 #include <memory>
 #include <optional>
-#include <span>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -86,15 +85,7 @@ class PassThroughSummarizer final : public Summarizer {
     last_ = value;
     ++seen_;
   }
-  void push_span(std::span<const Sample> values) override {
-    for (const Sample value : values) {
-      push(value);
-    }
-  }
   bool ready() const noexcept override { return seen_ > 0; }
-  std::size_t samples_until_ready() const noexcept override {
-    return ready() ? 0 : 1;
-  }
   std::uint64_t samples_seen() const noexcept override { return seen_; }
   bool features_into(dsp::FeatureVector& out) const override {
     if (!ready()) {

@@ -52,8 +52,6 @@ using namespace sdsi;
       "  --query-refresh S    subscription refresh period (0 = off)\n"
       "  --replication-factor R  mirror stores to R successors (0 = off)\n"
       "  --anti-entropy-period S digest exchange period (0 = off)\n"
-      "  --threads N          worker lanes for match/ingest (1 = serial,\n"
-      "                       0 = hardware concurrency; results identical)\n"
       "  --adversarial        skewed workload with defaults (Zipf pattern\n"
       "                       pool; see --zipf/--pattern-pool)\n"
       "  --zipf S             Zipf exponent for pattern/client skew\n"
@@ -227,8 +225,6 @@ int main(int argc, char** argv) {
     } else if (is("--anti-entropy-period")) {
       config.anti_entropy_period =
           sim::Duration::seconds(parse_double(value(), argv[0]));
-    } else if (is("--threads")) {
-      config.threads = static_cast<std::size_t>(parse_long(value(), argv[0]));
     } else if (is("--adversarial")) {
       adversarial();
     } else if (is("--zipf")) {
