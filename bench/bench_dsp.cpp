@@ -1,7 +1,6 @@
 // Micro-benchmarks (google-benchmark) for the stream-processing substrate —
 // ablation A5: the paper's Sec III-C claim that incremental coefficient
-// maintenance (Eq. 5) beats recomputing the transform per arriving item,
-// plus the batched push_span ingestion path.
+// maintenance (Eq. 5) beats recomputing the transform per arriving item.
 //
 // Usage: bench_dsp [--smoke] [--json <path>] [google-benchmark flags]
 #include <benchmark/benchmark.h>
@@ -68,20 +67,6 @@ void BM_SlidingDftPerItem(benchmark::State& state) {
 }
 BENCHMARK(BM_SlidingDftPerItem)->Arg(32)->Arg(128)->Arg(512);
 
-void BM_SlidingDftPushSpan(benchmark::State& state) {
-  // Batched Eq. 5 maintenance: identical coefficients, amortized overhead.
-  const auto n = static_cast<std::size_t>(state.range(0));
-  dsp::SlidingDft dft(n, 3);
-  const auto batch = random_signal(1024);
-  for (auto _ : state) {
-    dft.push_span(batch);
-    benchmark::DoNotOptimize(dft.coefficients());
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(batch.size()));
-}
-BENCHMARK(BM_SlidingDftPushSpan)->Arg(32)->Arg(128)->Arg(512);
-
 void BM_SummarizerPerItem(benchmark::State& state) {
   // Full production path: raw sample -> normalized k-coefficient features.
   dsp::FeatureConfig config;
@@ -98,23 +83,6 @@ void BM_SummarizerPerItem(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
 }
 BENCHMARK(BM_SummarizerPerItem)->Arg(32)->Arg(128)->Arg(512);
-
-void BM_SummarizerPushSpan(benchmark::State& state) {
-  // Batched production path: push_span through the sliding DFT plus the
-  // running normalization sums.
-  dsp::FeatureConfig config;
-  config.window_size = static_cast<std::size_t>(state.range(0));
-  config.num_coefficients = 2;
-  streams::StreamSummarizer summarizer(config);
-  const auto batch = random_signal(1024);
-  for (auto _ : state) {
-    summarizer.push_span(batch);
-    benchmark::DoNotOptimize(summarizer.features());
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(batch.size()));
-}
-BENCHMARK(BM_SummarizerPushSpan)->Arg(32)->Arg(128)->Arg(512);
 
 void BM_ExtractFeaturesBatch(benchmark::State& state) {
   // One-shot extraction (query path).

@@ -514,6 +514,10 @@ QualityReport Experiment::quality_report() const {
     }
   }
   report.mean_first_response_ms = first_response.mean();
+  const obs::LogHistogram& delivery = system_->metrics().match_delivery_ms();
+  report.match_delivery_pairs = delivery.count();
+  report.match_delivery_p50_ms = delivery.p50();
+  report.match_delivery_p99_ms = delivery.p99();
   return report;
 }
 

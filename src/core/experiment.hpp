@@ -160,7 +160,7 @@ struct OverheadReport {
   double mbr_transit = 0.0;        // overlay relays per MBR
   double query_internal = 0.0;     // range-span copies per query
   double query_transit = 0.0;      // overlay relays per query
-  double neighbor_exchange = 0.0;  // neighbor digests per response
+  double neighbor_exchange = 0.0;  // report digests per response
   double response_transit = 0.0;   // overlay relays per response
 };
 
@@ -180,6 +180,12 @@ struct QualityReport {
   std::uint64_t responses_received = 0;
   std::uint64_t matches_reported = 0;
   double mean_first_response_ms = 0.0;
+  /// Match delivery (MetricsCollector::match_delivery_ms): pairs that first
+  /// reached their client in the measurement window, and the p50/p99 of
+  /// their detecting pass -> client times.
+  std::uint64_t match_delivery_pairs = 0;
+  double match_delivery_p50_ms = 0.0;
+  double match_delivery_p99_ms = 0.0;
 };
 
 /// Degradation + self-healing numbers of a (chaos) run.

@@ -43,6 +43,14 @@ void IndexStore::add_subscription(
   sub_expiry_.push(SubExpiry{expires, id});
 }
 
+void IndexStore::rescan_subscription(QueryId id) {
+  const auto it = subscriptions_.find(id);
+  if (it != subscriptions_.end()) {
+    it->second.reported.clear();
+    it->second.scanned = false;
+  }
+}
+
 void IndexStore::expire(sim::SimTime now) {
   if (now > horizon_) {
     horizon_ = now;
@@ -133,8 +141,10 @@ void IndexStore::compact() {
 void IndexStore::match_subscription(QueryId id, Subscription& sub,
                                     std::span<const IntervalRef> fresh,
                                     sim::SimTime now,
+                                    const ReportFilter& filter,
                                     std::vector<SimilarityMatch>& out,
-                                    std::uint64_t& work) const {
+                                    std::uint64_t& work,
+                                    std::uint64_t& declined) const {
   // expire(now) already dropped lapsed subscriptions, so the per-pair
   // expiry re-checks of the brute-force scan are gone; assert the lane
   // invariant instead.
@@ -174,15 +184,21 @@ void IndexStore::match_subscription(QueryId id, Subscription& sub,
     // multi-dimensional lower bound.
     const StoredMbr& entry = mbrs_[ref.pos];
     const double bound = entry.mbr.min_distance(query.features);
-    if (bound <= query.radius) {
-      sub.reported.insert(entry.stream);
-      out.push_back(SimilarityMatch{id, entry.stream, bound, now});
+    if (bound > query.radius) {
+      continue;
     }
+    if (filter && !filter(entry, sub)) {
+      ++declined;
+      continue;
+    }
+    sub.reported.insert(entry.stream);
+    out.push_back(SimilarityMatch{id, entry.stream, bound, now});
   }
   sub.scanned = true;
 }
 
-std::vector<SimilarityMatch> IndexStore::match(sim::SimTime now) {
+std::vector<SimilarityMatch> IndexStore::match(sim::SimTime now,
+                                               const ReportFilter& filter) {
   expire(now);
   if (indexed_limit_ < mbrs_.size()) {
     merge_pending();
@@ -212,14 +228,16 @@ std::vector<SimilarityMatch> IndexStore::match(sim::SimTime now) {
   std::sort(subs.begin(), subs.end(),
             [](const auto* a, const auto* b) { return a->first < b->first; });
   last_match_work_ = 0;
+  last_match_declined_ = 0;
   for (auto* entry : subs) {
-    match_subscription(entry->first, entry->second, fresh_mbrs, now, fresh,
-                       last_match_work_);
+    match_subscription(entry->first, entry->second, fresh_mbrs, now, filter,
+                       fresh, last_match_work_, last_match_declined_);
   }
   return fresh;
 }
 
-std::vector<SimilarityMatch> IndexStore::match_brute_force(sim::SimTime now) {
+std::vector<SimilarityMatch> IndexStore::match_brute_force(
+    sim::SimTime now, const ReportFilter& filter) {
   std::vector<SimilarityMatch> fresh;
   std::vector<std::pair<QueryId, Subscription>*> order;
   order.reserve(subscriptions_.size());
@@ -240,7 +258,7 @@ std::vector<SimilarityMatch> IndexStore::match_brute_force(sim::SimTime now) {
         continue;
       }
       const double bound = entry.mbr.min_distance(query.features);
-      if (bound <= query.radius) {
+      if (bound <= query.radius && (!filter || filter(entry, sub))) {
         sub.reported.insert(entry.stream);
         fresh.push_back(SimilarityMatch{id, entry.stream, bound, now});
       }

@@ -28,6 +28,12 @@
 // reported with the same first-matching MBR — bound, order and all — that a
 // full rescan would pick.
 //
+// A pass may take a report filter: the caller's designated-reporter rule
+// (MiddlewareSystem). A candidate the filter declines is skipped without
+// being recorded, so a later batch of the same stream that the filter does
+// accept is still reported. A filter that answers alike for the same
+// (batch, subscription) keeps the incremental pass equal to a full rescan.
+//
 // Expiry is incremental ("expiry lanes"): a min-expiry heap per container
 // pops lapsed entries in O(log n) each instead of erase_if-scanning both
 // containers every NPER tick. MBR slots are deleted lazily (an entry is dead
@@ -35,6 +41,7 @@
 // slots dominate.
 #pragma once
 
+#include <functional>
 #include <memory>
 #include <queue>
 #include <span>
@@ -85,17 +92,30 @@ class IndexStore {
   /// entry, O(1) when nothing expired.
   void expire(sim::SimTime now);
 
+  /// Whether this node reports a candidate that passed the bound. An empty
+  /// filter reports every candidate.
+  using ReportFilter =
+      std::function<bool(const StoredMbr&, const Subscription&)>;
+
+  /// Makes the next match() pass re-test subscription `id` against the
+  /// whole index and report again every candidate `filter` accepts: clears
+  /// its reported set and its scanned mark. No-op for an unknown id.
+  void rescan_subscription(QueryId id);
+
   /// One matching pass (Eq. 8 + MBR lower bound): returns the NEW
-  /// (query, stream) candidate pairs detected at `now`, recording them so
-  /// they are never reported twice by this node. Runs expire(now) first, so
-  /// callers need no separate sweep. Incremental (see the file comment):
-  /// the result equals a full rescan of every subscription, order included.
-  std::vector<SimilarityMatch> match(sim::SimTime now);
+  /// (query, stream) candidate pairs detected at `now` that `filter`
+  /// accepts, recording them so they are never reported twice by this
+  /// node. Runs expire(now) first, so callers need no separate sweep.
+  /// Incremental (see the file comment): the result equals a full rescan of
+  /// every subscription, order included.
+  std::vector<SimilarityMatch> match(sim::SimTime now,
+                                     const ReportFilter& filter = {});
 
   /// Reference oracle: the original O(subscriptions x MBRs) scan over the
   /// same state. Kept for the equivalence tests and the matching microbench;
   /// production ticks use match().
-  std::vector<SimilarityMatch> match_brute_force(sim::SimTime now);
+  std::vector<SimilarityMatch> match_brute_force(
+      sim::SimTime now, const ReportFilter& filter = {});
 
   std::size_t mbr_count() const noexcept { return alive_mbrs_; }
   std::size_t subscription_count() const noexcept {
@@ -108,6 +128,11 @@ class IndexStore {
   /// max_extent). That is what a full rescan would visit, not the pairs the
   /// incremental pass evaluated.
   std::uint64_t last_match_work() const noexcept { return last_match_work_; }
+
+  /// Candidates the most recent match() pass found but its filter declined.
+  std::uint64_t last_match_declined() const noexcept {
+    return last_match_declined_;
+  }
 
   /// Snapshot of the live MBR entries (insertion order preserved).
   std::vector<StoredMbr> mbrs() const;
@@ -179,13 +204,14 @@ class IndexStore {
 
   /// One subscription's share of a pass: a full candidate scan of the index
   /// when the subscription is new, otherwise a scan of `fresh` only — the
-  /// index entries stored since the last pass, in index order. Appends
-  /// matches to `out`, records them in sub.reported and adds the candidate
-  /// window to `work`.
+  /// index entries stored since the last pass, in index order. Appends the
+  /// matches `filter` accepts to `out`, records them in sub.reported, adds
+  /// the candidate window to `work` and counts the declined candidates.
   void match_subscription(QueryId id, Subscription& sub,
                           std::span<const IntervalRef> fresh, sim::SimTime now,
+                          const ReportFilter& filter,
                           std::vector<SimilarityMatch>& out,
-                          std::uint64_t& work) const;
+                          std::uint64_t& work, std::uint64_t& declined) const;
 
   /// Folds slab entries added since the last merge into the sorted index.
   void merge_pending();
@@ -211,6 +237,7 @@ class IndexStore {
   MinHeap<SubExpiry> sub_expiry_;
 
   std::uint64_t last_match_work_ = 0;  // index work of the latest match()
+  std::uint64_t last_match_declined_ = 0;  // filtered out by the latest one
 };
 
 }  // namespace sdsi::core

@@ -25,7 +25,10 @@ LoadComponent component_of(const routing::Message& msg, bool transit) {
       return transit ? LoadComponent::kResponsesTransit
                      : LoadComponent::kResponses;
     case MsgKind::kNeighborExchange:
-      return LoadComponent::kResponsesInternal;
+      // A digest rides the overlay to its middle key: its two endpoints are
+      // (f), the nodes relaying it on the way are (g).
+      return transit ? LoadComponent::kResponsesTransit
+                     : LoadComponent::kResponsesInternal;
     case MsgKind::kMbrAck:
     case MsgKind::kResponseAck:
     case MsgKind::kHeartbeat:
@@ -66,6 +69,7 @@ void MetricsCollector::set_registry(obs::MetricsRegistry* registry) {
   series_.drops_total = &registry->counter("drops.total");
   series_.deliver_latency = &registry->histogram("latency.deliver_ms");
   series_.range_walk_latency = &registry->histogram("latency.range_walk_ms");
+  series_.match_delivery = &registry->histogram("latency.match_delivery_ms");
 }
 
 void MetricsCollector::reset() {
@@ -82,6 +86,7 @@ void MetricsCollector::reset() {
   replication_ = CategoryCounters{};
   drops_by_cause_.fill(0);
   robustness_ = RobustnessCounters{};
+  match_delivery_ms_.reset();
 }
 
 CategoryCounters& MetricsCollector::category(const routing::Message& msg) {
@@ -204,6 +209,15 @@ void MetricsCollector::on_drop(fault::DropCause cause,
     return;
   }
   ++drops_by_cause_[static_cast<std::size_t>(cause)];
+}
+
+void MetricsCollector::add_match_delivery(double ms) {
+  if (registry_ != nullptr) {
+    series_.match_delivery->add(ms);
+  }
+  if (enabled_) {
+    match_delivery_ms_.add(ms);
+  }
 }
 
 void MetricsCollector::on_detour(NodeIndex around,

@@ -35,8 +35,8 @@ enum class LoadComponent : std::size_t {
   kMbrTransit = 2,       // (c) MBRs relayed by intermediate overlay nodes
   kQueries = 3,          // (d) all query messages
   kResponses = 4,        // (e) responses from the notifying node to clients
-  kResponsesInternal = 5,// (f) neighbor-to-neighbor similarity digests
-  kResponsesTransit = 6, // (g) responses relayed by intermediate nodes
+  kResponsesInternal = 5,// (f) match-report digests to the middle node
+  kResponsesTransit = 6, // (g) responses + digests relayed by overlay nodes
   kControl = 7,          // (h) acks: MBR storage + response delivery
   kReplication = 8,      // (i) replication layer traffic
   kCount = 9,
@@ -228,6 +228,16 @@ class MetricsCollector final : public routing::MetricsHook {
   /// collector swallows events while disabled).
   bool recording() const noexcept { return enabled_; }
 
+  /// One (query, stream) pair reached its client `ms` after the match pass
+  /// that detected it (SimilarityMatch::detected_at): the delivery part of
+  /// detection latency. Feeds the registry series
+  /// `latency.match_delivery_ms` (whole run) and, in the measurement
+  /// window, match_delivery_ms().
+  void add_match_delivery(double ms);
+  const obs::LogHistogram& match_delivery_ms() const noexcept {
+    return match_delivery_ms_;
+  }
+
  private:
   CategoryCounters& category(const routing::Message& msg);
   void add_node_load(NodeIndex node, const routing::Message& msg,
@@ -244,6 +254,7 @@ class MetricsCollector final : public routing::MetricsHook {
     obs::Counter* drops_total = nullptr;
     obs::HistogramMetric* deliver_latency = nullptr;
     obs::HistogramMetric* range_walk_latency = nullptr;
+    obs::HistogramMetric* match_delivery = nullptr;
   };
   RegistrySeries series_;
 
@@ -264,6 +275,7 @@ class MetricsCollector final : public routing::MetricsHook {
   std::array<std::uint64_t, static_cast<std::size_t>(fault::DropCause::kCount)>
       drops_by_cause_{};
   RobustnessCounters robustness_;
+  obs::LogHistogram match_delivery_ms_;
 };
 
 }  // namespace sdsi::core

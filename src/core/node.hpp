@@ -111,7 +111,8 @@ struct MiddlewareNode {
   /// Similarity queries aggregated here (this node covers their middle key).
   DenseMap<QueryId, AggregatorRecord> aggregations;
 
-  /// Match reports waiting for the next periodic neighbor digest.
+  /// Match reports waiting for the next pass, which routes them to their
+  /// middle keys (one digest per key).
   std::vector<MatchReport> outgoing_reports;
 
   /// Location-service directory fragment: streams whose h2 key this node

@@ -83,7 +83,8 @@ struct InnerProductQueryPayload {
   std::shared_ptr<const InnerProductQuery> query;
 };
 
-/// One report traveling neighbor-to-neighbor toward a query's middle node.
+/// One report traveling from its designated range node to the query's
+/// middle node.
 struct MatchReport {
   SimilarityMatch match;
   NodeIndex client = kInvalidNode;
@@ -91,9 +92,10 @@ struct MatchReport {
   sim::SimTime query_expires;
 };
 
-/// Payload of kNeighborExchange messages: the node's aggregated digest of
-/// match reports for this period (one message, all queries — which is why
-/// the paper's component (f) is constant per node).
+/// Payload of kNeighborExchange messages: one node's digest of the match
+/// reports it holds for one middle key this period, routed through the
+/// overlay to the node covering that key. The kind keeps its v1 wire name
+/// and layout (docs/WIRE_FORMAT.md).
 struct NeighborDigestPayload {
   std::vector<MatchReport> reports;
 };

@@ -41,6 +41,30 @@ void ContentKeyMap::query_ranges(const dsp::FeatureVector& features,
   out.push_back(query_range(features, radius));
 }
 
+std::optional<Key> nearest_overlap_key(
+    std::span<const std::pair<Key, Key>> batch,
+    std::span<const std::pair<Key, Key>> query, Key middle) {
+  std::optional<Key> best;
+  Key best_gap = 0;
+  for (const auto& [blo, bhi] : batch) {
+    for (const auto& [qlo, qhi] : query) {
+      const Key lo = std::max(blo, qlo);
+      const Key hi = std::min(bhi, qhi);
+      if (blo > bhi || qlo > qhi || lo > hi) {
+        continue;
+      }
+      const Key point = std::clamp(middle, lo, hi);
+      const Key gap = point > middle ? point - middle : middle - point;
+      if (!best.has_value() || gap < best_gap ||
+          (gap == best_gap && point < *best)) {
+        best = point;
+        best_gap = gap;
+      }
+    }
+  }
+  return best;
+}
+
 namespace {
 
 // --- dft: the paper's pipeline, adapted verbatim -----------------------------

@@ -154,6 +154,18 @@ class ContentKeyMap {
                             std::vector<std::pair<Key, Key>>& out) const;
 };
 
+/// The designated report point of a (batch, query) candidate: over every
+/// overlap of a batch range with a query range (each list a full probe set,
+/// as mbr_ranges / query_ranges emit it), the key nearest `middle`, ties to
+/// the smaller key. The node covering that key holds both the batch and the
+/// subscription, so it alone reports the pair. Ranges are the non-wrapping
+/// [lo, hi] pairs of the built-in maps (Eq. 6 is monotone; lsh bucket arcs
+/// never cross key 0); a wrapping range is skipped. nullopt when no ranges
+/// overlap.
+std::optional<Key> nearest_overlap_key(
+    std::span<const std::pair<Key, Key>> batch,
+    std::span<const std::pair<Key, Key>> query, Key middle);
+
 /// One strategy = a Summarizer factory + a ContentKeyMap + the batch query
 /// feature extractor. Construction is cheap and deterministic; the object
 /// is immutable after construction and safe to share const across threads.

@@ -1,6 +1,7 @@
 #include "core/system.hpp"
 
 #include <algorithm>
+#include <iterator>
 #include <utility>
 
 #include "core/arc_sync.hpp"
@@ -689,6 +690,12 @@ void MiddlewareSystem::handle_similarity_query(NodeIndex at,
                                query.issued_at + query.lifespan);
   if (fresh) {
     note_node_work(at, 1);
+  } else if (config_.query_refresh_period > sim::Duration()) {
+    // A refresh re-derives this node's reports: each pair has one
+    // designated reporter, so a lost digest has no other node covering for
+    // it. The aggregator's seen set and the client's matched set keep the
+    // repeats invisible (the report-side twin of the MBR refresh).
+    state.store.rescan_subscription(query.id);
   }
   // Mirror the subscription to the range owner's replica set on first
   // install (refresh redeliveries keep the original state and don't
@@ -748,14 +755,16 @@ void MiddlewareSystem::handle_response(NodeIndex at, const Message& msg) {
   }
   ClientQueryRecord& record = it->second;
   ++record.responses_received;
+  const sim::SimTime now = routing_.simulator().now();
   if (!record.first_response_at.has_value()) {
-    record.first_response_at = routing_.simulator().now();
+    record.first_response_at = now;
   }
   for (const SimilarityMatch& match : payload->matches) {
     // Content-level dedup: retransmitted pushes and doubly-aggregated
     // reports never inflate the match count.
     if (record.matched_streams.insert(match.stream).second) {
       ++record.match_events;
+      metrics_.add_match_delivery((now - match.detected_at).as_millis());
     } else {
       ++record.duplicate_match_events;
       if (metrics_.recording()) {
@@ -912,6 +921,70 @@ void MiddlewareSystem::file_match_report(NodeIndex at, MatchReport report) {
   state.outgoing_reports.push_back(std::move(report));
 }
 
+bool MiddlewareSystem::designated_reporter(
+    NodeIndex at, const IndexStore::StoredMbr& entry,
+    const IndexStore::Subscription& sub) {
+  // Every probe range counts: an lsh pair may meet only in a probe bucket.
+  const ContentKeyMap& map = strategy_->key_map();
+  map.mbr_ranges(entry.mbr, batch_ranges_);
+  map.query_ranges(sub.query->features, sub.query->radius, query_ranges_);
+  const std::optional<Key> point =
+      nearest_overlap_key(batch_ranges_, query_ranges_, sub.middle_key);
+  if (!point.has_value() || covers_key(at, *point)) {
+    return true;
+  }
+  // A split delegate stands in for the hot node it serves: the batches
+  // that node diverted here are stored nowhere else on its arc. Delegates
+  // are the hot node's next live successors, which announced the split to
+  // them with its subscription mirror.
+  if (!config_.overload.has_value()) {
+    return false;
+  }
+  NodeIndex owner = at;
+  for (std::size_t hop = 1; hop < config_.overload->split_ways; ++hop) {
+    owner = routing_.predecessor_index(owner);
+    if (owner == at || owner >= nodes_.size()) {
+      return false;
+    }
+    if (covers_key(owner, *point)) {
+      const std::vector<NodeIndex>& delegates =
+          nodes_[owner].overload.split_delegates;
+      return std::find(delegates.begin(), delegates.end(), at) !=
+             delegates.end();
+    }
+  }
+  return false;
+}
+
+void MiddlewareSystem::send_report_digests(NodeIndex index, sim::SimTime now) {
+  std::vector<MatchReport>& reports = nodes_[index].outgoing_reports;
+  std::erase_if(reports, [now](const MatchReport& report) {
+    return report.query_expires <= now;  // the query is gone
+  });
+  std::stable_sort(reports.begin(), reports.end(),
+                   [](const MatchReport& a, const MatchReport& b) {
+                     return a.middle_key < b.middle_key;
+                   });
+  for (auto first = reports.begin(); first != reports.end();) {
+    const Key middle = first->middle_key;
+    const auto last =
+        std::find_if(first, reports.end(), [middle](const MatchReport& r) {
+          return r.middle_key != middle;
+        });
+    Message msg;
+    msg.kind = MsgKind::kNeighborExchange;
+    msg.payload =
+        std::make_shared<const NeighborDigestPayload>(NeighborDigestPayload{
+            {std::make_move_iterator(first), std::make_move_iterator(last)}});
+    // A middle node that died since the last stabilization round must not
+    // swallow the digest: its successor inherits the key, and the reports.
+    msg.reroute_on_dead = true;
+    routing_.send(index, middle, std::move(msg));
+    first = last;
+  }
+  reports.clear();
+}
+
 void MiddlewareSystem::periodic_tick(NodeIndex index) {
   if (!routing_.is_alive(index)) {
     return;  // the data center crashed; its soft state dies with it
@@ -920,11 +993,16 @@ void MiddlewareSystem::periodic_tick(NodeIndex index) {
   MiddlewareNode& state = nodes_[index];
 
   // The match pass runs first; it touches only this node's store. Credit
-  // its scan cost plus one unit per fresh candidate to the node's load.
-  std::vector<SimilarityMatch> fresh = state.store.match(now);
-  note_node_work(index,
-                 state.store.last_match_work() +
-                     static_cast<std::uint64_t>(fresh.size()));
+  // its scan cost plus one unit per candidate, reported or declined, to the
+  // node's load.
+  std::vector<SimilarityMatch> fresh = state.store.match(
+      now, [this, index](const IndexStore::StoredMbr& entry,
+                         const IndexStore::Subscription& sub) {
+        return designated_reporter(index, entry, sub);
+      });
+  note_node_work(index, state.store.last_match_work() +
+                            state.store.last_match_declined() +
+                            static_cast<std::uint64_t>(fresh.size()));
 
   // -1. Aggregator failover: mirrors whose middle key now falls on this
   //     node's arc (the owner died) become live aggregations.
@@ -948,45 +1026,8 @@ void MiddlewareSystem::periodic_tick(NodeIndex index) {
                                   sub->middle_key, sub->expires});
   }
 
-  // 2. Relay buffered reports one ring hop toward their middle nodes, as a
-  //    single aggregated digest per direction (the paper's constant
-  //    per-node neighbor-exchange component).
-  if (!state.outgoing_reports.empty()) {
-    std::vector<MatchReport> up;
-    std::vector<MatchReport> down;
-    const Key self_id = routing_.node_id(index);
-    for (MatchReport& report : state.outgoing_reports) {
-      if (report.query_expires <= now) {
-        continue;  // stale: the query is gone, stop circulating it
-      }
-      const Key middle = report.middle_key;
-      const bool shorter_up = routing_.id_space().distance(self_id, middle) <=
-                              routing_.id_space().distance(middle, self_id);
-      (shorter_up ? up : down).push_back(std::move(report));
-    }
-    state.outgoing_reports.clear();
-    if (!up.empty()) {
-      Message msg;
-      msg.kind = MsgKind::kNeighborExchange;
-      msg.payload = std::make_shared<const NeighborDigestPayload>(
-          NeighborDigestPayload{std::move(up)});
-      // A neighbor that died since the last stabilization round must not
-      // swallow the digest: detour around it via the successor list instead
-      // of dropping the reports on the floor.
-      msg.reroute_on_dead = true;
-      routing_.send_direct(index, routing_.successor_index(index),
-                           std::move(msg));
-    }
-    if (!down.empty()) {
-      Message msg;
-      msg.kind = MsgKind::kNeighborExchange;
-      msg.payload = std::make_shared<const NeighborDigestPayload>(
-          NeighborDigestPayload{std::move(down)});
-      msg.reroute_on_dead = true;
-      routing_.send_direct(index, routing_.predecessor_index(index),
-                           std::move(msg));
-    }
-  }
+  // 2. Route the buffered reports to their aggregators.
+  send_report_digests(index, now);
 
   // 3. Aggregators push periodic responses to their clients (Sec IV-F).
   //    With response acks on, match-bearing pushes wait in the record's

@@ -91,7 +91,7 @@ struct MiddlewareConfig {
   /// BSPAN: lifespan of a stored MBR.
   sim::Duration mbr_lifespan = sim::Duration::millis(5000);
 
-  /// NPER: period of matching, neighbor digests, and response pushes.
+  /// NPER: period of matching, report digests, and response pushes.
   sim::Duration notify_period = sim::Duration::millis(2000);
 
   /// Soft-state refresh of similarity subscriptions: the client re-routes
@@ -322,8 +322,22 @@ class MiddlewareSystem {
 
   /// The NPER periodic body for one node: the match pass, then
   /// aggregator-replica promotion, publication pruning, filing the fresh
-  /// matches, digest relays, response pushes and inner-product answers.
+  /// matches, report digests to the middle keys, response pushes and
+  /// inner-product answers.
   void periodic_tick(NodeIndex index);
+
+  /// The designated-reporter rule, the match pass's report filter: `at`
+  /// reports a (batch, subscription) candidate only when it covers the
+  /// candidate's nearest_overlap_key (or is a split delegate of the hot
+  /// node that does), or when no batch range meets a query range (never a
+  /// dismissal).
+  bool designated_reporter(NodeIndex at, const IndexStore::StoredMbr& entry,
+                           const IndexStore::Subscription& sub);
+
+  /// Sends the node's buffered reports toward their aggregators: one
+  /// digest per middle key, routed through the overlay to the node that
+  /// covers the key. Reports of lapsed queries are dropped.
+  void send_report_digests(NodeIndex index, sim::SimTime now);
 
   /// nodes_[index], growing the table for late joiners.
   MiddlewareNode& state_of(NodeIndex index);
@@ -485,6 +499,9 @@ class MiddlewareSystem {
   std::unique_ptr<IndexingStrategy> strategy_;
   /// Scratch for multi-range strategies' probe sets.
   std::vector<std::pair<Key, Key>> range_scratch_;
+  /// Scratch probe sets of the designated-reporter rule.
+  std::vector<std::pair<Key, Key>> batch_ranges_;
+  std::vector<std::pair<Key, Key>> query_ranges_;
   MetricsCollector metrics_;
   std::vector<MiddlewareNode> nodes_;
   std::unordered_map<QueryId, ClientQueryRecord> client_records_;

@@ -1,18 +1,9 @@
 #include "dsp/sliding_dft.hpp"
 
-#include <array>
 #include <cmath>
 #include <numbers>
 
 namespace sdsi::dsp {
-
-namespace {
-
-/// Batch deltas are staged through a fixed stack buffer so push_span never
-/// allocates, whatever the span length.
-constexpr std::size_t kSpanChunk = 256;
-
-}  // namespace
 
 SlidingDft::SlidingDft(std::size_t window_size, std::size_t num_coefficients)
     : window_size_(window_size),
@@ -44,54 +35,6 @@ Sample SlidingDft::push(Sample value) {
     coeffs_[f] = twiddles_[f] * (coeffs_[f] + delta);
   }
   return evicted;
-}
-
-void SlidingDft::push_chunk(std::span<const Sample> values,
-                            Sample* evicted_out) {
-  SDSI_DCHECK(values.size() <= kSpanChunk);
-  std::array<double, kSpanChunk> deltas;
-  for (std::size_t i = 0; i < values.size(); ++i) {
-    const Sample evicted = ring_[head_];
-    ring_[head_] = values[i];
-    if (++head_ == window_size_) {
-      head_ = 0;
-    }
-    deltas[i] = (values[i] - evicted) * inv_sqrt_n_;
-    if (evicted_out != nullptr) {
-      evicted_out[i] = evicted;
-    }
-  }
-  seen_ += values.size();
-  // Per coefficient, the exact operation sequence of repeated push():
-  // c = tw * (c + delta_t) in arrival order — hence bit-identical results,
-  // but c and tw live in registers for the whole chunk.
-  for (std::size_t f = 0; f < coeffs_.size(); ++f) {
-    Complex c = coeffs_[f];
-    const Complex tw = twiddles_[f];
-    for (std::size_t i = 0; i < values.size(); ++i) {
-      c = tw * (c + Complex{deltas[i], 0.0});
-    }
-    coeffs_[f] = c;
-  }
-}
-
-void SlidingDft::push_span(std::span<const Sample> values) {
-  while (!values.empty()) {
-    const std::size_t n = std::min(values.size(), kSpanChunk);
-    push_chunk(values.first(n), nullptr);
-    values = values.subspan(n);
-  }
-}
-
-void SlidingDft::push_span(std::span<const Sample> values,
-                           std::span<Sample> evicted) {
-  SDSI_CHECK(evicted.size() >= values.size());
-  std::size_t done = 0;
-  while (done < values.size()) {
-    const std::size_t n = std::min(values.size() - done, kSpanChunk);
-    push_chunk(values.subspan(done, n), evicted.data() + done);
-    done += n;
-  }
 }
 
 std::vector<Sample> SlidingDft::window() const {

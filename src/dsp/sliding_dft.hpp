@@ -9,10 +9,8 @@
 // prohibitive O(N log N) recompute-from-scratch the paper warns about.
 //
 // Hot-path notes: the 1/sqrt(N) scale and the ring wrap are hoisted out of
-// push(); push_span() amortizes the per-call overhead across a batch and
-// keeps each coefficient in a register for the whole span (bit-identical to
-// repeated push()); recompute_exact() runs off a precomputed N-entry twiddle
-// table instead of a cos/sin pair per (F, j) term.
+// push(); recompute_exact() runs off a precomputed N-entry twiddle table
+// instead of a cos/sin pair per (F, j) term.
 #pragma once
 
 #include <cstddef>
@@ -44,15 +42,6 @@ class SlidingDft {
   /// rotation-and-correct update.
   Sample push(Sample value);
 
-  /// Feeds a batch of samples; bit-identical to pushing them one by one but
-  /// substantially faster (each tracked coefficient stays in a register for
-  /// the whole span instead of round-tripping through memory per sample).
-  void push_span(std::span<const Sample> values);
-
-  /// Batched push that also reports the evicted samples, oldest first.
-  /// `evicted` must be at least values.size() long.
-  void push_span(std::span<const Sample> values, std::span<Sample> evicted);
-
   /// Current coefficients 0..k-1 of the window's unitary DFT. Only
   /// meaningful once full().
   std::span<const Complex> coefficients() const noexcept { return coeffs_; }
@@ -66,8 +55,6 @@ class SlidingDft {
   void recompute_exact();
 
  private:
-  void push_chunk(std::span<const Sample> values, Sample* evicted_out);
-
   std::size_t window_size_;
   double inv_sqrt_n_;                // hoisted 1/sqrt(N) push scale
   std::uint64_t seen_ = 0;

@@ -29,7 +29,7 @@ enum class MsgKind : std::uint16_t {
   kSimilarityQuery = 2,   // continuous similarity subscription (Sec IV-E)
   kInnerProductQuery = 3, // inner-product subscription (Sec IV-D)
   kResponse = 4,          // periodic response to a client (Sec IV-F)
-  kNeighborExchange = 5,  // detected-similarity digests between neighbors
+  kNeighborExchange = 5,  // match-report digests routed to a middle key
   kLocationPut = 6,       // stream-id -> source registration (h2 service)
   kLocationGet = 7,       // stream-id resolution request
   kLocationReply = 8,     // stream-id resolution reply

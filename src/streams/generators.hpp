@@ -29,7 +29,6 @@ class StreamGenerator {
 
   /// Fills `out` with the next out.size() data points. The default loops
   /// next(); generators with a cheaper bulk path (trace replay) override it.
-  /// Pairs with StreamSummarizer::push_span for batched ingestion.
   virtual void next_span(std::span<Sample> out) {
     for (Sample& x : out) {
       x = next();

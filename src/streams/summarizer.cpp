@@ -1,7 +1,6 @@
 #include "streams/summarizer.hpp"
 
 #include <algorithm>
-#include <array>
 #include <cmath>
 
 namespace sdsi::streams {
@@ -25,32 +24,6 @@ void StreamSummarizer::push(Sample value) {
   window_sum_sq_ += value * value - evicted * evicted;
   if (reanchor_interval_ != 0 && dft_.samples_seen() % reanchor_interval_ == 0) {
     reanchor();
-  }
-}
-
-void StreamSummarizer::push_span(std::span<const Sample> values) {
-  std::array<Sample, 256> evicted;
-  while (!values.empty()) {
-    std::size_t n = std::min(values.size(), evicted.size());
-    if (reanchor_interval_ != 0) {
-      // Stop each chunk at the next re-anchor boundary so drift control
-      // fires at exactly the same samples as the one-at-a-time path.
-      const std::uint64_t until =
-          reanchor_interval_ - dft_.samples_seen() % reanchor_interval_;
-      n = std::min<std::size_t>(
-          n, static_cast<std::size_t>(
-                 std::min<std::uint64_t>(until, evicted.size())));
-    }
-    dft_.push_span(values.first(n), std::span<Sample>(evicted).first(n));
-    for (std::size_t i = 0; i < n; ++i) {
-      window_sum_ += values[i] - evicted[i];
-      window_sum_sq_ += values[i] * values[i] - evicted[i] * evicted[i];
-    }
-    if (reanchor_interval_ != 0 &&
-        dft_.samples_seen() % reanchor_interval_ == 0) {
-      reanchor();
-    }
-    values = values.subspan(n);
   }
 }
 

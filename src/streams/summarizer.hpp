@@ -16,7 +16,6 @@
 
 #include <cstdint>
 #include <optional>
-#include <span>
 
 #include "dsp/features.hpp"
 #include "dsp/sliding_dft.hpp"
@@ -31,11 +30,6 @@ class StreamSummarizer {
 
   /// Feeds one raw sample.
   void push(Sample value);
-
-  /// Feeds a batch of raw samples through the batched SlidingDft path.
-  /// Behaviorally identical to pushing them one by one (including the
-  /// placement of drift re-anchor points), minus the per-sample overhead.
-  void push_span(std::span<const Sample> values);
 
   /// True once a full window has been observed.
   bool ready() const noexcept { return dft_.full(); }

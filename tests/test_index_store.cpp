@@ -136,6 +136,43 @@ TEST(IndexStore, BoundDistanceIsBoxDistance) {
   EXPECT_NEAR(matches[0].bound_distance, 0.05, 1e-12);
 }
 
+TEST(IndexStore, DeclinedCandidateStaysOpenForALaterBatch) {
+  // The filter declines batch 0 of stream 7, so the pair is not recorded;
+  // batch 1, which the filter accepts, reports it.
+  const IndexStore::ReportFilter odd_batches =
+      [](const IndexStore::StoredMbr& entry, const IndexStore::Subscription&) {
+        return entry.batch_seq % 2 == 1;
+      };
+  IndexStore store;
+  store.add_subscription(query(1, 0.3, 0.1), 0, at_ms(10000));
+  store.add_mbr(mbr_entry(7, 0.29, 0.31, 10000));
+  EXPECT_TRUE(store.match(at_ms(100), odd_batches).empty());
+  EXPECT_EQ(store.last_match_declined(), 1u);
+  IndexStore::StoredMbr second = mbr_entry(7, 0.30, 0.32, 10000);
+  second.batch_seq = 1;
+  store.add_mbr(second);
+  const auto matches = store.match(at_ms(200), odd_batches);
+  ASSERT_EQ(matches.size(), 1u);
+  EXPECT_EQ(matches[0].stream, 7u);
+  EXPECT_EQ(store.last_match_declined(), 0u);
+  EXPECT_TRUE(store.match(at_ms(300), odd_batches).empty());
+}
+
+TEST(IndexStore, RescanReportsLiveCandidatesAgain) {
+  IndexStore store;
+  store.add_subscription(query(1, 0.3, 0.1), 0, at_ms(10000));
+  store.add_mbr(mbr_entry(7, 0.29, 0.31, 10000));
+  EXPECT_EQ(store.match(at_ms(100)).size(), 1u);
+  EXPECT_TRUE(store.match(at_ms(200)).empty());
+  store.rescan_subscription(1);
+  store.rescan_subscription(99);  // unknown id: nothing to do
+  const auto again = store.match(at_ms(300));
+  ASSERT_EQ(again.size(), 1u);
+  EXPECT_EQ(again[0].stream, 7u);
+  EXPECT_EQ(again[0].detected_at, at_ms(300));
+  EXPECT_TRUE(store.match(at_ms(400)).empty());
+}
+
 TEST(IndexStore, ManyMbrsManyQueries) {
   IndexStore store;
   for (int s = 0; s < 50; ++s) {

@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include "core/mapper.hpp"
+#include "core/strategy.hpp"
 
 namespace sdsi::core {
 namespace {
@@ -106,6 +107,42 @@ TEST(SummaryMapper, QueryRangeClampsAtSphereEdge) {
   const auto [lo, hi] = mapper.query_range(fv(0.95), 0.2);
   EXPECT_EQ(hi, mapper.space().mask());  // clamped at +1
   EXPECT_LT(lo, hi);
+}
+
+using Ranges = std::vector<std::pair<Key, Key>>;
+
+TEST(NearestOverlapKey, MiddleInsideTheOverlapIsItself) {
+  EXPECT_EQ(nearest_overlap_key(Ranges{{10, 40}}, Ranges{{20, 60}}, 30),
+            std::optional<Key>(30));
+}
+
+TEST(NearestOverlapKey, OverlapAwayFromTheMiddleGivesItsNearEnd) {
+  // Overlap [20, 25] lies below the middle, [50, 55] above it.
+  EXPECT_EQ(nearest_overlap_key(Ranges{{10, 25}}, Ranges{{20, 60}}, 40),
+            std::optional<Key>(25));
+  EXPECT_EQ(nearest_overlap_key(Ranges{{50, 55}}, Ranges{{20, 60}}, 40),
+            std::optional<Key>(50));
+}
+
+TEST(NearestOverlapKey, EveryProbePairCountsAndTiesGoToTheSmallerKey) {
+  // The probe overlaps [10, 20] and [60, 70] both come within 20 keys of
+  // the middle 40; the tie goes to the smaller key.
+  const Ranges batch{{10, 20}, {60, 70}};
+  const Ranges query{{0, 30}, {55, 80}};
+  EXPECT_EQ(nearest_overlap_key(batch, query, 40), std::optional<Key>(20));
+  // A nearer probe pair wins whatever its position in either list.
+  const Ranges more{{10, 20}, {60, 70}, {41, 44}};
+  const Ranges wide{{0, 30}, {55, 80}, {43, 90}};
+  EXPECT_EQ(nearest_overlap_key(more, wide, 40), std::optional<Key>(43));
+}
+
+TEST(NearestOverlapKey, DisjointOrWrappingRangesGiveNothing) {
+  EXPECT_EQ(nearest_overlap_key(Ranges{{10, 20}}, Ranges{{21, 30}}, 25),
+            std::nullopt);
+  // A range that wraps key 0 is not a built-in map's; it is skipped.
+  EXPECT_EQ(nearest_overlap_key(Ranges{{90, 5}}, Ranges{{0, 10}}, 3),
+            std::nullopt);
+  EXPECT_EQ(nearest_overlap_key(Ranges{}, Ranges{{0, 10}}, 3), std::nullopt);
 }
 
 }  // namespace

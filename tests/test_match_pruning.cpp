@@ -321,6 +321,54 @@ TEST(MatchPruning, MultiPassHistoriesEqualBruteForce) {
   EXPECT_GT(readds, 0u);
 }
 
+TEST(MatchPruning, FilteredPassesEqualBruteForce) {
+  // A report filter that declines by batch (the designated-reporter rule
+  // does so by key range): a declined pair stays open for the stream's later
+  // batches on both paths, and no pass reports a pair twice.
+  const IndexStore::ReportFilter filter =
+      [](const IndexStore::StoredMbr& entry,
+         const IndexStore::Subscription& sub) {
+        return (entry.batch_seq + sub.query->id) % 3 == 0;
+      };
+  common::Pcg32 rng(91, 4);
+  constexpr std::uint32_t kStreams = 16;
+  IndexStore incremental;
+  IndexStore oracle;
+  std::vector<std::vector<double>> centers(kStreams, std::vector<double>(2));
+  for (auto& center : centers) {
+    for (double& x : center) {
+      x = rng.uniform(-0.5, 0.5);
+    }
+  }
+  std::vector<std::uint64_t> next_seq(kStreams, 0);
+  std::size_t matched = 0;
+  std::uint64_t declined = 0;
+  for (int round = 0; round < 40; ++round) {
+    SCOPED_TRACE(testing::Message() << "round " << round);
+    const std::int64_t now_ms = round * 100;
+    for (int i = 0; i < 8; ++i) {
+      const auto s = static_cast<StreamId>(rng.bounded(kStreams));
+      const IndexStore::StoredMbr entry = drifting_mbr(
+          rng, centers[s], s, next_seq[s]++, at_ms(now_ms + 1500));
+      incremental.add_mbr(entry);
+      oracle.add_mbr(entry);
+    }
+    if (round % 4 == 0) {
+      const auto query =
+          random_query(rng, static_cast<QueryId>(round / 4 + 1), 2);
+      incremental.add_subscription(query, 0, at_ms(now_ms + 1200));
+      oracle.add_subscription(query, 0, at_ms(now_ms + 1200));
+    }
+    const MatchSet got = to_set(incremental.match(at_ms(now_ms), filter));
+    declined += incremental.last_match_declined();
+    oracle.expire(at_ms(now_ms));
+    ASSERT_EQ(got, to_set(oracle.match_brute_force(at_ms(now_ms), filter)));
+    matched += got.size();
+  }
+  EXPECT_GT(matched, 0u);
+  EXPECT_GT(declined, 0u);
+}
+
 TEST(MatchPruning, ReaddedQueryIdStartsOver) {
   // A query id that lapsed and comes back is a new subscription and owes
   // its client every stream again; a refresh of a live one keeps its state.

@@ -8,12 +8,18 @@
 // the query ball (with slack), then a continuous query with enough runtime
 // MUST report that stream. We shadow the feature pipeline outside the
 // system (same inputs -> same features, verified by the summarizer tests)
-// and assert the implication over many random seeds.
+// and assert the implication over many random seeds, on a one-hop ring and
+// on a multi-hop Chord overlay, where the one range node designated to
+// report a pair can sit many hops from the query's middle node.
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <optional>
+#include <ostream>
+#include <string>
 #include <vector>
 
+#include "chord/network.hpp"
 #include "common/rng.hpp"
 #include "core/system.hpp"
 #include "routing/static_ring.hpp"
@@ -24,7 +30,7 @@ namespace sdsi::core {
 namespace {
 
 constexpr std::size_t kWindow = 16;
-constexpr std::size_t kNodes = 8;
+constexpr unsigned kIdBits = 24;
 // Six random walks plus one unit-step ramp (the last stream). Every
 // z-normalized window of a ramp is the same, so its feature vector never
 // moves and a query centered on it is always owed that stream.
@@ -40,15 +46,43 @@ MiddlewareConfig config() {
   return cfg;
 }
 
-class NoFalseDismissal : public ::testing::TestWithParam<std::uint64_t> {};
+enum class Substrate {
+  kStaticRing,  // 8 nodes, one hop to any key
+  kChord,       // 64 nodes, O(log N) hops
+};
+
+struct Case {
+  Substrate substrate;
+  std::uint64_t seed;
+};
+
+// The instantiation prefix names the substrate; test names and the ctest
+// entries discovered from them carry the seed alone.
+void PrintTo(const Case& c, std::ostream* os) { *os << c.seed; }
+
+std::unique_ptr<routing::RoutingSystem> make_ring(sim::Simulator& sim,
+                                                  const Case& c) {
+  const common::IdSpace space(kIdBits);
+  if (c.substrate == Substrate::kStaticRing) {
+    return std::make_unique<routing::StaticRing>(
+        sim, space, routing::hash_node_ids(8, space, c.seed));
+  }
+  chord::ChordConfig chord_config;
+  chord_config.id_bits = kIdBits;
+  auto chord = std::make_unique<chord::ChordNetwork>(sim, chord_config);
+  chord->bootstrap(routing::hash_node_ids(64, space, c.seed));
+  return chord;
+}
+
+class NoFalseDismissal : public ::testing::TestWithParam<Case> {};
 
 TEST_P(NoFalseDismissal, EveryAlwaysInsideStreamIsReported) {
-  const std::uint64_t seed = GetParam();
+  const std::uint64_t seed = GetParam().seed;
   sim::Simulator sim;
-  routing::StaticRing ring(
-      sim, common::IdSpace(24),
-      routing::hash_node_ids(kNodes, common::IdSpace(24), seed));
-  MiddlewareSystem system(ring, config());
+  const std::unique_ptr<routing::RoutingSystem> ring =
+      make_ring(sim, GetParam());
+  const std::size_t nodes = ring->num_nodes();
+  MiddlewareSystem system(*ring, config());
   system.start();
 
   common::RngFactory rng_factory(seed);
@@ -56,7 +90,7 @@ TEST_P(NoFalseDismissal, EveryAlwaysInsideStreamIsReported) {
   std::vector<streams::StreamSummarizer> shadows;  // our ground-truth mirror
   std::vector<std::vector<dsp::FeatureVector>> emitted(kStreams);
   for (std::size_t s = 0; s < kStreams; ++s) {
-    system.register_stream(static_cast<NodeIndex>(s % kNodes), 100 + s);
+    system.register_stream(static_cast<NodeIndex>(s % nodes), 100 + s);
     if (s + 1 < kStreams) {
       walks.emplace_back(rng_factory.make("walk", s));
     } else {
@@ -78,7 +112,7 @@ TEST_P(NoFalseDismissal, EveryAlwaysInsideStreamIsReported) {
   for (int step = 0; step < kSteps; ++step) {
     for (std::size_t s = 0; s < kStreams; ++s) {
       const Sample value = walks[s].next();
-      system.post_stream_value(static_cast<NodeIndex>(s % kNodes), 100 + s,
+      system.post_stream_value(static_cast<NodeIndex>(s % nodes), 100 + s,
                                value);
       shadows[s].push(value);
       if (const auto fv = shadows[s].features()) {
@@ -94,7 +128,9 @@ TEST_P(NoFalseDismissal, EveryAlwaysInsideStreamIsReported) {
       if (const auto center = shadows[target].features()) {
         const double radius = query_rng.uniform(0.3, 0.6);
         const QueryId id = system.subscribe_similarity(
-            static_cast<NodeIndex>(query_rng.bounded(kNodes)), *center,
+            static_cast<NodeIndex>(query_rng.bounded(
+                static_cast<std::uint32_t>(nodes))),
+            *center,
             radius, sim::Duration::seconds(600));
         queries.push_back(
             PostedQuery{id, *center, radius, emitted[target].size()});
@@ -102,8 +138,8 @@ TEST_P(NoFalseDismissal, EveryAlwaysInsideStreamIsReported) {
     }
     sim.run_until(sim.now() + sim::Duration::millis(100));
   }
-  // Generous run-out: every periodic stage (match, relay across the range,
-  // aggregate, push) gets many cycles.
+  // Generous run-out: every periodic stage (match, report to the middle
+  // node, aggregate, push) gets many cycles.
   sim.run_until(sim.now() + sim::Duration::seconds(15));
 
   ASSERT_FALSE(queries.empty());
@@ -155,8 +191,24 @@ TEST_P(NoFalseDismissal, EveryAlwaysInsideStreamIsReported) {
   EXPECT_GT(obligations, 0) << "no in-ball batch for seed " << seed;
 }
 
+std::vector<Case> seeds(Substrate substrate) {
+  std::vector<Case> cases;
+  for (std::uint64_t seed = 0; seed < 12; ++seed) {
+    cases.push_back(Case{substrate, seed});
+  }
+  return cases;
+}
+
+std::string seed_name(const ::testing::TestParamInfo<Case>& info) {
+  return std::to_string(info.param.seed);
+}
+
 INSTANTIATE_TEST_SUITE_P(Seeds, NoFalseDismissal,
-                         ::testing::Range<std::uint64_t>(0, 12));
+                         ::testing::ValuesIn(seeds(Substrate::kStaticRing)),
+                         seed_name);
+INSTANTIATE_TEST_SUITE_P(Chord, NoFalseDismissal,
+                         ::testing::ValuesIn(seeds(Substrate::kChord)),
+                         seed_name);
 
 }  // namespace
 }  // namespace sdsi::core

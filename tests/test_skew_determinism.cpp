@@ -7,7 +7,8 @@
 // deterministic functions of the seed (the shed accumulator is rng-free),
 // so nothing that differs between two runs in one process, such as a static
 // or a wall-clock reading, may reach them while the mitigation machinery is
-// rewriting the data path.
+// rewriting the data path. A second test checks that hot-arc splitting
+// keeps every match while it moves the work.
 //
 // Runs under the chaos-smoke label (tests/CMakeLists.txt).
 #include <gtest/gtest.h>
@@ -141,6 +142,44 @@ TEST(SkewDeterminism, OverloadDecisionsReplayIdentically) {
   // Byte equality of the export document: per-node work vectors, drop
   // causes, imbalance ratios.
   EXPECT_EQ(replay.metrics_json, first.metrics_json);
+}
+
+TEST(HotArcSplit, DelegatesReportWhatTheirHotNodeDiverted) {
+  // Each (batch, query) pair has one designated reporter. A hot node that
+  // diverts a batch to a split delegate no longer stores it, so the
+  // delegate must report in its place: splitting moves work, not matches.
+  // The reference is the same flash crowd under the detector alone
+  // (split_ways 1: same splits, nothing diverted).
+  const auto run = [](std::size_t split_ways) {
+    ExperimentConfig config;
+    config.num_nodes = 60;
+    config.seed = 42;
+    config.stream_family = StreamFamily::kStockMarket;
+    config.warmup = sim::Duration::seconds(30);
+    config.measure = sim::Duration::seconds(60);
+    config.drain = sim::Duration::seconds(20);
+    config.oracle_sample_period = sim::Duration::seconds(5);
+    streams::AdversarialSpec adversarial;
+    adversarial.pattern_pool = 8;
+    adversarial.zipf_exponent = 1.1;
+    adversarial.zipf_clients = true;
+    adversarial.placement_skew = 2.0;
+    streams::FlashCrowd crowd;
+    crowd.at_seconds = 40.0;
+    adversarial.flash_crowd = crowd;
+    config.adversarial = adversarial;
+    OverloadOptions overload;
+    overload.split_ways = split_ways;
+    config.overload = overload;
+    Experiment experiment(config);
+    experiment.run();
+    return experiment.robustness_report();
+  };
+  const RobustnessReport detect_only = run(1);
+  const RobustnessReport split = run(3);
+  ASSERT_GT(split.split_diverted_stores, 0u);
+  ASSERT_GT(detect_only.oracle_pairs, 1000u);
+  EXPECT_GE(split.recall, detect_only.recall);
 }
 
 }  // namespace

@@ -98,52 +98,6 @@ INSTANTIATE_TEST_SUITE_P(
                       std::tuple{16, 5}, std::tuple{32, 4}, std::tuple{100, 7},
                       std::tuple{128, 3}));
 
-TEST(SlidingDft, PushSpanBitIdenticalToRepeatedPush) {
-  // The batched path must produce the exact same floating-point results as
-  // one-at-a-time pushes, across chunking boundaries (spans longer than the
-  // internal 256-sample staging buffer) and ragged split points.
-  for (const std::size_t window : {8u, 100u, 128u}) {
-    SlidingDft one_by_one(window, 4);
-    SlidingDft spanned(window, 4);
-    common::Pcg32 rng(window, 33);
-    std::vector<Sample> batch(1000);
-    for (Sample& x : batch) {
-      x = rng.uniform(-5.0, 5.0);
-    }
-    for (const Sample x : batch) {
-      one_by_one.push(x);
-    }
-    // Ragged splits: 1, 7, 255, 256, 257, rest.
-    std::span<const Sample> rest(batch);
-    for (const std::size_t split : {1u, 7u, 255u, 256u, 257u}) {
-      spanned.push_span(rest.first(split));
-      rest = rest.subspan(split);
-    }
-    spanned.push_span(rest);
-
-    ASSERT_EQ(one_by_one.samples_seen(), spanned.samples_seen());
-    const auto a = one_by_one.coefficients();
-    const auto b = spanned.coefficients();
-    for (std::size_t f = 0; f < a.size(); ++f) {
-      EXPECT_EQ(a[f].real(), b[f].real()) << "window=" << window << " f=" << f;
-      EXPECT_EQ(a[f].imag(), b[f].imag()) << "window=" << window << " f=" << f;
-    }
-    EXPECT_EQ(one_by_one.window(), spanned.window());
-  }
-}
-
-TEST(SlidingDft, PushSpanReportsEvictedSamples) {
-  SlidingDft dft(4, 2);
-  const std::vector<Sample> first{1.0, 2.0, 3.0, 4.0};
-  std::vector<Sample> evicted(first.size(), -1.0);
-  dft.push_span(first, evicted);
-  EXPECT_EQ(evicted, (std::vector<Sample>{0.0, 0.0, 0.0, 0.0}));
-  const std::vector<Sample> second{5.0, 6.0};
-  dft.push_span(second, evicted);
-  EXPECT_EQ(evicted[0], 1.0);
-  EXPECT_EQ(evicted[1], 2.0);
-}
-
 TEST(SlidingDft, DriftStaysBoundedOverLongRuns) {
   // 100k pushes without re-anchoring: error must stay tiny (the rotation
   // factors have unit magnitude, so error growth is additive, not

@@ -126,39 +126,6 @@ TEST(StreamSummarizer, ReanchoringKeepsFeaturesContinuous) {
   }
 }
 
-TEST(StreamSummarizer, PushSpanBitIdenticalToRepeatedPush) {
-  // The batched ingestion path must match one-at-a-time pushes exactly,
-  // including where drift re-anchoring fires (interval 64 here, crossed
-  // several times mid-span).
-  const dsp::FeatureConfig cfg = config(16, 2, dsp::Normalization::kZNormalize);
-  StreamSummarizer one_by_one(cfg);
-  StreamSummarizer spanned(cfg);
-  one_by_one.set_reanchor_interval(64);
-  spanned.set_reanchor_interval(64);
-  common::Pcg32 rng(21, 9);
-  std::vector<Sample> batch(700);
-  for (Sample& x : batch) {
-    x = rng.uniform(-2.0, 2.0);
-  }
-  for (const Sample x : batch) {
-    one_by_one.push(x);
-  }
-  spanned.push_span(batch);
-
-  EXPECT_EQ(one_by_one.samples_seen(), spanned.samples_seen());
-  EXPECT_EQ(one_by_one.window_mean(), spanned.window_mean());
-  EXPECT_EQ(one_by_one.normalization_denominator(),
-            spanned.normalization_denominator());
-  const auto a = one_by_one.features();
-  const auto b = spanned.features();
-  ASSERT_TRUE(a.has_value() && b.has_value());
-  ASSERT_EQ(a->size(), b->size());
-  for (std::size_t i = 0; i < a->size(); ++i) {
-    EXPECT_EQ((*a)[i].real(), (*b)[i].real()) << "i=" << i;
-    EXPECT_EQ((*a)[i].imag(), (*b)[i].imag()) << "i=" << i;
-  }
-}
-
 TEST(StreamSummarizer, FeaturesLiveOnUnitBall) {
   StreamSummarizer s(config(32, 3, dsp::Normalization::kZNormalize));
   common::Pcg32 rng(11, 3);

@@ -366,11 +366,14 @@ int main(int argc, char** argv) {
   std::printf("\n-- quality --\n");
   std::printf(
       "  queries posed %llu, responses %llu, matched streams %llu,\n"
-      "  mean first response %.0f ms\n",
+      "  mean first response %.0f ms\n"
+      "  match delivery p50 %.0f ms p99 %.0f ms (%llu pairs)\n",
       static_cast<unsigned long long>(quality.queries_posed),
       static_cast<unsigned long long>(quality.responses_received),
       static_cast<unsigned long long>(quality.matches_reported),
-      quality.mean_first_response_ms);
+      quality.mean_first_response_ms, quality.match_delivery_p50_ms,
+      quality.match_delivery_p99_ms,
+      static_cast<unsigned long long>(quality.match_delivery_pairs));
 
   const bool chaos_run = !config.faults.empty() || config.mbr_acks ||
                          config.mbr_refresh_period > sim::Duration() ||
