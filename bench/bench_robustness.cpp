@@ -152,9 +152,9 @@ int main(int argc, char** argv) {
         .add_num(report.duplicate_delivery_rate, 4)
         .add_int(static_cast<long long>(report.mbr_retries))
         .add_int(static_cast<long long>(report.mbr_refreshes))
-        .add_int(static_cast<long long>(report.heals))
-        .add_num(report.mean_heal_latency_ms, 2)
-        .add_num(report.p90_heal_latency_ms, 2)
+        .add_int(static_cast<long long>(report.heal_latency_ms.count()))
+        .add_num(report.heal_latency_ms.mean(), 2)
+        .add_num(report.heal_latency_ms.p90(), 2)
         .add_cell(std::to_string(report.crashes) + "/" +
                   std::to_string(report.recoveries));
 
@@ -179,11 +179,13 @@ int main(int argc, char** argv) {
                     config_label, static_cast<double>(report.mbr_refreshes),
                     simulated_ms});
       reporter.add({std::string("heals/") + scenario.name, config_label,
-                    static_cast<double>(report.heals), simulated_ms});
+                    static_cast<double>(report.heal_latency_ms.count()),
+                    simulated_ms});
       reporter.add({std::string("mean_heal_latency_ms/") + scenario.name,
-                    config_label, report.mean_heal_latency_ms, simulated_ms});
+                    config_label, report.heal_latency_ms.mean(),
+                    simulated_ms});
       reporter.add({std::string("p90_heal_latency_ms/") + scenario.name,
-                    config_label, report.p90_heal_latency_ms, simulated_ms});
+                    config_label, report.heal_latency_ms.p90(), simulated_ms});
     }
     if (scenario.replication) {
       repl_table.begin_row()
@@ -193,7 +195,7 @@ int main(int argc, char** argv) {
           .add_int(static_cast<long long>(report.handoff_entries))
           .add_int(static_cast<long long>(report.handoff_bytes))
           .add_int(static_cast<long long>(report.aggregator_failovers))
-          .add_num(report.p90_failover_latency_ms, 2)
+          .add_num(report.failover_latency_ms.p90(), 2)
           .add_int(static_cast<long long>(report.report_detours))
           .add_int(static_cast<long long>(report.oracle_fallbacks));
       reporter.add({std::string("replica_puts/") + scenario.name, config_label,
@@ -212,7 +214,7 @@ int main(int argc, char** argv) {
                     config_label, static_cast<double>(report.report_detours),
                     simulated_ms});
       reporter.add({std::string("p90_failover_latency_ms/") + scenario.name,
-                    config_label, report.p90_failover_latency_ms,
+                    config_label, report.failover_latency_ms.p90(),
                     simulated_ms});
     }
   }
@@ -236,8 +238,8 @@ int main(int argc, char** argv) {
       "layers on, recall is %.4f and the heal-latency p90 drops from\n"
       "%.0f ms to %.0f ms (replicas answer before the retry ladder climbs).\n",
       ceiling, degraded, healed, replicated, both,
-      experiments[2]->robustness_report().p90_heal_latency_ms,
-      experiments[4]->robustness_report().p90_heal_latency_ms);
+      experiments[2]->robustness_report().heal_latency_ms.p90(),
+      experiments[4]->robustness_report().heal_latency_ms.p90());
 
   if (!json_path.empty() && !reporter.write(json_path)) {
     return 1;

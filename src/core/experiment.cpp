@@ -524,8 +524,8 @@ QualityReport Experiment::quality_report() const {
 RobustnessReport Experiment::robustness_report() const {
   SDSI_CHECK(ran_);
   const MetricsCollector& metrics = system_->metrics();
-  const RobustnessCounters& counters = metrics.robustness();
   RobustnessReport report;
+  static_cast<RobustnessCounters&>(report) = metrics.robustness();
 
   if (oracle_ != nullptr) {
     const auto* crashed =
@@ -559,19 +559,6 @@ RobustnessReport Experiment::robustness_report() const {
         static_cast<double>(unique_events + duplicate_events);
   }
 
-  report.duplicate_stores = counters.duplicate_stores;
-  report.mbr_retries = counters.mbr_retries;
-  report.mbr_retry_exhausted = counters.mbr_retry_exhausted;
-  report.mbr_refreshes = counters.mbr_refreshes;
-  report.mbr_acks = counters.mbr_acks;
-  report.response_retries = counters.response_retries;
-  report.location_retries = counters.location_retries;
-  report.heals = counters.heal_latency_ms.count();
-  report.mean_heal_latency_ms = counters.heal_latency_ms.mean();
-  report.max_heal_latency_ms = counters.heal_latency_ms.max();
-  report.p50_heal_latency_ms = counters.heal_latency_ms.p50();
-  report.p90_heal_latency_ms = counters.heal_latency_ms.p90();
-  report.p99_heal_latency_ms = counters.heal_latency_ms.p99();
   for (std::size_t c = 0; c < report.drops_by_cause.size(); ++c) {
     report.drops_by_cause[c] = metrics.drops(static_cast<fault::DropCause>(c));
   }
@@ -579,23 +566,6 @@ RobustnessReport Experiment::robustness_report() const {
     report.crashes = injector_->crashes_executed();
     report.recoveries = injector_->recoveries_executed();
   }
-  report.replica_puts = counters.replica_puts;
-  report.replica_repairs = counters.replica_repairs;
-  report.handoff_entries = counters.handoff_entries;
-  report.handoff_bytes = counters.handoff_bytes;
-  report.aggregator_failovers = counters.aggregator_failovers;
-  report.report_detours = counters.report_detours;
-  report.oracle_fallbacks = counters.oracle_fallbacks;
-  report.mean_failover_latency_ms = counters.failover_latency_ms.mean();
-  report.p90_failover_latency_ms = counters.failover_latency_ms.p90();
-  report.max_failover_latency_ms = counters.failover_latency_ms.max();
-
-  report.hot_arc_splits = counters.hot_arc_splits;
-  report.hot_arc_merges = counters.hot_arc_merges;
-  report.split_diverted_stores = counters.split_diverted_stores;
-  report.shed_mbrs = counters.shed_mbrs;
-  report.backpressure_deferrals = counters.backpressure_deferrals;
-  report.backpressure_drops = counters.backpressure_drops;
   const auto p99_over_median = [](std::vector<std::uint64_t> values) {
     if (values.empty()) {
       return 0.0;

@@ -188,8 +188,9 @@ struct QualityReport {
   double match_delivery_p99_ms = 0.0;
 };
 
-/// Degradation + self-healing numbers of a (chaos) run.
-struct RobustnessReport {
+/// Degradation + self-healing numbers of a (chaos) run: the measurement
+/// window's RobustnessCounters, plus what only the experiment knows.
+struct RobustnessReport : RobustnessCounters {
   /// Recall vs the fault-free oracle over queries from never-crashed
   /// clients; 0 when the oracle was disabled or detected nothing.
   double recall = 0.0;
@@ -197,49 +198,12 @@ struct RobustnessReport {
   std::uint64_t delivered_pairs = 0;  // of those, reaching their client
   /// Duplicate match entries per delivered match entry (client side).
   double duplicate_delivery_rate = 0.0;
-  std::uint64_t duplicate_stores = 0;  // store-level redelivery suppressions
-  std::uint64_t mbr_retries = 0;
-  std::uint64_t mbr_retry_exhausted = 0;
-  std::uint64_t mbr_refreshes = 0;
-  std::uint64_t mbr_acks = 0;
-  std::uint64_t response_retries = 0;
-  std::uint64_t location_retries = 0;
-  /// Heal latency (first send -> confirming ack, retried batches only).
-  /// Quantiles are log-bucket estimates (obs/log_histogram.hpp); mean and
-  /// max are exact.
-  std::uint64_t heals = 0;
-  double mean_heal_latency_ms = 0.0;
-  double max_heal_latency_ms = 0.0;
-  double p50_heal_latency_ms = 0.0;
-  double p90_heal_latency_ms = 0.0;
-  double p99_heal_latency_ms = 0.0;
   /// Drops by cause label (fault::DropCause order), unified across the link
   /// loss models and routing-level losses, measurement window only.
   std::array<std::uint64_t, static_cast<std::size_t>(fault::DropCause::kCount)>
       drops_by_cause{};
   std::uint64_t crashes = 0;
   std::uint64_t recoveries = 0;
-
-  // --- Replication & failover layer ---------------------------------------
-  std::uint64_t replica_puts = 0;       // store entries mirrored to replicas
-  std::uint64_t replica_repairs = 0;    // anti-entropy backfills applied
-  std::uint64_t handoff_entries = 0;    // entries moved by join/leave handoff
-  std::uint64_t handoff_bytes = 0;      // approximate handoff payload bytes
-  std::uint64_t aggregator_failovers = 0;  // replica-to-aggregator promotions
-  std::uint64_t report_detours = 0;     // sends saved by dead-hop detours
-  std::uint64_t oracle_fallbacks = 0;   // routing bypassed protocol state
-  /// Aggregator dark time per failover (last mirror -> promotion), ms.
-  double mean_failover_latency_ms = 0.0;
-  double p90_failover_latency_ms = 0.0;
-  double max_failover_latency_ms = 0.0;
-
-  // --- Overload-survival layer --------------------------------------------
-  std::uint64_t hot_arc_splits = 0;
-  std::uint64_t hot_arc_merges = 0;
-  std::uint64_t split_diverted_stores = 0;
-  std::uint64_t shed_mbrs = 0;
-  std::uint64_t backpressure_deferrals = 0;
-  std::uint64_t backpressure_drops = 0;
   /// Load-imbalance ratios over the measurement window (nearest-rank p99 /
   /// median across nodes; 0 when the median is 0). `message_load_*` counts
   /// delivered messages (which splitting cannot reduce); `work_*` counts

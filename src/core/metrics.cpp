@@ -220,28 +220,32 @@ void MetricsCollector::add_match_delivery(double ms) {
   }
 }
 
-void MetricsCollector::on_detour(NodeIndex around,
-                                 const routing::Message& msg) {
-  (void)around;
-  (void)msg;
-  if (registry_ != nullptr) {
-    registry_->counter("failover.detours").add();
+void MetricsCollector::count(std::uint64_t RobustnessCounters::*field,
+                             const char* series, std::uint64_t n) {
+  if (series != nullptr && registry_ != nullptr) {
+    registry_->counter(series).add(static_cast<double>(n));
   }
-  if (!enabled_) {
-    return;
+  if (field != nullptr && enabled_) {
+    robustness_.*field += n;
   }
-  ++robustness_.report_detours;
 }
 
-void MetricsCollector::on_oracle_fallback(NodeIndex node) {
-  (void)node;
-  if (registry_ != nullptr) {
-    registry_->counter("chord.oracle_fallbacks").add();
+void MetricsCollector::observe(obs::LogHistogram RobustnessCounters::*field,
+                               const char* series, double ms) {
+  if (series != nullptr && registry_ != nullptr) {
+    registry_->histogram(series).add(ms);
   }
-  if (!enabled_) {
-    return;
+  if (field != nullptr && enabled_) {
+    (robustness_.*field).add(ms);
   }
-  ++robustness_.oracle_fallbacks;
+}
+
+void MetricsCollector::on_detour(NodeIndex, const routing::Message&) {
+  count(&RobustnessCounters::report_detours, "failover.detours");
+}
+
+void MetricsCollector::on_oracle_fallback(NodeIndex) {
+  count(&RobustnessCounters::oracle_fallbacks, "chord.oracle_fallbacks");
 }
 
 std::uint64_t MetricsCollector::total_drops() const noexcept {

@@ -111,7 +111,6 @@ struct RobustnessCounters {
   std::uint64_t mbr_acks = 0;           // storage confirmations received
   std::uint64_t duplicate_stores = 0;   // redeliveries the store suppressed
   std::uint64_t response_retries = 0;   // re-queued unacked match pushes
-  std::uint64_t duplicate_matches = 0;  // client-side duplicate suppressions
   std::uint64_t location_retries = 0;   // location-get backoff retries
   /// One sample per healed batch, in ms. A single log-bucketed histogram
   /// carries the whole story: count/mean/max exactly, p50/p90/p99 estimated.
@@ -175,7 +174,6 @@ class MetricsCollector final : public routing::MetricsHook {
   /// warm-up and drain — while the aggregate counters stay
   /// measurement-window-only. Pass nullptr to detach.
   void set_registry(obs::MetricsRegistry* registry);
-  obs::MetricsRegistry* registry() const noexcept { return registry_; }
 
   std::size_t num_nodes() const noexcept { return per_node_.size(); }
 
@@ -220,13 +218,20 @@ class MetricsCollector final : public routing::MetricsHook {
   }
   std::uint64_t total_drops() const noexcept;
 
-  /// Self-healing counters; the middleware increments them directly.
-  RobustnessCounters& robustness() noexcept { return robustness_; }
+  /// Self-healing counters, written only through count() and observe().
   const RobustnessCounters& robustness() const noexcept { return robustness_; }
 
-  /// Middleware-side increment that respects the warm-up gate (the
-  /// collector swallows events while disabled).
-  bool recording() const noexcept { return enabled_; }
+  /// One middleware event, recorded in both sinks: adds `n` to `field`
+  /// inside the measurement window, and to the registry counter `series`
+  /// over the whole run, warm-up and drain included, when a registry is
+  /// attached. The series is looked up by name, so it first appears when
+  /// its event first fires. Either may be null: a sink without that view.
+  void count(std::uint64_t RobustnessCounters::*field, const char* series,
+             std::uint64_t n = 1);
+  /// The histogram twin of count(): one `ms` sample into `field` and the
+  /// registry histogram `series`, under the same window rule.
+  void observe(obs::LogHistogram RobustnessCounters::*field,
+               const char* series, double ms);
 
   /// One (query, stream) pair reached its client `ms` after the match pass
   /// that detected it (SimilarityMatch::detected_at): the delivery part of

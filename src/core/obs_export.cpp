@@ -245,9 +245,10 @@ obs::Json metrics_to_json(const Experiment& experiment) {
       obs::Json(robustness_report.response_retries);
   robustness["location_retries"] =
       obs::Json(robustness_report.location_retries);
-  robustness["heals"] = obs::Json(robustness_report.heals);
+  robustness["heals"] =
+      obs::Json(robustness_report.heal_latency_ms.count());
   robustness["heal_latency_ms"] =
-      histogram_to_json(metrics.robustness().heal_latency_ms);
+      histogram_to_json(robustness_report.heal_latency_ms);
   robustness["crashes"] = obs::Json(robustness_report.crashes);
   robustness["recoveries"] = obs::Json(robustness_report.recoveries);
   robustness["replica_puts"] = obs::Json(robustness_report.replica_puts);
@@ -262,7 +263,7 @@ obs::Json metrics_to_json(const Experiment& experiment) {
   robustness["oracle_fallbacks"] =
       obs::Json(robustness_report.oracle_fallbacks);
   robustness["failover_latency_ms"] =
-      histogram_to_json(metrics.robustness().failover_latency_ms);
+      histogram_to_json(robustness_report.failover_latency_ms);
   robustness["hot_arc_splits"] = obs::Json(robustness_report.hot_arc_splits);
   robustness["hot_arc_merges"] = obs::Json(robustness_report.hot_arc_merges);
   robustness["split_diverted_stores"] =

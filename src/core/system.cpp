@@ -76,6 +76,37 @@ void MiddlewareSystem::start() {
   }
 }
 
+// --- The port ----------------------------------------------------------------
+
+void MiddlewareSystem::send_to_key(NodeIndex from, Key key, MsgKind kind,
+                                   std::any payload, bool reroute_on_dead) {
+  Message msg;
+  msg.kind = kind;
+  msg.payload = std::move(payload);
+  msg.reroute_on_dead = reroute_on_dead;
+  routing_.send(from, key, std::move(msg));
+}
+
+void MiddlewareSystem::send_to_node(NodeIndex from, NodeIndex to, MsgKind kind,
+                                    std::any payload, bool reroute_on_dead) {
+  Message msg;
+  msg.kind = kind;
+  msg.payload = std::move(payload);
+  msg.reroute_on_dead = reroute_on_dead;
+  routing_.send_direct(from, to, std::move(msg));
+}
+
+void MiddlewareSystem::send_to_range(NodeIndex from, Key lo, Key hi,
+                                     MsgKind kind, std::any payload,
+                                     std::uint64_t trace_id) {
+  Message msg;
+  msg.kind = kind;
+  msg.payload = std::move(payload);
+  msg.trace_id = trace_id;
+  msg.reroute_on_dead = replication_on();
+  routing_.send_range(from, lo, hi, std::move(msg), config_.multicast);
+}
+
 MiddlewareNode& MiddlewareSystem::state_of(NodeIndex index) {
   if (index >= nodes_.size()) {
     attach_node(index);
@@ -119,12 +150,9 @@ void MiddlewareSystem::register_stream(NodeIndex node, StreamId stream) {
                        config_.adaptive_precision)
           .second;
   SDSI_CHECK(inserted);
-
-  Message msg;
-  msg.kind = MsgKind::kLocationPut;
-  msg.payload = std::make_shared<const LocationPutPayload>(
-      LocationPutPayload{stream, node});
-  routing_.send(node, mapper_.key_for_stream(stream), std::move(msg));
+  send_to_key(node, mapper_.key_for_stream(stream), MsgKind::kLocationPut,
+              std::make_shared<const LocationPutPayload>(
+                  LocationPutPayload{stream, node}));
 }
 
 void MiddlewareSystem::unregister_stream(NodeIndex node, StreamId stream) {
@@ -135,12 +163,9 @@ void MiddlewareSystem::unregister_stream(NodeIndex node, StreamId stream) {
     route_mbr(node, it->second, std::move(*partial));
   }
   state.streams.erase(it);
-
-  Message msg;
-  msg.kind = MsgKind::kLocationPut;
-  msg.payload = std::make_shared<const LocationPutPayload>(
-      LocationPutPayload{stream, kInvalidNode});  // tombstone
-  routing_.send(node, mapper_.key_for_stream(stream), std::move(msg));
+  send_to_key(node, mapper_.key_for_stream(stream), MsgKind::kLocationPut,
+              std::make_shared<const LocationPutPayload>(
+                  LocationPutPayload{stream, kInvalidNode}));  // tombstone
 }
 
 LocalStream::LocalStream(
@@ -234,15 +259,15 @@ void MiddlewareSystem::publish_mbr(NodeIndex source, LocalStream& stream,
   // Allocate the publication's trace id up front so retries and refreshes
   // can re-use it (routing would otherwise mint a fresh one per send).
   const std::uint64_t trace_id = routing_.allocate_trace_id();
-  send_mbr(source, payload, lo, hi, trace_id);
+  send_to_range(source, lo, hi, MsgKind::kMbrUpdate, payload, trace_id);
   ++mbrs_routed_;
 
   // Extra probe ranges (multi-probe strategies; none for dft/ecm). Each
   // carries the same idempotent payload, so redundant landings dedup; they
   // are fire-and-forget — only the primary range is acked and refreshed.
   for (std::size_t i = 1; i < range_scratch_.size(); ++i) {
-    send_mbr(source, payload, range_scratch_[i].first,
-             range_scratch_[i].second, 0);
+    send_to_range(source, range_scratch_[i].first, range_scratch_[i].second,
+                  MsgKind::kMbrUpdate, payload);
   }
 
   if (config_.mbr_ack.enabled ||
@@ -256,35 +281,22 @@ void MiddlewareSystem::publish_mbr(NodeIndex source, LocalStream& stream,
   }
 }
 
-void MiddlewareSystem::send_mbr(NodeIndex source,
-                                std::shared_ptr<const MbrPayload> payload,
-                                Key lo, Key hi, std::uint64_t trace_id) {
-  Message msg;
-  msg.kind = MsgKind::kMbrUpdate;
-  msg.payload = std::move(payload);
-  msg.trace_id = trace_id;
-  // With replication on, a landing copy whose terminal hop died in flight
-  // detours to the successor-list replica, which stores and acks — cutting
-  // the retry tail short.
-  msg.reroute_on_dead = replication_on();
-  routing_.send_range(source, lo, hi, std::move(msg), config_.multicast);
-}
-
-void MiddlewareSystem::emit_heal_trace(
-    obs::TraceEventKind event, NodeIndex node,
-    const PublicationLedger::Publication& pub) {
+void MiddlewareSystem::emit_trace(obs::TraceEventKind event, NodeIndex node,
+                                  StreamId stream, std::uint64_t seq,
+                                  std::uint64_t trace_id) {
   obs::TraceSink* sink = routing_.trace_sink();
   if (sink == nullptr) {
     return;
   }
   obs::TraceRecord record;
-  record.trace_id = pub.trace_id;
+  record.trace_id = trace_id;
   record.event = event;
   record.at_us = routing_.simulator().now().count_micros();
   record.node = node;
-  record.kind = static_cast<int>(MsgKind::kMbrUpdate);
-  record.stream = pub.payload->stream;
-  record.batch_seq = pub.payload->batch_seq;
+  // Only a publication's events carry a trace id, and they are its MBR's.
+  record.kind = trace_id == 0 ? 0 : static_cast<int>(MsgKind::kMbrUpdate);
+  record.stream = stream;
+  record.batch_seq = seq;
   sink->record(record);
 }
 
@@ -299,21 +311,12 @@ void MiddlewareSystem::note_mbr_ack(NodeIndex source, StreamId stream,
     return;
   }
   if (pub->attempts > 0) {
-    const double ms =
-        (routing_.simulator().now() - pub->first_sent).as_millis();
-    emit_heal_trace(obs::TraceEventKind::kHeal, source, *pub);
-    // The registry series cover the whole run (warm-up included), like the
-    // routing-side series in MetricsCollector.
-    if (metrics_.registry() != nullptr) {
-      metrics_.registry()->histogram("heal.latency_ms").add(ms);
-    }
-    if (metrics_.recording()) {
-      metrics_.robustness().heal_latency_ms.add(ms);
-    }
+    emit_trace(obs::TraceEventKind::kHeal, source, stream, seq, pub->trace_id);
+    metrics_.observe(
+        &RobustnessCounters::heal_latency_ms, "heal.latency_ms",
+        (routing_.simulator().now() - pub->first_sent).as_millis());
   }
-  if (metrics_.recording()) {
-    ++metrics_.robustness().mbr_acks;
-  }
+  metrics_.count(&RobustnessCounters::mbr_acks, nullptr);
 }
 
 void MiddlewareSystem::arm_mbr_retry(NodeIndex source,
@@ -332,20 +335,16 @@ void MiddlewareSystem::on_mbr_ack_timeout(NodeIndex source, StreamId stream,
   }
   const auto [step, pub] = nodes_[source].published_mbrs.retry(
       stream, seq, routing_.simulator().now(), config_.mbr_ack);
-  if (step == PublicationLedger::Retry::kSpent && metrics_.recording()) {
-    ++metrics_.robustness().mbr_retry_exhausted;
+  if (step == PublicationLedger::Retry::kSpent) {
+    metrics_.count(&RobustnessCounters::mbr_retry_exhausted, nullptr);
   }
   if (step != PublicationLedger::Retry::kResend) {
     return;  // a spent budget leaves the soft-state refresh as the backstop
   }
-  if (metrics_.recording()) {
-    ++metrics_.robustness().mbr_retries;
-  }
-  if (metrics_.registry() != nullptr) {
-    metrics_.registry()->counter("heal.retries").add();
-  }
-  emit_heal_trace(obs::TraceEventKind::kRetry, source, *pub);
-  send_mbr(source, pub->payload, pub->lo, pub->hi, pub->trace_id);
+  metrics_.count(&RobustnessCounters::mbr_retries, "heal.retries");
+  emit_trace(obs::TraceEventKind::kRetry, source, stream, seq, pub->trace_id);
+  send_to_range(source, pub->lo, pub->hi, MsgKind::kMbrUpdate, pub->payload,
+                pub->trace_id);
   if (replication_on()) {
     // Hedged retry: a second multicast staggered past the mean burst
     // length, so a loss burst that swallows the retry no longer doubles the
@@ -363,11 +362,9 @@ void MiddlewareSystem::on_mbr_ack_timeout(NodeIndex source, StreamId stream,
           if (pending == nullptr) {
             return;
           }
-          if (metrics_.registry() != nullptr) {
-            metrics_.registry()->counter("heal.retry_hedges").add();
-          }
-          send_mbr(source, pending->payload, pending->lo, pending->hi,
-                   pending->trace_id);
+          metrics_.count(nullptr, "heal.retry_hedges");
+          send_to_range(source, pending->lo, pending->hi, MsgKind::kMbrUpdate,
+                        pending->payload, pending->trace_id);
         });
   }
   arm_mbr_retry(source, *pub);
@@ -381,24 +378,20 @@ void MiddlewareSystem::refresh_node_mbrs(NodeIndex index) {
   state.published_mbrs.refresh(
       routing_.simulator().now(),
       [&](const PublicationLedger::Publication& pub) {
-        emit_heal_trace(obs::TraceEventKind::kRefresh, index, pub);
-        send_mbr(index, pub.payload, pub.lo, pub.hi, pub.trace_id);
-        if (metrics_.recording()) {
-          ++metrics_.robustness().mbr_refreshes;
-        }
-        if (metrics_.registry() != nullptr) {
-          metrics_.registry()->counter("heal.refreshes").add();
-        }
+        emit_trace(obs::TraceEventKind::kRefresh, index, pub.payload->stream,
+                   pub.payload->batch_seq, pub.trace_id);
+        send_to_range(index, pub.lo, pub.hi, MsgKind::kMbrUpdate, pub.payload,
+                      pub.trace_id);
+        metrics_.count(&RobustnessCounters::mbr_refreshes, "heal.refreshes");
       });
   // Heal the h2 directory too: the fragment holding one of our streams'
   // mappings may itself have crashed and lost the registration.
   for (const auto& [stream_id, local] : state.streams) {
     (void)local;
-    Message msg;
-    msg.kind = MsgKind::kLocationPut;
-    msg.payload = std::make_shared<const LocationPutPayload>(
-        LocationPutPayload{stream_id, index});
-    routing_.send(index, mapper_.key_for_stream(stream_id), std::move(msg));
+    send_to_key(index, mapper_.key_for_stream(stream_id),
+                MsgKind::kLocationPut,
+                std::make_shared<const LocationPutPayload>(
+                    LocationPutPayload{stream_id, index}));
   }
 }
 
@@ -434,19 +427,9 @@ QueryId MiddlewareSystem::subscribe_similarity(NodeIndex client,
 
   const auto payload = std::make_shared<const SimilarityQueryPayload>(
       SimilarityQueryPayload{std::move(query), middle});
-  Message msg;
-  msg.kind = MsgKind::kSimilarityQuery;
-  msg.payload = payload;
-  msg.reroute_on_dead = replication_on();
-  routing_.send_range(client, lo, hi, std::move(msg), config_.multicast);
-
+  send_to_range(client, lo, hi, MsgKind::kSimilarityQuery, payload);
   for (const auto& [plo, phi] : probes) {
-    Message probe;
-    probe.kind = MsgKind::kSimilarityQuery;
-    probe.payload = payload;
-    probe.reroute_on_dead = replication_on();
-    routing_.send_range(client, plo, phi, std::move(probe),
-                        config_.multicast);
+    send_to_range(client, plo, phi, MsgKind::kSimilarityQuery, payload);
   }
 
   if (config_.query_refresh_period > sim::Duration()) {
@@ -464,12 +447,7 @@ QueryId MiddlewareSystem::subscribe_similarity(NodeIndex client,
             handle->cancel();
             return;
           }
-          Message refresh;
-          refresh.kind = MsgKind::kSimilarityQuery;
-          refresh.payload = payload;
-          refresh.reroute_on_dead = replication_on();
-          routing_.send_range(client, lo, hi, std::move(refresh),
-                              config_.multicast);
+          send_to_range(client, lo, hi, MsgKind::kSimilarityQuery, payload);
         });
   }
   return id;
@@ -512,11 +490,9 @@ QueryId MiddlewareSystem::subscribe_inner_product(
       state.pending_inner_queries.contains(stream);
   state.pending_inner_queries[stream].push_back(std::move(query));
   if (!resolution_in_flight) {
-    Message msg;
-    msg.kind = MsgKind::kLocationGet;
-    msg.payload = std::make_shared<const LocationGetPayload>(
-        LocationGetPayload{stream, client});
-    routing_.send(client, mapper_.key_for_stream(stream), std::move(msg));
+    send_to_key(client, mapper_.key_for_stream(stream), MsgKind::kLocationGet,
+                std::make_shared<const LocationGetPayload>(
+                    LocationGetPayload{stream, client}));
   }
   return id;
 }
@@ -524,11 +500,9 @@ QueryId MiddlewareSystem::subscribe_inner_product(
 void MiddlewareSystem::dispatch_inner_query(
     NodeIndex client, std::shared_ptr<const InnerProductQuery> query,
     NodeIndex source) {
-  Message msg;
-  msg.kind = MsgKind::kInnerProductQuery;
-  msg.payload = std::make_shared<const InnerProductQueryPayload>(
-      InnerProductQueryPayload{std::move(query)});
-  routing_.send(client, routing_.node_id(source), std::move(msg));
+  send_to_key(client, routing_.node_id(source), MsgKind::kInnerProductQuery,
+              std::make_shared<const InnerProductQueryPayload>(
+                  InnerProductQueryPayload{std::move(query)}));
 }
 
 // --- Delivery dispatch --------------------------------------------------------
@@ -634,11 +608,10 @@ void MiddlewareSystem::handle_mbr(NodeIndex at, const Message& msg) {
     note_mbr_ack(at, payload->stream, payload->batch_seq);
     return;
   }
-  Message ack;
-  ack.kind = MsgKind::kMbrAck;
-  ack.payload = std::make_shared<const MbrAckPayload>(
-      MbrAckPayload{payload->stream, payload->batch_seq});
-  routing_.send_direct(at, payload->source, std::move(ack));
+  send_to_node(at, payload->source, MsgKind::kMbrAck,
+               std::make_shared<const MbrAckPayload>(
+                   MbrAckPayload{payload->stream, payload->batch_seq}),
+               /*reroute_on_dead=*/false);
 }
 
 bool MiddlewareSystem::store_mbr_with_work(NodeIndex at, const Message& msg,
@@ -650,8 +623,8 @@ bool MiddlewareSystem::store_mbr_with_work(NodeIndex at, const Message& msg,
                                     payload.mbr, payload.batch_seq, now,
                                     payload.expires};
   const bool added = state_of(at).store.add_mbr(entry);
-  if (!added && payload.expires > now && metrics_.recording()) {
-    ++metrics_.robustness().duplicate_stores;
+  if (!added && payload.expires > now) {
+    metrics_.count(&RobustnessCounters::duplicate_stores, nullptr);
   }
   if (added) {
     note_node_work(at, 1);
@@ -743,11 +716,10 @@ void MiddlewareSystem::handle_response(NodeIndex at, const Message& msg) {
   if (payload->aggregator != kInvalidNode && !payload->matches.empty()) {
     // Confirm match-bearing pushes even when the query record is gone: the
     // aggregator must stop retransmitting either way.
-    Message ack;
-    ack.kind = MsgKind::kResponseAck;
-    ack.payload = std::make_shared<const ResponseAckPayload>(
-        ResponseAckPayload{payload->query, payload->push_seq});
-    routing_.send_direct(at, payload->aggregator, std::move(ack));
+    send_to_node(at, payload->aggregator, MsgKind::kResponseAck,
+                 std::make_shared<const ResponseAckPayload>(
+                     ResponseAckPayload{payload->query, payload->push_seq}),
+                 /*reroute_on_dead=*/false);
   }
   const auto it = client_records_.find(payload->query);
   if (it == client_records_.end()) {
@@ -767,9 +739,6 @@ void MiddlewareSystem::handle_response(NodeIndex at, const Message& msg) {
       metrics_.add_match_delivery((now - match.detected_at).as_millis());
     } else {
       ++record.duplicate_match_events;
-      if (metrics_.recording()) {
-        ++metrics_.robustness().duplicate_matches;
-      }
     }
   }
   if (payload->inner_product) {
@@ -802,11 +771,10 @@ void MiddlewareSystem::handle_location_get(NodeIndex at, const Message& msg) {
   const NodeIndex source =
       entry == directory.end() ? kInvalidNode : entry->second;
 
-  Message reply;
-  reply.kind = MsgKind::kLocationReply;
-  reply.payload = std::make_shared<const LocationReplyPayload>(
-      LocationReplyPayload{payload->stream, source});
-  routing_.send(at, routing_.node_id(payload->requester), std::move(reply));
+  send_to_key(at, routing_.node_id(payload->requester),
+              MsgKind::kLocationReply,
+              std::make_shared<const LocationReplyPayload>(
+                  LocationReplyPayload{payload->stream, source}));
 }
 
 void MiddlewareSystem::retry_location_get(NodeIndex client, StreamId stream) {
@@ -820,23 +788,29 @@ void MiddlewareSystem::retry_location_get(NodeIndex client, StreamId stream) {
   }
   const auto cached = state.location_cache.find(stream);
   if (cached != state.location_cache.end()) {
-    state.location_retry_attempts.erase(stream);
-    std::vector<std::shared_ptr<const InnerProductQuery>> queries =
-        std::move(pending->second);
-    state.pending_inner_queries.erase(pending);
-    for (auto& query : queries) {
-      dispatch_inner_query(client, std::move(query), cached->second);
-    }
+    drain_inner_queries(client, stream, cached->second);
     return;
   }
-  if (metrics_.recording()) {
-    ++metrics_.robustness().location_retries;
+  metrics_.count(&RobustnessCounters::location_retries, nullptr);
+  send_to_key(client, mapper_.key_for_stream(stream), MsgKind::kLocationGet,
+              std::make_shared<const LocationGetPayload>(
+                  LocationGetPayload{stream, client}));
+}
+
+void MiddlewareSystem::drain_inner_queries(NodeIndex client, StreamId stream,
+                                           NodeIndex source) {
+  MiddlewareNode& state = state_of(client);
+  state.location_retry_attempts.erase(stream);
+  const auto pending = state.pending_inner_queries.find(stream);
+  if (pending == state.pending_inner_queries.end()) {
+    return;
   }
-  Message msg;
-  msg.kind = MsgKind::kLocationGet;
-  msg.payload = std::make_shared<const LocationGetPayload>(
-      LocationGetPayload{stream, client});
-  routing_.send(client, mapper_.key_for_stream(stream), std::move(msg));
+  std::vector<std::shared_ptr<const InnerProductQuery>> queries =
+      std::move(pending->second);
+  state.pending_inner_queries.erase(pending);
+  for (auto& query : queries) {
+    dispatch_inner_query(client, std::move(query), source);
+  }
 }
 
 void MiddlewareSystem::handle_location_reply(NodeIndex at,
@@ -878,17 +852,8 @@ void MiddlewareSystem::handle_location_reply(NodeIndex at,
         [this, at, stream] { retry_location_get(at, stream); });
     return;
   }
-  state.location_retry_attempts.erase(payload->stream);
   state.location_cache[payload->stream] = payload->source;
-  if (pending == state.pending_inner_queries.end()) {
-    return;
-  }
-  std::vector<std::shared_ptr<const InnerProductQuery>> queries =
-      std::move(pending->second);
-  state.pending_inner_queries.erase(pending);
-  for (auto& query : queries) {
-    dispatch_inner_query(at, std::move(query), payload->source);
-  }
+  drain_inner_queries(at, payload->stream, payload->source);
 }
 
 // --- Periodic machinery --------------------------------------------------------
@@ -971,15 +936,13 @@ void MiddlewareSystem::send_report_digests(NodeIndex index, sim::SimTime now) {
         std::find_if(first, reports.end(), [middle](const MatchReport& r) {
           return r.middle_key != middle;
         });
-    Message msg;
-    msg.kind = MsgKind::kNeighborExchange;
-    msg.payload =
-        std::make_shared<const NeighborDigestPayload>(NeighborDigestPayload{
-            {std::make_move_iterator(first), std::make_move_iterator(last)}});
     // A middle node that died since the last stabilization round must not
     // swallow the digest: its successor inherits the key, and the reports.
-    msg.reroute_on_dead = true;
-    routing_.send(index, middle, std::move(msg));
+    send_to_key(index, middle, MsgKind::kNeighborExchange,
+                std::make_shared<const NeighborDigestPayload>(
+                    NeighborDigestPayload{{std::make_move_iterator(first),
+                                           std::make_move_iterator(last)}}),
+                /*reroute_on_dead=*/true);
     first = last;
   }
   reports.clear();
@@ -1042,14 +1005,9 @@ void MiddlewareSystem::periodic_tick(NodeIndex index) {
     record.inflight.resend_overdue(
         now, config_.response_ack,
         [&](const std::shared_ptr<const ResponsePayload>& push) {
-          if (metrics_.recording()) {
-            ++metrics_.robustness().response_retries;
-          }
-          Message resend;
-          resend.kind = MsgKind::kResponse;
-          resend.payload = push;
-          routing_.send(index, routing_.node_id(record.client),
-                        std::move(resend));
+          metrics_.count(&RobustnessCounters::response_retries, nullptr);
+          send_to_key(index, routing_.node_id(record.client),
+                      MsgKind::kResponse, push);
         });
     const bool track = config_.response_ack.enabled && !record.pending.empty();
     ResponsePayload push{it->first, record.client, false,
@@ -1057,12 +1015,10 @@ void MiddlewareSystem::periodic_tick(NodeIndex index) {
                          config_.response_ack.enabled ? index : kInvalidNode,
                          0};
     record.pending.clear();
-    Message msg;
-    msg.kind = MsgKind::kResponse;
-    msg.payload =
-        track ? record.inflight.track(std::move(push), now)
-              : std::make_shared<const ResponsePayload>(std::move(push));
-    routing_.send(index, routing_.node_id(record.client), std::move(msg));
+    send_to_key(index, routing_.node_id(record.client), MsgKind::kResponse,
+                track ? record.inflight.track(std::move(push), now)
+                      : std::make_shared<const ResponsePayload>(
+                            std::move(push)));
     ++it;
   }
 
@@ -1087,42 +1043,15 @@ void MiddlewareSystem::periodic_tick(NodeIndex index) {
     for (const InnerProductSubscription& sub : local.inner_subscriptions) {
       const double value = dsp::weighted_inner_product(
           approx, sub.query->index, sub.query->weights);
-      Message msg;
-      msg.kind = MsgKind::kResponse;
-      msg.payload = std::make_shared<const ResponsePayload>(ResponsePayload{
-          sub.query->id, sub.query->client, true, {}, value});
-      routing_.send(index, routing_.node_id(sub.query->client),
-                    std::move(msg));
+      send_to_key(index, routing_.node_id(sub.query->client),
+                  MsgKind::kResponse,
+                  std::make_shared<const ResponsePayload>(ResponsePayload{
+                      sub.query->id, sub.query->client, true, {}, value}));
     }
   }
 }
 
 // --- Replication & failover ---------------------------------------------------
-
-void MiddlewareSystem::send_rerouted(NodeIndex from, NodeIndex to,
-                                     MsgKind kind, std::any payload) {
-  Message msg;
-  msg.kind = kind;
-  msg.payload = std::move(payload);
-  msg.reroute_on_dead = true;
-  routing_.send_direct(from, to, std::move(msg));
-}
-
-void MiddlewareSystem::emit_replication_trace(obs::TraceEventKind event,
-                                              NodeIndex node, StreamId stream,
-                                              std::uint64_t seq) {
-  obs::TraceSink* sink = routing_.trace_sink();
-  if (sink == nullptr) {
-    return;
-  }
-  obs::TraceRecord record;
-  record.event = event;
-  record.at_us = routing_.simulator().now().count_micros();
-  record.node = node;
-  record.stream = stream;
-  record.batch_seq = seq;
-  sink->record(record);
-}
 
 void MiddlewareSystem::mirror_mbr(NodeIndex at,
                                   const IndexStore::StoredMbr& entry) {
@@ -1152,16 +1081,10 @@ void MiddlewareSystem::mirror_put(NodeIndex at, ReplicaPutPayload put,
   const auto payload =
       std::make_shared<const ReplicaPutPayload>(std::move(put));
   for (const NodeIndex replica : replicas) {
-    send_rerouted(at, replica, MsgKind::kReplicaPut, payload);
-    if (metrics_.recording()) {
-      ++metrics_.robustness().replica_puts;
-    }
-    if (metrics_.registry() != nullptr) {
-      metrics_.registry()->counter("replication.puts").add();
-    }
+    send_to_node(at, replica, MsgKind::kReplicaPut, payload, true);
+    metrics_.count(&RobustnessCounters::replica_puts, "replication.puts");
   }
-  emit_replication_trace(obs::TraceEventKind::kReplicate, at, trace_stream,
-                         trace_seq);
+  emit_trace(obs::TraceEventKind::kReplicate, at, trace_stream, trace_seq);
 }
 
 void MiddlewareSystem::mirror_aggregation(NodeIndex at, QueryId query,
@@ -1177,7 +1100,7 @@ void MiddlewareSystem::mirror_aggregation(NodeIndex at, QueryId query,
       AggregatorReplicaPayload{query, record.client, middle_key,
                                record.expires, at, {match}});
   for (const NodeIndex replica : replicas) {
-    send_rerouted(at, replica, MsgKind::kAggregatorReplica, payload);
+    send_to_node(at, replica, MsgKind::kAggregatorReplica, payload, true);
   }
 }
 
@@ -1190,18 +1113,13 @@ void MiddlewareSystem::handle_replica_put(NodeIndex at, const Message& msg) {
   }
   note_node_work(at, applied.added);
   if (payload->repair) {
-    if (metrics_.recording()) {
-      metrics_.robustness().replica_repairs += applied.added;
-    }
-    if (metrics_.registry() != nullptr) {
-      metrics_.registry()->counter("replication.repairs").add(
-          static_cast<double>(applied.added));
-    }
-    emit_replication_trace(obs::TraceEventKind::kRepair, at,
-                           applied.first_stream, applied.first_seq);
+    metrics_.count(&RobustnessCounters::replica_repairs, "replication.repairs",
+                   applied.added);
+    emit_trace(obs::TraceEventKind::kRepair, at, applied.first_stream,
+               applied.first_seq);
   } else if (payload->handoff) {
-    emit_replication_trace(obs::TraceEventKind::kHandoff, at,
-                           applied.first_stream, applied.first_seq);
+    emit_trace(obs::TraceEventKind::kHandoff, at, applied.first_stream,
+               applied.first_seq);
   }
 }
 
@@ -1214,28 +1132,33 @@ void MiddlewareSystem::handle_handoff_request(NodeIndex at,
   ReplicaPutPayload put = arc_entries(
       state_of(at).store, strategy_->key_map(), routing_.id_space(),
       payload->lo, payload->hi, routing_.simulator().now());
-  const std::size_t entries = entry_count(put);
+  const std::size_t bytes = entry_bytes(put);
+  const std::size_t entries =
+      send_repair(at, payload->requester, std::move(put), /*handoff=*/true);
   if (entries == 0) {
     return;
   }
-  const std::size_t bytes = entry_bytes(put);
-  put.from = at;
-  put.handoff = true;
-  send_rerouted(at, payload->requester, MsgKind::kReplicaPut,
-                std::make_shared<const ReplicaPutPayload>(std::move(put)));
-  if (metrics_.recording()) {
-    metrics_.robustness().handoff_entries += entries;
-    metrics_.robustness().handoff_bytes += bytes;
+  metrics_.count(&RobustnessCounters::handoff_entries,
+                 "replication.handoff_entries", entries);
+  metrics_.count(&RobustnessCounters::handoff_bytes,
+                 "replication.handoff_bytes", bytes);
+  emit_trace(obs::TraceEventKind::kHandoff, at, 0, entries);
+}
+
+std::size_t MiddlewareSystem::send_repair(NodeIndex from, NodeIndex peer,
+                                          ReplicaPutPayload put,
+                                          bool handoff) {
+  const std::size_t entries = entry_count(put);
+  if (entries == 0) {
+    return 0;
   }
-  if (metrics_.registry() != nullptr) {
-    metrics_.registry()
-        ->counter("replication.handoff_entries")
-        .add(static_cast<double>(entries));
-    metrics_.registry()
-        ->counter("replication.handoff_bytes")
-        .add(static_cast<double>(bytes));
-  }
-  emit_replication_trace(obs::TraceEventKind::kHandoff, at, 0, entries);
+  put.from = from;
+  put.handoff = handoff;
+  put.repair = !handoff;
+  send_to_node(from, peer, MsgKind::kReplicaPut,
+               std::make_shared<const ReplicaPutPayload>(std::move(put)),
+               true);
+  return entries;
 }
 
 void MiddlewareSystem::anti_entropy_tick(NodeIndex index) {
@@ -1259,7 +1182,7 @@ void MiddlewareSystem::anti_entropy_tick(NodeIndex index) {
   const auto payload =
       std::make_shared<const AntiEntropyDigestPayload>(std::move(digest));
   for (const NodeIndex replica : replicas) {
-    send_rerouted(index, replica, MsgKind::kAntiEntropyDigest, payload);
+    send_to_node(index, replica, MsgKind::kAntiEntropyDigest, payload, true);
   }
 }
 
@@ -1276,23 +1199,18 @@ void MiddlewareSystem::handle_anti_entropy_digest(NodeIndex at,
   AntiEntropyRequestPayload request = digest_gaps(store, *payload, now);
   if (!request.mbr_keys.empty() || !request.query_ids.empty()) {
     request.requester = at;
-    send_rerouted(
+    send_to_node(
         at, payload->from, MsgKind::kAntiEntropyRequest,
-        std::make_shared<const AntiEntropyRequestPayload>(std::move(request)));
+        std::make_shared<const AntiEntropyRequestPayload>(std::move(request)),
+        true);
   }
 
   // 2. What this replica holds on the owner's arc that the digest lacks:
   //    push it back as repair (heals an owner that recovered empty).
-  ReplicaPutPayload push =
-      arc_entries(store, strategy_->key_map(), routing_.id_space(),
-                  payload->lo, payload->hi, now, payload.get());
-  if (entry_count(push) == 0) {
-    return;
-  }
-  push.from = at;
-  push.repair = true;
-  send_rerouted(at, payload->from, MsgKind::kReplicaPut,
-                std::make_shared<const ReplicaPutPayload>(std::move(push)));
+  send_repair(at, payload->from,
+              arc_entries(store, strategy_->key_map(), routing_.id_space(),
+                          payload->lo, payload->hi, now, payload.get()),
+              /*handoff=*/false);
 }
 
 void MiddlewareSystem::handle_anti_entropy_request(NodeIndex at,
@@ -1301,15 +1219,10 @@ void MiddlewareSystem::handle_anti_entropy_request(NodeIndex at,
   if (!routing_.is_alive(payload->requester)) {
     return;
   }
-  ReplicaPutPayload put =
-      backfill(state_of(at).store, *payload, routing_.simulator().now());
-  if (entry_count(put) == 0) {
-    return;
-  }
-  put.from = at;
-  put.repair = true;
-  send_rerouted(at, payload->requester, MsgKind::kReplicaPut,
-                std::make_shared<const ReplicaPutPayload>(std::move(put)));
+  send_repair(
+      at, payload->requester,
+      backfill(state_of(at).store, *payload, routing_.simulator().now()),
+      /*handoff=*/false);
 }
 
 void MiddlewareSystem::handle_aggregator_replica(NodeIndex at,
@@ -1359,16 +1272,12 @@ void MiddlewareSystem::promote_aggregation_replicas(NodeIndex index,
         record.pending.push_back(match);
       }
     }
-    const double dark_ms = (now - rep.last_update).as_millis();
-    if (metrics_.recording()) {
-      ++metrics_.robustness().aggregator_failovers;
-      metrics_.robustness().failover_latency_ms.add(dark_ms);
-    }
-    if (metrics_.registry() != nullptr) {
-      metrics_.registry()->counter("failover.promotions").add();
-      metrics_.registry()->histogram("failover.latency_ms").add(dark_ms);
-    }
-    emit_replication_trace(obs::TraceEventKind::kFailover, index, 0, query);
+    metrics_.count(&RobustnessCounters::aggregator_failovers,
+                   "failover.promotions");
+    metrics_.observe(&RobustnessCounters::failover_latency_ms,
+                     "failover.latency_ms",
+                     (now - rep.last_update).as_millis());
+    emit_trace(obs::TraceEventKind::kFailover, index, 0, query);
     it = state.aggregation_replicas.erase(it);
   }
 }
@@ -1385,13 +1294,14 @@ void MiddlewareSystem::handle_node_join(NodeIndex index) {
   if (succ == index) {
     return;  // alone on the ring: nothing to pull
   }
-  send_rerouted(index, succ, MsgKind::kHandoffRequest,
-                std::make_shared<const HandoffRequestPayload>(
-                    HandoffRequestPayload{
-                        index,
-                        routing_.node_id(routing_.predecessor_index(index)),
-                        routing_.node_id(index)}));
-  emit_replication_trace(obs::TraceEventKind::kHandoff, index, 0, 0);
+  send_to_node(index, succ, MsgKind::kHandoffRequest,
+               std::make_shared<const HandoffRequestPayload>(
+                   HandoffRequestPayload{
+                       index,
+                       routing_.node_id(routing_.predecessor_index(index)),
+                       routing_.node_id(index)}),
+               true);
+  emit_trace(obs::TraceEventKind::kHandoff, index, 0, 0);
 }
 
 const ClientQueryRecord* MiddlewareSystem::client_record(QueryId id) const {
@@ -1435,12 +1345,7 @@ bool MiddlewareSystem::shed_ingest(NodeIndex at, const Message& msg) {
     return false;
   }
   routing_.account_app_drop(fault::DropCause::kShedOverload, msg);
-  if (metrics_.recording()) {
-    ++metrics_.robustness().shed_mbrs;
-  }
-  if (metrics_.registry() != nullptr) {
-    metrics_.registry()->counter("overload.shed_mbrs").add();
-  }
+  metrics_.count(&RobustnessCounters::shed_mbrs, "overload.shed_mbrs");
   return true;
 }
 
@@ -1467,13 +1372,9 @@ void MiddlewareSystem::divert_store(NodeIndex at, NodeIndex target,
                         {},
                         false,
                         false});
-  send_rerouted(at, target, MsgKind::kReplicaPut, payload);
-  if (metrics_.recording()) {
-    ++metrics_.robustness().split_diverted_stores;
-  }
-  if (metrics_.registry() != nullptr) {
-    metrics_.registry()->counter("overload.diverted_stores").add();
-  }
+  send_to_node(at, target, MsgKind::kReplicaPut, payload, true);
+  metrics_.count(&RobustnessCounters::split_diverted_stores,
+                 "overload.diverted_stores");
 }
 
 void MiddlewareSystem::mirror_subscriptions_to_delegates(NodeIndex node) {
@@ -1506,7 +1407,7 @@ void MiddlewareSystem::mirror_subscriptions_to_delegates(NodeIndex node) {
   const auto payload = std::make_shared<const ReplicaPutPayload>(
       ReplicaPutPayload{node, {}, std::move(entries), false, false});
   for (const NodeIndex delegate : delegates) {
-    send_rerouted(node, delegate, MsgKind::kReplicaPut, payload);
+    send_to_node(node, delegate, MsgKind::kReplicaPut, payload, true);
   }
 }
 
@@ -1520,7 +1421,7 @@ void MiddlewareSystem::forward_subscription_to_delegates(
           false,
           false});
   for (const NodeIndex delegate : nodes_[node].overload.split_delegates) {
-    send_rerouted(node, delegate, MsgKind::kReplicaPut, payload);
+    send_to_node(node, delegate, MsgKind::kReplicaPut, payload, true);
   }
 }
 
@@ -1529,21 +1430,14 @@ void MiddlewareSystem::defer_publication(NodeIndex source, StreamId stream,
   const OverloadOptions& opt = *config_.overload;
   MiddlewareNode::OverloadState& ov = nodes_[source].overload;
   ov.deferred.push_back(DeferredPublication{stream, std::move(mbr)});
-  if (metrics_.recording()) {
-    ++metrics_.robustness().backpressure_deferrals;
-  }
-  if (metrics_.registry() != nullptr) {
-    metrics_.registry()->counter("overload.backpressure_deferrals").add();
-  }
+  metrics_.count(&RobustnessCounters::backpressure_deferrals,
+                 "overload.backpressure_deferrals");
   if (opt.defer_capacity > 0 && ov.deferred.size() > opt.defer_capacity) {
     // Queue overflow sheds the OLDEST deferred batch: its summary data is
     // the stalest, and FIFO draining means it would also be the last to
     // benefit from a budget refill. Never silent.
     ov.deferred.pop_front();
-    account_overload_drop(fault::DropCause::kBackpressure, source);
-    if (metrics_.recording()) {
-      ++metrics_.robustness().backpressure_drops;
-    }
+    account_overload_drop(source);
   }
 }
 
@@ -1575,21 +1469,11 @@ void MiddlewareSystem::overload_tick() {
       // diverted MBR lands, or diverted batches would match nothing there.
       mirror_subscriptions_to_delegates(index);
     }
-    if (metrics_.recording()) {
-      ++metrics_.robustness().hot_arc_splits;
-    }
-    if (metrics_.registry() != nullptr) {
-      metrics_.registry()->counter("overload.splits").add();
-    }
+    metrics_.count(&RobustnessCounters::hot_arc_splits, "overload.splits");
   }
   for (const std::size_t node : transitions.merge) {
     nodes_[node].overload.split_delegates.clear();
-    if (metrics_.recording()) {
-      ++metrics_.robustness().hot_arc_merges;
-    }
-    if (metrics_.registry() != nullptr) {
-      metrics_.registry()->counter("overload.merges").add();
-    }
+    metrics_.count(&RobustnessCounters::hot_arc_merges, "overload.merges");
   }
 
   // Refill publish budgets and drain the deferral queues FIFO, oldest batch
@@ -1610,10 +1494,7 @@ void MiddlewareSystem::overload_tick() {
       if (it == state.streams.end()) {
         // The stream unregistered while its batch waited: nothing left to
         // publish under — account the loss rather than vanish it.
-        account_overload_drop(fault::DropCause::kBackpressure, i);
-        if (metrics_.recording()) {
-          ++metrics_.robustness().backpressure_drops;
-        }
+        account_overload_drop(i);
         continue;
       }
       ++ov.window_published;
@@ -1622,16 +1503,16 @@ void MiddlewareSystem::overload_tick() {
   }
 }
 
-void MiddlewareSystem::account_overload_drop(fault::DropCause cause,
-                                             NodeIndex origin) {
-  // Overload-layer drops happen before (backpressure) or instead of (stream
+void MiddlewareSystem::account_overload_drop(NodeIndex origin) {
+  // Backpressure drops happen before (queue overflow) or instead of (stream
   // teardown) a concrete Message existing, so a synthetic envelope carries
   // the attribution into the shared drop path — same counters, registry
   // series, and trace stream as every in-flight loss.
   Message synth;
   synth.kind = MsgKind::kMbrUpdate;
   synth.origin = origin;
-  routing_.account_app_drop(cause, synth);
+  routing_.account_app_drop(fault::DropCause::kBackpressure, synth);
+  metrics_.count(&RobustnessCounters::backpressure_drops, nullptr);
 }
 
 double MiddlewareSystem::ingest_backpressure(NodeIndex node) const {

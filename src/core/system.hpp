@@ -303,6 +303,28 @@ class MiddlewareSystem {
  private:
   using Message = routing::Message;
 
+  // --- The port: every message the middleware originates ------------------
+  //
+  // Each message shape is built in one of these three places (the overload
+  // layer's synthetic drop envelope aside).
+
+  /// Routes `payload` through the overlay to the node covering `key`.
+  void send_to_key(NodeIndex from, Key key, MsgKind kind, std::any payload,
+                   bool reroute_on_dead = false);
+
+  /// Sends `payload` straight to node `to`; with `reroute_on_dead` a dead
+  /// `to` detours to its successor list.
+  void send_to_node(NodeIndex from, NodeIndex to, MsgKind kind,
+                    std::any payload, bool reroute_on_dead);
+
+  /// Range-multicasts `payload` over [lo, hi] with the configured multicast
+  /// flavor (trace_id 0 lets routing mint one). With replication on, a
+  /// landing copy whose terminal hop died in flight detours to the
+  /// successor-list replica, which stores and acks, cutting the retry tail
+  /// short.
+  void send_to_range(NodeIndex from, Key lo, Key hi, MsgKind kind,
+                     std::any payload, std::uint64_t trace_id = 0);
+
   void on_deliver(NodeIndex at, const Message& msg);
   void handle_mbr(NodeIndex at, const Message& msg);
   void handle_similarity_query(NodeIndex at, const Message& msg);
@@ -355,11 +377,6 @@ class MiddlewareSystem {
   /// range-multicasts, and arms acks/refresh tracking.
   void publish_mbr(NodeIndex source, LocalStream& stream, dsp::Mbr mbr);
 
-  /// Range-multicasts one MBR batch over [lo, hi]: first sends, probes,
-  /// retries, hedges and refreshes (trace_id 0 lets routing mint one).
-  void send_mbr(NodeIndex source, std::shared_ptr<const MbrPayload> payload,
-                Key lo, Key hi, std::uint64_t trace_id);
-
   /// Files a detected match either into the local aggregator (if this node
   /// covers the middle key) or into the outgoing digest buffer.
   void file_match_report(NodeIndex at, MatchReport report);
@@ -376,6 +393,11 @@ class MiddlewareSystem {
   /// came back unknown (registration racing through the overlay).
   void retry_location_get(NodeIndex client, StreamId stream);
 
+  /// Sends `client`'s inner-product queries waiting on `stream` to its
+  /// resolved `source` and ends the stream's location retries.
+  void drain_inner_queries(NodeIndex client, StreamId stream,
+                           NodeIndex source);
+
   /// Records the ack of (stream, batch_seq) at `source`, and the heal latency
   /// when it is the first ack of a retransmitted publication.
   void note_mbr_ack(NodeIndex source, StreamId stream, std::uint64_t seq);
@@ -385,10 +407,11 @@ class MiddlewareSystem {
   void on_mbr_ack_timeout(NodeIndex source, StreamId stream,
                           std::uint64_t seq);
 
-  /// Emits a self-healing trace event (retry/heal/refresh) under the
-  /// publication's trace id when a trace sink is attached.
-  void emit_heal_trace(obs::TraceEventKind event, NodeIndex node,
-                       const PublicationLedger::Publication& pub);
+  /// Emits a self-healing (retry/heal/refresh) or replication (replicate/
+  /// handoff/repair/failover) trace event when a trace sink is attached.
+  /// Self-healing events pass their publication's trace id.
+  void emit_trace(obs::TraceEventKind event, NodeIndex node, StreamId stream,
+                  std::uint64_t seq, std::uint64_t trace_id = 0);
 
   /// Soft-state refresh body for one node: re-route every live published
   /// batch and re-register local streams with the location service.
@@ -429,15 +452,10 @@ class MiddlewareSystem {
   /// set.
   void anti_entropy_tick(NodeIndex index);
 
-  /// Direct send of a replication-layer message; when `to` is dead it
-  /// detours to the successor list (Message::reroute_on_dead).
-  void send_rerouted(NodeIndex from, NodeIndex to, MsgKind kind,
-                     std::any payload);
-
-  /// Emits a replication-layer trace event (replicate/handoff/repair/
-  /// failover) when a trace sink is attached.
-  void emit_replication_trace(obs::TraceEventKind event, NodeIndex node,
-                              StreamId stream, std::uint64_t seq);
+  /// Sends a non-empty anti-entropy repair or handoff answer to `peer`.
+  /// Returns the number of entries sent.
+  std::size_t send_repair(NodeIndex from, NodeIndex peer,
+                          ReplicaPutPayload put, bool handoff);
 
   // --- Overload-control helpers --------------------------------------------
 
@@ -487,10 +505,10 @@ class MiddlewareSystem {
   /// fresh publish budgets. Runs serially off the simulator.
   void overload_tick();
 
-  /// Accounts one overload-layer drop (shed or backpressure) through the
-  /// routing drop path so it lands in drops_by_cause, the registry series,
-  /// and the trace stream like every other loss.
-  void account_overload_drop(fault::DropCause cause, NodeIndex origin);
+  /// Accounts one backpressure drop through the routing drop path so it
+  /// lands in drops_by_cause, the registry series, and the trace stream
+  /// like every other loss, and counts it in backpressure_drops.
+  void account_overload_drop(NodeIndex origin);
 
   routing::RoutingSystem& routing_;
   MiddlewareConfig config_;

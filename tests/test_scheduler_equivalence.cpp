@@ -87,7 +87,7 @@ RunDigest run_once(const std::string& obs_dir) {
   const RobustnessReport robustness = experiment.robustness_report();
   digest.recall = robustness.recall;
   digest.mbr_retries = robustness.mbr_retries;
-  digest.heals = robustness.heals;
+  digest.heals = robustness.heal_latency_ms.count();
   digest.metrics_json = slurp(obs_dir + "/metrics.json");
   return digest;
 }

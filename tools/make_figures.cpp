@@ -2,7 +2,7 @@
 //
 // Takes one observability run directory (produced by `sdsi_sim --obs-dir`
 // or `bench_robustness --obs-dir`), validates the emitted documents against
-// the published schemas (metrics.json `sdsi.metrics` v3, v1/v2 accepted;
+// the published schemas (metrics.json `sdsi.metrics` v4, v1–v3 accepted;
 // trace.jsonl `sdsi.trace` v1 when present), and renders the figure data
 // tables:
 //

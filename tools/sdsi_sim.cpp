@@ -375,8 +375,14 @@ int main(int argc, char** argv) {
       quality.match_delivery_p99_ms,
       static_cast<unsigned long long>(quality.match_delivery_pairs));
 
-  const bool chaos_run = !config.faults.empty() || config.mbr_acks ||
+  // Every loss, healing, replication, oracle and overload knob opens the
+  // robustness block: a run that can lose or heal anything reports it.
+  const bool chaos_run = !config.faults.empty() || config.message_loss > 0.0 ||
+                         config.mbr_acks || config.response_acks ||
                          config.mbr_refresh_period > sim::Duration() ||
+                         config.query_refresh_period > sim::Duration() ||
+                         config.replication_factor > 0 ||
+                         config.anti_entropy_period > sim::Duration() ||
                          config.oracle_sample_period > sim::Duration() ||
                          config.overload.has_value() ||
                          config.adversarial.has_value();
@@ -404,10 +410,10 @@ int main(int argc, char** argv) {
         static_cast<unsigned long long>(robustness.mbr_refreshes),
         static_cast<unsigned long long>(robustness.response_retries),
         static_cast<unsigned long long>(robustness.location_retries),
-        static_cast<unsigned long long>(robustness.heals),
-        robustness.mean_heal_latency_ms, robustness.max_heal_latency_ms,
-        robustness.p50_heal_latency_ms, robustness.p90_heal_latency_ms,
-        robustness.p99_heal_latency_ms,
+        static_cast<unsigned long long>(robustness.heal_latency_ms.count()),
+        robustness.heal_latency_ms.mean(), robustness.heal_latency_ms.max(),
+        robustness.heal_latency_ms.p50(), robustness.heal_latency_ms.p90(),
+        robustness.heal_latency_ms.p99(),
         static_cast<unsigned long long>(robustness.crashes),
         static_cast<unsigned long long>(robustness.recoveries));
     if (config.replication_factor > 0) {
@@ -421,8 +427,8 @@ int main(int argc, char** argv) {
           static_cast<unsigned long long>(robustness.handoff_entries),
           static_cast<unsigned long long>(robustness.handoff_bytes),
           static_cast<unsigned long long>(robustness.aggregator_failovers),
-          robustness.mean_failover_latency_ms,
-          robustness.p90_failover_latency_ms,
+          robustness.failover_latency_ms.mean(),
+          robustness.failover_latency_ms.p90(),
           static_cast<unsigned long long>(robustness.report_detours));
     }
     std::printf(
