@@ -1,5 +1,5 @@
 // Replica repair over one key arc: the store side of the replication
-// protocol, shared by the simulator middleware (core::MiddlewareSystem) and
+// protocol, shared by the simulator middleware (core::MiddlewareNode) and
 // the socket node (net::NetNode).
 //
 // A node owns the keys of its arc (pred, self], but its store also holds

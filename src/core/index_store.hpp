@@ -29,7 +29,7 @@
 // full rescan would pick.
 //
 // A pass may take a report filter: the caller's designated-reporter rule
-// (MiddlewareSystem). A candidate the filter declines is skipped without
+// (MiddlewareNode). A candidate the filter declines is skipped without
 // being recorded, so a later batch of the same stream that the filter does
 // accept is still reported. A filter that answers alike for the same
 // (batch, subscription) keeps the incremental pass equal to a full rescan.

@@ -1,21 +1,149 @@
-// Per-data-center middleware state. MiddlewareSystem (system.hpp) drives the
-// logic; this header holds what one node knows.
+// One data center's middleware: its state and its part of the paper's
+// protocol (Sec IV publication, subscription, matching, middle-node
+// aggregation and the h2 location service), with the self-healing,
+// replication and overload layers on top. A node reaches the overlay, the
+// clock and its timers only through routing::RoutingSystem, records events
+// through MetricsCollector, and asks its host (NodeHost) for the rest. The
+// simulator's host runs one node per data center and documents the Fig 5
+// entry points.
 #pragma once
 
+#include <any>
 #include <deque>
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "common/dense_map.hpp"
+#include "common/rng.hpp"
 #include "core/batcher.hpp"
+#include "core/hot_arc.hpp"
 #include "core/index_store.hpp"
+#include "core/mapper.hpp"
+#include "core/metrics.hpp"
 #include "core/precision.hpp"
 #include "core/query.hpp"
 #include "core/resend.hpp"
 #include "core/strategy.hpp"
-#include "sim/simulator.hpp"
+#include "routing/api.hpp"
 
 namespace sdsi::core {
+
+/// Overload-control knobs (adversarial-skew extension). Three cooperating
+/// mechanisms, each individually disableable:
+///  - hot-arc splitting: the detector flags nodes running persistently hot
+///    (by index work) and fans their arc out across `split_ways - 1` virtual
+///    successor delegates via the replication machinery;
+///  - load shedding: a bounded per-window ingest budget; overflow stores are
+///    dropped as accounted fault::DropCause::kShedOverload (never silent);
+///  - ingest backpressure: a per-source publish budget defers closed batches
+///    into a bounded FIFO instead of flooding the ring; queue overflow drops
+///    the oldest batch as accounted kBackpressure.
+struct OverloadOptions {
+  /// Hot-arc detector hysteresis (core/hot_arc.hpp).
+  HotArcConfig detector;
+
+  /// Detector window: per-node work counters are read + reset, transitions
+  /// applied, and deferred publications drained at this period.
+  sim::Duration window = sim::Duration::millis(2000);
+
+  /// A hot node's arc is split this many ways: itself plus split_ways - 1
+  /// successor-list delegates. 1 disables splitting (detect-only).
+  std::size_t split_ways = 3;
+
+  /// Max MBR stores a node accepts per detector window; past it, deliveries
+  /// shed as kShedOverload. 0 = unbounded (shedding off).
+  std::uint64_t ingest_capacity = 0;
+
+  /// Deterministic forced shed fraction in [0, 1): every store attempt
+  /// advances a per-node accumulator by this much and sheds on overflow.
+  /// Drives the recall-vs-shed-rate degradation curve without any rng.
+  double forced_shed_rate = 0.0;
+
+  /// Max MBR publications per source per window before deferral; 0 =
+  /// unbounded (backpressure off).
+  std::uint64_t publish_budget = 0;
+
+  /// Bound of the per-source deferral queue; overflow drops the oldest
+  /// deferred batch as kBackpressure.
+  std::size_t defer_capacity = 64;
+};
+
+struct MiddlewareConfig {
+  /// Window/coefficient/normalization scheme (Sec III-C).
+  dsp::FeatureConfig features;
+
+  /// Indexing strategy: summary + content-to-key map (core/strategy.hpp).
+  /// The default ("dft") is the paper's pipeline, byte-identical to the
+  /// pre-strategy code; "ecm" and "lsh" are the PAPERS.md alternatives.
+  StrategyOptions strategy;
+
+  /// MBR batching (Sec IV-G / VI-A).
+  MbrBatcher::Options batching;
+
+  /// Range multicast flavor (Sec IV-C sequential vs Sec VI-B bidirectional).
+  routing::MulticastStrategy multicast =
+      routing::MulticastStrategy::kSequential;
+
+  /// BSPAN: lifespan of a stored MBR.
+  sim::Duration mbr_lifespan = sim::Duration::millis(5000);
+
+  /// NPER: period of matching, report digests, and response pushes.
+  sim::Duration notify_period = sim::Duration::millis(2000);
+
+  /// Soft-state refresh of similarity subscriptions: the client re-routes
+  /// each live query over its key range at this period, so nodes that
+  /// joined (or recovered) inside the range pick the subscription up and
+  /// lost query copies heal. Zero disables (the paper's one-shot install).
+  sim::Duration query_refresh_period = sim::Duration();
+
+  /// When set, every stream runs the Sec VI-A closed loop: its batcher is
+  /// forced to adaptive mode and a per-stream AdaptivePrecisionController
+  /// retunes the extent budget against the observed emission rate.
+  std::optional<AdaptivePrecisionController::Options> adaptive_precision;
+
+  // --- Self-healing data path (fault-tolerance extension) -----------------
+
+  /// Acked MBR publication: the landing node of each range multicast
+  /// confirms storage; unacked batches are retransmitted under this policy.
+  RetryPolicy mbr_ack;
+
+  /// Acked match-bearing response pushes: unacked pushes are retransmitted
+  /// verbatim on later ticks under this policy (timeout + max_attempts; the
+  /// notify period is the effective backoff base).
+  RetryPolicy response_ack;
+
+  /// Soft-state refresh of published MBRs: each source re-routes its live
+  /// unexpired batches (and re-registers its streams with the location
+  /// service) at this period, healing state lost to drops or node crashes —
+  /// the MBR-side mirror of query_refresh_period. Zero disables.
+  sim::Duration mbr_refresh_period = sim::Duration();
+
+  /// Seed of the middleware's own randomness (retry jitter); fixed default
+  /// keeps runs reproducible.
+  std::uint64_t rng_seed = 0x5d51c0de;
+
+  // --- Replication & failover (churn-tolerance extension) -----------------
+
+  /// Successor-list replication degree r: every stored MBR batch, similarity
+  /// subscription, and partial aggregation is mirrored to the key owner's r
+  /// next live successors, so a crash promotes a replica instead of waiting
+  /// for the soft-state refresh period. Zero disables the whole layer.
+  std::size_t replication_factor = 0;
+
+  /// Anti-entropy period: each node periodically sends a compact
+  /// (stream, batch_seq) / query-id digest of its owned arc to its replica
+  /// set; peers backfill gaps in both directions (idempotent via store
+  /// dedup). Zero disables. Only active when replication_factor > 0.
+  sim::Duration anti_entropy_period = sim::Duration();
+
+  // --- Overload control (adversarial-skew extension) ----------------------
+
+  /// Hot-arc splitting, load shedding, and ingest backpressure; nullopt
+  /// (the default) disables the whole layer with zero overhead and leaves
+  /// every existing run byte-identical.
+  std::optional<OverloadOptions> overload;
+};
 
 /// One inner-product subscription installed at a stream's source node.
 struct InnerProductSubscription {
@@ -91,15 +219,79 @@ struct DeferredPublication {
   dsp::Mbr mbr;
 };
 
-struct MiddlewareNode {
-  MiddlewareNode() = default;
-  /// nodes_ grows via emplace_back, which moves only when the move is
-  /// noexcept; `streams` holds move-only LocalStream entries, so the copy
-  /// fallback is deleted and the move path must be forced.
-  MiddlewareNode(MiddlewareNode&&) noexcept = default;
-  MiddlewareNode& operator=(MiddlewareNode&&) noexcept = default;
+/// What a node asks of the process hosting it.
+class NodeHost {
+ public:
+  virtual ~NodeHost() = default;
 
-  NodeIndex index = kInvalidNode;
+  /// A source closed and published an MBR batch (first publication only —
+  /// not retries or refreshes).
+  virtual void on_publish(const MbrPayload& payload) = 0;
+
+  /// A response reached its client node, which has already acked it.
+  virtual void on_response(const ResponsePayload& response) = 0;
+
+  /// The split delegates of another node, read by the designated-reporter
+  /// rule; nullptr when the host does not know `node`.
+  virtual const std::vector<NodeIndex>* split_delegates(
+      NodeIndex node) const = 0;
+};
+
+class MiddlewareNode {
+ public:
+  /// `config`, `strategy`, `mapper`, `metrics` and `rng` (the retry jitter)
+  /// are the host's and outlive the node.
+  MiddlewareNode(NodeIndex self, routing::RoutingSystem& routing,
+                 NodeHost& host, const MiddlewareConfig& config,
+                 const IndexingStrategy& strategy, const SummaryMapper& mapper,
+                 MetricsCollector& metrics, common::Pcg32& rng);
+  /// Timers and periodic tasks hold the node's address, so it never moves.
+  MiddlewareNode(const MiddlewareNode&) = delete;
+  MiddlewareNode& operator=(const MiddlewareNode&) = delete;
+
+  // --- Entry points ---------------------------------------------------------
+
+  void register_stream(StreamId stream);
+  void unregister_stream(StreamId stream);
+  void post_stream_value(StreamId stream, Sample value);
+  /// Poses a query whose id and client (this node) the host assigned.
+  void subscribe_similarity(std::shared_ptr<const SimilarityQuery> query);
+  void subscribe_inner_product(std::shared_ptr<const InnerProductQuery> query);
+
+  /// The routing layer's deliver upcall at this node.
+  void deliver(const routing::Message& msg);
+
+  /// The NPER periodic body: the match pass, then aggregator-replica
+  /// promotion, publication pruning, filing the fresh matches, report
+  /// digests to the middle keys, response pushes and inner-product answers.
+  void periodic_tick();
+
+  /// Soft-state refresh: re-route every live published batch and
+  /// re-register local streams with the location service.
+  void refresh_mbrs();
+
+  /// Anti-entropy: a digest of the owned arc to the replica set.
+  void anti_entropy_tick();
+
+  /// Ownership handoff after a (re)join: asks the successor for the arc
+  /// this node now owns (replication only).
+  void request_handoff();
+
+  /// Wipes the soft state a crash loses; local streams survive.
+  void reset_soft_state();
+
+  /// Overload window, hot side: fans the arc out to the next split_ways - 1
+  /// successors and mirrors the live subscriptions to them.
+  void split_arc();
+
+  /// Overload window, source side: refills the publish budget and drains
+  /// the deferral queue FIFO, oldest batch first (its batch_seq is assigned
+  /// now, at actual publication).
+  void drain_deferred();
+
+  // --- State ---------------------------------------------------------------
+
+  const NodeIndex index;
 
   /// Streams originating here, keyed by stream id (iteration follows
   /// insertion order, which build() makes ascending).
@@ -143,8 +335,7 @@ struct MiddlewareNode {
 
   /// Overload-control state (touched only when MiddlewareConfig::overload is
   /// set). All mutations happen on the middleware's serial paths, so the
-  /// same seed yields the same shed/split/defer schedule at any thread
-  /// count.
+  /// same seed yields the same shed/split/defer schedule.
   struct OverloadState {
     std::uint64_t window_work = 0;       // index work this detector window
     std::uint64_t window_ingest = 0;     // MBR stores accepted this window
@@ -157,6 +348,188 @@ struct MiddlewareNode {
     std::deque<DeferredPublication> deferred;
   };
   OverloadState overload;
+
+ private:
+  using Message = routing::Message;
+
+  // --- Sends: every message the node originates ---------------------------
+  //
+  // Each message shape is built in one of these three places (the overload
+  // layer's synthetic drop envelope aside).
+
+  /// Routes `payload` through the overlay to the node covering `key`.
+  void send_to_key(Key key, MsgKind kind, std::any payload,
+                   bool reroute_on_dead = false);
+
+  /// Sends `payload` straight to node `to`; with `reroute_on_dead` a dead
+  /// `to` detours to its successor list.
+  void send_to_node(NodeIndex to, MsgKind kind, std::any payload,
+                    bool reroute_on_dead);
+
+  /// Range-multicasts `payload` over [lo, hi] with the configured multicast
+  /// flavor (trace_id 0 lets routing mint one). With replication on, a
+  /// landing copy whose terminal hop died in flight detours to the
+  /// successor-list replica, which stores and acks, cutting the retry tail
+  /// short.
+  void send_to_range(Key lo, Key hi, MsgKind kind, std::any payload,
+                     std::uint64_t trace_id = 0);
+
+  void handle_mbr(const Message& msg);
+  void handle_similarity_query(const Message& msg);
+  void handle_inner_query(const Message& msg);
+  void handle_response(const Message& msg);
+  void handle_mbr_ack(const Message& msg);
+  void handle_response_ack(const Message& msg);
+  void handle_neighbor_digest(const Message& msg);
+  void handle_location_put(const Message& msg);
+  void handle_location_get(const Message& msg);
+  void handle_location_reply(const Message& msg);
+  void handle_replica_put(const Message& msg);
+  void handle_handoff_request(const Message& msg);
+  void handle_anti_entropy_digest(const Message& msg);
+  void handle_anti_entropy_request(const Message& msg);
+  void handle_aggregator_replica(const Message& msg);
+
+  /// The designated-reporter rule, the match pass's report filter: this
+  /// node reports a (batch, subscription) candidate only when it covers the
+  /// candidate's nearest_overlap_key (or is a split delegate of the hot
+  /// node that does), or when no batch range meets a query range (never a
+  /// dismissal).
+  bool designated_reporter(const IndexStore::StoredMbr& entry,
+                           const IndexStore::Subscription& sub);
+
+  /// Sends the buffered reports toward their aggregators: one digest per
+  /// middle key, routed through the overlay to the node that covers the
+  /// key. Reports of lapsed queries are dropped.
+  void send_report_digests(sim::SimTime now);
+
+  /// Routes the MBR just closed for `stream`: the backpressure gate (defer
+  /// when the publish budget is spent) in front of publish_mbr.
+  void route_mbr(LocalStream& stream, dsp::Mbr mbr);
+
+  /// The actual publication body: assigns the batch_seq, stores locally,
+  /// range-multicasts, and arms acks/refresh tracking.
+  void publish_mbr(LocalStream& stream, dsp::Mbr mbr);
+
+  /// Files a detected match either into the local aggregator (if this node
+  /// covers the middle key) or into the outgoing digest buffer.
+  void file_match_report(MatchReport report);
+
+  /// Whether `node` covers `key` (key in (pred, node]).
+  bool covers_key(NodeIndex node, Key key) const;
+
+  /// Sends the inner-product query to its (resolved) source node.
+  void dispatch_inner_query(std::shared_ptr<const InnerProductQuery> query,
+                            NodeIndex source);
+
+  /// Re-asks the location service about a stream whose first resolution
+  /// came back unknown (registration racing through the overlay).
+  void retry_location_get(StreamId stream);
+
+  /// Sends the inner-product queries waiting on `stream` to its resolved
+  /// `source` and ends the stream's location retries.
+  void drain_inner_queries(StreamId stream, NodeIndex source);
+
+  /// Records the ack of (stream, batch_seq), and the heal latency when it
+  /// is the first ack of a retransmitted publication.
+  void note_mbr_ack(StreamId stream, std::uint64_t seq);
+
+  /// (Re)arms the ack timeout of a tracked publication.
+  void arm_mbr_retry(PublicationLedger::Publication& pub);
+  void on_mbr_ack_timeout(StreamId stream, std::uint64_t seq);
+
+  /// Emits a self-healing (retry/heal/refresh) or replication (replicate/
+  /// handoff/repair/failover) trace event when a trace sink is attached.
+  /// Self-healing events pass their publication's trace id.
+  void emit_trace(obs::TraceEventKind event, StreamId stream,
+                  std::uint64_t seq, std::uint64_t trace_id = 0);
+
+  // --- Replication & failover helpers -------------------------------------
+
+  bool replication_on() const noexcept {
+    return config_.replication_factor > 0;
+  }
+
+  /// Mirrors one just-stored MBR batch to the replica set. Called by the
+  /// key-range owner only (the node covering the range's hi end), so each
+  /// batch is mirrored once per publication.
+  void mirror_mbr(const IndexStore::StoredMbr& entry);
+
+  /// Mirrors one just-installed subscription to the replica set.
+  void mirror_subscription(const IndexStore::Subscription& sub);
+
+  /// The shared body of the two mirrors: sends `put` to the replica set and
+  /// traces it under (trace_stream, trace_seq).
+  void mirror_put(ReplicaPutPayload put, StreamId trace_stream,
+                  std::uint64_t trace_seq);
+
+  /// Mirrors one freshly filed match of a locally aggregated query to the
+  /// middle key's replica set (incremental AggregatorRecord replication).
+  void mirror_aggregation(QueryId query, const AggregatorRecord& record,
+                          Key middle_key, const SimilarityMatch& match);
+
+  /// Promotes expired-owner mirrors: any AggregationReplica whose middle key
+  /// now falls on this node's arc becomes a live AggregatorRecord. Runs at
+  /// the head of each periodic tick.
+  void promote_aggregation_replicas(sim::SimTime now);
+
+  /// Sends a non-empty anti-entropy repair or handoff answer to `peer`.
+  /// Returns the number of entries sent.
+  std::size_t send_repair(NodeIndex peer, ReplicaPutPayload put,
+                          bool handoff);
+
+  // --- Overload-control helpers --------------------------------------------
+
+  /// Credits `units` of index work: feeds both the per-window hot-arc
+  /// counter and the exported per-node work totals.
+  void note_work(std::uint64_t units);
+
+  /// The store body shared by handle_mbr's split and non-split paths:
+  /// add_mbr with duplicate accounting, work credit, and the replica-set
+  /// mirror when this node owns the range's hi end. Returns whether the
+  /// entry was freshly stored.
+  bool store_mbr_with_work(const Message& msg, const MbrPayload& payload,
+                           sim::SimTime now);
+
+  /// The load-shedding gate for one delivered MBR store attempt. Returns
+  /// true when the store must be skipped; the drop is then already
+  /// accounted (kShedOverload via the routing drop path + shed_mbrs).
+  bool shed_ingest(const Message& msg);
+
+  /// Where a hot node's store lands within its split group: itself
+  /// (kInvalidNode = keep local) or one of its delegates, chosen by a
+  /// deterministic hash of (stream, batch_seq).
+  NodeIndex divert_target(StreamId stream, std::uint64_t batch_seq) const;
+
+  /// Forwards one store entry to a split delegate via kReplicaPut
+  /// (idempotent at the receiver).
+  void divert_store(NodeIndex target, const IndexStore::StoredMbr& entry);
+
+  /// Forwards one freshly installed subscription to the split delegates
+  /// (keeps the split group matching while hot).
+  void forward_subscription_to_delegates(const IndexStore::Subscription& sub);
+
+  /// Source-side deferral: queues the closed batch; on queue overflow the
+  /// oldest deferred batch is dropped as accounted kBackpressure.
+  void defer_publication(StreamId stream, dsp::Mbr mbr);
+
+  /// Accounts one backpressure drop through the routing drop path so it
+  /// lands in drops_by_cause, the registry series, and the trace stream
+  /// like every other loss, and counts it in backpressure_drops.
+  void account_overload_drop();
+
+  routing::RoutingSystem& routing_;
+  NodeHost& host_;
+  const MiddlewareConfig& config_;
+  const IndexingStrategy& strategy_;
+  const SummaryMapper& mapper_;
+  MetricsCollector& metrics_;
+  common::Pcg32& rng_;
+  /// Scratch for multi-range strategies' probe sets.
+  std::vector<std::pair<Key, Key>> range_scratch_;
+  /// Scratch probe sets of the designated-reporter rule.
+  std::vector<std::pair<Key, Key>> batch_ranges_;
+  std::vector<std::pair<Key, Key>> query_ranges_;
 };
 
 }  // namespace sdsi::core

@@ -1,5 +1,5 @@
 // The sender side of the self-healing data path, shared by the simulator
-// middleware (core::MiddlewareSystem) and the socket node (net::NetNode).
+// middleware (core::MiddlewareNode) and the socket node (net::NetNode).
 // Index entries are soft state (Sec VII): a source keeps each MBR
 // publication until its batch lapses, acked or not, so the refresh sweep
 // can re-route it; an aggregator keeps each match push until its client

@@ -3,75 +3,13 @@
 // Socket nodes cannot run a membership protocol yet (ROADMAP: dynamic joins
 // stay sim-only for now), so every process derives the identical ring from
 // (node count, id-space bits, salt) via routing::hash_node_ids — the same
-// derivation the simulator's StaticRing uses, which is what makes the
-// sim-vs-socket equivalence test meaningful: both worlds place every key on
-// the same node.
+// table the simulator's StaticRing routes over.
 #pragma once
 
-#include <algorithm>
-#include <cstdint>
-#include <utility>
-#include <vector>
-
-#include "common/check.hpp"
-#include "common/ring_math.hpp"
-#include "common/types.hpp"
+#include "routing/ring_table.hpp"
 
 namespace sdsi::net {
 
-class NetRing {
- public:
-  /// `node_ids[i]` is the ring identifier of node index i (distinct values;
-  /// typically routing::hash_node_ids(count, space, salt)).
-  NetRing(common::IdSpace space, std::vector<Key> node_ids)
-      : space_(space), ids_(std::move(node_ids)) {
-    SDSI_CHECK(!ids_.empty());
-    sorted_.reserve(ids_.size());
-    for (NodeIndex i = 0; i < ids_.size(); ++i) {
-      sorted_.emplace_back(ids_[i], i);
-    }
-    std::sort(sorted_.begin(), sorted_.end());
-    position_.resize(ids_.size());
-    for (std::size_t pos = 0; pos < sorted_.size(); ++pos) {
-      position_[sorted_[pos].second] = pos;
-    }
-  }
-
-  const common::IdSpace& space() const noexcept { return space_; }
-  std::size_t size() const noexcept { return ids_.size(); }
-  Key id(NodeIndex node) const {
-    SDSI_CHECK(node < ids_.size());
-    return ids_[node];
-  }
-
-  /// The node responsible for `key`: first ring id >= key, wrapping to the
-  /// smallest (identical to StaticRing::find_successor_oracle).
-  NodeIndex successor_of_key(Key key) const {
-    const auto it = std::lower_bound(
-        sorted_.begin(), sorted_.end(), key,
-        [](const std::pair<Key, NodeIndex>& entry, Key k) {
-          return entry.first < k;
-        });
-    return it == sorted_.end() ? sorted_.front().second : it->second;
-  }
-
-  NodeIndex successor_index(NodeIndex node) const {
-    SDSI_CHECK(node < ids_.size());
-    const std::size_t pos = position_[node];
-    return sorted_[(pos + 1) % sorted_.size()].second;
-  }
-
-  NodeIndex predecessor_index(NodeIndex node) const {
-    SDSI_CHECK(node < ids_.size());
-    const std::size_t pos = position_[node];
-    return sorted_[(pos + sorted_.size() - 1) % sorted_.size()].second;
-  }
-
- private:
-  common::IdSpace space_;
-  std::vector<Key> ids_;                           // by node index
-  std::vector<std::pair<Key, NodeIndex>> sorted_;  // ring order
-  std::vector<std::size_t> position_;              // index -> ring position
-};
+using NetRing = routing::RingTable;
 
 }  // namespace sdsi::net

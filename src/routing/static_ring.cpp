@@ -11,65 +11,19 @@ namespace sdsi::routing {
 
 StaticRing::StaticRing(sim::Simulator& simulator, common::IdSpace space,
                        std::vector<Key> node_ids, sim::Duration hop_latency)
-    : RoutingSystem(simulator, space, hop_latency), ids_(std::move(node_ids)) {
-  SDSI_CHECK(!ids_.empty());
-  sorted_.reserve(ids_.size());
-  for (NodeIndex i = 0; i < ids_.size(); ++i) {
-    SDSI_CHECK(ids_[i] == space.wrap(ids_[i]));
-    sorted_.emplace_back(ids_[i], i);
-  }
-  std::sort(sorted_.begin(), sorted_.end());
-  for (std::size_t p = 1; p < sorted_.size(); ++p) {
-    SDSI_CHECK(sorted_[p - 1].first != sorted_[p].first);  // distinct ids
-  }
-  ring_position_.resize(ids_.size());
-  for (std::size_t p = 0; p < sorted_.size(); ++p) {
-    ring_position_[sorted_[p].second] = p;
-  }
-}
-
-bool StaticRing::is_alive(NodeIndex node) const {
-  return node < ids_.size();
-}
-
-Key StaticRing::node_id(NodeIndex node) const {
-  SDSI_CHECK(node < ids_.size());
-  return ids_[node];
-}
-
-NodeIndex StaticRing::successor_index(NodeIndex node) const {
-  SDSI_CHECK(node < ids_.size());
-  const std::size_t p = ring_position_[node];
-  return sorted_[(p + 1) % sorted_.size()].second;
-}
-
-NodeIndex StaticRing::predecessor_index(NodeIndex node) const {
-  SDSI_CHECK(node < ids_.size());
-  const std::size_t p = ring_position_[node];
-  return sorted_[(p + sorted_.size() - 1) % sorted_.size()].second;
-}
+    : RoutingSystem(simulator, space, hop_latency),
+      table_(space, std::move(node_ids)) {}
 
 std::vector<NodeIndex> StaticRing::successors(NodeIndex node,
                                               std::size_t count) const {
-  SDSI_CHECK(node < ids_.size());
-  const std::size_t n = sorted_.size();
+  SDSI_CHECK(node < table_.size());
+  const std::size_t n = table_.size();
   std::vector<NodeIndex> result;
   result.reserve(std::min(count, n - 1));
-  const std::size_t p = ring_position_[node];
   for (std::size_t s = 1; s <= count && s < n; ++s) {
-    result.push_back(sorted_[(p + s) % n].second);
+    result.push_back(table_.successor_index(node, s));
   }
   return result;
-}
-
-NodeIndex StaticRing::find_successor_oracle(Key key) const {
-  // First ring id >= key, wrapping to the smallest id.
-  const auto it = std::lower_bound(
-      sorted_.begin(), sorted_.end(), key,
-      [](const std::pair<Key, NodeIndex>& entry, Key k) {
-        return entry.first < k;
-      });
-  return it == sorted_.end() ? sorted_.front().second : it->second;
 }
 
 void StaticRing::route_to_key(NodeIndex from, Key key, Message msg) {
@@ -86,7 +40,7 @@ void StaticRing::route_to_key(NodeIndex from, Key key, Message msg) {
 }
 
 void StaticRing::route_direct(NodeIndex from, NodeIndex to, Message msg) {
-  SDSI_CHECK(to < ids_.size());
+  SDSI_CHECK(to < table_.size());
   msg.hops = from == to ? 0 : 1;
   const sim::Duration delay =
       from == to ? sim::Duration() : transmission_latency();

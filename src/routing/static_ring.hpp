@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "routing/api.hpp"
+#include "routing/ring_table.hpp"
 
 namespace sdsi::routing {
 
@@ -22,12 +23,18 @@ class StaticRing final : public RoutingSystem {
              std::vector<Key> node_ids,
              sim::Duration hop_latency = sim::Duration::millis(50));
 
-  std::size_t num_nodes() const override { return ids_.size(); }
-  bool is_alive(NodeIndex node) const override;
-  Key node_id(NodeIndex node) const override;
-  NodeIndex successor_index(NodeIndex node) const override;
-  NodeIndex predecessor_index(NodeIndex node) const override;
-  NodeIndex find_successor_oracle(Key key) const override;
+  std::size_t num_nodes() const override { return table_.size(); }
+  bool is_alive(NodeIndex node) const override { return node < table_.size(); }
+  Key node_id(NodeIndex node) const override { return table_.id(node); }
+  NodeIndex successor_index(NodeIndex node) const override {
+    return table_.successor_index(node);
+  }
+  NodeIndex predecessor_index(NodeIndex node) const override {
+    return table_.predecessor_index(node);
+  }
+  NodeIndex find_successor_oracle(Key key) const override {
+    return table_.successor_of_key(key);
+  }
 
   /// Ring-order successor list (the static-ring equivalent of Chord's
   /// protocol successor list), read straight off the sorted ring so the
@@ -40,9 +47,7 @@ class StaticRing final : public RoutingSystem {
   void route_direct(NodeIndex from, NodeIndex to, Message msg) override;
 
  private:
-  std::vector<Key> ids_;                      // by node index
-  std::vector<std::pair<Key, NodeIndex>> sorted_;  // ring order
-  std::vector<std::size_t> ring_position_;    // node index -> position in sorted_
+  RingTable table_;
 };
 
 /// Derives `count` distinct node identifiers the way Chord does: SHA-1 of the

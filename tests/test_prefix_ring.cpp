@@ -52,6 +52,17 @@ TEST(PrefixRing, OracleAndNeighborsMatchRingOrder) {
   const NodeIndex n80 = h.ring.find_successor_oracle(80);
   EXPECT_EQ(h.ring.node_id(h.ring.successor_index(n80)), 160u);
   EXPECT_EQ(h.ring.node_id(h.ring.predecessor_index(n80)), 10u);
+  // The replica set: the base chain walk over successor_index, which stops
+  // before it wraps back to the node itself.
+  const auto successor_ids = [&](std::size_t count) {
+    std::vector<Key> ids;
+    for (const NodeIndex n : h.ring.successors(n80, count)) {
+      ids.push_back(h.ring.node_id(n));
+    }
+    return ids;
+  };
+  EXPECT_EQ(successor_ids(2), (std::vector<Key>{160, 230}));
+  EXPECT_EQ(successor_ids(5), (std::vector<Key>{160, 230, 10}));
 }
 
 TEST(PrefixRing, RoutingTableEntriesShareExpectedPrefix) {

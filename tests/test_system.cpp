@@ -10,6 +10,7 @@
 
 #include "common/rng.hpp"
 #include "core/system.hpp"
+#include "obs/timeseries.hpp"
 #include "routing/static_ring.hpp"
 
 namespace sdsi::core {
@@ -329,6 +330,61 @@ TEST(MiddlewareMetrics, MbrTrafficIsAttributed) {
   EXPECT_EQ(metrics.mbr().originated, h.system.mbrs_routed());
   EXPECT_EQ(metrics.mbr().delivered,
             metrics.mbr().originated + metrics.mbr().range_internal);
+}
+
+TEST(MiddlewareOverload, EveryShedAndBackpressureLossIsAccounted) {
+  // Three sources publish point batches that all land on one home node,
+  // whose ingest budget takes one store per window: two sheds. The first
+  // source closes five batches against a publish budget of one and a
+  // deferral queue of two: one publishes, four defer, two overflow. It then
+  // unregisters with two still queued, and the next window drops both.
+  MiddlewareConfig config = small_config();
+  OverloadOptions overload;
+  overload.split_ways = 1;
+  overload.ingest_capacity = 1;
+  overload.publish_budget = 1;
+  overload.defer_capacity = 2;
+  config.overload = overload;
+  Harness h(8, config);
+  obs::MetricsRegistry registry(&h.sim, {});
+  h.system.metrics().set_registry(&registry);
+
+  const Key key = h.system.mapper().key_for(h.exponential_features(1.15));
+  const NodeIndex home = h.ring.find_successor_oracle(key);
+  std::vector<NodeIndex> sources;
+  for (NodeIndex i = 0; sources.size() < 3; ++i) {
+    if (i != home) {
+      sources.push_back(i);
+    }
+  }
+  for (std::size_t s = 0; s < sources.size(); ++s) {
+    h.system.register_stream(sources[s], 700 + s);
+    // kWindow + 2 samples close one batch; every 3 more close another.
+    h.feed_exponential(sources[s], 700 + s, 1.15,
+                       static_cast<int>(kWindow) + (s == 0 ? 14 : 2));
+  }
+  EXPECT_EQ(h.system.ingest_backpressure(sources[0]), 1.0);
+  h.system.unregister_stream(sources[0], 700);
+  h.run_for(2.5);  // past the first overload window at t = 2 s
+
+  const MetricsCollector& metrics = h.system.metrics();
+  EXPECT_EQ(h.system.mbrs_routed(), 3u);
+  EXPECT_EQ(metrics.robustness().shed_mbrs, 2u);
+  EXPECT_EQ(metrics.robustness().backpressure_deferrals, 4u);
+  EXPECT_EQ(metrics.robustness().backpressure_drops, 4u);
+  EXPECT_EQ(h.system.ingest_backpressure(sources[0]), 0.0);
+  for (const auto& [cause, count] :
+       {std::pair{fault::DropCause::kShedOverload, 2u},
+        std::pair{fault::DropCause::kBackpressure, 4u}}) {
+    EXPECT_EQ(h.ring.drop_count(cause), count);
+    EXPECT_EQ(metrics.drops(cause), count);
+    EXPECT_EQ(registry
+                  .counter(std::string("drops.") +
+                           fault::drop_cause_slug(cause))
+                  .total(),
+              count);
+  }
+  EXPECT_EQ(h.ring.total_drops(), 6u);
 }
 
 }  // namespace
