@@ -61,11 +61,6 @@ void Experiment::build() {
       break;
   }
 
-  if (config_.message_loss > 0.0) {
-    routing_->set_message_loss(config_.message_loss,
-                               rng_factory_.make("message-loss"));
-  }
-
   MiddlewareConfig middleware;
   middleware.features = config_.features;
   middleware.strategy = config_.strategy;
@@ -153,8 +148,8 @@ void Experiment::wire_faults() {
   }
   if (config_.faults.has_link_faults()) {
     routing_->set_fault_model(std::make_shared<fault::LinkFaultModel>(
-        config_.faults, routing_->id_space(),
-        rng_factory_.make("fault-links")));
+        config_.faults, routing_->id_space(), rng_factory_.make("fault-links"),
+        rng_factory_.make("message-loss")));
   }
   if (config_.faults.crash_waves.empty()) {
     return;

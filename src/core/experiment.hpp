@@ -91,8 +91,6 @@ struct ExperimentConfig {
       routing::MulticastStrategy::kSequential;
   /// Sec VI-A closed loop for every stream (nullopt = paper's fixed beta).
   std::optional<AdaptivePrecisionController::Options> adaptive_precision;
-  /// Uniform probability that any transmission is lost (fault injection).
-  double message_loss = 0.0;
   SubstrateKind substrate = SubstrateKind::kChord;
   /// Recursive (paper default) vs iterative Chord lookups.
   chord::LookupStyle chord_lookup = chord::LookupStyle::kRecursive;
@@ -104,7 +102,7 @@ struct ExperimentConfig {
 
   // --- Robustness (chaos) extensions --------------------------------------
 
-  /// Structured fault injection: bursty loss, latency jitter, key-range
+  /// Fault injection: uniform and bursty loss, latency jitter, key-range
   /// partitions, crash/recover waves. Times in the plan are absolute
   /// simulation times (warmup starts at 0). Empty injects nothing.
   fault::FaultPlan faults;

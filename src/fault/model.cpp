@@ -7,8 +7,8 @@
 namespace sdsi::fault {
 
 LinkFaultModel::LinkFaultModel(FaultPlan plan, common::IdSpace space,
-                               common::Pcg32 rng)
-    : plan_(std::move(plan)), space_(space), rng_(rng) {
+                               common::Pcg32 rng, common::Pcg32 loss_rng)
+    : plan_(std::move(plan)), space_(space), rng_(rng), loss_rng_(loss_rng) {
   SDSI_CHECK(plan_.uniform_loss >= 0.0 && plan_.uniform_loss <= 1.0);
   if (plan_.burst_loss.has_value()) {
     const GilbertElliottParams& ge = *plan_.burst_loss;
@@ -24,14 +24,15 @@ LinkFaultModel::LinkFaultModel(FaultPlan plan, common::IdSpace space,
 
 std::optional<DropCause> LinkFaultModel::sample_drop(Key target_key,
                                                      sim::SimTime now) {
+  // uniform_loss == 1.0 is a total blackout: uniform01() < 1.0 always holds.
+  if (plan_.uniform_loss > 0.0 && loss_rng_.uniform01() < plan_.uniform_loss) {
+    return DropCause::kUniformLoss;
+  }
   for (const KeyRangePartition& partition : plan_.partitions) {
     if (now >= partition.from && now < partition.until &&
         space_.in_closed(target_key, partition.lo, partition.hi)) {
       return DropCause::kPartition;
     }
-  }
-  if (plan_.uniform_loss > 0.0 && rng_.uniform01() < plan_.uniform_loss) {
-    return DropCause::kUniformLoss;
   }
   if (plan_.burst_loss.has_value()) {
     const GilbertElliottParams& ge = *plan_.burst_loss;

@@ -165,13 +165,16 @@ struct FaultPlan {
 /// transmission. Owns the Markov chain state and the jitter stream.
 class LinkFaultModel {
  public:
-  LinkFaultModel(FaultPlan plan, common::IdSpace space, common::Pcg32 rng);
+  /// `rng` drives the burst chain and the jitter; `loss_rng` draws the
+  /// uniform loss alone, so no other fault process shifts which
+  /// transmissions the uniform model drops.
+  LinkFaultModel(FaultPlan plan, common::IdSpace space, common::Pcg32 rng,
+                 common::Pcg32 loss_rng);
 
   /// Samples whether the transmission toward `target_key` at `now` is lost;
-  /// returns the cause, or nullopt when it goes through. Partition checks
-  /// run first (deterministic), then uniform, then the burst chain — the
-  /// chain advances on every non-partitioned transmission so burst structure
-  /// is independent of the other processes.
+  /// returns the cause, or nullopt when it goes through. The uniform draw
+  /// comes first, on every transmission; then the partition checks
+  /// (deterministic); then the burst chain advances and samples.
   std::optional<DropCause> sample_drop(Key target_key, sim::SimTime now);
 
   /// Extra latency for this transmission (zero without a jitter process).
@@ -186,6 +189,7 @@ class LinkFaultModel {
   FaultPlan plan_;
   common::IdSpace space_;
   common::Pcg32 rng_;
+  common::Pcg32 loss_rng_;
   bool in_bad_state_ = false;
 };
 

@@ -10,7 +10,8 @@ namespace sdsi::net {
 FaultyTransport::FaultyTransport(Transport& inner, fault::FaultPlan plan,
                                  common::IdSpace space, std::uint64_t seed)
     : inner_(inner),
-      model_(std::move(plan), space, common::Pcg32(seed, /*stream=*/0x11)),
+      model_(std::move(plan), space, common::Pcg32(seed, /*stream=*/0x11),
+             common::Pcg32(seed, /*stream=*/0x33)),
       aux_(seed, /*stream=*/0x22) {
   clock_ms_ = [start = std::chrono::steady_clock::now()] {
     return std::chrono::duration_cast<std::chrono::milliseconds>(

@@ -11,37 +11,41 @@ using routing::payload_of;
 
 NetNode::NetNode(const NetRing& ring, NodeIndex self, Transport& transport,
                  NetNodeConfig config)
-    : ring_(ring),
-      self_(self),
-      transport_(transport),
+    : self_(self),
       config_(std::move(config)),
       strategy_(core::IndexingStrategy::make(config_.strategy,
                                              config_.features, ring.space())),
-      detector_(config_.reliability.detector, ring.size(), self) {
+      detector_(config_.reliability.detector, ring.size(), self),
+      routing_(clock_, ring, self, transport, detector_) {
   config_.features.validate();
+  routing_.set_deliver(
+      [this](NodeIndex, const routing::Message& msg) { handle(msg); });
 }
 
-std::uint64_t NetNode::next_trace_id() noexcept {
-  // Globally unique without coordination: high bits carry the node index.
-  return (static_cast<std::uint64_t>(self_) + 1) << 40 | ++trace_counter_;
+NetNode::Counters NetNode::counters() const noexcept {
+  Counters counters = counters_;
+  counters.send_failures += routing_.send_failures();
+  counters.detours = routing_.dead_steps();
+  return counters;
 }
 
 void NetNode::publish_value(StreamId stream, Sample value, sim::SimTime now) {
+  clock_.run_until(now);
   core::LocalStream& local =
       streams_.try_emplace(stream, stream, *strategy_, config_.batching)
           .first->second;
   std::vector<dsp::Mbr> closed;
   core::summarize_value(local, value, closed);
   for (dsp::Mbr& mbr : closed) {
-    publish_mbr(local, std::move(mbr), now);
+    publish_mbr(local, std::move(mbr));
   }
 }
 
-void NetNode::publish_mbr(core::LocalStream& local, dsp::Mbr mbr,
-                          sim::SimTime now) {
+void NetNode::publish_mbr(core::LocalStream& local, dsp::Mbr mbr) {
   // Primary range first (acks/refresh track it alone); extra probe ranges
   // (multi-probe lsh; none for dft/ecm) go out fire-and-forget.
   strategy_->key_map().mbr_ranges(mbr, range_scratch_);
+  const sim::SimTime now = clock_.now();
   const sim::SimTime expires = now + config_.mbr_lifespan;
   const auto payload = std::make_shared<const core::MbrPayload>(
       core::MbrPayload{local.id, self_, std::move(mbr), local.batch_seq++,
@@ -60,13 +64,14 @@ void NetNode::publish_mbr(core::LocalStream& local, dsp::Mbr mbr,
     published_.track(payload, lo, hi, retry_clock());
   }
   for (const auto& [lo, hi] : range_scratch_) {
-    send_range(routing::MsgKind::kMbrUpdate, payload, lo, hi, now);
+    send_range(routing::MsgKind::kMbrUpdate, payload, lo, hi);
   }
 }
 
 void NetNode::subscribe_similarity(core::QueryId id,
                                    dsp::FeatureVector features, double radius,
                                    sim::Duration lifespan, sim::SimTime now) {
+  clock_.run_until(now);
   auto query = std::make_shared<const core::SimilarityQuery>(
       core::SimilarityQuery{id, self_, std::move(features), radius, lifespan,
                             now});
@@ -74,7 +79,7 @@ void NetNode::subscribe_similarity(core::QueryId id,
   const auto [lo, hi] = range_scratch_.front();
   const auto payload = std::make_shared<const core::SimilarityQueryPayload>(
       core::SimilarityQueryPayload{std::move(query),
-                                   ring_.space().midpoint(lo, hi)});
+                                   routing_.id_space().midpoint(lo, hi)});
   results_.try_emplace(id);
   ++counters_.queries_posed;
   if (reliable()) {
@@ -82,78 +87,38 @@ void NetNode::subscribe_similarity(core::QueryId id,
   }
   for (const auto& [range_lo, range_hi] : range_scratch_) {
     send_range(routing::MsgKind::kSimilarityQuery, payload, range_lo,
-               range_hi, now);
+               range_hi);
   }
 }
 
 void NetNode::send_range(routing::MsgKind kind, std::any payload, Key lo,
-                         Key hi, sim::SimTime now) {
+                         Key hi) {
   routing::Message msg;
   msg.kind = kind;
-  msg.origin = self_;
   msg.payload = std::move(payload);
-  msg.has_range = true;
-  msg.range_lo = lo;
-  msg.range_hi = hi;
-  msg.range_dir = routing::RangeDir::kUp;  // sequential multicast
-  msg.sent_at = now;
-  msg.trace_id = next_trace_id();
-  route_to_key(lo, std::move(msg), now);
-}
-
-void NetNode::route_to_key(Key key, routing::Message msg, sim::SimTime now) {
-  msg.target_key = ring_.space().wrap(key);
-  NodeIndex dst = ring_.successor_of_key(msg.target_key);
-  if (reliable()) {
-    // Detour past excised peers: the first live successor inherits the dead
-    // node's arc (it stores whatever lands, so range coverage survives).
-    std::size_t walked = 0;
-    while (dst != self_ && !detector_.usable(dst) &&
-           walked + 1 < ring_.size()) {
-      dst = ring_.successor_index(dst);
-      ++counters_.detours;
-      ++walked;
-    }
-  }
-  if (dst == self_) {
-    deliver(std::move(msg), now);
-    return;
-  }
-  msg.hops = 1;
-  if (!transport_.send(dst, msg)) {
-    ++counters_.send_failures;
-  }
+  routing_.send_range(self_, lo, hi, std::move(msg),
+                      routing::MulticastStrategy::kSequential);
 }
 
 void NetNode::send_direct(NodeIndex peer, routing::MsgKind kind,
-                          std::any payload, sim::SimTime now) {
-  if (peer >= ring_.size()) {
+                          std::any payload) {
+  if (peer >= routing_.num_nodes()) {
     // Peer indices riding in reliability payloads are untrusted once link
     // corruption is in play: a flipped byte can decode into a frame whose
     // `source`/`requester`/`from` field is garbage. Drop instead of letting
-    // ring_.id() abort the process.
+    // the ring's id lookup abort the process.
     ++counters_.send_failures;
     return;
   }
   routing::Message msg;
   msg.kind = kind;
-  msg.origin = self_;
-  msg.target_key = ring_.id(peer);
   msg.payload = std::move(payload);
-  msg.sent_at = now;
-  msg.trace_id = next_trace_id();
-  if (peer == self_) {
-    deliver(std::move(msg), now);
-    return;
-  }
-  msg.hops = 1;
-  if (!transport_.send(peer, msg)) {
-    ++counters_.send_failures;
-  }
+  routing_.send_direct(self_, peer, std::move(msg));
 }
 
 void NetNode::deliver(routing::Message&& msg, sim::SimTime now) {
-  if (reliable() && msg.origin != self_ && msg.origin < ring_.size()) {
+  clock_.run_until(now);
+  if (reliable() && msg.origin != self_ && msg.origin < routing_.num_nodes()) {
     // Any frame is liveness evidence (epochs ride only in heartbeats).
     detector_.observe_alive(msg.origin, clock_ms_);
   }
@@ -161,46 +126,41 @@ void NetNode::deliver(routing::Message&& msg, sim::SimTime now) {
     ++counters_.shape_rejects;
     return;
   }
+  routing_.receive(std::move(msg));
+}
+
+void NetNode::handle(const routing::Message& msg) {
   switch (msg.kind) {
     case routing::MsgKind::kMbrUpdate:
-      handle_mbr(msg, now);
-      break;
+      return handle_mbr(msg);
     case routing::MsgKind::kSimilarityQuery:
-      handle_similarity_query(msg, now);
-      break;
+      return handle_similarity_query(msg);
     case routing::MsgKind::kResponse:
-      handle_response(msg, now);
-      return;  // responses are point-to-point, never range-forwarded
+      return handle_response(msg);
     case routing::MsgKind::kHeartbeat:
-      handle_heartbeat(msg);
-      return;
+      return handle_heartbeat(msg);
     case routing::MsgKind::kMbrAck:
-      handle_mbr_ack(msg);
-      return;
+      return handle_mbr_ack(msg);
     case routing::MsgKind::kResponseAck:
-      handle_response_ack(msg);
-      return;
+      return handle_response_ack(msg);
     case routing::MsgKind::kReplicaPut:
-      handle_replica_put(msg, now);
-      return;
+      return handle_replica_put(msg);
     case routing::MsgKind::kHandoffRequest:
-      handle_handoff_request(msg, now);
-      return;
+      return handle_handoff_request(msg);
     case routing::MsgKind::kAntiEntropyDigest:
-      handle_anti_entropy_digest(msg, now);
-      return;
+      return handle_anti_entropy_digest(msg);
     case routing::MsgKind::kAntiEntropyRequest:
-      handle_anti_entropy_request(msg, now);
-      return;
+      return handle_anti_entropy_request(msg);
     default:
       return;  // kinds outside the net pipeline's scope: ignore
-  }
-  if (msg.has_range) {
-    forward_range_copies(msg);
   }
 }
 
 bool NetNode::well_shaped(const routing::Message& msg) const {
+  if (msg.has_range && msg.kind != routing::MsgKind::kMbrUpdate &&
+      msg.kind != routing::MsgKind::kSimilarityQuery) {
+    return false;  // only publications and subscriptions walk a range
+  }
   const std::size_t coefficients = strategy_->coefficients();
   const auto mbr_fits = [&](const dsp::Mbr& mbr) {
     return mbr.dimensions() == 2 * coefficients;
@@ -231,7 +191,8 @@ bool NetNode::well_shaped(const routing::Message& msg) const {
   }
 }
 
-void NetNode::handle_mbr(const routing::Message& msg, sim::SimTime now) {
+void NetNode::handle_mbr(const routing::Message& msg) {
+  const sim::SimTime now = clock_.now();
   const auto payload = payload_of<core::MbrPayload>(msg);
   const bool own = payload->source == self_;
   // The source already stored this batch at publish time; every other node
@@ -260,8 +221,7 @@ void NetNode::handle_mbr(const routing::Message& msg, sim::SimTime now) {
   } else {
     send_direct(payload->source, routing::MsgKind::kMbrAck,
                 std::make_shared<const core::MbrAckPayload>(
-                    core::MbrAckPayload{payload->stream, payload->batch_seq}),
-                now);
+                    core::MbrAckPayload{payload->stream, payload->batch_seq}));
     ++counters_.mbr_acks_sent;
   }
   if (!first_landing) {
@@ -270,11 +230,10 @@ void NetNode::handle_mbr(const routing::Message& msg, sim::SimTime now) {
   core::ReplicaPutPayload put;
   put.mbrs.push_back({payload->stream, payload->source, payload->mbr,
                       payload->batch_seq, payload->expires});
-  mirror(std::move(put), payload->source, now);
+  mirror(std::move(put), payload->source);
 }
 
-void NetNode::handle_similarity_query(const routing::Message& msg,
-                                      sim::SimTime now) {
+void NetNode::handle_similarity_query(const routing::Message& msg) {
   const auto payload = payload_of<core::SimilarityQueryPayload>(msg);
   const core::SimilarityQuery& query = *payload->query;
   const bool fresh = store_.find_subscription(query.id) == nullptr;
@@ -289,35 +248,23 @@ void NetNode::handle_similarity_query(const routing::Message& msg,
   core::ReplicaPutPayload put;
   put.subscriptions.push_back({payload->query, payload->middle_key,
                                query.issued_at + query.lifespan});
-  mirror(std::move(put), query.client, now);
+  mirror(std::move(put), query.client);
 }
 
-void NetNode::mirror(core::ReplicaPutPayload put, NodeIndex holder,
-                     sim::SimTime now) {
+void NetNode::mirror(core::ReplicaPutPayload put, NodeIndex holder) {
   put.from = self_;
   const auto shared =
       std::make_shared<const core::ReplicaPutPayload>(std::move(put));
-  std::vector<NodeIndex> replicas;
-  NodeIndex cursor = self_;
-  while (replicas.size() < kReplication) {
-    cursor = next_live(cursor, true);
-    if (cursor == kInvalidNode ||
-        std::find(replicas.begin(), replicas.end(), cursor) !=
-            replicas.end()) {
-      break;  // ring exhausted or wrapped
-    }
-    replicas.push_back(cursor);
-  }
-  for (const NodeIndex replica : replicas) {
+  for (const NodeIndex replica : routing_.successors(self_, kReplication)) {
     if (replica == holder) {
       continue;  // the holder keeps its own copy already
     }
-    send_direct(replica, routing::MsgKind::kReplicaPut, shared, now);
+    send_direct(replica, routing::MsgKind::kReplicaPut, shared);
     ++counters_.replica_puts_sent;
   }
 }
 
-void NetNode::handle_response(const routing::Message& msg, sim::SimTime now) {
+void NetNode::handle_response(const routing::Message& msg) {
   const auto payload = payload_of<core::ResponsePayload>(msg);
   const auto it = results_.find(payload->query);
   if (it == results_.end()) {
@@ -327,12 +274,12 @@ void NetNode::handle_response(const routing::Message& msg, sim::SimTime now) {
     it->second.insert(match.stream);
   }
   if (reliable() && payload->aggregator != kInvalidNode &&
-      payload->aggregator < ring_.size() && payload->aggregator != self_) {
+      payload->aggregator < routing_.num_nodes() &&
+      payload->aggregator != self_) {
     send_direct(payload->aggregator, routing::MsgKind::kResponseAck,
                 std::make_shared<const core::ResponseAckPayload>(
                     core::ResponseAckPayload{payload->query,
-                                             payload->push_seq}),
-                now);
+                                             payload->push_seq}));
     ++counters_.response_acks_sent;
   }
 }
@@ -362,19 +309,17 @@ void NetNode::handle_response_ack(const routing::Message& msg) {
   unacked_responses_.ack(payload->query, payload->push_seq);
 }
 
-void NetNode::handle_replica_put(const routing::Message& msg,
-                                 sim::SimTime now) {
+void NetNode::handle_replica_put(const routing::Message& msg) {
   const auto payload = payload_of<core::ReplicaPutPayload>(msg);
   counters_.replica_entries_stored +=
-      core::apply_replica_put(store_, *payload, now).added;
+      core::apply_replica_put(store_, *payload, clock_.now()).added;
 }
 
-void NetNode::handle_handoff_request(const routing::Message& msg,
-                                     sim::SimTime now) {
+void NetNode::handle_handoff_request(const routing::Message& msg) {
   const auto payload = payload_of<core::HandoffRequestPayload>(msg);
   core::ReplicaPutPayload put =
-      core::arc_entries(store_, strategy_->key_map(), ring_.space(),
-                        payload->lo, payload->hi, now);
+      core::arc_entries(store_, strategy_->key_map(), routing_.id_space(),
+                        payload->lo, payload->hi, clock_.now());
   if (core::entry_count(put) == 0) {
     return;
   }
@@ -382,12 +327,11 @@ void NetNode::handle_handoff_request(const routing::Message& msg,
   put.handoff = true;
   counters_.handoff_entries_sent += core::entry_count(put);
   send_direct(payload->requester, routing::MsgKind::kReplicaPut,
-              std::make_shared<const core::ReplicaPutPayload>(std::move(put)),
-              now);
+              std::make_shared<const core::ReplicaPutPayload>(std::move(put)));
 }
 
-void NetNode::handle_anti_entropy_digest(const routing::Message& msg,
-                                         sim::SimTime now) {
+void NetNode::handle_anti_entropy_digest(const routing::Message& msg) {
+  const sim::SimTime now = clock_.now();
   const auto payload = payload_of<core::AntiEntropyDigestPayload>(msg);
   // Pull direction: request every digest entry this store is missing.
   core::AntiEntropyRequestPayload request =
@@ -397,24 +341,22 @@ void NetNode::handle_anti_entropy_digest(const routing::Message& msg,
     ++counters_.anti_entropy_requests;
     send_direct(payload->from, routing::MsgKind::kAntiEntropyRequest,
                 std::make_shared<const core::AntiEntropyRequestPayload>(
-                    std::move(request)),
-                now);
+                    std::move(request)));
   }
   // Push direction: back-fill arc entries the digest's sender is missing.
   core::ReplicaPutPayload missing =
-      core::arc_entries(store_, strategy_->key_map(), ring_.space(),
+      core::arc_entries(store_, strategy_->key_map(), routing_.id_space(),
                         payload->lo, payload->hi, now, payload.get());
-  send_repair(payload->from, std::move(missing), now);
+  send_repair(payload->from, std::move(missing));
 }
 
-void NetNode::handle_anti_entropy_request(const routing::Message& msg,
-                                          sim::SimTime now) {
+void NetNode::handle_anti_entropy_request(const routing::Message& msg) {
   const auto payload = payload_of<core::AntiEntropyRequestPayload>(msg);
-  send_repair(payload->requester, core::backfill(store_, *payload, now), now);
+  send_repair(payload->requester,
+              core::backfill(store_, *payload, clock_.now()));
 }
 
-void NetNode::send_repair(NodeIndex peer, core::ReplicaPutPayload put,
-                          sim::SimTime now) {
+void NetNode::send_repair(NodeIndex peer, core::ReplicaPutPayload put) {
   if (core::entry_count(put) == 0) {
     return;
   }
@@ -422,48 +364,11 @@ void NetNode::send_repair(NodeIndex peer, core::ReplicaPutPayload put,
   put.repair = true;
   counters_.repair_entries_sent += core::entry_count(put);
   send_direct(peer, routing::MsgKind::kReplicaPut,
-              std::make_shared<const core::ReplicaPutPayload>(std::move(put)),
-              now);
-}
-
-void NetNode::forward_range_copies(const routing::Message& msg) {
-  const routing::RangeSteps steps = routing::range_steps(
-      ring_.space(), ring_.id(ring_.predecessor_index(self_)),
-      ring_.id(self_), msg);
-  if (steps.up) {
-    forward_copy(msg, true);
-  }
-  if (steps.down) {
-    forward_copy(msg, false);
-  }
-}
-
-void NetNode::forward_copy(const routing::Message& msg, bool up) {
-  const auto step = [&](NodeIndex n) {
-    return up ? ring_.successor_index(n) : ring_.predecessor_index(n);
-  };
-  NodeIndex next = step(self_);
-  if (reliable()) {
-    while (next != self_ && !detector_.usable(next)) {
-      next = step(next);
-      ++counters_.detours;
-    }
-  }
-  if (next == self_) {
-    return;
-  }
-  routing::Message copy = msg;
-  copy.range_internal = true;
-  copy.range_dir = up ? routing::RangeDir::kUp : routing::RangeDir::kDown;
-  copy.origin = self_;
-  copy.hops = 1;
-  copy.target_key = ring_.id(next);
-  if (!transport_.send(next, copy)) {
-    ++counters_.send_failures;
-  }
+              std::make_shared<const core::ReplicaPutPayload>(std::move(put)));
 }
 
 void NetNode::tick(sim::SimTime now) {
+  clock_.run_until(now);
   const std::vector<core::SimilarityMatch> fresh = store_.match(now);
   if (fresh.empty()) {
     return;
@@ -482,7 +387,7 @@ void NetNode::tick(sim::SimTime now) {
       continue;  // expired between match and push
     }
     const NodeIndex client = sub->query->client;
-    if (client >= ring_.size()) {
+    if (client >= routing_.num_nodes()) {
       continue;  // corrupted subscription frame carried a garbage client
     }
     // Acked push: the client confirms receipt, otherwise the push is
@@ -495,12 +400,12 @@ void NetNode::tick(sim::SimTime now) {
                 acked ? unacked_responses_.track(std::move(response),
                                                  retry_clock())
                       : std::make_shared<const core::ResponsePayload>(
-                            std::move(response)),
-                now);
+                            std::move(response)));
   }
 }
 
 void NetNode::heartbeat_tick(std::int64_t now_ms, sim::SimTime now) {
+  clock_.run_until(now);
   clock_ms_ = now_ms;
   if (!reliable()) {
     return;
@@ -513,18 +418,19 @@ void NetNode::heartbeat_tick(std::int64_t now_ms, sim::SimTime now) {
   last_heartbeat_ms_ = now_ms;
   const auto payload = std::make_shared<const core::HeartbeatPayload>(
       core::HeartbeatPayload{self_, config_.epoch, ++heartbeat_seq_});
-  for (NodeIndex peer = 0; peer < ring_.size(); ++peer) {
+  for (NodeIndex peer = 0; peer < routing_.num_nodes(); ++peer) {
     if (peer == self_) {
       continue;
     }
     // Dead peers are pinged too — a restarted process answers with a higher
     // epoch, which is how the rejoin is noticed.
-    send_direct(peer, routing::MsgKind::kHeartbeat, payload, now);
+    send_direct(peer, routing::MsgKind::kHeartbeat, payload);
     ++counters_.heartbeats_sent;
   }
 }
 
 void NetNode::reliability_tick(std::int64_t now_ms, sim::SimTime now) {
+  clock_.run_until(now);
   clock_ms_ = now_ms;
   if (!reliable()) {
     return;
@@ -543,8 +449,7 @@ void NetNode::reliability_tick(std::int64_t now_ms, sim::SimTime now) {
       retry_clock(), kAckPolicy,
       [&](const core::PublicationLedger::Publication& pub) {
         ++counters_.mbr_retransmits;
-        send_range(routing::MsgKind::kMbrUpdate, pub.payload, pub.lo, pub.hi,
-                   now);
+        send_range(routing::MsgKind::kMbrUpdate, pub.payload, pub.lo, pub.hi);
       });
 
   // 2. Periodic soft-state refresh: re-multicast everything this node owns.
@@ -557,12 +462,12 @@ void NetNode::reliability_tick(std::int64_t now_ms, sim::SimTime now) {
         now, [&](const core::PublicationLedger::Publication& pub) {
           ++counters_.mbr_refreshes;
           send_range(routing::MsgKind::kMbrUpdate, pub.payload, pub.lo,
-                     pub.hi, now);
+                     pub.hi);
         });
     for (const OwnQuery& own : own_queries_) {
       ++counters_.query_refreshes;
       send_range(routing::MsgKind::kSimilarityQuery, own.payload, own.lo,
-                 own.hi, now);
+                 own.hi);
     }
   }
 
@@ -572,7 +477,7 @@ void NetNode::reliability_tick(std::int64_t now_ms, sim::SimTime now) {
       retry_clock(), kAckPolicy,
       [&](const std::shared_ptr<const core::ResponsePayload>& push) {
         ++counters_.response_retransmits;
-        send_direct(push->client, routing::MsgKind::kResponse, push, now);
+        send_direct(push->client, routing::MsgKind::kResponse, push);
       });
 
   // 4. Anti-entropy digests toward both live ring neighbors, plus any peer
@@ -580,17 +485,17 @@ void NetNode::reliability_tick(std::int64_t now_ms, sim::SimTime now) {
   if (now_ms - last_anti_entropy_ms_ >= kAntiEntropyPeriodMs) {
     last_anti_entropy_ms_ = now_ms;
     ++counters_.anti_entropy_rounds;
-    const NodeIndex up = next_live(self_, true);
-    if (up != kInvalidNode) {
-      send_digest_to(up, now);
+    const NodeIndex up = routing_.successor_index(self_);
+    if (up != self_) {
+      send_digest_to(up);
     }
-    const NodeIndex down = next_live(self_, false);
-    if (down != kInvalidNode && down != up) {
-      send_digest_to(down, now);
+    const NodeIndex down = routing_.predecessor_index(self_);
+    if (down != self_ && down != up) {
+      send_digest_to(down);
     }
     for (const NodeIndex peer : pending_repair_) {
-      if (peer != up && peer != down && detector_.usable(peer)) {
-        send_digest_to(peer, now);
+      if (peer != up && peer != down && routing_.is_alive(peer)) {
+        send_digest_to(peer);
       }
     }
     pending_repair_.clear();
@@ -598,48 +503,36 @@ void NetNode::reliability_tick(std::int64_t now_ms, sim::SimTime now) {
 }
 
 void NetNode::request_handoff(sim::SimTime now) {
+  clock_.run_until(now);
   if (!reliable()) {
     return;
   }
+  const NodeIndex down = routing_.predecessor_index(self_);
   const auto payload = std::make_shared<const core::HandoffRequestPayload>(
-      core::HandoffRequestPayload{self_,
-                                  ring_.id(ring_.predecessor_index(self_)),
-                                  ring_.id(self_)});
-  const NodeIndex up = next_live(self_, true);
-  if (up != kInvalidNode) {
+      core::HandoffRequestPayload{self_, routing_.node_id(down),
+                                  routing_.node_id(self_)});
+  const NodeIndex up = routing_.successor_index(self_);
+  if (up != self_) {
     ++counters_.handoff_requests_sent;
-    send_direct(up, routing::MsgKind::kHandoffRequest, payload, now);
+    send_direct(up, routing::MsgKind::kHandoffRequest, payload);
   }
-  const NodeIndex down = next_live(self_, false);
-  if (down != kInvalidNode && down != up) {
+  if (down != self_ && down != up) {
     ++counters_.handoff_requests_sent;
-    send_direct(down, routing::MsgKind::kHandoffRequest, payload, now);
+    send_direct(down, routing::MsgKind::kHandoffRequest, payload);
   }
 }
 
-void NetNode::send_digest_to(NodeIndex peer, sim::SimTime now) {
-  // Digest the entries relevant to `peer`'s owned arc (its static ring
-  // predecessor to itself; a dead predecessor only widens what the peer is
-  // offered, never narrows it).
+void NetNode::send_digest_to(NodeIndex peer) {
+  // Digest the entries relevant to `peer`'s owned arc: from its live
+  // predecessor to itself, the arc it covers once dead peers are excised.
   core::AntiEntropyDigestPayload digest = core::arc_digest(
-      store_, strategy_->key_map(), ring_.space(),
-      ring_.id(ring_.predecessor_index(peer)), ring_.id(peer), now);
+      store_, strategy_->key_map(), routing_.id_space(),
+      routing_.node_id(routing_.predecessor_index(peer)),
+      routing_.node_id(peer), clock_.now());
   digest.from = self_;
   send_direct(peer, routing::MsgKind::kAntiEntropyDigest,
               std::make_shared<const core::AntiEntropyDigestPayload>(
-                  std::move(digest)),
-              now);
-}
-
-NodeIndex NetNode::next_live(NodeIndex from, bool up) const {
-  NodeIndex n = from;
-  for (std::size_t i = 0; i < ring_.size(); ++i) {
-    n = up ? ring_.successor_index(n) : ring_.predecessor_index(n);
-    if (n != self_ && detector_.usable(n)) {
-      return n;
-    }
-  }
-  return kInvalidNode;
+                  std::move(digest)));
 }
 
 }  // namespace sdsi::net

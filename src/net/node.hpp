@@ -2,11 +2,14 @@
 // the process that actually "breaks out of the simulator".
 //
 // One NetNode is one ring member: it summarizes its local streams
-// (StreamSummarizer -> MbrBatcher), routes closed MBRs and similarity
+// (StreamSummarizer -> MbrBatcher), sends closed MBRs and similarity
 // subscriptions over the content ring (Eq. 6 ranges, sequential range
-// multicast by the range-walk rule RoutingSystem shares,
-// routing::range_steps), stores and matches what lands on it (IndexStore),
-// and reports matches. Replica repair (handoff, anti-entropy digests,
+// multicast), stores and matches what lands on it (IndexStore), and reports
+// matches. It routes through its TransportRing, a routing::RoutingSystem
+// over the transport and the failure detector's live ring view, so the
+// Sec IV-C walk, the detour past dead peers and the successor lookups are
+// the ones every simulated substrate runs; its handlers are that routing
+// layer's deliver upcall. Replica repair (handoff, anti-entropy digests,
 // backfill) runs the store-side functions the sim middleware shares
 // (core/arc_sync.hpp), as does its ack/retransmit/refresh bookkeeping
 // (core/resend.hpp).
@@ -20,9 +23,11 @@
 // the client-side stream-set dedup make it invisible — which is exactly the
 // property the sim-vs-socket equivalence test pins.
 //
-// Clocking: the node never reads a clock; callers pass `now` (the sim clock
-// under SimTransport, a wall-clock-derived SimTime in sdsi_node). Lifespans
-// only need to be long relative to the run for equivalence to hold.
+// Clocking: callers pass `now` (the sim clock under SimTransport, a
+// wall-clock-derived SimTime in sdsi_node), and each call advances the
+// node's sim::Simulator to it; that Simulator is the routing layer's clock
+// and schedules nothing. Lifespans only need to be long relative to the run
+// for equivalence to hold.
 #pragma once
 
 #include <any>
@@ -45,6 +50,8 @@
 #include "net/failure_detector.hpp"
 #include "net/ring.hpp"
 #include "net/transport.hpp"
+#include "net/transport_ring.hpp"
+#include "sim/simulator.hpp"
 
 namespace sdsi::net {
 
@@ -101,12 +108,14 @@ class NetNode {
     std::uint64_t send_failures = 0;  // transport had no route to the peer
     /// Frames dropped unread because a summary in them has another shape
     /// than this ring's strategy produces (core::IndexingStrategy::
-    /// coefficients()): matching it would read past the MBR.
+    /// coefficients()): matching it would read past the MBR. A frame of
+    /// any kind but mbr_update and similarity_query that claims a key range
+    /// is dropped here too, so that it cannot start a range walk.
     std::uint64_t shape_rejects = 0;
     // Reliability layer (all zero unless config.reliability.enabled):
     std::uint64_t heartbeats_sent = 0;
     std::uint64_t heartbeats_received = 0;
-    std::uint64_t detours = 0;  // hops skipped past a dead peer
+    std::uint64_t detours = 0;  // dead peers the ring walks stepped past
     std::uint64_t mbr_acks_sent = 0;
     std::uint64_t mbr_acks_received = 0;
     std::uint64_t mbr_retransmits = 0;
@@ -127,7 +136,8 @@ class NetNode {
 
   /// The ring and transport must outlive the node. The caller wires
   /// transport.set_deliver to deliver() (the node needs `now` per delivery,
-  /// which the Transport interface does not carry).
+  /// which the Transport interface does not carry). Not movable: the routing
+  /// layer's upcall holds `this`.
   NetNode(const NetRing& ring, NodeIndex self, Transport& transport,
           NetNodeConfig config);
 
@@ -171,7 +181,9 @@ class NetNode {
 
   const FailureDetector& detector() const noexcept { return detector_; }
 
-  /// Transport upcall: one decoded frame addressed to this node.
+  /// Transport upcall: one decoded frame addressed to this node. Frames
+  /// that fail the shape check are dropped here; the rest enter the routing
+  /// layer, which runs the handlers and forwards the range walk.
   void deliver(routing::Message&& msg, sim::SimTime now);
 
   /// Client-side results: per locally-posed query, the set of matched
@@ -180,7 +192,7 @@ class NetNode {
     return results_;
   }
 
-  const Counters& counters() const noexcept { return counters_; }
+  Counters counters() const noexcept;
   const core::IndexStore& store() const noexcept { return store_; }
 
  private:
@@ -198,62 +210,40 @@ class NetNode {
   }
 
   /// Whether every summary `msg` carries (MBRs, query features) has the
-  /// shape of this node's strategy. The codec cannot check it: it does not
-  /// know the ring's strategy.
+  /// shape of this node's strategy, and only those two kinds claim a key
+  /// range. The codec cannot check it: it does not know the ring's strategy.
   bool well_shaped(const routing::Message& msg) const;
-  void publish_mbr(core::LocalStream& local, dsp::Mbr mbr, sim::SimTime now);
-  void handle_mbr(const routing::Message& msg, sim::SimTime now);
-  void handle_similarity_query(const routing::Message& msg,
-                               sim::SimTime now);
-  void handle_response(const routing::Message& msg, sim::SimTime now);
+  /// The routing layer's deliver upcall: dispatches one message by kind.
+  void handle(const routing::Message& msg);
+  void publish_mbr(core::LocalStream& local, dsp::Mbr mbr);
+  void handle_mbr(const routing::Message& msg);
+  void handle_similarity_query(const routing::Message& msg);
+  void handle_response(const routing::Message& msg);
   void handle_heartbeat(const routing::Message& msg);
   void handle_mbr_ack(const routing::Message& msg);
   void handle_response_ack(const routing::Message& msg);
-  void handle_replica_put(const routing::Message& msg, sim::SimTime now);
-  void handle_handoff_request(const routing::Message& msg, sim::SimTime now);
-  void handle_anti_entropy_digest(const routing::Message& msg,
-                                  sim::SimTime now);
-  void handle_anti_entropy_request(const routing::Message& msg,
-                                   sim::SimTime now);
+  void handle_replica_put(const routing::Message& msg);
+  void handle_handoff_request(const routing::Message& msg);
+  void handle_anti_entropy_digest(const routing::Message& msg);
+  void handle_anti_entropy_request(const routing::Message& msg);
 
   /// Sequential range multicast of one payload over [lo, hi]: publish,
   /// subscribe, probe ranges, retransmit and refresh all send through here
   /// (receiver-side dedup keeps every resend idempotent).
-  void send_range(routing::MsgKind kind, std::any payload, Key lo, Key hi,
-                  sim::SimTime now);
+  void send_range(routing::MsgKind kind, std::any payload, Key lo, Key hi);
   /// Point-to-point frame to a specific ring member (no range machinery).
-  void send_direct(NodeIndex peer, routing::MsgKind kind, std::any payload,
-                   sim::SimTime now);
+  void send_direct(NodeIndex peer, routing::MsgKind kind, std::any payload);
   /// Mirrors `put` to the live successor set, skipping `holder`, which
   /// keeps its own copy.
-  void mirror(core::ReplicaPutPayload put, NodeIndex holder,
-              sim::SimTime now);
+  void mirror(core::ReplicaPutPayload put, NodeIndex holder);
   /// Sends a repair put (digest push-back or backfill) to `peer` unless it
   /// is empty.
-  void send_repair(NodeIndex peer, core::ReplicaPutPayload put,
-                   sim::SimTime now);
+  void send_repair(NodeIndex peer, core::ReplicaPutPayload put);
   /// Sends an anti-entropy digest of this store's entries that intersect
   /// `peer`'s owned arc.
-  void send_digest_to(NodeIndex peer, sim::SimTime now);
-  /// First non-dead ring neighbor after `from`, walking successors when
-  /// `up` and predecessors otherwise (never self; kInvalidNode when every
-  /// other peer is dead).
-  NodeIndex next_live(NodeIndex from, bool up) const;
-  /// Forwards the range multicast over the transport, deciding the next
-  /// hops by the rule RoutingSystem shares (routing::range_steps).
-  void forward_range_copies(const routing::Message& msg);
-  /// Sends one internal range copy to the next usable neighbor in a
-  /// direction (successor when `up`), detouring past dead peers.
-  void forward_copy(const routing::Message& msg, bool up);
-  /// Routes `msg` to successor(key): local delivery loops back through
-  /// deliver() without touching the transport, exactly like the sim's
-  /// zero-latency local path.
-  void route_to_key(Key key, routing::Message msg, sim::SimTime now);
-  std::uint64_t next_trace_id() noexcept;
+  void send_digest_to(NodeIndex peer);
 
-  const NetRing& ring_;
   NodeIndex self_;
-  Transport& transport_;
   NetNodeConfig config_;
   std::unique_ptr<core::IndexingStrategy> strategy_;
   /// Scratch for multi-range probe sets (single-threaded message loop).
@@ -261,11 +251,12 @@ class NetNode {
   core::IndexStore store_;
   std::unordered_map<StreamId, core::LocalStream> streams_;
   std::map<core::QueryId, std::set<StreamId>> results_;
-  std::uint64_t trace_counter_ = 0;
   Counters counters_;
+  FailureDetector detector_;  // idle unless config_.reliability.enabled
+  sim::Simulator clock_;      // the routing layer's clock; schedules nothing
+  TransportRing routing_;
 
   // Reliability state (idle unless config_.reliability.enabled).
-  FailureDetector detector_;
   std::int64_t clock_ms_ = 0;  // last wall clock seen by a reliability tick
   std::int64_t last_heartbeat_ms_ = -1;
   std::uint64_t heartbeat_seq_ = 0;

@@ -8,8 +8,9 @@
 //
 // A transport moves already-addressed frames between node endpoints; all
 // routing decisions (successor lookup, range-multicast fan-out) stay above
-// it in net::NetNode, and every frame crosses the v1 codec of net/wire.hpp
-// regardless of implementation.
+// it in net::TransportRing, the routing::RoutingSystem NetNode sends
+// through, and every frame crosses the v1 codec of net/wire.hpp regardless
+// of implementation.
 #pragma once
 
 #include <cstddef>

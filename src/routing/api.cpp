@@ -5,6 +5,39 @@
 #include "common/check.hpp"
 
 namespace sdsi::routing {
+namespace {
+
+/// Which neighbors a node covering the arc (pred, self] forwards a range
+/// copy to: its successor (`up`), its predecessor (`down`), or neither.
+struct RangeSteps {
+  bool up = false;
+  bool down = false;
+};
+
+/// The Sec IV-C range-walk rule. A copy walks on in each of its directions
+/// until it reaches the node covering that direction's range end. When both
+/// ends fall on a landing node's arc but the range runs the long way round
+/// (range_hi comes before range_lo clockwise from pred), the landing copy
+/// walks up the whole ring and the walk ends back at the landing node, which
+/// sees one duplicate. A lone node's arc is the whole ring, so no range runs
+/// the long way round it.
+RangeSteps range_steps(const common::IdSpace& space, Key pred, Key self,
+                       const Message& msg) {
+  const bool covers_lo = space.in_half_open(msg.range_lo, pred, self);
+  const bool covers_hi = space.in_half_open(msg.range_hi, pred, self);
+  const bool long_way = !msg.range_internal && pred != self && covers_lo &&
+                        covers_hi &&
+                        space.distance(pred, msg.range_hi) <
+                            space.distance(pred, msg.range_lo);
+  const bool up_dir =
+      msg.range_dir == RangeDir::kUp || msg.range_dir == RangeDir::kBoth;
+  const bool down_dir =
+      msg.range_dir == RangeDir::kDown || msg.range_dir == RangeDir::kBoth;
+  return RangeSteps{up_dir && (!covers_hi || long_way),
+                    down_dir && !covers_lo};
+}
+
+}  // namespace
 
 RoutingSystem::RoutingSystem(sim::Simulator& simulator, common::IdSpace space,
                              sim::Duration hop_latency)
@@ -28,21 +61,7 @@ std::vector<NodeIndex> RoutingSystem::successors(NodeIndex node,
   return result;
 }
 
-void RoutingSystem::set_message_loss(double probability, common::Pcg32 rng) {
-  // probability == 1.0 is a deliberate total blackout (partition tests):
-  // uniform01() < 1.0 always holds, so every transmission drops.
-  SDSI_CHECK(probability >= 0.0 && probability <= 1.0);
-  loss_probability_ = probability;
-  loss_rng_ = rng;
-}
-
 bool RoutingSystem::message_lost(const Message& msg) {
-  if (loss_probability_ > 0.0 && loss_rng_.has_value() &&
-      loss_rng_->uniform01() < loss_probability_) {
-    ++dropped_;
-    record_drop(fault::DropCause::kUniformLoss, msg);
-    return true;
-  }
   if (fault_model_ != nullptr) {
     const std::optional<fault::DropCause> cause =
         fault_model_->sample_drop(msg.target_key, sim_.now());

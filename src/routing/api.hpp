@@ -19,11 +19,9 @@
 #include <cstddef>
 #include <functional>
 #include <memory>
-#include <optional>
 #include <vector>
 
 #include "common/ring_math.hpp"
-#include "common/rng.hpp"
 #include "common/types.hpp"
 #include "fault/model.hpp"
 #include "obs/trace.hpp"
@@ -132,12 +130,6 @@ class RoutingSystem {
   /// refreshes) allocate once and stamp each Message themselves.
   std::uint64_t allocate_trace_id() noexcept { return ++last_trace_id_; }
 
-  /// Failure injection: every transmission is independently lost with
-  /// `probability`. The middleware's soft state (periodic MBRs, periodic
-  /// responses, refreshes) must tolerate this; tests and benches exercise
-  /// it. Pass 0 to disable, 1.0 for a total blackout (partition tests).
-  void set_message_loss(double probability, common::Pcg32 rng);
-
   /// Hook applied to every in-flight envelope as it enters a transmission
   /// deferral (schedule_msg) — the seam where a wire protocol can observe or
   /// rewrite what "goes on the wire" without the routing layer depending on
@@ -150,9 +142,10 @@ class RoutingSystem {
     transmit_filter_ = std::move(filter);
   }
 
-  /// Structured fault injection (fault/model.hpp): bursty loss, key-range
-  /// partitions, latency jitter. Composes with the legacy uniform model
-  /// (both are sampled; either can drop). Pass nullptr to remove.
+  /// Fault injection (fault/model.hpp): uniform and bursty loss, key-range
+  /// partitions, latency jitter. The middleware's soft state (periodic MBRs,
+  /// periodic responses, refreshes) must tolerate it. Pass nullptr to
+  /// remove.
   void set_fault_model(std::shared_ptr<fault::LinkFaultModel> model) {
     fault_model_ = std::move(model);
   }
@@ -234,9 +227,13 @@ class RoutingSystem {
   }
 
   /// Loss-model sample: true when this transmission should vanish. Consults
-  /// the legacy uniform model, then the structured fault model; records the
-  /// drop (counter + cause + metrics hook) itself.
+  /// the fault model and records the drop (counter + cause + metrics hook)
+  /// itself.
   bool message_lost(const Message& msg);
+
+  /// Makes allocate_trace_id() count up from `base`: a substrate that routes
+  /// for one process of many keeps its ids apart from the other processes'.
+  void set_trace_id_base(std::uint64_t base) noexcept { last_trace_id_ = base; }
 
   /// Routing-level loss accounting for substrates (dead next hop, hop-limit
   /// safety valve): counts under the cause label and tells the hook.
@@ -326,8 +323,6 @@ class RoutingSystem {
   MetricsHook* metrics_ = nullptr;
   obs::TraceSink* trace_ = nullptr;
   std::uint64_t last_trace_id_ = 0;
-  double loss_probability_ = 0.0;
-  std::optional<common::Pcg32> loss_rng_;
   std::shared_ptr<fault::LinkFaultModel> fault_model_;
   std::uint64_t dropped_ = 0;
   mutable std::uint64_t oracle_fallbacks_ = 0;

@@ -148,34 +148,4 @@ const std::shared_ptr<const T>& payload_of(const Message& msg) {
   return *ptr;
 }
 
-/// Which neighbors a node covering the arc (pred, self] forwards a range
-/// copy to: its successor (`up`), its predecessor (`down`), or neither.
-struct RangeSteps {
-  bool up = false;
-  bool down = false;
-};
-
-/// The Sec IV-C range-walk rule, shared by RoutingSystem and net::NetNode.
-/// A copy walks on in each of its directions until it reaches the node
-/// covering that direction's range end. When both ends fall on a landing
-/// node's arc but the range runs the long way round (range_hi comes before
-/// range_lo clockwise from pred), the landing copy walks up the whole ring
-/// and the walk ends back at the landing node, which sees one duplicate. A
-/// lone node's arc is the whole ring, so no range runs the long way round it.
-inline RangeSteps range_steps(const common::IdSpace& space, Key pred, Key self,
-                              const Message& msg) {
-  const bool covers_lo = space.in_half_open(msg.range_lo, pred, self);
-  const bool covers_hi = space.in_half_open(msg.range_hi, pred, self);
-  const bool long_way = !msg.range_internal && pred != self && covers_lo &&
-                        covers_hi &&
-                        space.distance(pred, msg.range_hi) <
-                            space.distance(pred, msg.range_lo);
-  const bool up_dir =
-      msg.range_dir == RangeDir::kUp || msg.range_dir == RangeDir::kBoth;
-  const bool down_dir =
-      msg.range_dir == RangeDir::kDown || msg.range_dir == RangeDir::kBoth;
-  return RangeSteps{up_dir && (!covers_hi || long_way),
-                    down_dir && !covers_lo};
-}
-
 }  // namespace sdsi::routing

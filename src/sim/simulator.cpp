@@ -11,8 +11,6 @@ constexpr std::int64_t kNoHorizon = std::numeric_limits<std::int64_t>::max();
 
 }  // namespace
 
-Simulator::Simulator() : buckets_(kNumBuckets) {}
-
 TaskHandle Simulator::schedule_at(SimTime when, EventFn fn) {
   SDSI_CHECK(when >= now_);
   SDSI_CHECK(fn != nullptr);
@@ -82,6 +80,9 @@ void Simulator::cancel_slot(std::uint32_t slot, std::uint32_t gen) noexcept {
 }
 
 void Simulator::insert_ref(const Ref& ref) {
+  if (buckets_.empty()) {
+    buckets_.resize(kNumBuckets);  // a clock that never schedules skips it
+  }
   const std::int64_t b = ref.when_us >> kBucketBits;
   if (wheel_refs_ == 0 && overflow_.empty()) {
     // Nothing pending anywhere: re-anchor the window at the new event. This

@@ -58,7 +58,7 @@ class TaskHandle {
 
 class Simulator {
  public:
-  Simulator();
+  Simulator() = default;
 
   Simulator(const Simulator&) = delete;
   Simulator& operator=(const Simulator&) = delete;

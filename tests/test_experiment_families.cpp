@@ -69,7 +69,7 @@ TEST(ExperimentVariants, IterativeChordMatchesRecursiveResults) {
 
 TEST(ExperimentVariants, MessageLossDegradesGracefully) {
   ExperimentConfig lossy = quick(25);
-  lossy.message_loss = 0.05;
+  lossy.faults.uniform_loss = 0.05;
   Experiment experiment(lossy);
   experiment.run();
   EXPECT_GT(experiment.routing_system().dropped_messages(), 0u);

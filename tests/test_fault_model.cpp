@@ -22,7 +22,8 @@ TEST(GilbertElliott, StationaryLossRateMatchesTheory) {
   burst.p_good_to_bad = 0.05;
   burst.p_bad_to_good = 0.25;
   plan.burst_loss = burst;
-  LinkFaultModel model(plan, common::IdSpace(16), common::Pcg32(1, 1));
+  LinkFaultModel model(plan, common::IdSpace(16), common::Pcg32(1, 1),
+                       common::Pcg32(1, 0x33));
 
   const double expected =
       burst.p_good_to_bad / (burst.p_good_to_bad + burst.p_bad_to_good);
@@ -46,7 +47,8 @@ TEST(GilbertElliott, LossesArriveInBursts) {
   burst.p_good_to_bad = 0.02;
   burst.p_bad_to_good = 0.2;  // mean burst of 5 transmissions
   plan.burst_loss = burst;
-  LinkFaultModel model(plan, common::IdSpace(16), common::Pcg32(2, 2));
+  LinkFaultModel model(plan, common::IdSpace(16), common::Pcg32(2, 2),
+                       common::Pcg32(2, 0x33));
 
   int bursts = 0;
   int dropped = 0;
@@ -67,7 +69,8 @@ TEST(GilbertElliott, LossesArriveInBursts) {
 TEST(LinkFaultModel, UniformLossRateMatches) {
   FaultPlan plan;
   plan.uniform_loss = 0.3;
-  LinkFaultModel model(plan, common::IdSpace(16), common::Pcg32(3, 3));
+  LinkFaultModel model(plan, common::IdSpace(16), common::Pcg32(3, 3),
+                       common::Pcg32(3, 0x33));
   int drops = 0;
   constexpr int kSamples = 20'000;
   for (int i = 0; i < kSamples; ++i) {
@@ -88,7 +91,8 @@ TEST(LinkFaultModel, PartitionBlacksOutKeyRangeDuringWindow) {
   partition.from = at_seconds(10);
   partition.until = at_seconds(20);
   plan.partitions.push_back(partition);
-  LinkFaultModel model(plan, common::IdSpace(16), common::Pcg32(4, 4));
+  LinkFaultModel model(plan, common::IdSpace(16), common::Pcg32(4, 4),
+                       common::Pcg32(4, 0x33));
 
   // In range + in window: always dropped, deterministically.
   EXPECT_EQ(model.sample_drop(150, at_seconds(15)), DropCause::kPartition);
@@ -108,7 +112,8 @@ TEST(LinkFaultModel, PartitionRangeWrapsTheRing) {
   partition.from = at_seconds(0);
   partition.until = at_seconds(100);
   plan.partitions.push_back(partition);
-  LinkFaultModel model(plan, common::IdSpace(16), common::Pcg32(5, 5));
+  LinkFaultModel model(plan, common::IdSpace(16), common::Pcg32(5, 5),
+                       common::Pcg32(5, 0x33));
   EXPECT_EQ(model.sample_drop(65'000, at_seconds(1)), DropCause::kPartition);
   EXPECT_EQ(model.sample_drop(50, at_seconds(1)), DropCause::kPartition);
   EXPECT_FALSE(model.sample_drop(30'000, at_seconds(1)).has_value());
@@ -117,14 +122,16 @@ TEST(LinkFaultModel, PartitionRangeWrapsTheRing) {
 TEST(LinkFaultModel, JitterStaysWithinBoundAndZeroWithout) {
   FaultPlan plan;
   plan.jitter = LatencyJitter{sim::Duration::millis(40)};
-  LinkFaultModel model(plan, common::IdSpace(16), common::Pcg32(6, 6));
+  LinkFaultModel model(plan, common::IdSpace(16), common::Pcg32(6, 6),
+                       common::Pcg32(6, 0x33));
   for (int i = 0; i < 1000; ++i) {
     const sim::Duration jitter = model.sample_jitter();
     EXPECT_GE(jitter, sim::Duration());
     EXPECT_LE(jitter, sim::Duration::millis(40));
   }
 
-  LinkFaultModel plain(FaultPlan{}, common::IdSpace(16), common::Pcg32(6, 6));
+  LinkFaultModel plain(FaultPlan{}, common::IdSpace(16), common::Pcg32(6, 6),
+                      common::Pcg32(6, 0x33));
   EXPECT_EQ(plain.sample_jitter(), sim::Duration());
 }
 
@@ -133,8 +140,10 @@ TEST(LinkFaultModel, SameSeedSameDropSequence) {
   plan.uniform_loss = 0.1;
   GilbertElliottParams burst;
   plan.burst_loss = burst;
-  LinkFaultModel a(plan, common::IdSpace(16), common::Pcg32(7, 7));
-  LinkFaultModel b(plan, common::IdSpace(16), common::Pcg32(7, 7));
+  LinkFaultModel a(plan, common::IdSpace(16), common::Pcg32(7, 7),
+                   common::Pcg32(7, 0x33));
+  LinkFaultModel b(plan, common::IdSpace(16), common::Pcg32(7, 7),
+                   common::Pcg32(7, 0x33));
   for (int i = 0; i < 5000; ++i) {
     EXPECT_EQ(a.sample_drop(static_cast<Key>(i), at_seconds(0)),
               b.sample_drop(static_cast<Key>(i), at_seconds(0)));

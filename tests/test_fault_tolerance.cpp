@@ -4,10 +4,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <memory>
 #include <numbers>
 
 #include "chord/network.hpp"
 #include "core/system.hpp"
+#include "fault/model.hpp"
 #include "routing/static_ring.hpp"
 
 namespace sdsi::core {
@@ -91,11 +93,21 @@ struct Harness {
   }
 };
 
+/// A fault model that drops each transmission with probability `p`, drawn
+/// from `rng`, and injects nothing else.
+std::shared_ptr<fault::LinkFaultModel> uniform_loss(
+    const routing::RoutingSystem& net, double p, common::Pcg32 rng) {
+  fault::FaultPlan plan;
+  plan.uniform_loss = p;
+  return std::make_shared<fault::LinkFaultModel>(plan, net.id_space(), rng,
+                                                 rng);
+}
+
 TEST(MessageLoss, SamplerRespectsProbability) {
   sim::Simulator sim;
   routing::StaticRing ring(sim, common::IdSpace(16),
                            routing::hash_node_ids(4, common::IdSpace(16), 1));
-  ring.set_message_loss(0.25, common::Pcg32(1, 1));
+  ring.set_fault_model(uniform_loss(ring, 0.25, common::Pcg32(1, 1)));
   int delivered = 0;
   ring.set_deliver([&](NodeIndex, const routing::Message&) { ++delivered; });
   constexpr int kSends = 4000;
@@ -115,7 +127,7 @@ TEST(MessageLoss, ZeroProbabilityDropsNothing) {
   sim::Simulator sim;
   routing::StaticRing ring(sim, common::IdSpace(16),
                            routing::hash_node_ids(4, common::IdSpace(16), 1));
-  ring.set_message_loss(0.0, common::Pcg32(1, 1));
+  ring.set_fault_model(uniform_loss(ring, 0.0, common::Pcg32(1, 1)));
   for (int i = 0; i < 100; ++i) {
     routing::Message msg;
     msg.kind = static_cast<routing::MsgKind>(1);
@@ -132,7 +144,7 @@ TEST(MessageLoss, SoftStateStillDetectsSimilarity) {
   MiddlewareConfig config = base_config();
   config.query_refresh_period = sim::Duration::seconds(2);
   Harness h(10, config);
-  h.net.set_message_loss(0.10, common::Pcg32(7, 7));
+  h.net.set_fault_model(uniform_loss(h.net, 0.10, common::Pcg32(7, 7)));
   h.start_stream(0, 100, 1.10);
   h.start_sine_stream(1, 101);
   h.run_for(5.0);

@@ -399,6 +399,57 @@ TEST(NetChaos, RejoinedEmptyNodeRecoversItsArcThroughRepairAlone) {
   }
 }
 
+TEST(NetChaos, RangeWalkIntoADeadPeersArcStops) {
+  // Node D falls silent and every survivor declares it dead. D's live
+  // successor then covers D's arc, so a batch whose whole range lies in
+  // that arc lands there and walks no further. A walk that took each arc
+  // from the static predecessor never found the range's end and circled
+  // the ring, one copy per hop, until D came back.
+  WorkloadConfig config;
+  ChaosRig rig(config, fault::FaultPlan{}, NetReliabilityConfig{});
+  constexpr NodeIndex kDead = 3;
+  const NodeIndex successor = rig.ring.successor_index(kDead);
+  const NodeIndex source = rig.ring.predecessor_index(kDead);
+  bool counting = false;
+  std::uint64_t copies = 0;
+  rig.admit = [&](NodeIndex at, const routing::Message& msg) {
+    if (at == kDead || msg.origin == kDead) {
+      return false;
+    }
+    if (counting && msg.kind == routing::MsgKind::kMbrUpdate) {
+      ++copies;
+    }
+    return true;
+  };
+  rig.pump(1000);
+  for (NodeIndex i = 0; i < config.nodes; ++i) {
+    if (i != kDead) {
+      ASSERT_EQ(rig.nodes[i]->detector().health(kDead), PeerHealth::kDead)
+          << "node " << i;
+    }
+  }
+
+  constexpr StreamId kStream = 500;
+  routing::Message msg;
+  msg.kind = routing::MsgKind::kMbrUpdate;
+  msg.origin = source;
+  msg.has_range = true;
+  msg.range_lo = rig.space.wrap(rig.ring.id(source) + 1);
+  msg.range_hi = rig.ring.id(kDead);
+  msg.range_dir = routing::RangeDir::kUp;
+  msg.target_key = msg.range_lo;
+  msg.payload = std::make_shared<const core::MbrPayload>(core::MbrPayload{
+      kStream, source,
+      dsp::Mbr(std::vector<double>(4, -0.5), std::vector<double>(4, 0.5)), 0,
+      rig.simulator.now() + kLifespan});
+  counting = true;
+  rig.nodes[successor]->deliver(std::move(msg), rig.simulator.now());
+  rig.pump(1000);
+
+  EXPECT_LE(copies, config.nodes) << "the walk must end, not circle the ring";
+  EXPECT_TRUE(rig.nodes[successor]->store().contains_mbr(kStream, 0));
+}
+
 TEST(NetChaos, SummariesOfAnotherShapeAreDroppedAndCounted) {
   // The codec cannot know the ring's strategy, so a summary of another shape
   // decodes ok. A default node (dft, two coefficients, 4-dim MBRs) must drop

@@ -11,6 +11,7 @@
 
 #include "chord/network.hpp"
 #include "core/system.hpp"
+#include "fault/model.hpp"
 #include "routing/static_ring.hpp"
 
 namespace sdsi::core {
@@ -126,7 +127,10 @@ TEST_P(RangeMulticastFaults, LossInsideMulticastHealsWithoutDuplicates) {
   // 30% of all transmissions vanish — enough to regularly swallow copies
   // inside a range multicast (the walk dies mid-range and downstream
   // coverage is lost until a retry or refresh re-sends the batch).
-  h.net.set_message_loss(0.30, common::Pcg32(9, 9));
+  fault::FaultPlan plan;
+  plan.uniform_loss = 0.30;
+  h.net.set_fault_model(std::make_shared<fault::LinkFaultModel>(
+      plan, h.net.id_space(), common::Pcg32(9, 9), common::Pcg32(9, 9)));
   h.start_two_phase_stream(0, 100);
   h.run_for(10.0);
 

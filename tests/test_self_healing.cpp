@@ -88,7 +88,10 @@ TEST(AckedPublication, RetriesHealLostBatchesAndRecordLatency) {
   config.query_refresh_period = sim::Duration::seconds(1);
   config.response_ack.enabled = true;
   Harness h(10, config);
-  h.net.set_message_loss(0.35, common::Pcg32(5, 5));
+  fault::FaultPlan plan;
+  plan.uniform_loss = 0.35;
+  h.net.set_fault_model(std::make_shared<fault::LinkFaultModel>(
+      plan, h.net.id_space(), common::Pcg32(5, 5), common::Pcg32(5, 5)));
   h.start_stream(0, 100, 1.10);
   h.run_for(15.0);
 
@@ -238,7 +241,8 @@ TEST(SelfHealing, LossyHealedRunMatchesFaultFreeExactly) {
       fault::FaultPlan plan;
       plan.uniform_loss = 0.15;
       h->net.set_fault_model(std::make_shared<fault::LinkFaultModel>(
-          plan, h->net.id_space(), common::Pcg32(21, 21)));
+          plan, h->net.id_space(), common::Pcg32(21, 21),
+          common::Pcg32(21, 21)));
     }
 
     // Randomized (seeded) workload, identical across both runs.

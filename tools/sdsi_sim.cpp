@@ -193,7 +193,7 @@ int main(int argc, char** argv) {
         usage(argv[0]);
       }
     } else if (is("--loss")) {
-      config.message_loss = parse_double(value(), argv[0]);
+      config.faults.uniform_loss = parse_double(value(), argv[0]);
     } else if (is("--burst-loss")) {
       const double rate = parse_double(value(), argv[0]);
       if (rate > 0.0) {
@@ -303,9 +303,9 @@ int main(int argc, char** argv) {
               core::strategy_name(config.strategy.kind));
   bench::print_workload_banner(config.workload);
 
-  if (config.message_loss > 0.0) {
+  if (config.faults.uniform_loss > 0.0) {
     std::printf("message loss: %.1f%% of transmissions dropped\n",
-                config.message_loss * 100.0);
+                config.faults.uniform_loss * 100.0);
   }
   if (config.adversarial.has_value()) {
     const auto& adv = *config.adversarial;
@@ -377,8 +377,8 @@ int main(int argc, char** argv) {
 
   // Every loss, healing, replication, oracle and overload knob opens the
   // robustness block: a run that can lose or heal anything reports it.
-  const bool chaos_run = !config.faults.empty() || config.message_loss > 0.0 ||
-                         config.mbr_acks || config.response_acks ||
+  const bool chaos_run = !config.faults.empty() || config.mbr_acks ||
+                         config.response_acks ||
                          config.mbr_refresh_period > sim::Duration() ||
                          config.query_refresh_period > sim::Duration() ||
                          config.replication_factor > 0 ||
