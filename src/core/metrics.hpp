@@ -110,7 +110,7 @@ struct RobustnessCounters {
   std::uint64_t mbr_refreshes = 0;      // soft-state re-publications
   std::uint64_t mbr_acks = 0;           // storage confirmations received
   std::uint64_t duplicate_stores = 0;   // redeliveries the store suppressed
-  std::uint64_t response_retries = 0;   // re-queued unacked match pushes
+  std::uint64_t response_retries = 0;   // resent unacked match pushes
   std::uint64_t location_retries = 0;   // location-get backoff retries
   /// One sample per healed batch, in ms. A single log-bucketed histogram
   /// carries the whole story: count/mean/max exactly, p50/p90/p99 estimated.

@@ -562,6 +562,15 @@ void MiddlewareNode::handle_neighbor_digest(const Message& msg) {
   for (const MatchReport& report : payload->reports) {
     file_match_report(report);
   }
+  // Push what the digest filed now rather than at the next pass: at most one
+  // push per query, in report order.
+  const sim::SimTime now = routing_.simulator().now();
+  for (const MatchReport& report : payload->reports) {
+    const auto it = aggregations.find(report.match.query);
+    if (it != aggregations.end() && it->second.expires > now) {
+      push_pending(it->first, it->second, now);
+    }
+  }
 }
 
 void MiddlewareNode::handle_location_put(const Message& msg) {
@@ -686,6 +695,53 @@ void MiddlewareNode::file_match_report(MatchReport report) {
   outgoing_reports.push_back(std::move(report));
 }
 
+void MiddlewareNode::push_pending(QueryId query, AggregatorRecord& record,
+                                  sim::SimTime now) {
+  if (record.pending.empty()) {
+    return;
+  }
+  ResponsePayload push{query, record.client, false, std::move(record.pending),
+                       0.0, config_.response_ack.enabled ? index : kInvalidNode,
+                       0};
+  record.pending.clear();
+  std::shared_ptr<const ResponsePayload> payload;
+  if (config_.response_ack.enabled) {
+    payload = record.inflight.track(std::move(push), now);
+    arm_push_retry(query, payload->push_seq);
+  } else {
+    payload = std::make_shared<const ResponsePayload>(std::move(push));
+  }
+  send_to_key(routing_.node_id(record.client), MsgKind::kResponse,
+              std::move(payload));
+}
+
+void MiddlewareNode::arm_push_retry(QueryId query, std::uint64_t push_seq) {
+  routing_.simulator().schedule_after(
+      config_.response_ack.timeout,
+      [this, query, push_seq] { on_push_ack_timeout(query, push_seq); });
+}
+
+void MiddlewareNode::on_push_ack_timeout(QueryId query,
+                                         std::uint64_t push_seq) {
+  const sim::SimTime now = routing_.simulator().now();
+  const auto it = aggregations.find(query);
+  if (!routing_.is_alive(index) || it == aggregations.end() ||
+      it->second.expires <= now) {
+    return;  // the retries end with the node or the record
+  }
+  AggregatorRecord& record = it->second;
+  const bool resent = record.inflight.resend_one(
+      query, push_seq, config_.response_ack, now,
+      [&](const std::shared_ptr<const ResponsePayload>& push) {
+        metrics_.count(&RobustnessCounters::response_retries, nullptr);
+        send_to_key(routing_.node_id(record.client), MsgKind::kResponse,
+                    push);
+      });
+  if (resent) {
+    arm_push_retry(query, push_seq);
+  }
+}
+
 bool MiddlewareNode::designated_reporter(const IndexStore::StoredMbr& entry,
                                          const IndexStore::Subscription& sub) {
   // Every probe range counts: an lsh pair may meet only in a probe bucket.
@@ -786,33 +842,18 @@ void MiddlewareNode::periodic_tick() {
   // 2. Route the buffered reports to their aggregators.
   send_report_digests(now);
 
-  // 3. Aggregators push periodic responses to their clients (Sec IV-F).
-  //    With response acks on, match-bearing pushes wait in the record's
-  //    ledger and are resent verbatim (same push_seq — the client's content
-  //    dedup makes redelivery harmless) until acked or out of budget.
+  // 3. Aggregators drop lapsed records and push the matches step 1 or a
+  //    replica promotion filed (Sec IV-F); a digest's matches were pushed on
+  //    arrival. With response acks on, each push waits in the record's
+  //    ledger and its own timer resends it verbatim (same push_seq — the
+  //    client's content dedup makes redelivery harmless) until acked or out
+  //    of budget.
   for (auto it = aggregations.begin(); it != aggregations.end();) {
-    AggregatorRecord& record = it->second;
-    if (record.expires <= now) {
+    if (it->second.expires <= now) {
       it = aggregations.erase(it);
       continue;
     }
-    record.inflight.resend_overdue(
-        now, config_.response_ack,
-        [&](const std::shared_ptr<const ResponsePayload>& push) {
-          metrics_.count(&RobustnessCounters::response_retries, nullptr);
-          send_to_key(routing_.node_id(record.client), MsgKind::kResponse,
-                      push);
-        });
-    const bool track = config_.response_ack.enabled && !record.pending.empty();
-    ResponsePayload push{it->first, record.client, false,
-                         std::move(record.pending), 0.0,
-                         config_.response_ack.enabled ? index : kInvalidNode,
-                         0};
-    record.pending.clear();
-    send_to_key(routing_.node_id(record.client), MsgKind::kResponse,
-                track ? record.inflight.track(std::move(push), now)
-                      : std::make_shared<const ResponsePayload>(
-                            std::move(push)));
+    push_pending(it->first, it->second, now);
     ++it;
   }
 

@@ -88,7 +88,8 @@ struct MiddlewareConfig {
   /// BSPAN: lifespan of a stored MBR.
   sim::Duration mbr_lifespan = sim::Duration::millis(5000);
 
-  /// NPER: period of matching, report digests, and response pushes.
+  /// NPER: period of matching and report digests. A middle node pushes new
+  /// matches when a digest or its own pass files them.
   sim::Duration notify_period = sim::Duration::millis(2000);
 
   /// Soft-state refresh of similarity subscriptions: the client re-routes
@@ -108,9 +109,9 @@ struct MiddlewareConfig {
   /// confirms storage; unacked batches are retransmitted under this policy.
   RetryPolicy mbr_ack;
 
-  /// Acked match-bearing response pushes: unacked pushes are retransmitted
-  /// verbatim on later ticks under this policy (timeout + max_attempts; the
-  /// notify period is the effective backoff base).
+  /// Acked match-bearing response pushes: each unacked push is retransmitted
+  /// verbatim by its own timer every `timeout`, at most `max_attempts` times
+  /// (no backoff or jitter).
   RetryPolicy response_ack;
 
   /// Soft-state refresh of published MBRs: each source re-routes its live
@@ -185,7 +186,7 @@ void summarize_value(LocalStream& local, Sample value,
 
 /// Aggregation state for one similarity query whose range middle key this
 /// node covers (Sec IV-F: range nodes report candidates to the middle node,
-/// which periodically pushes responses to the client).
+/// which pushes the new ones to the client as they arrive).
 struct AggregatorRecord {
   NodeIndex client = kInvalidNode;
   Key middle_key = 0;  // the range midpoint this aggregation is keyed on
@@ -263,7 +264,8 @@ class MiddlewareNode {
 
   /// The NPER periodic body: the match pass, then aggregator-replica
   /// promotion, publication pruning, filing the fresh matches, report
-  /// digests to the middle keys, response pushes and inner-product answers.
+  /// digests to the middle keys, pushes of the records holding matches and
+  /// inner-product answers.
   void periodic_tick();
 
   /// Soft-state refresh: re-route every live published batch and
@@ -415,6 +417,11 @@ class MiddlewareNode {
   /// covers the middle key) or into the outgoing digest buffer.
   void file_match_report(MatchReport report);
 
+  /// Pushes the record's pending matches to its client and clears them;
+  /// nothing when none are pending. With response acks on, the push is
+  /// tracked and its retry timer armed first.
+  void push_pending(QueryId query, AggregatorRecord& record, sim::SimTime now);
+
   /// Whether `node` covers `key` (key in (pred, node]).
   bool covers_key(NodeIndex node, Key key) const;
 
@@ -437,6 +444,11 @@ class MiddlewareNode {
   /// (Re)arms the ack timeout of a tracked publication.
   void arm_mbr_retry(PublicationLedger::Publication& pub);
   void on_mbr_ack_timeout(StreamId stream, std::uint64_t seq);
+
+  /// (Re)arms the ack timeout of a tracked push: exactly the policy's
+  /// timeout, drawing nothing from the jitter stream.
+  void arm_push_retry(QueryId query, std::uint64_t push_seq);
+  void on_push_ack_timeout(QueryId query, std::uint64_t push_seq);
 
   /// Emits a self-healing (retry/heal/refresh) or replication (replicate/
   /// handoff/repair/failover) trace event when a trace sink is attached.

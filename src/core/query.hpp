@@ -100,7 +100,7 @@ struct NeighborDigestPayload {
   std::vector<MatchReport> reports;
 };
 
-/// Payload of kResponse messages: periodic push to one client.
+/// Payload of kResponse messages: one push to one client.
 struct ResponsePayload {
   QueryId query = 0;
   NodeIndex client = kInvalidNode;
@@ -113,7 +113,7 @@ struct ResponsePayload {
 
 /// Payload of kResponseAck messages: the client confirms receipt of a
 /// match-bearing push so the aggregator can retire it from its in-flight
-/// window (otherwise the matches are re-queued after a timeout).
+/// window (otherwise the push is resent).
 struct ResponseAckPayload {
   QueryId query = 0;
   std::uint64_t push_seq = 0;

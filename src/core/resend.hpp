@@ -5,7 +5,7 @@
 // can re-route it; an aggregator keeps each match push until its client
 // acks it. The ledgers hold that state and decide, in key order; hosts
 // bring the time and send. The simulator arms a timer per publication and
-// sweeps pushes from its NPER tick; NetNode polls both ledgers.
+// per push; NetNode polls both ledgers.
 #pragma once
 
 #include <cstddef>
@@ -23,8 +23,8 @@ namespace sdsi::core {
 
 /// Capped exponential backoff with seeded jitter. Retry n (0-based) waits
 /// min(timeout * 2^n, max_backoff) + uniform[0, jitter); at most
-/// max_attempts retransmissions follow the first send. The polled sweeps
-/// resend every `timeout`: there the poll cadence stands in for backoff.
+/// max_attempts retransmissions follow the first send. Push retries and the
+/// polled sweeps resend every `timeout`, with no backoff or jitter.
 struct RetryPolicy {
   bool enabled = false;
   sim::Duration timeout = sim::Duration::millis(1500);
@@ -197,8 +197,29 @@ class PushLedger {
     pushes_.erase({query, push_seq});
   }
 
-  /// Resends each push last sent policy.timeout or more before `now`
-  /// verbatim, or forgets it once its budget is spent.
+  /// The retry at (query, push_seq)'s ack deadline `now`: resends the push
+  /// verbatim and returns true while its budget lasts; false, forgetting the
+  /// push, once the budget is spent, and false for an acked push.
+  template <typename Resend>
+  bool resend_one(QueryId query, std::uint64_t push_seq,
+                  const RetryPolicy& policy, sim::SimTime now,
+                  Resend&& resend) {
+    const auto it = pushes_.find({query, push_seq});
+    if (it == pushes_.end()) {
+      return false;
+    }
+    Push& push = it->second;
+    if (!policy.spend(push.attempts)) {
+      pushes_.erase(it);
+      return false;
+    }
+    push.sent_at = now;
+    resend(push.payload);
+    return true;
+  }
+
+  /// Polled retries: resends each push last sent policy.timeout or more
+  /// before `now` verbatim, or forgets it once its budget is spent.
   template <typename Resend>
   void resend_overdue(sim::SimTime now, const RetryPolicy& policy,
                       Resend&& resend) {

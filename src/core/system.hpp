@@ -7,7 +7,7 @@
 //   update(summary, stream)      -> post_stream_value / register_stream
 //   subscribe(pattern)           -> subscribe_similarity
 //   subscribe(inner_product)     -> subscribe_inner_product
-//   periodic push_similarity_info / push_inner_product_info  (automatic)
+//   push_similarity_info / periodic push_inner_product_info  (automatic)
 //
 // The nodes implement Sec IV end to end: Eq. 6 content keys, MBR batching
 // and range replication, similarity matching with no false dismissals,

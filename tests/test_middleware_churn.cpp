@@ -94,12 +94,17 @@ TEST(MiddlewareChurn, ResponseToCrashedClientIsDroppedByNewArcOwner) {
   EXPECT_GT(record->responses_received, 0u);
   const std::uint64_t before = record->responses_received;
 
-  // The client dies; periodic responses now land on whichever node covers
-  // its old arc and must be silently discarded there.
+  // The client dies; pushes now land on whichever node covers its old arc
+  // and must be silently discarded there. A second matching stream makes
+  // sure a push really leaves after the crash.
   h.net.crash(3);
   h.net.run_maintenance_rounds(4);
+  const std::uint64_t pushes_at_crash = h.system.metrics().response().delivered;
   h.feed_exponential(0, 200, 1.1, 10);
+  h.system.register_stream(0, 201);
+  h.feed_exponential(0, 201, 1.1, 40);
   h.run_for(6.0);
+  EXPECT_GT(h.system.metrics().response().delivered, pushes_at_crash);
   EXPECT_EQ(record->responses_received, before);  // no ghost deliveries
 }
 
@@ -146,9 +151,14 @@ TEST(MiddlewareChurn, SurvivingQueriesKeepWorkingThroughMassChurn) {
   h.net.crash(11);
   h.net.run_maintenance_rounds(5);
   h.feed_exponential(0, 300, 1.12, 30);
+  // A push carries only new matches: a second matching stream shows the
+  // survivors still match and push.
+  h.system.register_stream(0, 301);
+  h.feed_exponential(0, 301, 1.12, 40);
   h.run_for(8.0);
   EXPECT_GT(record->responses_received, before);
   EXPECT_TRUE(record->matched_streams.contains(300));
+  EXPECT_TRUE(record->matched_streams.contains(301));
 }
 
 }  // namespace

@@ -255,5 +255,31 @@ TEST(PushLedger, AckRetiresOnlyThatPush) {
                         {5, 1}, {6, 3}}));
 }
 
+TEST(PushLedger, TimedRetryResendsVerbatimUntilTheBudgetIsSpent) {
+  PushLedger ledger;
+  const auto original = ledger.track(push(5), at_ms(0));  // push_seq 1
+  ledger.track(push(5), at_ms(0));                        // 2
+  ledger.ack(5, 2);
+  const RetryPolicy policy = budget(2);
+  std::vector<std::shared_ptr<const ResponsePayload>> resent;
+  const auto retry = [&](std::uint64_t push_seq, std::int64_t ms) {
+    return ledger.resend_one(
+        5, push_seq, policy, at_ms(ms),
+        [&](const std::shared_ptr<const ResponsePayload>& payload) {
+          resent.push_back(payload);
+        });
+  };
+  EXPECT_FALSE(retry(2, 100)) << "an acked push is not resent";
+  EXPECT_TRUE(resent.empty());
+  EXPECT_TRUE(retry(1, 100));
+  EXPECT_TRUE(retry(1, 200));
+  ASSERT_EQ(resent.size(), 2u);
+  EXPECT_EQ(resent[0], original);
+  EXPECT_EQ(resent[1]->push_seq, 1u);
+  EXPECT_FALSE(retry(1, 300)) << "budget of two resends spent";
+  EXPECT_EQ(resent.size(), 2u);
+  EXPECT_EQ(ledger.size(), 0u) << "a spent push is forgotten";
+}
+
 }  // namespace
 }  // namespace sdsi::core

@@ -7,7 +7,9 @@
 // reference. A change that moves the event order (a new message on the
 // wire, a reordered handler) moves the digest and must say why; it was
 // re-recorded when match reports began to travel to their middle node in
-// one overlay trip from one designated range node.
+// one overlay trip from one designated range node, and again when the
+// middle node began to push new matches on arrival, each unacked push
+// resent by its own timer.
 //
 // Runs under the chaos-smoke label.
 #include <gtest/gtest.h>
@@ -103,12 +105,12 @@ TEST(SchedulerEquivalence, ChaosRunReplaysGoldenDigest) {
   ASSERT_FALSE(run.metrics_json.empty());
 
   // The golden digest, event for event.
-  EXPECT_EQ(run.events, 174167u);
-  EXPECT_EQ(run.order_hash, 12018152247424744575ull);
-  EXPECT_EQ(run.matches, 332u);
-  EXPECT_EQ(run.mbr_retries, 136u);
-  EXPECT_EQ(run.heals, 136u);
-  EXPECT_EQ(run.recall, 0.96065573770491808);
+  EXPECT_EQ(run.events, 168028u);
+  EXPECT_EQ(run.order_hash, 7006266475241755757ull);
+  EXPECT_EQ(run.matches, 328u);
+  EXPECT_EQ(run.mbr_retries, 130u);
+  EXPECT_EQ(run.heals, 127u);
+  EXPECT_EQ(run.recall, 0.95081967213114749);
 }
 
 }  // namespace

@@ -131,11 +131,15 @@ TEST(ChordMiddleware, SurvivesCrashOfUninvolvedNode) {
   EXPECT_GT(responses_before, 0u);
 
   // Crash a node that is neither source, client, nor (usually) the home of
-  // the summaries, then repair and continue streaming.
+  // the summaries, then repair and stream on. A push carries only new
+  // matches, so a second matching stream shows that matching still works.
   h.net.crash(7);
   h.net.run_maintenance_rounds(4);
   h.feed_exponential(0, 900, 1.1, 20);
+  h.system.register_stream(0, 901);
+  h.feed_exponential(0, 901, 1.1, 40);
   h.run_for(4.0);
+  EXPECT_TRUE(record->matched_streams.contains(901));
   EXPECT_GT(record->responses_received, responses_before);
 }
 
