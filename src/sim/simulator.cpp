@@ -81,7 +81,7 @@ void Simulator::cancel_slot(std::uint32_t slot, std::uint32_t gen) noexcept {
 
 void Simulator::insert_ref(const Ref& ref) {
   if (buckets_.empty()) {
-    buckets_.resize(kNumBuckets);  // a clock that never schedules skips it
+    buckets_.resize(kMinBuckets);  // a clock that never schedules skips it
   }
   const std::int64_t b = ref.when_us >> kBucketBits;
   if (wheel_refs_ == 0 && overflow_.empty()) {
@@ -90,23 +90,23 @@ void Simulator::insert_ref(const Ref& ref) {
     // advance cur_bucket_ without advancing now_), which would otherwise
     // force the rewind path below on the next schedule-at-now.
     cur_bucket_ = b;
-    wheel_end_ = b + static_cast<std::int64_t>(kNumBuckets);
+    wheel_end_ = b + wheel_span();
   } else if (b >= wheel_end_) {
     overflow_.push_back(ref);
     return;
   } else if (b < cur_bucket_) {
     // An event landed behind the drain cursor (scheduled for "now" while the
     // cursor had advanced through empty buckets). Rewind — and restore the
-    // window invariant wheel_end_ - cur_bucket_ <= kNumBuckets, otherwise
-    // two live logical buckets (b and b + kNumBuckets) alias one physical
+    // window invariant wheel_end_ - cur_bucket_ <= wheel_span(), otherwise
+    // two live logical buckets (b and b + wheel_span()) alias one physical
     // bucket and the per-bucket drain runs them out of order.
     cur_bucket_ = b;
-    const std::int64_t max_end = b + static_cast<std::int64_t>(kNumBuckets);
+    const std::int64_t max_end = b + wheel_span();
     if (wheel_end_ > max_end) {
       shrink_window(max_end);
     }
   }
-  auto& bucket = buckets_[static_cast<std::size_t>(b) & (kNumBuckets - 1)];
+  auto& bucket = bucket_of(b);
   bucket.push_back(ref);
   std::push_heap(bucket.begin(), bucket.end(), &ref_after);
   ++wheel_refs_;
@@ -152,7 +152,32 @@ void Simulator::pull_overflow(std::int64_t new_end) {
   overflow_.resize(keep);
 }
 
+void Simulator::grow_wheel() {
+  std::size_t size = buckets_.size();
+  while (size < kMaxBuckets && live_events_ > kEventsPerBucket * size) {
+    size *= 2;
+  }
+  if (size == buckets_.size()) {
+    return;
+  }
+  // The window spans at most the old wheel, so it fits the new one; each
+  // ref moves to its logical bucket's new physical slot.
+  std::vector<std::vector<Ref>> old(size);
+  old.swap(buckets_);
+  for (const std::vector<Ref>& bucket : old) {
+    for (const Ref& ref : bucket) {
+      std::vector<Ref>& target = bucket_of(ref.when_us >> kBucketBits);
+      target.push_back(ref);
+      std::push_heap(target.begin(), target.end(), &ref_after);
+    }
+  }
+}
+
 bool Simulator::ready_cursor(std::int64_t horizon_us) {
+  if (buckets_.size() < kMaxBuckets &&
+      live_events_ > kEventsPerBucket * buckets_.size()) {
+    grow_wheel();
+  }
   if (wheel_refs_ == 0) {
     if (overflow_.empty()) {
       return false;
@@ -168,21 +193,20 @@ bool Simulator::ready_cursor(std::int64_t horizon_us) {
     }
     cur_bucket_ = min_bucket;
     wheel_end_ = min_bucket;  // window restarts at the jump target
-    pull_overflow(min_bucket + static_cast<std::int64_t>(kNumBuckets));
+    pull_overflow(min_bucket + wheel_span());
     return true;
   }
   // Keep at least half the wheel ahead of the cursor so newly pulled
   // overflow events never alias onto a not-yet-drained physical bucket.
-  if (wheel_end_ - cur_bucket_ < static_cast<std::int64_t>(kNumBuckets / 2)) {
-    pull_overflow(cur_bucket_ + static_cast<std::int64_t>(kNumBuckets));
+  if (wheel_end_ - cur_bucket_ < wheel_span() / 2) {
+    pull_overflow(cur_bucket_ + wheel_span());
   }
   return true;
 }
 
 bool Simulator::pop_ref(std::int64_t horizon_us, Ref& out) {
   while (ready_cursor(horizon_us)) {
-    auto& bucket =
-        buckets_[static_cast<std::size_t>(cur_bucket_) & (kNumBuckets - 1)];
+    auto& bucket = bucket_of(cur_bucket_);
     if (!bucket.empty()) {
       if (bucket.front().when_us > horizon_us) {
         // Everything in this bucket — and every later bucket — is past the
@@ -274,8 +298,7 @@ std::uint64_t Simulator::drain(std::int64_t horizon_us) {
   // past wheel_end_, and get pulled at the next bucket boundary.
   while (ready_cursor(horizon_us)) {
     const std::int64_t cur = cur_bucket_;
-    auto& bucket =
-        buckets_[static_cast<std::size_t>(cur) & (kNumBuckets - 1)];
+    auto& bucket = bucket_of(cur);
     // Tight per-bucket drain: the vector<Ref> object itself never moves
     // (buckets_ is fixed-size), and an event body that schedules new work
     // either pushes into this same bucket (push_heap keeps the order), a
