@@ -1,6 +1,5 @@
 // Replica repair over one key arc: the store side of the replication
-// protocol, shared by the simulator middleware (core::MiddlewareNode) and
-// the socket node (net::NetNode).
+// protocol of core::MiddlewareNode, the node both hosts run.
 //
 // A node owns the keys of its arc (pred, self], but its store also holds
 // entries whose key range reaches into other arcs (range multicast copies,
@@ -8,8 +7,8 @@
 // stores: a handoff ships every entry on the arc; an anti-entropy digest
 // lists the arc's entry ids, its receiver requests the entries it lacks and
 // pushes back the arc entries the digest lacks; a backfill answers the
-// request. Hosts keep only what differs between them: whom they send to,
-// liveness checks, and what they count.
+// request. The node keeps the rest: whom it sends to, its liveness checks,
+// and what it counts.
 //
 // Rules every payload follows:
 //  - only live entries are offered (subscriptions past expiry never are);

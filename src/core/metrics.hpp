@@ -108,6 +108,7 @@ struct RobustnessCounters {
   std::uint64_t mbr_retries = 0;        // ack-timeout retransmissions
   std::uint64_t mbr_retry_exhausted = 0;// batches that ran out of budget
   std::uint64_t mbr_refreshes = 0;      // soft-state re-publications
+  std::uint64_t query_refreshes = 0;    // soft-state re-subscriptions
   std::uint64_t mbr_acks = 0;           // storage confirmations received
   std::uint64_t duplicate_stores = 0;   // redeliveries the store suppressed
   std::uint64_t response_retries = 0;   // resent unacked match pushes

@@ -1,11 +1,10 @@
-// The sender side of the self-healing data path, shared by the simulator
-// middleware (core::MiddlewareNode) and the socket node (net::NetNode).
+// The sender side of the self-healing data path of core::MiddlewareNode,
+// the node object both hosts run (the simulator and net::NetNode).
 // Index entries are soft state (Sec VII): a source keeps each MBR
 // publication until its batch lapses, acked or not, so the refresh sweep
 // can re-route it; an aggregator keeps each match push until its client
-// acks it. The ledgers hold that state and decide, in key order; hosts
-// bring the time and send. The simulator arms a timer per publication and
-// per push; NetNode polls both ledgers.
+// acks it. The ledgers hold that state and decide, in key order; the node
+// brings the time, arms one timer per publication and per push, and sends.
 #pragma once
 
 #include <cstddef>
@@ -23,8 +22,8 @@ namespace sdsi::core {
 
 /// Capped exponential backoff with seeded jitter. Retry n (0-based) waits
 /// min(timeout * 2^n, max_backoff) + uniform[0, jitter); at most
-/// max_attempts retransmissions follow the first send. Push retries and the
-/// polled sweeps resend every `timeout`, with no backoff or jitter.
+/// max_attempts retransmissions follow the first send. Push retries resend
+/// every `timeout`, with no backoff or jitter.
 struct RetryPolicy {
   bool enabled = false;
   sim::Duration timeout = sim::Duration::millis(1500);
@@ -124,20 +123,6 @@ class PublicationLedger {
     return live ? &it->second : nullptr;
   }
 
-  /// Polled retries: resends each unacked record last sent policy.timeout
-  /// or more before `now` while its budget lasts. Drop lapsed ones first.
-  template <typename Resend>
-  void resend_overdue(sim::SimTime now, const RetryPolicy& policy,
-                      Resend&& resend) {
-    for (auto& [id, pub] : records_) {
-      if (!pub.acked && now - pub.last_sent >= policy.timeout &&
-          policy.spend(pub.attempts)) {
-        pub.last_sent = now;
-        resend(std::as_const(pub));
-      }
-    }
-  }
-
   /// The refresh sweep: drops the records lapsed by `now` and calls
   /// `send(publication)` on each live one.
   template <typename Send>
@@ -181,14 +166,13 @@ class PublicationLedger {
 /// (query, push_seq).
 class PushLedger {
  public:
-  /// Numbers `push` (push_seq 1, 2, ...) and tracks it, sent at `now`,
-  /// until it is acked or out of budget.
-  std::shared_ptr<const ResponsePayload> track(ResponsePayload push,
-                                               sim::SimTime now) {
+  /// Numbers `push` (push_seq 1, 2, ...) and tracks it until it is acked
+  /// or out of budget.
+  std::shared_ptr<const ResponsePayload> track(ResponsePayload push) {
     push.push_seq = ++last_seq_;
     auto shared = std::make_shared<const ResponsePayload>(std::move(push));
     pushes_.emplace(std::pair(shared->query, shared->push_seq),
-                    Push{shared, now, 0});
+                    Push{shared, 0});
     return shared;
   }
 
@@ -197,13 +181,12 @@ class PushLedger {
     pushes_.erase({query, push_seq});
   }
 
-  /// The retry at (query, push_seq)'s ack deadline `now`: resends the push
+  /// The retry at (query, push_seq)'s ack deadline: resends the push
   /// verbatim and returns true while its budget lasts; false, forgetting the
   /// push, once the budget is spent, and false for an acked push.
   template <typename Resend>
   bool resend_one(QueryId query, std::uint64_t push_seq,
-                  const RetryPolicy& policy, sim::SimTime now,
-                  Resend&& resend) {
+                  const RetryPolicy& policy, Resend&& resend) {
     const auto it = pushes_.find({query, push_seq});
     if (it == pushes_.end()) {
       return false;
@@ -213,28 +196,8 @@ class PushLedger {
       pushes_.erase(it);
       return false;
     }
-    push.sent_at = now;
     resend(push.payload);
     return true;
-  }
-
-  /// Polled retries: resends each push last sent policy.timeout or more
-  /// before `now` verbatim, or forgets it once its budget is spent.
-  template <typename Resend>
-  void resend_overdue(sim::SimTime now, const RetryPolicy& policy,
-                      Resend&& resend) {
-    for (auto it = pushes_.begin(); it != pushes_.end();) {
-      Push& push = it->second;
-      if (now - push.sent_at < policy.timeout) {
-        ++it;
-      } else if (!policy.spend(push.attempts)) {
-        it = pushes_.erase(it);
-      } else {
-        push.sent_at = now;
-        resend(push.payload);
-        ++it;
-      }
-    }
   }
 
   std::size_t size() const noexcept { return pushes_.size(); }
@@ -242,7 +205,6 @@ class PushLedger {
  private:
   struct Push {
     std::shared_ptr<const ResponsePayload> payload;
-    sim::SimTime sent_at;
     int attempts = 0;  // resends so far
   };
 

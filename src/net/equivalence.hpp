@@ -2,9 +2,10 @@
 //
 // run_sim_reference: the canonical MiddlewareSystem on the simulated
 // StaticRing (the exact code path every experiment in EXPERIMENTS.md runs).
-// run_net_over_sim_transport: the NetNode pipeline — the same one sdsi_node
-// runs over real TCP — driven over SimTransport, i.e. the wire codec and
-// transport seam exercised with none of the OS scheduling noise.
+// run_net_over_sim_transport: NetNode facades, each one MiddlewareNode over
+// a TransportRing — what sdsi_node runs over real TCP — driven over
+// SimTransport, i.e. the wire codec and transport seam exercised with none
+// of the OS scheduling noise.
 //
 // Both consume the identical WorkloadConfig and reduce to the same digest:
 // the per-query set of matched stream ids. The socket world (tools/net_equiv

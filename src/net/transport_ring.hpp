@@ -1,14 +1,17 @@
 // TransportRing: the routing::RoutingSystem of one socket ring member,
 // `self`, built over the address book every process derives (NetRing), the
-// member's Transport and its FailureDetector. is_alive(n) is n == self or
-// the detector's usable(n), so successor and predecessor lookups step past
-// dead peers, and the Sec IV-C walk (RoutingSystem::forward_range_copies)
-// takes each arc from the live predecessor: a dead peer's live successor
-// covers its arc. route_to_key sends one frame to the key's first live
-// successor, route_direct one frame to the peer; a frame to self loops back
-// through deliver_at. receive() hands each decoded frame to deliver_at,
-// which runs the deliver upcall and forwards the walk. Nothing here
-// schedules: the Simulator it is built with is only its clock.
+// member's Transport and its FailureDetector. net::NetNode owns one, and its
+// core::MiddlewareNode sends and receives through it. is_alive(n) is
+// n == self or the detector's usable(n), so successor and predecessor
+// lookups step past dead peers, and the Sec IV-C walk
+// (RoutingSystem::forward_range_copies) takes each arc from the live
+// predecessor: a dead peer's live successor covers its arc. route_to_key
+// sends one frame to the key's first live successor, route_direct one frame
+// to the peer; a frame to self loops back through deliver_at. receive()
+// hands each decoded frame to deliver_at, which runs the deliver upcall and
+// forwards the walk. Nothing here schedules: every send leaves at once. The
+// Simulator it is built with is its clock, and the node's timers run on that
+// same Simulator.
 #pragma once
 
 #include <cstdint>

@@ -509,5 +509,127 @@ TEST(NetChaos, SummariesOfAnotherShapeAreDroppedAndCounted) {
   EXPECT_EQ(rig.nodes[1]->counters().shape_rejects, 3u);
 }
 
+TEST(NetChaos, FramesNamingNodesOutsideTheRingAreDroppedAndCounted) {
+  // A flipped byte can decode into a payload that names a node past the
+  // ring, which the node would look up and abort on, or an inner-product
+  // query that would read past the window. The trust boundary drops such a
+  // frame of every kind unread and counts it; kInvalidNode stays legal
+  // where it is a sentinel.
+  WorkloadConfig config;
+  config.nodes = 2;
+  ChaosRig rig(config, fault::FaultPlan{}, NetReliabilityConfig{});
+  constexpr NodeIndex kOutside = 7;
+  const sim::SimTime expires = rig.simulator.now() + kLifespan;
+  const std::size_t window = config.features.window_size;
+  const auto box = [] {
+    return dsp::Mbr(std::vector<double>(4, -0.5), std::vector<double>(4, 0.5));
+  };
+  const auto query = [](core::QueryId id, NodeIndex client) {
+    return std::make_shared<const core::SimilarityQuery>(core::SimilarityQuery{
+        id, client,
+        dsp::FeatureVector(
+            std::vector<dsp::Complex>(2, dsp::Complex(0.1, 0.1))),
+        2.0, kLifespan, sim::SimTime{}});
+  };
+  const auto inner = [](core::QueryId id, NodeIndex client,
+                        std::size_t index, std::size_t weights) {
+    return std::make_shared<const core::InnerProductQueryPayload>(
+        core::InnerProductQueryPayload{
+            std::make_shared<const core::InnerProductQuery>(
+                core::InnerProductQuery{id, client, 10,
+                                        std::vector<double>(index, 1.0),
+                                        std::vector<double>(weights, 1.0),
+                                        kLifespan, sim::SimTime{}})});
+  };
+  const auto send = [&](routing::MsgKind kind, std::any payload) {
+    routing::Message msg;
+    msg.kind = kind;
+    msg.origin = 0;
+    msg.target_key = rig.ring.id(1);
+    msg.payload = std::move(payload);
+    EXPECT_TRUE(rig.sims[0]->send_raw(1, encode_frame(msg)));
+  };
+  std::uint64_t rejected = 0;
+  const auto reject = [&](routing::MsgKind kind, std::any payload) {
+    send(kind, std::move(payload));
+    ++rejected;
+  };
+  using routing::MsgKind;
+  reject(MsgKind::kMbrUpdate, std::make_shared<const core::MbrPayload>(
+                                  core::MbrPayload{10, kOutside, box(), 0,
+                                                   expires}));
+  reject(MsgKind::kSimilarityQuery,
+         std::make_shared<const core::SimilarityQueryPayload>(
+             core::SimilarityQueryPayload{query(1, kOutside), 0}));
+  reject(MsgKind::kInnerProductQuery, inner(2, kOutside, 4, 4));
+  reject(MsgKind::kInnerProductQuery, inner(3, 0, 4, 3));
+  reject(MsgKind::kInnerProductQuery, inner(4, 0, window + 1, window + 1));
+  reject(MsgKind::kResponse,
+         std::make_shared<const core::ResponsePayload>(core::ResponsePayload{
+             5, kOutside, false, {}, 0.0, kInvalidNode, 0}));
+  reject(MsgKind::kResponse,
+         std::make_shared<const core::ResponsePayload>(
+             core::ResponsePayload{5, 1, false, {}, 0.0, kOutside, 1}));
+  reject(MsgKind::kNeighborExchange,
+         std::make_shared<const core::NeighborDigestPayload>(
+             core::NeighborDigestPayload{{core::MatchReport{
+                 core::SimilarityMatch{6, 10, 0.0, sim::SimTime{}}, kOutside,
+                 0, expires}}}));
+  reject(MsgKind::kLocationPut,
+         std::make_shared<const core::LocationPutPayload>(
+             core::LocationPutPayload{20, kOutside}));
+  reject(MsgKind::kLocationGet,
+         std::make_shared<const core::LocationGetPayload>(
+             core::LocationGetPayload{20, kOutside}));
+  reject(MsgKind::kLocationReply,
+         std::make_shared<const core::LocationReplyPayload>(
+             core::LocationReplyPayload{20, kOutside}));
+  reject(MsgKind::kReplicaPut,
+         std::make_shared<const core::ReplicaPutPayload>(
+             core::ReplicaPutPayload{kOutside, {}, {}, false, true}));
+  reject(MsgKind::kReplicaPut,
+         std::make_shared<const core::ReplicaPutPayload>(
+             core::ReplicaPutPayload{
+                 0, {{11, kOutside, box(), 0, expires}}, {}, false, false}));
+  reject(MsgKind::kReplicaPut,
+         std::make_shared<const core::ReplicaPutPayload>(
+             core::ReplicaPutPayload{
+                 0, {}, {{query(7, kOutside), 0, expires}}, false, false}));
+  reject(MsgKind::kHandoffRequest,
+         std::make_shared<const core::HandoffRequestPayload>(
+             core::HandoffRequestPayload{kOutside, 0, 0}));
+  reject(MsgKind::kAntiEntropyDigest,
+         std::make_shared<const core::AntiEntropyDigestPayload>(
+             core::AntiEntropyDigestPayload{kOutside, 0, 0, {}, {}}));
+  reject(MsgKind::kAntiEntropyRequest,
+         std::make_shared<const core::AntiEntropyRequestPayload>(
+             core::AntiEntropyRequestPayload{kOutside, {{10, 0}}, {}}));
+  reject(MsgKind::kAggregatorReplica,
+         std::make_shared<const core::AggregatorReplicaPayload>(
+             core::AggregatorReplicaPayload{8, kOutside, 0, expires, 0, {}}));
+  reject(MsgKind::kAggregatorReplica,
+         std::make_shared<const core::AggregatorReplicaPayload>(
+             core::AggregatorReplicaPayload{8, 0, 0, expires, kOutside, {}}));
+  reject(MsgKind::kHeartbeat, std::make_shared<const core::HeartbeatPayload>(
+                                  core::HeartbeatPayload{kOutside, 0, 1}));
+  // The sentinels: a response that wants no ack, a location tombstone and
+  // an unknown-stream reply.
+  send(MsgKind::kResponse,
+       std::make_shared<const core::ResponsePayload>(core::ResponsePayload{
+           5, 1, false, {}, 0.0, kInvalidNode, 0}));
+  send(MsgKind::kLocationPut, std::make_shared<const core::LocationPutPayload>(
+                                  core::LocationPutPayload{21, kInvalidNode}));
+  send(MsgKind::kLocationReply,
+       std::make_shared<const core::LocationReplyPayload>(
+           core::LocationReplyPayload{21, kInvalidNode}));
+  rig.pump(100);
+  rig.nodes[1]->tick(rig.simulator.now());
+  rig.pump(100);
+
+  EXPECT_EQ(rig.nodes[1]->counters().shape_rejects, rejected);
+  EXPECT_FALSE(rig.nodes[1]->store().contains_mbr(10, 0));
+  EXPECT_EQ(rig.nodes[1]->store().find_subscription(1), nullptr);
+}
+
 }  // namespace
 }  // namespace sdsi::net

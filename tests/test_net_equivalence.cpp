@@ -10,9 +10,11 @@
 // `ctest -L net-smoke`.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cstdint>
 #include <memory>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "core/strategy.hpp"
@@ -59,10 +61,25 @@ TEST(NetEquivalence, HoldsAcrossSeedsAndRingSizes) {
   }
 }
 
-/// 64-bit FNV-1a over every frame a ring sends.
+/// 64-bit FNV-1a over every frame a ring sends, and the frames per kind.
 struct FrameDigest {
   std::uint64_t hash = 14695981039346656037ull;
   std::uint64_t frames = 0;
+  std::array<std::uint64_t, routing::kNumMsgKinds + 1> by_kind{};
+
+  /// "kind count" for every kind sent, in kind order.
+  std::string kinds() const {
+    std::string out;
+    for (std::size_t kind = 1; kind < by_kind.size(); ++kind) {
+      if (by_kind[kind] != 0) {
+        out += out.empty() ? "" : ", ";
+        out += routing::msg_kind_name(static_cast<routing::MsgKind>(kind));
+        out += ' ';
+        out += std::to_string(by_kind[kind]);
+      }
+    }
+    return out;
+  }
 
   void fold(std::span<const std::uint8_t> bytes) {
     for (const std::uint8_t byte : bytes) {
@@ -87,6 +104,7 @@ class RecordingTransport final : public Transport {
 
   bool send(NodeIndex peer, const routing::Message& msg) override {
     ++digest_.frames;
+    ++digest_.by_kind[static_cast<std::size_t>(msg.kind)];
     digest_.fold(self_);
     digest_.fold(peer);
     digest_.fold(static_cast<std::uint64_t>(clock_.now().count_micros()));
@@ -188,27 +206,55 @@ FrameDigest socket_path_frames(core::StrategyKind kind, bool reliable) {
 TEST(NetEquivalence, SocketPathFramesArePinned) {
   // Every frame the socket path puts on the wire — who sent it to whom,
   // when, and its exact v1 bytes — for each strategy, with the reliability
-  // stack off and on. A refactor of NetNode's routing must leave all of
-  // them unchanged.
+  // stack off and on, and how many frames of each kind cross the codec. A
+  // refactor of NetNode's routing must leave all of them unchanged.
+  //
+  // Regenerated when NetNode became a facade over core::MiddlewareNode:
+  // range nodes now send report digests (neighbor_exchange) to the query's
+  // middle node, which pushes to the client; the reliable ring mirrors each
+  // push to the middle key's replicas (aggregator_replica); and a stream's
+  // first sample and every MBR refresh register it with the location
+  // service (location_put). Inner-product queries are not posed on the
+  // socket path, so inner_product_query, location_get and location_reply
+  // never cross it.
   struct Pin {
     core::StrategyKind kind;
     bool reliable;
     std::uint64_t frames;
     std::uint64_t hash;
+    const char* kinds;
   };
   const Pin pins[] = {
-      {core::StrategyKind::kDft, false, 1094, 0x9fe021d0f4723b6aull},
-      {core::StrategyKind::kEcm, false, 537, 0x853fc1d3ec877fefull},
-      {core::StrategyKind::kLsh, false, 3347, 0x1fb40986d63544a0ull},
-      {core::StrategyKind::kDft, true, 10942, 0x7bfa8dda8c38a768ull},
-      {core::StrategyKind::kEcm, true, 8797, 0x7cd94346fed94b66ull},
-      {core::StrategyKind::kLsh, true, 15653, 0x724ce2729bcc8c48ull},
+      {core::StrategyKind::kDft, false, 1096, 0x2444bb9f62dd73a8ull,
+       "mbr_update 1044, similarity_query 25, response 10, "
+       "neighbor_exchange 11, location_put 6"},
+      {core::StrategyKind::kEcm, false, 540, 0x154c64097e1c3408ull,
+       "mbr_update 516, similarity_query 12, response 6, location_put 6"},
+      {core::StrategyKind::kLsh, false, 3348, 0x1517912cee0b84feull,
+       "mbr_update 3289, similarity_query 36, response 6, "
+       "neighbor_exchange 11, location_put 6"},
+      {core::StrategyKind::kDft, true, 11171, 0x8adf15d5f9dc9cfcull,
+       "mbr_update 4230, similarity_query 100, response 10, "
+       "neighbor_exchange 33, location_put 24, mbr_ack 2008, "
+       "response_ack 10, replica_put 1184, anti_entropy_digest 80, "
+       "aggregator_replica 20, heartbeat 3472"},
+      {core::StrategyKind::kEcm, true, 8942, 0x291ba35584d6aa73ull,
+       "mbr_update 2064, similarity_query 48, response 6, location_put 24, "
+       "mbr_ack 2044, response_ack 6, replica_put 1184, "
+       "anti_entropy_digest 80, aggregator_replica 14, heartbeat 3472"},
+      {core::StrategyKind::kLsh, true, 15603, 0xf5aef4e4b8697a68ull,
+       "mbr_update 5029, similarity_query 57, response 6, "
+       "neighbor_exchange 24, location_put 24, mbr_ack 4425, "
+       "response_ack 6, replica_put 2464, anti_entropy_digest 80, "
+       "aggregator_replica 16, heartbeat 3472"},
   };
   for (const Pin& pin : pins) {
     const FrameDigest digest = socket_path_frames(pin.kind, pin.reliable);
     EXPECT_EQ(digest.frames, pin.frames)
         << core::strategy_name(pin.kind) << " reliable " << pin.reliable;
     EXPECT_EQ(digest.hash, pin.hash)
+        << core::strategy_name(pin.kind) << " reliable " << pin.reliable;
+    EXPECT_EQ(digest.kinds(), pin.kinds)
         << core::strategy_name(pin.kind) << " reliable " << pin.reliable;
   }
 }

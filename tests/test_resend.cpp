@@ -1,7 +1,7 @@
-// Sender-side soft state (core/resend), which the simulator middleware and
-// the socket node share: the retry backoff, the acked-publication ledger
-// (first ack, retry budget, lapse, refresh, polled retries, timer cancels)
-// and the ledger of match pushes awaiting their client's ack.
+// Sender-side soft state (core/resend) of the middleware node both hosts
+// run: the retry backoff, the acked-publication ledger (first ack, retry
+// budget, lapse, refresh, timer cancels) and the ledger of match pushes
+// awaiting their client's ack.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -145,32 +145,6 @@ TEST(PublicationLedger, SpentBudgetStopsRetriesButKeepsTheRecordForRefresh) {
   EXPECT_EQ(refreshed, 1);
 }
 
-TEST(PublicationLedger, PolledRetriesResendOnlyOverdueUnackedRecords) {
-  PublicationLedger ledger;
-  ledger.track(batch(1, 0), 0, 0, at_ms(0));
-  ledger.track(batch(1, 1), 0, 0, at_ms(50));
-  ledger.track(batch(1, 2), 0, 0, at_ms(0));
-  ledger.ack(1, 2);
-  const RetryPolicy policy = budget(1);
-  std::vector<std::uint64_t> resent;
-  const auto poll = [&](std::int64_t ms) {
-    resent.clear();
-    ledger.resend_overdue(at_ms(ms),
-                          policy, [&](const PublicationLedger::Publication& p) {
-                            resent.push_back(p.payload->batch_seq);
-                          });
-  };
-  poll(99);
-  EXPECT_TRUE(resent.empty());
-  poll(100);
-  EXPECT_EQ(resent, std::vector<std::uint64_t>{0});
-  poll(150);
-  EXPECT_EQ(resent, std::vector<std::uint64_t>{1});
-  poll(1000);
-  EXPECT_TRUE(resent.empty()) << "budget of one resend spent";
-  EXPECT_EQ(ledger.size(), 3u);
-}
-
 TEST(PublicationLedger, AckDropAndClearCancelTheRetryTimer) {
   sim::Simulator simulator;
   PublicationLedger ledger;
@@ -206,77 +180,57 @@ ResponsePayload push(QueryId query) {
 
 TEST(PushLedger, TrackNumbersPushesFromOne) {
   PushLedger ledger;
-  EXPECT_EQ(ledger.track(push(5), at_ms(0))->push_seq, 1u);
-  EXPECT_EQ(ledger.track(push(6), at_ms(0))->push_seq, 2u);
-  EXPECT_EQ(ledger.track(push(5), at_ms(0))->push_seq, 3u);
+  EXPECT_EQ(ledger.track(push(5))->push_seq, 1u);
+  EXPECT_EQ(ledger.track(push(6))->push_seq, 2u);
+  EXPECT_EQ(ledger.track(push(5))->push_seq, 3u);
   EXPECT_EQ(ledger.size(), 3u);
-}
-
-TEST(PushLedger, OverduePushIsResentVerbatimThenForgottenOutOfBudget) {
-  PushLedger ledger;
-  const auto original = ledger.track(push(5), at_ms(0));
-  const RetryPolicy policy = budget(2);
-  std::vector<std::shared_ptr<const ResponsePayload>> resent;
-  const auto poll = [&](std::int64_t ms) {
-    ledger.resend_overdue(
-        at_ms(ms), policy,
-        [&](const std::shared_ptr<const ResponsePayload>& payload) {
-          resent.push_back(payload);
-        });
-  };
-  poll(99);
-  EXPECT_TRUE(resent.empty());
-  poll(100);
-  poll(150);
-  poll(200);
-  ASSERT_EQ(resent.size(), 2u);
-  EXPECT_EQ(resent[0], original);
-  EXPECT_EQ(resent[1], original);
-  EXPECT_EQ(ledger.size(), 1u) << "out of budget but not yet overdue again";
-  poll(300);
-  EXPECT_EQ(resent.size(), 2u);
-  EXPECT_EQ(ledger.size(), 0u);
 }
 
 TEST(PushLedger, AckRetiresOnlyThatPush) {
   PushLedger ledger;
-  ledger.track(push(5), at_ms(0));  // push_seq 1
-  ledger.track(push(5), at_ms(0));  // 2
-  ledger.track(push(6), at_ms(0));  // 3
+  ledger.track(push(5));  // push_seq 1
+  ledger.track(push(5));  // 2
+  ledger.track(push(6));  // 3
   ledger.ack(5, 2);
   ledger.ack(6, 1);  // unknown: ignored
   std::vector<std::pair<QueryId, std::uint64_t>> resent;
-  ledger.resend_overdue(
-      at_ms(100), budget(3),
-      [&](const std::shared_ptr<const ResponsePayload>& payload) {
-        resent.emplace_back(payload->query, payload->push_seq);
-      });
+  const auto retry = [&](QueryId query, std::uint64_t push_seq) {
+    return ledger.resend_one(
+        query, push_seq, budget(3),
+        [&](const std::shared_ptr<const ResponsePayload>& payload) {
+          resent.emplace_back(payload->query, payload->push_seq);
+        });
+  };
+  EXPECT_TRUE(retry(5, 1));
+  EXPECT_FALSE(retry(5, 2)) << "the acked push is gone";
+  EXPECT_TRUE(retry(6, 3));
   EXPECT_EQ(resent, (std::vector<std::pair<QueryId, std::uint64_t>>{
                         {5, 1}, {6, 3}}));
+  EXPECT_EQ(ledger.size(), 2u);
 }
 
 TEST(PushLedger, TimedRetryResendsVerbatimUntilTheBudgetIsSpent) {
   PushLedger ledger;
-  const auto original = ledger.track(push(5), at_ms(0));  // push_seq 1
-  ledger.track(push(5), at_ms(0));                        // 2
+  const auto original = ledger.track(push(5));  // push_seq 1
+  ledger.track(push(5));                        // 2
   ledger.ack(5, 2);
   const RetryPolicy policy = budget(2);
   std::vector<std::shared_ptr<const ResponsePayload>> resent;
-  const auto retry = [&](std::uint64_t push_seq, std::int64_t ms) {
+  const auto retry = [&](std::uint64_t push_seq) {
     return ledger.resend_one(
-        5, push_seq, policy, at_ms(ms),
+        5, push_seq, policy,
         [&](const std::shared_ptr<const ResponsePayload>& payload) {
           resent.push_back(payload);
         });
   };
-  EXPECT_FALSE(retry(2, 100)) << "an acked push is not resent";
+  EXPECT_FALSE(retry(2)) << "an acked push is not resent";
   EXPECT_TRUE(resent.empty());
-  EXPECT_TRUE(retry(1, 100));
-  EXPECT_TRUE(retry(1, 200));
+  EXPECT_TRUE(retry(1));
+  EXPECT_TRUE(retry(1));
   ASSERT_EQ(resent.size(), 2u);
   EXPECT_EQ(resent[0], original);
   EXPECT_EQ(resent[1]->push_seq, 1u);
-  EXPECT_FALSE(retry(1, 300)) << "budget of two resends spent";
+  EXPECT_FALSE(retry(1)) << "budget of two resends spent";
   EXPECT_EQ(resent.size(), 2u);
   EXPECT_EQ(ledger.size(), 0u) << "a spent push is forgotten";
 }

@@ -9,25 +9,26 @@
 //
 // Phase structure (every phase ends with flush + barrier + settle):
 //   1. subscribe own queries, publish own streams   (content traffic)
-//   2. tick: match + push responses                 (response traffic)
+//   2. tick: match, report to the middle nodes, which push to the clients
 //   3. straggler tick: catches anything that raced past phase 2 — store
 //      and client dedup make it a no-op when nothing did
 //   4. (--reliable + --converge-ms) convergence: keep polling, heartbeating
-//      and retransmitting under a fixed logical clock until the healing
-//      layers have had time to repair whatever chaos broke
+//      and retransmitting until the healing layers have had time to repair
+//      whatever chaos broke
 //   5. write out.<i>.json, final barrier, exit 0
 //
-// The logical clock is phase-fixed (ingest at t=0, ticks at t=1s/t=2s) and
-// lifespans are hours, so the matched sets are timing-independent — the
-// property the equivalence gate rests on.
+// The node runs on the process's monotone wall clock, which also fires its
+// ack, push and refresh timers. Lifespans are hours, so the matched sets are
+// timing-independent — the property the equivalence gate rests on.
 //
 // Chaos mode (docs/EXPERIMENTS.md "chaos on a real ring"): the --fault-*
 // flags wrap the socket transport in a seeded net::FaultyTransport, and
 // --reliable switches on the NetNode self-healing stack (heartbeat failure
-// detection, acked publications with retransmit, soft-state refresh,
-// successor replication, anti-entropy). --port/--epoch let a supervisor
-// SIGKILL a member and restart it on the same address with a bumped epoch,
-// which peers detect through heartbeats and answer with repair traffic.
+// detection, acked publications and pushes with retransmit, soft-state
+// refresh, successor replication, anti-entropy). --port/--epoch let a
+// supervisor SIGKILL a member and restart it on the same address with a
+// bumped epoch, which peers detect through heartbeats and answer with
+// repair traffic.
 #include <unistd.h>
 
 #include <cstdint>
@@ -278,30 +279,31 @@ int main(int argc, char** argv) {
   node_config.epoch = opts.epoch;
   net::NetNode node(ring, opts.index, transport, node_config);
 
-  // Phase-fixed logical clock (see header comment).
-  sim::SimTime logical_now = sim::SimTime::from_micros(0);
-  transport.set_deliver([&node, &logical_now](routing::Message&& msg) {
-    node.deliver(std::move(msg), logical_now);
-  });
-
-  // Monotone wall clock for the failure detector and retransmit timers.
+  // Monotone wall clock: the failure detector's time base and the node's
+  // clock (see header comment).
   const auto started = std::chrono::steady_clock::now();
   const auto wall_ms = [&started]() -> std::int64_t {
     return std::chrono::duration_cast<std::chrono::milliseconds>(
                std::chrono::steady_clock::now() - started)
         .count();
   };
+  const auto now = [&wall_ms] {
+    return sim::SimTime::from_micros(wall_ms() * 1000);
+  };
+  transport.set_deliver([&node, &now](routing::Message&& msg) {
+    node.deliver(std::move(msg), now());
+  });
   const PumpFn pump = [&](int budget_ms) {
     transport.poll(budget_ms);
     if (opts.reliable) {
-      node.heartbeat_tick(wall_ms(), logical_now);
-      node.reliability_tick(wall_ms(), logical_now);
+      node.heartbeat_tick(wall_ms(), now());
+      node.reliability_tick(wall_ms(), now());
     }
   };
 
   if (opts.reliable && opts.epoch > 0) {
-    // Restarted in place: ask the live neighbors for the arc we own.
-    node.request_handoff(logical_now);
+    // Restarted in place: ask the live successor for the arc we own.
+    node.request_handoff(now());
   }
 
   // --- Phase 1: content traffic ------------------------------------------
@@ -313,14 +315,14 @@ int main(int argc, char** argv) {
     if (query.client != opts.index) continue;
     node.subscribe_similarity(
         query.id, strategy->features_from_window(query.window), query.radius,
-        sim::Duration::seconds(3600), logical_now);
+        sim::Duration::seconds(3600), now());
   }
   for (std::uint32_t slot = 0; slot < workload.streams_per_node; ++slot) {
     const StreamId stream =
         net::workload_stream_id(workload, opts.index, slot);
     std::uint32_t fed = 0;
     for (const Sample value : net::workload_samples(workload, stream)) {
-      node.publish_value(stream, value, logical_now);
+      node.publish_value(stream, value, now());
       if (++fed % 64 == 0) pump(0);  // keep draining inbound
     }
   }
@@ -329,23 +331,21 @@ int main(int argc, char** argv) {
   settle(pump, socket, faulty ? &*faulty : nullptr, opts.reliable, 300);
 
   // --- Phase 2: match + respond ------------------------------------------
-  logical_now = sim::SimTime::from_micros(1'000'000);
-  node.tick(logical_now);
+  node.tick(now());
   settle(pump, socket, faulty ? &*faulty : nullptr, opts.reliable, 300);
   barrier(pump, opts, "tick1");
   settle(pump, socket, faulty ? &*faulty : nullptr, opts.reliable, 300);
 
   // --- Phase 3: straggler sweep ------------------------------------------
-  logical_now = sim::SimTime::from_micros(2'000'000);
-  node.tick(logical_now);
+  node.tick(now());
   settle(pump, socket, faulty ? &*faulty : nullptr, opts.reliable, 300);
   barrier(pump, opts, "tick2");
   settle(pump, socket, faulty ? &*faulty : nullptr, opts.reliable, 300);
 
   // --- Phase 4: convergence under chaos -----------------------------------
-  // The logical clock stays at t=2s (lifespans are hours, so nothing
-  // expires); wall time keeps moving, driving retransmits, refresh and
-  // anti-entropy until the healing layers run out of gaps to close.
+  // Lifespans are hours, so nothing expires; the clock keeps driving
+  // retransmits, refresh and anti-entropy until the healing layers run out
+  // of gaps to close.
   if (opts.reliable && opts.converge_ms > 0) {
     using Clock = std::chrono::steady_clock;
     const auto until =
@@ -354,14 +354,14 @@ int main(int argc, char** argv) {
     while (Clock::now() < until) {
       pump(5);
       if (Clock::now() - last_match > std::chrono::milliseconds(100)) {
-        node.tick(logical_now);
+        node.tick(now());
         last_match = Clock::now();
       }
     }
-    node.tick(logical_now);
+    node.tick(now());
     settle(pump, socket, faulty ? &*faulty : nullptr, opts.reliable, 300);
     barrier(pump, opts, "conv");
-    node.tick(logical_now);
+    node.tick(now());
     settle(pump, socket, faulty ? &*faulty : nullptr, opts.reliable, 300);
   }
 
@@ -384,30 +384,20 @@ int main(int argc, char** argv) {
   counters["mbrs_published"] = c.mbrs_published;
   counters["queries_posed"] = c.queries_posed;
   counters["mbrs_stored"] = c.mbrs_stored;
-  counters["subscriptions_stored"] = c.subscriptions_stored;
-  counters["responses_sent"] = c.responses_sent;
   counters["send_failures"] = c.send_failures;
   counters["shape_rejects"] = c.shape_rejects;
   if (opts.reliable) {
     counters["heartbeats_sent"] = c.heartbeats_sent;
     counters["heartbeats_received"] = c.heartbeats_received;
     counters["detours"] = c.detours;
-    counters["mbr_acks_sent"] = c.mbr_acks_sent;
-    counters["mbr_acks_received"] = c.mbr_acks_received;
     counters["mbr_retransmits"] = c.mbr_retransmits;
     counters["refresh_rounds"] = c.refresh_rounds;
     counters["mbr_refreshes"] = c.mbr_refreshes;
     counters["query_refreshes"] = c.query_refreshes;
     counters["response_retransmits"] = c.response_retransmits;
-    counters["response_acks_sent"] = c.response_acks_sent;
     counters["response_acks_received"] = c.response_acks_received;
     counters["replica_puts_sent"] = c.replica_puts_sent;
-    counters["replica_entries_stored"] = c.replica_entries_stored;
     counters["anti_entropy_rounds"] = c.anti_entropy_rounds;
-    counters["anti_entropy_requests"] = c.anti_entropy_requests;
-    counters["repair_entries_sent"] = c.repair_entries_sent;
-    counters["handoff_requests_sent"] = c.handoff_requests_sent;
-    counters["handoff_entries_sent"] = c.handoff_entries_sent;
     obs::Json det = obs::Json::object();
     det["suspects"] = node.detector().counters().suspects;
     det["false_suspicions"] = node.detector().counters().false_suspicions;
