@@ -114,7 +114,8 @@ MatchDigest run_net_over_sim_transport(const WorkloadConfig& config) {
   simulator.run_until(simulator.now() + sim::Duration::seconds(2));
 
   // One NPER pass per node now that every MBR and subscription has landed,
-  // then drain the responses it pushed.
+  // then drain its report digests and the pushes the middle nodes send on
+  // their arrival.
   for (auto& node : nodes) {
     node->tick(simulator.now());
   }
