@@ -54,8 +54,7 @@ class PublicationLedger {
     Key lo = 0;  // the primary range the batch is routed over
     Key hi = 0;
     sim::SimTime first_sent;
-    sim::SimTime last_sent;  // the first send or the latest retry
-    int attempts = 0;        // retransmissions so far
+    int attempts = 0;  // retransmissions so far
     bool acked = false;
     /// A timer host's pending retry; acking or dropping the record cancels it.
     sim::TaskHandle retry_timer;
@@ -75,7 +74,7 @@ class PublicationLedger {
     pub.payload = std::move(payload);
     pub.lo = lo;
     pub.hi = hi;
-    pub.first_sent = pub.last_sent = now;
+    pub.first_sent = now;
     return pub;
   }
 
@@ -94,7 +93,7 @@ class PublicationLedger {
   /// The decision at (stream, seq)'s ack deadline `now`: kNone when the
   /// record is gone or acked, or its batch lapsed (the record is dropped);
   /// kSpent, with the record, once the budget is spent; otherwise kResend,
-  /// with the record, the retry counted and stamped `now`.
+  /// with the record and the retry counted.
   std::pair<Retry, Publication*> retry(StreamId stream, std::uint64_t seq,
                                        sim::SimTime now,
                                        const RetryPolicy& policy) {
@@ -109,7 +108,6 @@ class PublicationLedger {
     if (!policy.spend(it->second.attempts)) {
       return {Retry::kSpent, &it->second};
     }
-    it->second.last_sent = now;
     return {Retry::kResend, &it->second};
   }
 
