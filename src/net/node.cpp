@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <utility>
 
+#include "common/check.hpp"
+
 namespace sdsi::net {
 
 using routing::MsgKind;
@@ -64,6 +66,12 @@ void NetNode::on_publish(const core::MbrPayload& /*payload*/) {
 }
 
 void NetNode::on_response(const core::ResponsePayload& response) {
+  if (response.inner_product) {
+    if (inner_posed_.contains(response.query)) {
+      inner_values_[response.query] = response.inner_product_value;
+    }
+    return;
+  }
   const auto it = results_.find(response.query);
   if (it == results_.end()) {
     return;  // not a query this process posed
@@ -93,6 +101,22 @@ void NetNode::subscribe_similarity(core::QueryId id,
       std::make_shared<const core::SimilarityQuery>(core::SimilarityQuery{
           id, node_.index, std::move(features), radius, lifespan,
           clock_.now()}));
+}
+
+void NetNode::subscribe_inner_product(core::QueryId id, StreamId stream,
+                                      std::vector<double> index,
+                                      std::vector<double> weights,
+                                      sim::Duration lifespan,
+                                      sim::SimTime now) {
+  SDSI_CHECK(index.size() == weights.size());
+  SDSI_CHECK(index.size() <= config_.features.window_size);
+  clock_.run_until(now);
+  inner_posed_.insert(id);
+  ++counters_.queries_posed;
+  node_.subscribe_inner_product(
+      std::make_shared<const core::InnerProductQuery>(core::InnerProductQuery{
+          id, node_.index, stream, std::move(index), std::move(weights),
+          lifespan, clock_.now()}));
 }
 
 void NetNode::tick(sim::SimTime now) {

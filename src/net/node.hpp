@@ -1,13 +1,15 @@
 // NetNode: one socket ring member, a facade over one core::MiddlewareNode
 // (the node object the simulator runs), so the whole protocol, middle-node
 // aggregation and its failover included, exists once for both hosts. It
-// owns what the node needs: a TransportRing over the transport and the
-// failure detector's live ring view, a sim::Simulator that is both routing
-// clock and timer wheel, the strategy, the mapper, a MetricsCollector (the
-// node's event counters, not a routing hook) and the retry rng. It adds
-// only heartbeats, the FailureDetector and the trust boundary in deliver().
-// Each call first advances the Simulator to the caller's `now`, firing the
-// timers due by then.
+// poses both of the paper's query types: similarity queries, routed by
+// content, and inner-product queries, whose source node the h2 location
+// service resolves. It owns what the node needs: a TransportRing over the
+// transport and the failure detector's live ring view, a sim::Simulator
+// that is both routing clock and timer wheel, the strategy, the mapper, a
+// MetricsCollector (the node's event counters, not a routing hook) and the
+// retry rng. It adds only heartbeats, the FailureDetector and the trust
+// boundary in deliver(). Each call first advances the Simulator to the
+// caller's `now`, firing the timers due by then.
 #pragma once
 
 #include <cstdint>
@@ -89,6 +91,15 @@ class NetNode final : private core::NodeHost {
                             double radius, sim::Duration lifespan,
                             sim::SimTime now);
 
+  /// Poses a continuous inner-product query (Sec IV-D) over `stream`, whose
+  /// source the h2 location service resolves; `id` must be unique
+  /// ring-wide. `index` and `weights` must match in length and fit the
+  /// window, as MiddlewareSystem::subscribe_inner_product requires.
+  void subscribe_inner_product(core::QueryId id, StreamId stream,
+                               std::vector<double> index,
+                               std::vector<double> weights,
+                               sim::Duration lifespan, sim::SimTime now);
+
   /// The NPER pass (MiddlewareNode::periodic_tick).
   void tick(sim::SimTime now);
 
@@ -108,9 +119,14 @@ class NetNode final : private core::NodeHost {
   /// detector and hands the rest to the routing layer and the node.
   void deliver(routing::Message&& msg, sim::SimTime now);
 
-  /// Per locally-posed query, the matched stream ids.
+  /// Per locally-posed similarity query, the matched stream ids.
   const std::map<core::QueryId, std::set<StreamId>>& results() const noexcept {
     return results_;
+  }
+  /// Per locally-posed inner-product query, its latest answer (none until
+  /// the source's first answer arrives).
+  const std::map<core::QueryId, double>& inner_values() const noexcept {
+    return inner_values_;
   }
 
   Counters counters() const noexcept;
@@ -143,6 +159,8 @@ class NetNode final : private core::NodeHost {
   TransportRing routing_;
   core::MiddlewareNode node_;
   std::map<core::QueryId, std::set<StreamId>> results_;
+  std::set<core::QueryId> inner_posed_;
+  std::map<core::QueryId, double> inner_values_;
   Counters counters_;
 
   std::int64_t clock_ms_ = 0;  // last wall clock seen by a reliability tick

@@ -1,8 +1,8 @@
 #include "net/sim_transport.hpp"
 
+#include <algorithm>
 #include <memory>
 #include <utility>
-#include <vector>
 
 #include "common/check.hpp"
 #include "net/wire.hpp"
@@ -15,31 +15,19 @@ SimTransport::SimTransport(SimFabric& fabric, NodeIndex self)
 }
 
 bool SimTransport::send(NodeIndex peer, const routing::Message& msg) {
-  if (peer >= fabric_.endpoints_.size() ||
-      fabric_.endpoints_[peer] == nullptr) {
-    return false;
-  }
   // Model the wire faithfully: the peer receives the decoded form of the
   // encoded bytes, never the in-memory original (shared_ptr payloads are
   // deep-copied by the codec exactly as a socket hop would).
-  const std::vector<std::uint8_t> wire = encode_frame(msg);
-  auto decoded = std::make_shared<routing::Message>();
-  const DecodeResult result = decode_frame(wire, decoded.get());
-  SDSI_CHECK(result == DecodeResult::kOk);
-  ++fabric_.frames_;
-  fabric_.bytes_ += wire.size();
-
-  SimTransport* endpoint = fabric_.endpoints_[peer];
-  fabric_.sim_.schedule_after(fabric_.hop_latency_, [endpoint, decoded] {
-    if (endpoint->deliver_) {
-      endpoint->deliver_(std::move(*decoded));
-    }
-  });
-  return true;
+  return carry(peer, encode_frame(msg), /*own_frame=*/true);
 }
 
 bool SimTransport::send_raw(NodeIndex peer,
                             std::span<const std::uint8_t> frame) {
+  return carry(peer, frame, /*own_frame=*/false);
+}
+
+bool SimTransport::carry(NodeIndex peer, std::span<const std::uint8_t> frame,
+                         bool own_frame) {
   if (peer >= fabric_.endpoints_.size() ||
       fabric_.endpoints_[peer] == nullptr) {
     return false;
@@ -47,9 +35,17 @@ bool SimTransport::send_raw(NodeIndex peer,
   ++fabric_.frames_;
   fabric_.bytes_ += frame.size();
   // The receiving side of the hop runs the codec, exactly as a socket
-  // endpoint would on arrival; damaged bytes become a counted drop.
+  // endpoint would on arrival.
   auto decoded = std::make_shared<routing::Message>();
-  if (decode_frame(frame, decoded.get()) != DecodeResult::kOk) {
+  const bool ok = decode_frame(frame, decoded.get()) == DecodeResult::kOk;
+  if (own_frame) {
+    // A frame this codec encoded must decode, and re-encoding the decoded
+    // copy must give the same bytes, or the codec lost information on
+    // live traffic.
+    SDSI_CHECK(ok);
+    SDSI_CHECK(std::ranges::equal(encode_frame(*decoded), frame));
+  } else if (!ok) {
+    // Damaged raw bytes (fault-injected corruption) are a counted drop.
     ++fabric_.decode_rejects_;
     if (fabric_.drop_hook_) {
       fabric_.drop_hook_(fault::DropCause::kMalformedFrame);

@@ -2,8 +2,9 @@
 //
 // A SimFabric owns the shared medium: the simulator clock plus the endpoint
 // registry. Each SimTransport is one node's endpoint. send() pushes the
-// frame through the v1 wire codec — encode, decode, byte-equality check, so
-// the receiver only ever sees what survived serialization — then schedules
+// frame through the v1 wire codec — encode, decode, and a re-encode that
+// must reproduce the bytes, so the receiver only ever sees what survived
+// serialization and the codec is checked on every live frame — then schedules
 // delivery at the peer after the configured hop latency, using the same
 // pooled-deferral idiom as RoutingSystem::schedule_msg.
 //
@@ -87,6 +88,12 @@ class SimTransport final : public Transport {
   std::size_t peer_count() const override { return fabric_.endpoints_.size(); }
 
  private:
+  /// One hop to `peer`: decode at the receiver, then deliver after the hop
+  /// latency. `own_frame` marks bytes send() just encoded, which must
+  /// decode and re-encode to themselves; other bytes may be rejected.
+  bool carry(NodeIndex peer, std::span<const std::uint8_t> frame,
+             bool own_frame);
+
   SimFabric& fabric_;
   NodeIndex self_;
   DeliverFn deliver_;

@@ -58,4 +58,22 @@ std::vector<WorkloadQuery> workload_queries(const WorkloadConfig& config) {
   return queries;
 }
 
+std::vector<WorkloadInnerQuery> workload_inner_queries(
+    const WorkloadConfig& config) {
+  const std::size_t span = config.features.window_size / 4;
+  SDSI_CHECK(span >= 1);
+  std::vector<WorkloadInnerQuery> queries;
+  queries.reserve(config.nodes);
+  for (NodeIndex node = 0; node < config.nodes; ++node) {
+    WorkloadInnerQuery query;
+    query.id = config.nodes + node + 1;
+    query.client = node;
+    query.stream = workload_stream_id(config, (node + 2) % config.nodes, 0);
+    query.index.assign(span, 1.0);
+    query.weights.assign(span, 1.0 / static_cast<double>(span));
+    queries.push_back(std::move(query));
+  }
+  return queries;
+}
+
 }  // namespace sdsi::net

@@ -3,11 +3,12 @@
 // Both worlds — the MiddlewareSystem running on the simulated ring and the
 // NetNode processes running over a real Transport — consume THIS workload:
 // the same raw samples into the same stream ids, the same raw query windows
-// posed from the same nodes in the same order. Every derived quantity
-// (features, MBRs, key ranges, match sets) is then a pure function of code
-// that both sides share, which is what makes "identical matched
-// (stream, query) sets" a meaningful end-to-end check of the wire protocol
-// and transports rather than a tautology.
+// and inner-product queries posed from the same nodes in the same order.
+// Every derived quantity (features, MBRs, key ranges, match sets, inner
+// products) is then a pure function of code that both sides share, which is
+// what makes "identical matched (stream, query) sets and answers" a
+// meaningful end-to-end check of the wire protocol and transports rather
+// than a tautology.
 //
 // Determinism contract: everything is derived from (seed, node count) via
 // named Pcg32 child streams. No global state, no clocks.
@@ -70,5 +71,23 @@ std::vector<Sample> workload_samples(const WorkloadConfig& config,
 /// matches are guaranteed non-empty (each query ball contains at least the
 /// summaries of its target stream's neighborhood).
 std::vector<WorkloadQuery> workload_queries(const WorkloadConfig& config);
+
+/// One continuous inner-product query of the workload (Sec IV-D): node
+/// `client` asks for the moving average of the newest quarter-window of
+/// slot 0 of the node two along the ring. Its source is not named: the h2
+/// location service resolves it, so the stream must be registered first.
+struct WorkloadInnerQuery {
+  std::uint64_t id = 0;
+  NodeIndex client = kInvalidNode;
+  StreamId stream = 0;
+  std::vector<double> index;
+  std::vector<double> weights;
+};
+
+/// One inner-product query per node, in node order, with ids following the
+/// similarity queries' (the sim middleware's sequential ids when posed after
+/// them).
+std::vector<WorkloadInnerQuery> workload_inner_queries(
+    const WorkloadConfig& config);
 
 }  // namespace sdsi::net

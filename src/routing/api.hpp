@@ -130,18 +130,6 @@ class RoutingSystem {
   /// refreshes) allocate once and stamp each Message themselves.
   std::uint64_t allocate_trace_id() noexcept { return ++last_trace_id_; }
 
-  /// Hook applied to every in-flight envelope as it enters a transmission
-  /// deferral (schedule_msg) — the seam where a wire protocol can observe or
-  /// rewrite what "goes on the wire" without the routing layer depending on
-  /// the codec. net::install_wire_shadow() uses it to push every message
-  /// through encode/decode (wire v1) and assert the round-trip is lossless,
-  /// equivalence-gated on metrics.json digests. Empty (the default) costs
-  /// one branch per transmission and changes nothing.
-  using TransmitFilter = std::function<void(Message&)>;
-  void set_transmit_filter(TransmitFilter filter) {
-    transmit_filter_ = std::move(filter);
-  }
-
   /// Fault injection (fault/model.hpp): uniform and bursty loss, key-range
   /// partitions, latency jitter. The middleware's soft state (periodic MBRs,
   /// periodic responses, refreshes) must tolerate it. Pass nullptr to
@@ -283,9 +271,6 @@ class RoutingSystem {
   /// buffer, so steady-state hops allocate nothing.
   template <typename Fn>
   void schedule_msg(sim::Duration delay, Message msg, Fn fn) {
-    if (transmit_filter_) {
-      transmit_filter_(msg);
-    }
     sim_.schedule_after(delay, [fn = std::move(fn),
                                 p = msg_pool_.make(std::move(msg))]() mutable {
       fn(std::move(*p));
@@ -319,7 +304,6 @@ class RoutingSystem {
   common::IdSpace space_;
   sim::Duration hop_latency_;
   DeliverFn deliver_;
-  TransmitFilter transmit_filter_;
   MetricsHook* metrics_ = nullptr;
   obs::TraceSink* trace_ = nullptr;
   std::uint64_t last_trace_id_ = 0;

@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include <any>
+#include <array>
 #include <cstdint>
 #include <functional>
 #include <map>
@@ -22,133 +23,60 @@
 #include "fault/model.hpp"
 #include "net/equivalence.hpp"
 #include "net/faulty_transport.hpp"
-#include "net/node.hpp"
-#include "net/sim_transport.hpp"
 #include "net/wire.hpp"
-#include "net/workload.hpp"
-#include "routing/static_ring.hpp"
-#include "sim/simulator.hpp"
+#include "net_ring.hpp"
 
 namespace sdsi::net {
 namespace {
 
-constexpr sim::Duration kLifespan = sim::Duration::seconds(3600);
+using testing::InProcessRing;
+using testing::kLifespan;
 
-/// N NetNodes on one sim fabric, each behind its own seeded fault layer
-/// sharing one fake wall clock (the failure detector's time base).
-struct ChaosRig {
+/// The shared ring with the reliability stack on, each node behind its own
+/// seeded fault layer on the ring's fake wall clock (the failure
+/// detector's time base).
+struct ChaosRig : InProcessRing {
   ChaosRig(const WorkloadConfig& workload, const fault::FaultPlan& plan,
            NetReliabilityConfig reliability,
            sim::Duration mbr_lifespan = kLifespan)
-      : config(workload),
-        space(workload.id_bits),
-        ring(space,
-             routing::hash_node_ids(workload.nodes, space,
-                                    workload.ring_salt)),
-        fabric(simulator, sim::Duration::millis(1)) {
-    node_config.features = config.features;
-    node_config.mbr_lifespan = mbr_lifespan;
-    node_config.reliability = reliability;
-    node_config.reliability.enabled = true;
-    for (NodeIndex i = 0; i < config.nodes; ++i) {
-      sims.push_back(std::make_unique<SimTransport>(fabric, i));
-      faults.push_back(std::make_unique<FaultyTransport>(
-          *sims.back(), plan, space,
-          config.seed ^ (0x9e3779b97f4a7c15ull * (i + 1))));
-      faults.back()->set_clock([this] { return wall_ms; });
-    }
-    for (NodeIndex i = 0; i < config.nodes; ++i) {
-      nodes.push_back(
-          std::make_unique<NetNode>(ring, i, *faults[i], node_config));
-      sims[i]->set_deliver([this, i](routing::Message&& msg) {
-        if (!admit || admit(i, msg)) {
-          nodes[i]->deliver(std::move(msg), simulator.now());
-        }
-      });
+      : InProcessRing(
+            workload, enabled(reliability),
+            [&plan](InProcessRing& rig, NodeIndex i) {
+              auto layer = std::make_unique<FaultyTransport>(
+                  *rig.sims[i], plan, rig.space,
+                  rig.config.seed ^ (0x9e3779b97f4a7c15ull * (i + 1)));
+              layer->set_clock([&rig] { return rig.wall_ms; });
+              return layer;
+            },
+            mbr_lifespan) {
+    for (const auto& link : links) {
+      faults.push_back(static_cast<FaultyTransport*>(link.get()));
     }
   }
 
-  /// Restarts node `i` as a fresh process (empty store) under `epoch`.
-  void restart(NodeIndex i, std::uint64_t epoch) {
-    NetNodeConfig fresh = node_config;
-    fresh.epoch = epoch;
-    nodes[i] = std::make_unique<NetNode>(ring, i, *faults[i], fresh);
+  /// Eight NPER passes: refresh (800 ms) and anti-entropy (600 ms) get
+  /// several rounds to converge.
+  void run_workload() { InProcessRing::run_workload(8); }
+
+  static NetReliabilityConfig enabled(NetReliabilityConfig reliability) {
+    reliability.enabled = true;
+    return reliability;
   }
 
-  /// Advances wall + sim time together in 10 ms steps, driving every
-  /// node's heartbeat/reliability clocks and the fault layers' delay
-  /// queues — the in-process analogue of sdsi_node's pump loop.
-  void pump(std::int64_t ms) {
-    for (std::int64_t t = 0; t < ms; t += 10) {
-      wall_ms += 10;
-      for (NodeIndex i = 0; i < config.nodes; ++i) {
-        faults[i]->poll(0);
-        nodes[i]->heartbeat_tick(wall_ms, simulator.now());
-        nodes[i]->reliability_tick(wall_ms, simulator.now());
-      }
-      simulator.run_until(simulator.now() + sim::Duration::millis(10));
-    }
-  }
-
-  void run_workload() {
-    for (const WorkloadQuery& query : workload_queries(config)) {
-      nodes[query.client]->subscribe_similarity(
-          query.id, dsp::extract_features(query.window, config.features),
-          query.radius, kLifespan, simulator.now());
-    }
-    pump(200);
-    for (NodeIndex node = 0; node < config.nodes; ++node) {
-      for (std::uint32_t slot = 0; slot < config.streams_per_node; ++slot) {
-        const StreamId stream = workload_stream_id(config, node, slot);
-        for (const Sample value : workload_samples(config, stream)) {
-          nodes[node]->publish_value(stream, value, simulator.now());
-        }
-      }
-      pump(50);  // let each node's burst drain before the next publisher
-    }
-    // Convergence: refresh (800 ms) and anti-entropy (600 ms) get several
-    // rounds; periodic NPER ticks push whatever matched since.
-    for (int round = 0; round < 8; ++round) {
-      pump(500);
-      for (auto& node : nodes) {
-        node->tick(simulator.now());
-      }
-    }
-    pump(500);
-  }
-
-  MatchDigest digest() const {
-    MatchDigest digest;
-    for (const auto& node : nodes) {
-      for (const auto& [id, streams] : node->results()) {
-        digest[id] = streams;
-      }
-    }
-    return digest;
-  }
-
-  WorkloadConfig config;
-  NetNodeConfig node_config;
-  /// When set, sees every frame before node `at` does; false drops it.
-  std::function<bool(NodeIndex at, const routing::Message&)> admit;
-  sim::Simulator simulator;
-  common::IdSpace space;
-  NetRing ring;
-  SimFabric fabric;
-  std::vector<std::unique_ptr<SimTransport>> sims;
-  std::vector<std::unique_ptr<FaultyTransport>> faults;
-  std::vector<std::unique_ptr<NetNode>> nodes;
-  std::int64_t wall_ms = 0;
+  std::vector<FaultyTransport*> faults;
 };
 
-double recall_against(const MatchDigest& reference, const MatchDigest& got) {
+/// Matched pairs of `reference` that `got` recovered; inner-product
+/// answers are not compared under chaos, as no host refreshes their
+/// subscriptions.
+double recall_against(const RunDigest& reference, const RunDigest& got) {
   std::uint64_t expected = 0;
   std::uint64_t recovered = 0;
-  for (const auto& [query, streams] : reference) {
-    const auto it = got.find(query);
+  for (const auto& [query, streams] : reference.matches) {
+    const auto it = got.matches.find(query);
     for (const StreamId stream : streams) {
       ++expected;
-      if (it != got.end() && it->second.count(stream) > 0) {
+      if (it != got.matches.end() && it->second.count(stream) > 0) {
         ++recovered;
       }
     }
@@ -174,7 +102,7 @@ TEST(NetChaos, ReliabilityStackConvergesUnderBurstyLossAndCorruption) {
   ChaosRig rig(config, plan, NetReliabilityConfig{});
   rig.run_workload();
 
-  const MatchDigest reference = run_sim_reference(config);
+  const RunDigest reference = run_sim_reference(config);
   const double recall = recall_against(reference, rig.digest());
   EXPECT_GE(recall, 0.95) << "chaos recall floor (see ISSUE acceptance)";
 
@@ -396,6 +324,33 @@ TEST(NetChaos, RejoinedEmptyNodeRecoversItsArcThroughRepairAlone) {
   EXPECT_GT(owed, 0u) << "the rejoiner's arc should have held entries";
   for (const auto& node : rig.nodes) {
     EXPECT_EQ(node->counters().mbr_refreshes, 0u);
+  }
+}
+
+TEST(NetChaos, EveryKindCrossesTheCodec) {
+  // The rejoin drill above on a plain ring: its workload sends every
+  // content, location and reliability kind, and the rejoin adds handoff and
+  // anti-entropy repair. Every kind of the v1 protocol must cross the codec
+  // on the socket host's own path, SimTransport's re-encode check included.
+  WorkloadConfig config;
+  config.nodes = 4;
+  config.samples_per_stream = 200;
+  NetReliabilityConfig reliability;
+  reliability.refresh_period_ms = std::int64_t{1} << 40;
+  ChaosRig rig(config, fault::FaultPlan{}, reliability);
+  std::array<std::uint64_t, routing::kNumMsgKinds + 1> delivered{};
+  rig.admit = [&](NodeIndex, const routing::Message& msg) {
+    ++delivered[static_cast<std::size_t>(msg.kind)];
+    return true;
+  };
+  rig.run_workload();
+  rig.restart(1, 1);
+  rig.nodes[1]->request_handoff(rig.simulator.now());
+  rig.pump(1500);
+
+  for (std::size_t kind = 1; kind < delivered.size(); ++kind) {
+    EXPECT_GT(delivered[kind], 0u)
+        << routing::msg_kind_name(static_cast<routing::MsgKind>(kind));
   }
 }
 

@@ -1,7 +1,7 @@
-// In-process leg of the sim-vs-socket equivalence gate (the wire-protocol
-// PR's acceptance test): the NetNode pipeline — the same code sdsi_node runs
-// over real TCP — driven over SimTransport must produce the exact per-query
-// matched stream sets the canonical simulated middleware produces on the
+// In-process leg of the sim-vs-socket equivalence gate: the NetNode
+// pipeline (the same code sdsi_node runs over real TCP) driven over
+// SimTransport must produce the exact per-query matched stream sets and
+// inner-product answers the canonical simulated middleware produces on the
 // identical workload, at N >= 8 nodes, fault-free. Every frame between
 // NetNodes crosses the v1 codec, so a divergence anywhere in the envelope or
 // payload serialization shows up as a digest mismatch here.
@@ -15,31 +15,38 @@
 #include <memory>
 #include <span>
 #include <string>
-#include <vector>
+#include <utility>
 
-#include "core/strategy.hpp"
 #include "net/equivalence.hpp"
-#include "net/node.hpp"
-#include "net/sim_transport.hpp"
 #include "net/wire.hpp"
-#include "routing/static_ring.hpp"
-#include "sim/simulator.hpp"
+#include "net_ring.hpp"
 
 namespace sdsi::net {
 namespace {
+
+using testing::InProcessRing;
+
+/// The workload's answers on a fault-free in-process ring.
+RunDigest ring_digest(const WorkloadConfig& config) {
+  InProcessRing ring(config);
+  ring.run_workload(4);
+  return ring.digest();
+}
 
 TEST(NetEquivalence, SimAndNetDigestsMatchAtEightNodes) {
   WorkloadConfig config;
   config.nodes = 8;
   config.seed = 42;
 
-  const MatchDigest sim_digest = run_sim_reference(config);
-  const MatchDigest net_digest = run_net_over_sim_transport(config);
+  const RunDigest sim_digest = run_sim_reference(config);
+  const RunDigest net_digest = ring_digest(config);
 
-  // The gate is vacuous unless the workload actually produces matches.
-  ASSERT_EQ(sim_digest.size(), static_cast<std::size_t>(config.nodes));
+  // The gate is vacuous unless the workload actually produces matches and
+  // every inner-product query an answer.
+  ASSERT_EQ(sim_digest.matches.size(), static_cast<std::size_t>(config.nodes));
+  ASSERT_EQ(sim_digest.inner.size(), static_cast<std::size_t>(config.nodes));
   std::size_t nonempty = 0;
-  for (const auto& [id, streams] : sim_digest) {
+  for (const auto& [id, streams] : sim_digest.matches) {
     nonempty += streams.empty() ? 0u : 1u;
   }
   ASSERT_GT(nonempty, 0u) << "workload produced no matches at all";
@@ -51,13 +58,20 @@ TEST(NetEquivalence, HoldsAcrossSeedsAndRingSizes) {
   for (const auto& [nodes, seed] : {std::pair<std::uint32_t, std::uint64_t>{3, 7},
                                     {8, 1234},
                                     {11, 99}}) {
-    WorkloadConfig config;
-    config.nodes = nodes;
-    config.seed = seed;
-    config.samples_per_stream = 300;
-    const MatchDigest sim_digest = run_sim_reference(config);
-    const MatchDigest net_digest = run_net_over_sim_transport(config);
-    EXPECT_EQ(net_digest, sim_digest) << nodes << " nodes, seed " << seed;
+    for (const core::StrategyKind kind :
+         {core::StrategyKind::kDft, core::StrategyKind::kEcm,
+          core::StrategyKind::kLsh}) {
+      WorkloadConfig config;
+      config.nodes = nodes;
+      config.seed = seed;
+      config.samples_per_stream = 300;
+      config.strategy.kind = kind;
+      const RunDigest sim_digest = run_sim_reference(config);
+      EXPECT_EQ(sim_digest.inner.size(), config.nodes);
+      EXPECT_EQ(ring_digest(config), sim_digest)
+          << core::strategy_name(kind) << ", " << nodes << " nodes, seed "
+          << seed;
+    }
   }
 }
 
@@ -128,76 +142,19 @@ class RecordingTransport final : public Transport {
 FrameDigest socket_path_frames(core::StrategyKind kind, bool reliable) {
   WorkloadConfig config;
   config.strategy.kind = kind;
-  sim::Simulator simulator;
-  const common::IdSpace space(config.id_bits);
-  const NetRing ring(
-      space, routing::hash_node_ids(config.nodes, space, config.ring_salt));
-  SimFabric fabric(simulator, sim::Duration::millis(1));
-  NetNodeConfig node_config;
-  node_config.features = config.features;
-  node_config.strategy = config.strategy;
-  node_config.mbr_lifespan = sim::Duration::seconds(3600);
-  node_config.reliability.enabled = reliable;
-
+  NetReliabilityConfig reliability;
+  reliability.enabled = reliable;
   FrameDigest digest;
-  std::vector<std::unique_ptr<SimTransport>> sims;
-  std::vector<std::unique_ptr<RecordingTransport>> recorders;
-  std::vector<std::unique_ptr<NetNode>> nodes;
-  for (NodeIndex i = 0; i < config.nodes; ++i) {
-    sims.push_back(std::make_unique<SimTransport>(fabric, i));
-    recorders.push_back(std::make_unique<RecordingTransport>(
-        *sims.back(), i, simulator, digest));
-  }
-  for (NodeIndex i = 0; i < config.nodes; ++i) {
-    nodes.push_back(
-        std::make_unique<NetNode>(ring, i, *recorders[i], node_config));
-    NetNode* node = nodes.back().get();
-    recorders[i]->set_deliver([node, &simulator](routing::Message&& msg) {
-      node->deliver(std::move(msg), simulator.now());
-    });
-  }
-  std::int64_t wall_ms = 0;
-  const auto pump = [&](std::int64_t ms) {
-    for (std::int64_t t = 0; t < ms; t += 10) {
-      wall_ms += 10;
-      for (auto& node : nodes) {
-        node->heartbeat_tick(wall_ms, simulator.now());
-        node->reliability_tick(wall_ms, simulator.now());
-      }
-      simulator.run_until(simulator.now() + sim::Duration::millis(10));
-    }
-  };
-
-  const auto strategy =
-      core::IndexingStrategy::make(config.strategy, config.features, space);
-  for (const WorkloadQuery& query : workload_queries(config)) {
-    nodes[query.client]->subscribe_similarity(
-        query.id, strategy->features_from_window(query.window), query.radius,
-        sim::Duration::seconds(3600), simulator.now());
-  }
-  pump(200);
-  for (NodeIndex node = 0; node < config.nodes; ++node) {
-    for (std::uint32_t slot = 0; slot < config.streams_per_node; ++slot) {
-      const StreamId stream = workload_stream_id(config, node, slot);
-      for (const Sample value : workload_samples(config, stream)) {
-        nodes[node]->publish_value(stream, value, simulator.now());
-      }
-    }
-    pump(50);
-  }
-  for (int round = 0; round < 4; ++round) {
-    pump(500);
-    for (auto& node : nodes) {
-      node->tick(simulator.now());
-    }
-  }
-  pump(500);
+  InProcessRing ring(config, reliability,
+                     [&digest](InProcessRing& rig, NodeIndex i) {
+                       return std::make_unique<RecordingTransport>(
+                           *rig.sims[i], i, rig.simulator, digest);
+                     });
+  ring.run_workload(4);
 
   std::uint64_t pairs = 0;
-  for (const auto& node : nodes) {
-    for (const auto& [id, streams] : node->results()) {
-      pairs += streams.size();
-    }
+  for (const auto& [id, streams] : ring.digest().matches) {
+    pairs += streams.size();
   }
   digest.fold(pairs);
   return digest;
@@ -214,9 +171,12 @@ TEST(NetEquivalence, SocketPathFramesArePinned) {
   // middle node, which pushes to the client; the reliable ring mirrors each
   // push to the middle key's replicas (aggregator_replica); and a stream's
   // first sample and every MBR refresh register it with the location
-  // service (location_put). Inner-product queries are not posed on the
-  // socket path, so inner_product_query, location_get and location_reply
-  // never cross it.
+  // service (location_put). Regenerated again when the workload gained one
+  // inner-product query per node: each asks the location service for its
+  // stream's source (location_get and location_reply, 7 of 8 cross the
+  // wire), is sent to that source (inner_product_query) and answered once
+  // per NPER pass (response, +32 over four passes); every other count
+  // stayed as it was.
   struct Pin {
     core::StrategyKind kind;
     bool reliable;
@@ -225,28 +185,32 @@ TEST(NetEquivalence, SocketPathFramesArePinned) {
     const char* kinds;
   };
   const Pin pins[] = {
-      {core::StrategyKind::kDft, false, 1096, 0x2444bb9f62dd73a8ull,
-       "mbr_update 1044, similarity_query 25, response 10, "
-       "neighbor_exchange 11, location_put 6"},
-      {core::StrategyKind::kEcm, false, 540, 0x154c64097e1c3408ull,
-       "mbr_update 516, similarity_query 12, response 6, location_put 6"},
-      {core::StrategyKind::kLsh, false, 3348, 0x1517912cee0b84feull,
-       "mbr_update 3289, similarity_query 36, response 6, "
-       "neighbor_exchange 11, location_put 6"},
-      {core::StrategyKind::kDft, true, 11171, 0x8adf15d5f9dc9cfcull,
-       "mbr_update 4230, similarity_query 100, response 10, "
-       "neighbor_exchange 33, location_put 24, mbr_ack 2008, "
-       "response_ack 10, replica_put 1184, anti_entropy_digest 80, "
-       "aggregator_replica 20, heartbeat 3472"},
-      {core::StrategyKind::kEcm, true, 8942, 0x291ba35584d6aa73ull,
-       "mbr_update 2064, similarity_query 48, response 6, location_put 24, "
+      {core::StrategyKind::kDft, false, 1150, 0x9366aef4c9863664ull,
+       "mbr_update 1044, similarity_query 25, inner_product_query 8, "
+       "response 42, neighbor_exchange 11, location_put 6, location_get 7, "
+       "location_reply 7"},
+      {core::StrategyKind::kEcm, false, 594, 0x27dfe3e64c5aa6a7ull,
+       "mbr_update 516, similarity_query 12, inner_product_query 8, "
+       "response 38, location_put 6, location_get 7, location_reply 7"},
+      {core::StrategyKind::kLsh, false, 3402, 0x9e89582a7c584a21ull,
+       "mbr_update 3289, similarity_query 36, inner_product_query 8, "
+       "response 38, neighbor_exchange 11, location_put 6, location_get 7, "
+       "location_reply 7"},
+      {core::StrategyKind::kDft, true, 11225, 0xec483afac2a2bb41ull,
+       "mbr_update 4230, similarity_query 100, inner_product_query 8, "
+       "response 42, neighbor_exchange 33, location_put 24, location_get 7, "
+       "location_reply 7, mbr_ack 2008, response_ack 10, replica_put 1184, "
+       "anti_entropy_digest 80, aggregator_replica 20, heartbeat 3472"},
+      {core::StrategyKind::kEcm, true, 8996, 0x978db217a3c24150ull,
+       "mbr_update 2064, similarity_query 48, inner_product_query 8, "
+       "response 38, location_put 24, location_get 7, location_reply 7, "
        "mbr_ack 2044, response_ack 6, replica_put 1184, "
        "anti_entropy_digest 80, aggregator_replica 14, heartbeat 3472"},
-      {core::StrategyKind::kLsh, true, 15603, 0xf5aef4e4b8697a68ull,
-       "mbr_update 5029, similarity_query 57, response 6, "
-       "neighbor_exchange 24, location_put 24, mbr_ack 4425, "
-       "response_ack 6, replica_put 2464, anti_entropy_digest 80, "
-       "aggregator_replica 16, heartbeat 3472"},
+      {core::StrategyKind::kLsh, true, 15657, 0xbb8b842a84733938ull,
+       "mbr_update 5029, similarity_query 57, inner_product_query 8, "
+       "response 38, neighbor_exchange 24, location_put 24, location_get 7, "
+       "location_reply 7, mbr_ack 4425, response_ack 6, replica_put 2464, "
+       "anti_entropy_digest 80, aggregator_replica 16, heartbeat 3472"},
   };
   for (const Pin& pin : pins) {
     const FrameDigest digest = socket_path_frames(pin.kind, pin.reliable);

@@ -4,16 +4,19 @@
 // Fault-free mode (default): launches N sdsi_node processes (real TCP over
 // 127.0.0.1, wire protocol v1), waits for the ring to run the deterministic
 // net workload to completion, merges the per-process out.<i>.json results,
-// and compares the merged per-query matched stream sets against the
-// canonical simulated middleware run in-process (net::run_sim_reference).
-// Exits 0 iff the digests are identical and non-vacuous.
+// and compares the merged per-query matched stream sets and inner-product
+// answers against the canonical simulated middleware run in-process
+// (net::run_sim_reference). Exits 0 iff the digests are identical and
+// non-vacuous.
 //
 // Chaos mode (--chaos, or any --fault-* / --kill-index flag): the ring runs
 // with seeded transport fault injection and the NetNode reliability stack
 // on, optionally SIGKILLing one member mid-run and restarting it on the
 // same port with a bumped epoch. The gate then relaxes from exact equality
 // to a recall floor (matched pairs recovered vs the fault-free sim digest,
-// excluding queries posed by the killed member — the RecallOracle policy),
+// excluding queries posed by the killed member — the RecallOracle policy;
+// inner-product answers are not compared, as no host refreshes their
+// subscriptions),
 // and additionally enforces the zero-unaccounted-drops identity per
 // endpoint:
 //   faults.offered == transport.frames_sent + drops.outbox_overflow
@@ -22,7 +25,7 @@
 // (no frame may vanish without a DropCause). --bench-json writes the drill
 // outcome as socket-chaos rows in the BENCH_robustness.json row schema.
 //
-// Usage: net_equiv --nodes N --dir SCRATCH [--seed S] [--samples K]
+// Usage: net_equiv --nodes N (1-64) --dir SCRATCH [--seed S] [--samples K]
 //                  [--node-bin PATH] [--timeout SECONDS]
 //                  [--chaos] [--fault-uniform P] [--fault-burst RATE]
 //                  [--fault-jitter-ms MS] [--fault-reorder P]
@@ -51,11 +54,16 @@
 #include "net/equivalence.hpp"
 #include "net/workload.hpp"
 #include "obs/json.hpp"
+#include "tools/flags.hpp"
 
 namespace fs = std::filesystem;
 using namespace sdsi;
 
 namespace {
+
+/// The largest ring net_equiv forks: one process per node, so a mistyped
+/// --nodes must not start hundreds.
+constexpr long kMaxNodes = 64;
 
 struct Options {
   std::uint32_t nodes = 8;
@@ -83,8 +91,8 @@ struct Options {
 [[noreturn]] void usage_and_exit(const char* argv0, std::FILE* out = stderr,
                                  int code = 2) {
   std::fprintf(out,
-               "usage: %s --nodes N --dir SCRATCH [--seed S] [--samples K] "
-               "[--strategy dft|ecm|lsh] "
+               "usage: %s --nodes N (1-64) --dir SCRATCH [--seed S] "
+               "[--samples K] [--strategy dft|ecm|lsh] "
                "[--node-bin PATH] [--timeout SECONDS] [--chaos] "
                "[--fault-uniform P] [--fault-burst RATE] "
                "[--fault-jitter-ms MS] [--fault-reorder P] "
@@ -95,24 +103,36 @@ struct Options {
   std::exit(code);
 }
 
+}  // namespace
+
+void sdsi::tools::usage_error(const char* argv0) { usage_and_exit(argv0); }
+
+namespace {
+
 Options parse_args(int argc, char** argv) {
   Options opts;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
-    const auto next = [&]() -> std::string {
+    const auto next = [&]() -> const char* {
       if (i + 1 >= argc) usage_and_exit(argv[0]);
       return argv[++i];
+    };
+    const auto whole = [&] { return tools::parse_long(next(), argv[0]); };
+    const auto probability = [&] {
+      return tools::parse_probability(next(), argv[0]);
     };
     if (arg == "--help" || arg == "-h") {
       usage_and_exit(argv[0], stdout, 0);
     } else if (arg == "--nodes") {
-      opts.nodes = static_cast<std::uint32_t>(std::stoul(next()));
+      const long nodes = whole();
+      if (nodes > kMaxNodes) usage_and_exit(argv[0]);
+      opts.nodes = static_cast<std::uint32_t>(nodes);
     } else if (arg == "--dir") {
       opts.dir = next();
     } else if (arg == "--seed") {
-      opts.seed = std::stoull(next());
+      opts.seed = static_cast<std::uint64_t>(whole());
     } else if (arg == "--samples") {
-      opts.samples = static_cast<std::uint32_t>(std::stoul(next()));
+      opts.samples = static_cast<std::uint32_t>(whole());
     } else if (arg == "--strategy") {
       const auto kind = core::parse_strategy(next());
       if (!kind.has_value()) usage_and_exit(argv[0]);
@@ -120,35 +140,35 @@ Options parse_args(int argc, char** argv) {
     } else if (arg == "--node-bin") {
       opts.node_bin = next();
     } else if (arg == "--timeout") {
-      opts.timeout_s = std::stoi(next());
+      opts.timeout_s = static_cast<int>(whole());
     } else if (arg == "--chaos") {
       opts.chaos = true;
     } else if (arg == "--fault-uniform") {
-      opts.fault_uniform = std::stod(next());
+      opts.fault_uniform = probability();
       opts.chaos = true;
     } else if (arg == "--fault-burst") {
-      opts.fault_burst = std::stod(next());
+      opts.fault_burst = tools::parse_burst_loss(next(), argv[0]);
       opts.chaos = true;
     } else if (arg == "--fault-jitter-ms") {
-      opts.fault_jitter_ms = std::stoi(next());
+      opts.fault_jitter_ms = static_cast<int>(whole());
       opts.chaos = true;
     } else if (arg == "--fault-reorder") {
-      opts.fault_reorder = std::stod(next());
+      opts.fault_reorder = probability();
       opts.chaos = true;
     } else if (arg == "--fault-corrupt") {
-      opts.fault_corrupt = std::stod(next());
+      opts.fault_corrupt = probability();
       opts.chaos = true;
     } else if (arg == "--converge-ms") {
-      opts.converge_ms = std::stoi(next());
+      opts.converge_ms = static_cast<int>(whole());
     } else if (arg == "--kill-index") {
-      opts.kill_index = std::stoi(next());
+      opts.kill_index = static_cast<int>(whole());
       opts.chaos = true;
     } else if (arg == "--kill-after-ms") {
-      opts.kill_after_ms = std::stoi(next());
+      opts.kill_after_ms = static_cast<int>(whole());
     } else if (arg == "--restart-after-ms") {
-      opts.restart_after_ms = std::stoi(next());
+      opts.restart_after_ms = static_cast<int>(whole());
     } else if (arg == "--recall-floor") {
-      opts.recall_floor = std::stod(next());
+      opts.recall_floor = probability();
     } else if (arg == "--bench-json") {
       opts.bench_json = next();
     } else {
@@ -192,18 +212,20 @@ std::string slurp(const fs::path& path) {
   return out.str();
 }
 
-void print_digest_diff(const net::MatchDigest& sim_digest,
-                       const net::MatchDigest& net_digest) {
-  for (const auto& [query, streams] : sim_digest) {
-    const auto it = net_digest.find(query);
-    if (it != net_digest.end() && it->second == streams) continue;
+/// Every query whose answer differs between the two digests: matched
+/// stream sets, then inner-product answers.
+void print_digest_diff(const net::RunDigest& sim_digest,
+                       const net::RunDigest& net_digest) {
+  for (const auto& [query, streams] : sim_digest.matches) {
+    const auto it = net_digest.matches.find(query);
+    if (it != net_digest.matches.end() && it->second == streams) continue;
     std::fprintf(stderr, "  query %llu: sim={",
                  static_cast<unsigned long long>(query));
     for (const StreamId s : streams) {
       std::fprintf(stderr, " %llu", static_cast<unsigned long long>(s));
     }
     std::fprintf(stderr, " } net={");
-    if (it != net_digest.end()) {
+    if (it != net_digest.matches.end()) {
       for (const StreamId s : it->second) {
         std::fprintf(stderr, " %llu", static_cast<unsigned long long>(s));
       }
@@ -212,9 +234,25 @@ void print_digest_diff(const net::MatchDigest& sim_digest,
     }
     std::fprintf(stderr, " }\n");
   }
-  for (const auto& [query, streams] : net_digest) {
-    if (sim_digest.find(query) == sim_digest.end()) {
+  for (const auto& [query, streams] : net_digest.matches) {
+    if (sim_digest.matches.find(query) == sim_digest.matches.end()) {
       std::fprintf(stderr, "  query %llu: only in net digest\n",
+                   static_cast<unsigned long long>(query));
+    }
+  }
+  for (const auto& [query, value] : sim_digest.inner) {
+    const auto it = net_digest.inner.find(query);
+    if (it == net_digest.inner.end()) {
+      std::fprintf(stderr, "  inner query %llu: sim=%.17g net=<missing>\n",
+                   static_cast<unsigned long long>(query), value);
+    } else if (it->second != value) {
+      std::fprintf(stderr, "  inner query %llu: sim=%.17g net=%.17g\n",
+                   static_cast<unsigned long long>(query), value, it->second);
+    }
+  }
+  for (const auto& [query, value] : net_digest.inner) {
+    if (sim_digest.inner.find(query) == sim_digest.inner.end()) {
+      std::fprintf(stderr, "  inner query %llu: only in net digest\n",
                    static_cast<unsigned long long>(query));
     }
   }
@@ -424,7 +462,7 @@ int main(int argc, char** argv) {
                exited_ok, opts.nodes);
 
   // --- Merge the per-process digests --------------------------------------
-  net::MatchDigest net_digest;
+  net::RunDigest net_digest;
   std::uint64_t total_frames = 0;
   std::uint64_t total_reconnects = 0;
   std::uint64_t total_detours = 0;
@@ -449,9 +487,14 @@ int main(int argc, char** argv) {
       return 1;
     }
     for (const auto& [key, streams] : results->members()) {
-      auto& bucket = net_digest[std::stoull(key)];
+      auto& bucket = net_digest.matches[std::stoull(key)];
       for (std::size_t k = 0; k < streams.size(); ++k) {
         bucket.insert(static_cast<StreamId>(streams[k].as_int()));
+      }
+    }
+    if (const obs::Json* inner = doc->find("inner"); inner != nullptr) {
+      for (const auto& [key, value] : inner->members()) {
+        net_digest.inner[std::stoull(key)] = value.as_number();
       }
     }
     const obs::Json* transport = doc->find("transport");
@@ -501,16 +544,18 @@ int main(int argc, char** argv) {
   config.seed = opts.seed;
   config.samples_per_stream = opts.samples;
   config.strategy.kind = opts.strategy;
-  const net::MatchDigest sim_digest = net::run_sim_reference(config);
+  const net::RunDigest sim_digest = net::run_sim_reference(config);
 
   std::size_t nonempty = 0;
-  for (const auto& [query, streams] : sim_digest) {
+  for (const auto& [query, streams] : sim_digest.matches) {
     if (!streams.empty()) ++nonempty;
   }
-  if (sim_digest.size() != opts.nodes || nonempty == 0) {
+  if (sim_digest.matches.size() != opts.nodes || nonempty == 0 ||
+      sim_digest.inner.size() != opts.nodes) {
     std::fprintf(stderr,
-                 "net_equiv: vacuous reference (queries=%zu, nonempty=%zu)\n",
-                 sim_digest.size(), nonempty);
+                 "net_equiv: vacuous reference (queries=%zu, nonempty=%zu, "
+                 "inner answers=%zu)\n",
+                 sim_digest.matches.size(), nonempty, sim_digest.inner.size());
     return 1;
   }
 
@@ -522,9 +567,10 @@ int main(int argc, char** argv) {
     }
     std::printf(
         "net_equiv: OK — %u processes, %zu queries (%zu with matches), "
-        "%llu TCP frames, socket digest == sim digest\n",
-        opts.nodes, sim_digest.size(), nonempty,
-        static_cast<unsigned long long>(total_frames));
+        "%zu inner-product answers, %llu TCP frames, socket digest == sim "
+        "digest\n",
+        opts.nodes, sim_digest.matches.size(), nonempty,
+        sim_digest.inner.size(), static_cast<unsigned long long>(total_frames));
     return 0;
   }
 
@@ -539,7 +585,7 @@ int main(int argc, char** argv) {
   std::uint64_t expected_pairs = 0;
   std::uint64_t recovered_pairs = 0;
   std::uint64_t excluded_queries = 0;
-  for (const auto& [query, streams] : sim_digest) {
+  for (const auto& [query, streams] : sim_digest.matches) {
     const auto client_it = client_of.find(query);
     if (opts.kill_index >= 0 && client_it != client_of.end() &&
         client_it->second == static_cast<NodeIndex>(opts.kill_index)) {
@@ -547,8 +593,8 @@ int main(int argc, char** argv) {
       continue;
     }
     expected_pairs += streams.size();
-    const auto it = net_digest.find(query);
-    if (it == net_digest.end()) continue;
+    const auto it = net_digest.matches.find(query);
+    if (it == net_digest.matches.end()) continue;
     for (const StreamId s : streams) {
       if (it->second.count(s) != 0) ++recovered_pairs;
     }

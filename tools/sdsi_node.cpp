@@ -8,18 +8,23 @@
 // these and compares the merged digests against the simulated middleware.
 //
 // Phase structure (every phase ends with flush + barrier + settle):
-//   1. subscribe own queries, publish own streams   (content traffic)
-//   2. tick: match, report to the middle nodes, which push to the clients
-//   3. straggler tick: catches anything that raced past phase 2 — store
+//   1. subscribe own similarity queries, publish own streams (content
+//      traffic; each stream registers with the location service)
+//   2. pose own inner-product queries: the location service resolves each
+//      stream's source, which installs the query
+//   3. tick: match, report to the middle nodes, which push to the clients;
+//      every source answers its inner-product queries
+//   4. straggler tick: catches anything that raced past phase 3 — store
 //      and client dedup make it a no-op when nothing did
-//   4. (--reliable + --converge-ms) convergence: keep polling, heartbeating
+//   5. (--reliable + --converge-ms) convergence: keep polling, heartbeating
 //      and retransmitting until the healing layers have had time to repair
 //      whatever chaos broke
-//   5. write out.<i>.json, final barrier, exit 0
+//   6. write out.<i>.json, final barrier, exit 0
 //
 // The node runs on the process's monotone wall clock, which also fires its
 // ack, push and refresh timers. Lifespans are hours, so the matched sets are
-// timing-independent — the property the equivalence gate rests on.
+// timing-independent, and every inner-product answer comes after the last
+// sample — the property the equivalence gate rests on.
 //
 // Chaos mode (docs/EXPERIMENTS.md "chaos on a real ring"): the --fault-*
 // flags wrap the socket transport in a seeded net::FaultyTransport, and
@@ -51,6 +56,7 @@
 #include "net/workload.hpp"
 #include "obs/json.hpp"
 #include "routing/static_ring.hpp"
+#include "tools/flags.hpp"
 
 namespace fs = std::filesystem;
 using namespace sdsi;
@@ -85,51 +91,58 @@ struct Options {
   std::exit(code);
 }
 
+}  // namespace
+
+void sdsi::tools::usage_error(const char* argv0) { usage_and_exit(argv0); }
+
+namespace {
+
 Options parse_args(int argc, char** argv) {
   Options opts;
   bool have_index = false;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
-    const auto next = [&]() -> std::string {
+    const auto next = [&]() -> const char* {
       if (i + 1 >= argc) usage_and_exit(argv[0]);
       return argv[++i];
+    };
+    const auto whole = [&] { return tools::parse_long(next(), argv[0]); };
+    const auto probability = [&] {
+      return tools::parse_probability(next(), argv[0]);
     };
     if (arg == "--help" || arg == "-h") {
       usage_and_exit(argv[0], stdout, 0);
     } else if (arg == "--index") {
-      opts.index = static_cast<NodeIndex>(std::stoul(next()));
+      opts.index = static_cast<NodeIndex>(whole());
       have_index = true;
     } else if (arg == "--nodes") {
-      opts.nodes = static_cast<std::uint32_t>(std::stoul(next()));
+      opts.nodes = static_cast<std::uint32_t>(whole());
     } else if (arg == "--dir") {
       opts.dir = next();
     } else if (arg == "--seed") {
-      opts.workload.seed = std::stoull(next());
+      opts.workload.seed = static_cast<std::uint64_t>(whole());
     } else if (arg == "--samples") {
-      opts.workload.samples_per_stream =
-          static_cast<std::uint32_t>(std::stoul(next()));
+      opts.workload.samples_per_stream = static_cast<std::uint32_t>(whole());
     } else if (arg == "--streams-per-node") {
-      opts.workload.streams_per_node =
-          static_cast<std::uint32_t>(std::stoul(next()));
+      opts.workload.streams_per_node = static_cast<std::uint32_t>(whole());
     } else if (arg == "--strategy") {
       const auto kind = core::parse_strategy(next());
       if (!kind.has_value()) usage_and_exit(argv[0]);
       opts.workload.strategy.kind = *kind;
     } else if (arg == "--port") {
-      opts.port = static_cast<std::uint16_t>(std::stoul(next()));
+      opts.port = static_cast<std::uint16_t>(whole());
     } else if (arg == "--epoch") {
-      opts.epoch = std::stoull(next());
+      opts.epoch = static_cast<std::uint64_t>(whole());
     } else if (arg == "--reliable") {
       opts.reliable = true;
     } else if (arg == "--converge-ms") {
-      opts.converge_ms = std::stoi(next());
+      opts.converge_ms = static_cast<int>(whole());
     } else if (arg == "--fault-uniform") {
-      opts.faults.uniform_loss = std::stod(next());
+      opts.faults.uniform_loss = probability();
     } else if (arg == "--fault-burst") {
       // Stationary loss target: solve the Gilbert-Elliott chain for
       // p_good_to_bad at the default recovery rate (mean burst length 4).
-      const double rate = std::stod(next());
-      SDSI_CHECK(rate >= 0.0 && rate < 1.0);
+      const double rate = tools::parse_burst_loss(next(), argv[0]);
       if (rate > 0.0) {
         fault::GilbertElliottParams ge;
         ge.p_bad_to_good = 0.25;
@@ -137,16 +150,16 @@ Options parse_args(int argc, char** argv) {
         opts.faults.burst_loss = ge;
       }
     } else if (arg == "--fault-jitter-ms") {
-      const int ms = std::stoi(next());
+      const long ms = whole();
       if (ms > 0) {
         opts.faults.jitter = fault::LatencyJitter{sim::Duration::millis(ms)};
       }
     } else if (arg == "--fault-reorder") {
-      opts.faults.reorder = std::stod(next());
+      opts.faults.reorder = probability();
     } else if (arg == "--fault-corrupt") {
-      opts.faults.corrupt = std::stod(next());
+      opts.faults.corrupt = probability();
     } else if (arg == "--fault-seed") {
-      opts.fault_seed = std::stoull(next());
+      opts.fault_seed = static_cast<std::uint64_t>(whole());
       opts.fault_seed_set = true;
     } else {
       usage_and_exit(argv[0]);
@@ -330,19 +343,31 @@ int main(int argc, char** argv) {
   barrier(pump, opts, "sent");
   settle(pump, socket, faulty ? &*faulty : nullptr, opts.reliable, 300);
 
-  // --- Phase 2: match + respond ------------------------------------------
+  // --- Phase 2: inner-product queries ------------------------------------
+  for (const net::WorkloadInnerQuery& query :
+       net::workload_inner_queries(workload)) {
+    if (query.client != opts.index) continue;
+    node.subscribe_inner_product(query.id, query.stream, query.index,
+                                 query.weights, sim::Duration::seconds(3600),
+                                 now());
+  }
+  settle(pump, socket, faulty ? &*faulty : nullptr, opts.reliable, 300);
+  barrier(pump, opts, "asked");
+  settle(pump, socket, faulty ? &*faulty : nullptr, opts.reliable, 300);
+
+  // --- Phase 3: match + respond ------------------------------------------
   node.tick(now());
   settle(pump, socket, faulty ? &*faulty : nullptr, opts.reliable, 300);
   barrier(pump, opts, "tick1");
   settle(pump, socket, faulty ? &*faulty : nullptr, opts.reliable, 300);
 
-  // --- Phase 3: straggler sweep ------------------------------------------
+  // --- Phase 4: straggler sweep ------------------------------------------
   node.tick(now());
   settle(pump, socket, faulty ? &*faulty : nullptr, opts.reliable, 300);
   barrier(pump, opts, "tick2");
   settle(pump, socket, faulty ? &*faulty : nullptr, opts.reliable, 300);
 
-  // --- Phase 4: convergence under chaos -----------------------------------
+  // --- Phase 5: convergence under chaos -----------------------------------
   // Lifespans are hours, so nothing expires; the clock keeps driving
   // retransmits, refresh and anti-entropy until the healing layers run out
   // of gaps to close.
@@ -365,7 +390,7 @@ int main(int argc, char** argv) {
     settle(pump, socket, faulty ? &*faulty : nullptr, opts.reliable, 300);
   }
 
-  // --- Phase 5: report ----------------------------------------------------
+  // --- Phase 6: report ----------------------------------------------------
   obs::Json doc = obs::Json::object();
   doc["index"] = static_cast<std::uint64_t>(opts.index);
   doc["epoch"] = opts.epoch;
@@ -379,6 +404,11 @@ int main(int argc, char** argv) {
     results[std::to_string(query)] = std::move(arr);
   }
   doc["results"] = std::move(results);
+  obs::Json inner = obs::Json::object();
+  for (const auto& [query, value] : node.inner_values()) {
+    inner[std::to_string(query)] = value;
+  }
+  doc["inner"] = std::move(inner);
   obs::Json counters = obs::Json::object();
   const net::NetNode::Counters& c = node.counters();
   counters["mbrs_published"] = c.mbrs_published;

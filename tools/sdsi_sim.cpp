@@ -11,12 +11,11 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <memory>
 #include <string>
 
 #include "bench/bench_common.hpp"
 #include "core/report_render.hpp"
-#include "net/wire_shadow.hpp"
+#include "tools/flags.hpp"
 
 namespace {
 
@@ -76,37 +75,22 @@ using namespace sdsi;
       "  --drain S            settling time after measure before reports\n"
       "  --obs-dir DIR        write DIR/metrics.json (time series + reports)\n"
       "  --trace              with --obs-dir: also stream DIR/trace.jsonl\n"
-      "  --obs-window MS      time-series window in ms (default 1000)\n"
-      "  --wire-shadow        route every transmission through the v1 wire\n"
-      "                       codec (encode->decode; docs/WIRE_FORMAT.md)\n",
+      "  --obs-window MS      time-series window in ms (default 1000)\n",
       argv0);
   std::exit(code);
 }
 
-double parse_double(const char* text, const char* argv0) {
-  char* end = nullptr;
-  const double value = std::strtod(text, &end);
-  if (end == text || *end != '\0') {
-    usage(argv0);
-  }
-  return value;
-}
-
-long parse_long(const char* text, const char* argv0) {
-  char* end = nullptr;
-  const long value = std::strtol(text, &end, 10);
-  if (end == text || *end != '\0' || value < 0) {
-    usage(argv0);
-  }
-  return value;
-}
+using tools::parse_double;
+using tools::parse_long;
+using tools::parse_probability;
 
 }  // namespace
+
+void sdsi::tools::usage_error(const char* argv0) { usage(argv0); }
 
 int main(int argc, char** argv) {
   core::ExperimentConfig config = bench::paper_experiment(100);
   double crash_fraction = 0.0;
-  bool wire_shadow = false;
   const auto adversarial = [&]() -> streams::AdversarialSpec& {
     if (!config.adversarial.has_value()) {
       config.adversarial.emplace();
@@ -193,9 +177,9 @@ int main(int argc, char** argv) {
         usage(argv[0]);
       }
     } else if (is("--loss")) {
-      config.faults.uniform_loss = parse_double(value(), argv[0]);
+      config.faults.uniform_loss = parse_probability(value(), argv[0]);
     } else if (is("--burst-loss")) {
-      const double rate = parse_double(value(), argv[0]);
+      const double rate = tools::parse_burst_loss(value(), argv[0]);
       if (rate > 0.0) {
         // Mean burst length 4 transmissions; solve p_g2b for the requested
         // stationary loss rate (see fault::GilbertElliottParams).
@@ -205,7 +189,7 @@ int main(int argc, char** argv) {
         config.faults.burst_loss = burst;
       }
     } else if (is("--crash-wave")) {
-      crash_fraction = parse_double(value(), argv[0]);
+      crash_fraction = parse_probability(value(), argv[0], tools::kBelowOne);
     } else if (is("--jitter")) {
       config.faults.jitter = fault::LatencyJitter{
           sim::Duration::seconds(parse_double(value(), argv[0]) / 1000.0)};
@@ -251,7 +235,8 @@ int main(int argc, char** argv) {
       overload().ingest_capacity =
           static_cast<std::uint64_t>(parse_long(value(), argv[0]));
     } else if (is("--shed-rate")) {
-      overload().forced_shed_rate = parse_double(value(), argv[0]);
+      overload().forced_shed_rate =
+          parse_probability(value(), argv[0], tools::kBelowOne);
     } else if (is("--publish-budget")) {
       overload().publish_budget =
           static_cast<std::uint64_t>(parse_long(value(), argv[0]));
@@ -270,8 +255,6 @@ int main(int argc, char** argv) {
     } else if (is("--obs-window")) {
       config.obs.window =
           sim::Duration::millis(parse_long(value(), argv[0]));
-    } else if (std::strcmp(argv[i], "--wire-shadow") == 0) {
-      wire_shadow = true;
     } else {
       usage(argv[0]);
     }
@@ -327,17 +310,7 @@ int main(int argc, char** argv) {
         static_cast<unsigned long long>(ov.publish_budget), ov.defer_capacity);
   }
   core::Experiment experiment(config);
-  std::shared_ptr<const net::WireShadowStats> shadow_stats;
-  if (wire_shadow) {
-    experiment.prepare();
-    shadow_stats = net::install_wire_shadow(experiment.routing_system());
-  }
   experiment.run();
-  if (shadow_stats != nullptr) {
-    std::printf("wire shadow: %llu frames, %llu bytes crossed the v1 codec\n",
-                static_cast<unsigned long long>(shadow_stats->frames),
-                static_cast<unsigned long long>(shadow_stats->bytes));
-  }
   if (config.obs.enabled()) {
     std::printf("observability: wrote %s/metrics.json%s\n",
                 config.obs.dir.c_str(),
