@@ -1,6 +1,5 @@
-// Adversarial-skew bench (BENCH_skew.json): does the overload-control layer
-// actually flatten a flash crowd, and does load shedding degrade recall
-// gracefully?
+// Adversarial-skew bench (BENCH_skew.json): how unevenly does a flash crowd
+// load the ring, and does load shedding degrade recall gracefully?
 //
 // Canonical scenario: the stock-market family with the full adversarial
 // stack — Zipf pattern pool, Zipf client placement, and a sector-correlated
@@ -11,14 +10,8 @@
 //
 // Two measurements:
 //
-//  1. Mitigation ladder: the identical scenario at three overload settings —
-//     off (no overload config), detect-only (split_ways = 1: the detector
-//     runs, nothing moves), and split (split_ways = 3: hot arcs fan their
-//     stores and subscriptions across two successor delegates). Per rung we
-//     record per-node message load and index work p99/median from the
-//     robustness report. The headline row is work_imbalance_improvement =
-//     ratio(off) / ratio(split); the acceptance bar (enforced by
-//     tools/skew_smoke in CI) is >= 3x.
+//  1. Imbalance: the scenario without overload control; we record per-node
+//     message load and index work p99/median from the robustness report.
 //
 //  2. Recall-vs-shed curve: the same scenario with the recall oracle on and
 //     forced_shed_rate swept over {0, 0.25, 0.5, 0.75, 0.9} (smoke: three
@@ -32,7 +25,6 @@
 // (BENCH_skew.json location).
 #include <chrono>
 #include <cstdio>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -50,9 +42,9 @@ core::ExperimentConfig skew_scenario(std::size_t nodes, sim::Duration warmup,
   config.stream_family = core::StreamFamily::kStockMarket;
   config.warmup = warmup;
   config.measure = measure;
-  // Matches diverted to a split delegate ride one extra hop plus one extra
-  // notify tick; without a drain their reports fall off the end of the
-  // measurement and read as (phantom) recall loss.
+  // Reports still in flight when the measurement ends reach their clients
+  // during the drain instead of reading as recall loss; the recall curve
+  // has always been taken with this 20 s drain.
   config.drain = sim::Duration::seconds(20);
 
   streams::AdversarialSpec adv;
@@ -67,18 +59,10 @@ core::ExperimentConfig skew_scenario(std::size_t nodes, sim::Duration warmup,
   return config;
 }
 
-core::OverloadOptions mitigation(std::size_t split_ways) {
-  core::OverloadOptions overload;
-  overload.split_ways = split_ways;
-  return overload;
-}
-
 struct SkewPoint {
   double message_ratio = 0.0;  // per-node message load p99 / median
   double work_ratio = 0.0;     // per-node index work p99 / median
   double recall = 0.0;
-  std::uint64_t splits = 0;
-  std::uint64_t diverted = 0;
   std::uint64_t shed = 0;
   std::uint64_t backpressure_drops = 0;
   double wall_ms = 0.0;
@@ -96,8 +80,6 @@ SkewPoint run_point(const core::ExperimentConfig& config) {
   point.message_ratio = r.message_load_p99_over_median;
   point.work_ratio = r.work_p99_over_median;
   point.recall = r.recall;
-  point.splits = r.hot_arc_splits;
-  point.diverted = r.split_diverted_stores;
   point.shed = r.shed_mbrs;
   point.backpressure_drops = r.backpressure_drops;
   point.wall_ms =
@@ -161,58 +143,18 @@ int main(int argc, char** argv) {
   bench::JsonBenchReporter reporter("skew");
   bool ok = true;
 
-  // --- Mitigation ladder ----------------------------------------------------
-  struct Rung {
-    const char* label;
-    std::optional<core::OverloadOptions> overload;
-  };
-  const std::vector<Rung> ladder = {
-      {"off", std::nullopt},
-      {"detect_only", mitigation(1)},
-      {"split", mitigation(3)},
-  };
-
-  common::TextTable table(
-      {"Mitigation", "Msg p99/med", "Work p99/med", "Splits", "Diverted"});
-  double off_work_ratio = 0.0;
-  double split_work_ratio = 0.0;
-  for (const Rung& rung : ladder) {
-    core::ExperimentConfig config = base;
-    config.overload = rung.overload;
-    const SkewPoint point = run_point(config);
-    ok = ok && point.drops_accounted;
-    if (std::string(rung.label) == "off") {
-      off_work_ratio = point.work_ratio;
-    } else if (std::string(rung.label) == "split") {
-      split_work_ratio = point.work_ratio;
-    }
-    table.begin_row().add_cell(rung.label);
-    table.add_num(point.message_ratio, 2);
-    table.add_num(point.work_ratio, 2);
-    table.add_int(static_cast<long long>(point.splits));
-    table.add_int(static_cast<long long>(point.diverted));
-
-    const std::string cfg =
-        "nodes=" + std::to_string(nodes) + " mitigation=" + rung.label;
-    reporter.add(bench::BenchResult{"work_p99_over_median", cfg,
-                                    point.work_ratio, point.wall_ms});
-    reporter.add(bench::BenchResult{"message_p99_over_median", cfg,
-                                    point.message_ratio, point.wall_ms});
-    reporter.add(bench::BenchResult{"hot_arc_splits", cfg,
-                                    static_cast<double>(point.splits),
-                                    point.wall_ms});
-  }
-  std::printf("%s", table.render().c_str());
-
-  const double improvement =
-      split_work_ratio > 0.0 ? off_work_ratio / split_work_ratio : 0.0;
+  // --- Imbalance without overload control ---------------------------------
+  const SkewPoint imbalance = run_point(base);
+  ok = ok && imbalance.drops_accounted;
   std::printf(
-      "\nwork imbalance p99/median: off %.2f -> split %.2f "
-      "(improvement %.2fx, acceptance bar: >= 3x)\n",
-      off_work_ratio, split_work_ratio, improvement);
-  reporter.add(bench::BenchResult{
-      "work_imbalance_improvement",
-      "nodes=" + std::to_string(nodes) + " off/split", improvement, 0.0});
+      "load imbalance p99/median: messages %.2f, work %.2f\n",
+      imbalance.message_ratio, imbalance.work_ratio);
+  const std::string ring = "nodes=" + std::to_string(nodes);
+  reporter.add(bench::BenchResult{"work_p99_over_median", ring,
+                                  imbalance.work_ratio, imbalance.wall_ms});
+  reporter.add(bench::BenchResult{"message_p99_over_median", ring,
+                                  imbalance.message_ratio,
+                                  imbalance.wall_ms});
 
   // --- Recall vs forced shed rate -------------------------------------------
   const std::vector<double> rates =
@@ -227,8 +169,7 @@ int main(int argc, char** argv) {
   const double tolerance = 0.02;
   for (const double rate : rates) {
     core::ExperimentConfig config = base;
-    config.overload = mitigation(3);
-    config.overload->forced_shed_rate = rate;
+    config.overload.emplace().forced_shed_rate = rate;
     config.oracle_sample_period = sim::Duration::seconds(5);
     const SkewPoint point = run_point(config);
     ok = ok && point.drops_accounted;
@@ -248,8 +189,7 @@ int main(int argc, char** argv) {
     curve.begin_row().add_num(rate, 2);
     curve.add_num(point.recall, 4);
     curve.add_int(static_cast<long long>(point.shed));
-    const std::string cfg = "nodes=" + std::to_string(nodes) +
-                            " shed_rate=" + std::to_string(rate);
+    const std::string cfg = ring + " shed_rate=" + std::to_string(rate);
     reporter.add(
         bench::BenchResult{"recall_vs_shed", cfg, point.recall,
                            point.wall_ms});

@@ -132,8 +132,8 @@ struct ExperimentConfig {
   /// pools, Zipf clients, skewed node placement, flash crowds. nullopt (the
   /// default) keeps the paper's uniform workload byte-identical.
   std::optional<streams::AdversarialSpec> adversarial;
-  /// Overload-survival layer (hot-arc splitting, load shedding, ingest
-  /// backpressure); forwarded into MiddlewareConfig. When set, stream
+  /// Overload-survival layer (load shedding, ingest backpressure);
+  /// forwarded into MiddlewareConfig. When set, stream
   /// emission additionally honors MiddlewareSystem::ingest_backpressure —
   /// a source under publish backpressure stretches its emission gaps
   /// (slows down) instead of having the middleware drop its batches.
@@ -204,9 +204,8 @@ struct RobustnessReport : RobustnessCounters {
   std::uint64_t recoveries = 0;
   /// Load-imbalance ratios over the measurement window (nearest-rank p99 /
   /// median across nodes; 0 when the median is 0). `message_load_*` counts
-  /// delivered messages (which splitting cannot reduce); `work_*` counts
-  /// index work — stores, match scans, subscription installs — the quantity
-  /// hot-arc splitting actually redistributes.
+  /// delivered messages; `work_*` counts index work — stores, match scans,
+  /// subscription installs.
   double message_load_p99_over_median = 0.0;
   double work_p99_over_median = 0.0;
 };

@@ -129,11 +129,7 @@ struct RobustnessCounters {
   /// promotion instant (how long partial aggregations sat unserved).
   obs::LogHistogram failover_latency_ms;
 
-  // --- Overload-survival layer (hot-arc splitting + shedding) -------------
-  std::uint64_t hot_arc_splits = 0;     // detector enter transitions
-  std::uint64_t hot_arc_merges = 0;     // detector exit transitions
-  std::uint64_t split_diverted_stores = 0;  // MBR stores redirected to
-                                            // split delegates
+  // --- Overload-survival layer (shedding + backpressure) -----------------
   std::uint64_t shed_mbrs = 0;          // MBR batches shed at a full ingest
                                         // queue (mirrors drops.shed_overload)
   std::uint64_t backpressure_deferrals = 0;  // publications delayed, not lost
@@ -188,11 +184,9 @@ class MetricsCollector final : public routing::MetricsHook {
   /// Index *work* units performed at a node: MBR stores accepted, match
   /// candidate windows (IndexStore::last_match_work), and aggregation
   /// pushes. Message load measures what the
-  /// overlay delivers; work measures what the node then has to do — the
-  /// quantity hot-arc splitting redistributes (a split cannot un-deliver a
-  /// message, but it can move the store+match cost to a delegate). Increments
-  /// come from the middleware's serial dispatch path, so totals are
-  /// deterministic across thread counts.
+  /// overlay delivers; work measures what the node then has to do.
+  /// Increments come from the middleware's serial dispatch path, so totals
+  /// are deterministic.
   void add_node_work(NodeIndex node, std::uint64_t units) {
     if (!enabled_ || node >= work_per_node_.size()) {
       return;

@@ -166,7 +166,7 @@ void MiddlewareNode::publish_mbr(LocalStream& stream, dsp::Mbr mbr) {
                                     payload->batch_seq, now, expires};
   const bool added = store.add_mbr(entry);
   if (added) {
-    note_work(1);
+    metrics_.add_node_work(index, 1);
   }
   // When the source itself owns the range's hi end, the routed copy will
   // dedup against this local store and handle_mbr never sees a first
@@ -412,7 +412,6 @@ void MiddlewareNode::deliver(const Message& msg) {
 
 void MiddlewareNode::handle_mbr(const Message& msg) {
   const auto payload = payload_of<MbrPayload>(msg);
-  const sim::SimTime now = routing_.simulator().now();
   if (index != payload->source) {
     // Load shedding: a node past its per-window ingest budget (or under a
     // forced-shed experiment) refuses the store as an ACCOUNTED drop before
@@ -421,24 +420,26 @@ void MiddlewareNode::handle_mbr(const Message& msg) {
     if (config_.overload.has_value() && shed_ingest(msg)) {
       return;
     }
-    // Hot-arc splitting: while this node is hot, each arriving batch is
-    // deterministically assigned to one member of the split group
-    // (hash(stream, batch_seq) — seed-stable). Batches owned by a delegate
-    // are forwarded via the idempotent kReplicaPut path instead of being
-    // stored and matched here; the delegates hold mirrors of this node's
-    // subscriptions, so the match still happens — elsewhere.
-    const NodeIndex target =
-        config_.overload.has_value() && !overload.split_delegates.empty()
-            ? divert_target(payload->stream, payload->batch_seq)
-            : kInvalidNode;
-    if (target != kInvalidNode) {
-      // Fall through to the ack below afterwards: the batch is durably on
-      // its way to a split-group member, which is what the ack promises.
-      divert_store(target, IndexStore::StoredMbr{
-                               payload->stream, payload->source, payload->mbr,
-                               payload->batch_seq, now, payload->expires});
+    // The payload carries its absolute expiry, so a retransmitted or
+    // refreshed copy stores exactly what the first delivery would have.
+    const sim::SimTime now = routing_.simulator().now();
+    const IndexStore::StoredMbr entry{payload->stream, payload->source,
+                                      payload->mbr, payload->batch_seq, now,
+                                      payload->expires};
+    if (!store.add_mbr(entry)) {
+      if (payload->expires > now) {
+        metrics_.count(&RobustnessCounters::duplicate_stores, nullptr);
+      }
     } else {
-      store_mbr_with_work(msg, *payload, now);
+      metrics_.add_node_work(index, 1);
+      // Synchronous mirror: the key-range owner (the node covering the hi
+      // end) pushes the freshly stored batch to its replica set. First
+      // store only — refresh and retry redeliveries dedup above and never
+      // re-mirror.
+      if (replication_on() && msg.has_range &&
+          covers_key(index, msg.range_hi)) {
+        mirror_mbr(entry);
+      }
     }
   }
   if (!config_.mbr_ack.enabled || msg.range_internal) {
@@ -452,31 +453,6 @@ void MiddlewareNode::handle_mbr(const Message& msg) {
                std::make_shared<const MbrAckPayload>(
                    MbrAckPayload{payload->stream, payload->batch_seq}),
                /*reroute_on_dead=*/false);
-}
-
-bool MiddlewareNode::store_mbr_with_work(const Message& msg,
-                                         const MbrPayload& payload,
-                                         sim::SimTime now) {
-  // The payload carries its absolute expiry, so a retransmitted or
-  // refreshed copy stores exactly what the first delivery would have.
-  const IndexStore::StoredMbr entry{payload.stream, payload.source,
-                                    payload.mbr, payload.batch_seq, now,
-                                    payload.expires};
-  const bool added = store.add_mbr(entry);
-  if (!added && payload.expires > now) {
-    metrics_.count(&RobustnessCounters::duplicate_stores, nullptr);
-  }
-  if (added) {
-    note_work(1);
-  }
-  // Synchronous mirror: the key-range owner (the node covering the hi end)
-  // pushes the freshly stored batch to its replica set. First store only —
-  // refresh and retry redeliveries dedup above and never re-mirror.
-  if (added && replication_on() && msg.has_range &&
-      covers_key(index, msg.range_hi)) {
-    mirror_mbr(entry);
-  }
-  return added;
 }
 
 void MiddlewareNode::handle_mbr_ack(const Message& msg) {
@@ -499,7 +475,7 @@ void MiddlewareNode::handle_similarity_query(const Message& msg) {
   store.add_subscription(payload->query, payload->middle_key,
                          query.issued_at + query.lifespan);
   if (fresh) {
-    note_work(1);
+    metrics_.add_node_work(index, 1);
   } else if (config_.query_refresh_period > sim::Duration()) {
     // A refresh re-derives this node's reports: each pair has one
     // designated reporter, so a lost digest has no other node covering for
@@ -515,16 +491,6 @@ void MiddlewareNode::handle_similarity_query(const Message& msg) {
     const IndexStore::Subscription* sub = store.find_subscription(query.id);
     if (sub != nullptr) {
       mirror_subscription(*sub);
-    }
-  }
-  // While this node's arc is split, every new subscription must also reach
-  // the delegates holding its diverted MBRs, or their stores would match
-  // against a stale subscription set.
-  if (fresh && config_.overload.has_value() &&
-      !overload.split_delegates.empty()) {
-    const IndexStore::Subscription* sub = store.find_subscription(query.id);
-    if (sub != nullptr) {
-      forward_subscription_to_delegates(*sub);
     }
   }
 }
@@ -749,29 +715,7 @@ bool MiddlewareNode::designated_reporter(const IndexStore::StoredMbr& entry,
   map.query_ranges(sub.query->features, sub.query->radius, query_ranges_);
   const std::optional<Key> point =
       nearest_overlap_key(batch_ranges_, query_ranges_, sub.middle_key);
-  if (!point.has_value() || covers_key(index, *point)) {
-    return true;
-  }
-  // A split delegate stands in for the hot node it serves: the batches
-  // that node diverted here are stored nowhere else on its arc. Delegates
-  // are the hot node's next live successors, which announced the split to
-  // them with its subscription mirror.
-  if (!config_.overload.has_value()) {
-    return false;
-  }
-  NodeIndex owner = index;
-  for (std::size_t hop = 1; hop < config_.overload->split_ways; ++hop) {
-    owner = routing_.predecessor_index(owner);
-    const std::vector<NodeIndex>* delegates = host_.split_delegates(owner);
-    if (owner == index || delegates == nullptr) {
-      return false;
-    }
-    if (covers_key(owner, *point)) {
-      return std::find(delegates->begin(), delegates->end(), index) !=
-             delegates->end();
-    }
-  }
-  return false;
+  return !point.has_value() || covers_key(index, *point);
 }
 
 void MiddlewareNode::send_report_digests(sim::SimTime now) {
@@ -815,8 +759,9 @@ void MiddlewareNode::periodic_tick() {
                   const IndexStore::Subscription& sub) {
         return designated_reporter(entry, sub);
       });
-  note_work(store.last_match_work() + store.last_match_declined() +
-            static_cast<std::uint64_t>(fresh.size()));
+  metrics_.add_node_work(index, store.last_match_work() +
+                                    store.last_match_declined() +
+                                    static_cast<std::uint64_t>(fresh.size()));
 
   // -1. Aggregator failover: mirrors whose middle key now falls on this
   //     node's arc (the owner died) become live aggregations.
@@ -939,7 +884,7 @@ void MiddlewareNode::handle_replica_put(const Message& msg) {
   if (applied.added == 0) {
     return;  // everything deduplicated: redelivery is a no-op by design
   }
-  note_work(applied.added);
+  metrics_.add_node_work(index, applied.added);
   if (payload->repair) {
     metrics_.count(&RobustnessCounters::replica_repairs, "replication.repairs",
                    applied.added);
@@ -1117,18 +1062,6 @@ void MiddlewareNode::request_handoff() {
 
 // --- Overload control --------------------------------------------------------
 
-void MiddlewareNode::note_work(std::uint64_t units) {
-  if (units == 0) {
-    return;
-  }
-  // The window counter feeds hot-arc detection and must run whenever the
-  // overload layer is on — including warmup, when metrics are disabled.
-  if (config_.overload.has_value()) {
-    overload.window_work += units;
-  }
-  metrics_.add_node_work(index, units);
-}
-
 bool MiddlewareNode::shed_ingest(const Message& msg) {
   const OverloadOptions& opt = *config_.overload;
   bool shed = false;
@@ -1154,85 +1087,6 @@ bool MiddlewareNode::shed_ingest(const Message& msg) {
   return true;
 }
 
-NodeIndex MiddlewareNode::divert_target(StreamId stream,
-                                        std::uint64_t batch_seq) const {
-  const std::vector<NodeIndex>& delegates = overload.split_delegates;
-  // Same mix as IndexStore::MbrKeyHash: the batch identity picks one owner
-  // out of {self, delegates...} uniformly, and redeliveries (retries,
-  // refreshes) of the same batch always pick the same owner — so the
-  // idempotent dedup still works after a split.
-  std::uint64_t h = stream * 0x9E3779B97F4A7C15ull;
-  h ^= batch_seq + 0x9E3779B97F4A7C15ull + (h << 6) + (h >> 2);
-  const std::uint64_t owner = h % (1 + delegates.size());
-  return owner == 0 ? kInvalidNode : delegates[owner - 1];
-}
-
-void MiddlewareNode::divert_store(NodeIndex target,
-                                  const IndexStore::StoredMbr& entry) {
-  const auto payload = std::make_shared<const ReplicaPutPayload>(
-      ReplicaPutPayload{index,
-                        {ReplicaMbrEntry{entry.stream, entry.source, entry.mbr,
-                                         entry.batch_seq, entry.expires}},
-                        {},
-                        false,
-                        false});
-  send_to_node(target, MsgKind::kReplicaPut, payload, true);
-  metrics_.count(&RobustnessCounters::split_diverted_stores,
-                 "overload.diverted_stores");
-}
-
-void MiddlewareNode::split_arc() {
-  std::vector<NodeIndex>& delegates = overload.split_delegates;
-  if (config_.overload->split_ways > 1) {
-    delegates = routing_.successors(index, config_.overload->split_ways - 1);
-  }
-  // Delegates must hold this node's live subscriptions before any diverted
-  // MBR lands, or diverted batches would match nothing there.
-  if (delegates.empty() || store.subscription_count() == 0) {
-    return;
-  }
-  const sim::SimTime now = routing_.simulator().now();
-  // Canonical ascending-id order (like the handoff path): the delegate's
-  // store contents must not depend on this node's container history.
-  std::vector<std::pair<QueryId, const IndexStore::Subscription*>> order;
-  order.reserve(store.subscription_count());
-  for (const auto& entry : store.subscriptions()) {
-    if (entry.second.expires > now) {
-      order.emplace_back(entry.first, &entry.second);
-    }
-  }
-  std::sort(order.begin(), order.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
-  std::vector<ReplicaSubscriptionEntry> entries;
-  entries.reserve(order.size());
-  for (const auto& [id, sub] : order) {
-    entries.push_back(
-        ReplicaSubscriptionEntry{sub->query, sub->middle_key, sub->expires});
-  }
-  if (entries.empty()) {
-    return;
-  }
-  const auto payload = std::make_shared<const ReplicaPutPayload>(
-      ReplicaPutPayload{index, {}, std::move(entries), false, false});
-  for (const NodeIndex delegate : delegates) {
-    send_to_node(delegate, MsgKind::kReplicaPut, payload, true);
-  }
-}
-
-void MiddlewareNode::forward_subscription_to_delegates(
-    const IndexStore::Subscription& sub) {
-  const auto payload = std::make_shared<const ReplicaPutPayload>(
-      ReplicaPutPayload{
-          index,
-          {},
-          {ReplicaSubscriptionEntry{sub.query, sub.middle_key, sub.expires}},
-          false,
-          false});
-  for (const NodeIndex delegate : overload.split_delegates) {
-    send_to_node(delegate, MsgKind::kReplicaPut, payload, true);
-  }
-}
-
 void MiddlewareNode::defer_publication(StreamId stream, dsp::Mbr mbr) {
   overload.deferred.push_back(DeferredPublication{stream, std::move(mbr)});
   metrics_.count(&RobustnessCounters::backpressure_deferrals,
@@ -1247,8 +1101,9 @@ void MiddlewareNode::defer_publication(StreamId stream, dsp::Mbr mbr) {
   }
 }
 
-void MiddlewareNode::drain_deferred() {
+void MiddlewareNode::overload_window() {
   const std::uint64_t budget = config_.overload->publish_budget;
+  overload.window_ingest = 0;
   overload.window_published = 0;
   if (overload.deferred.empty() || !routing_.is_alive(index)) {
     return;

@@ -17,7 +17,6 @@
 #include "common/dense_map.hpp"
 #include "common/rng.hpp"
 #include "core/batcher.hpp"
-#include "core/hot_arc.hpp"
 #include "core/index_store.hpp"
 #include "core/mapper.hpp"
 #include "core/metrics.hpp"
@@ -29,30 +28,21 @@
 
 namespace sdsi::core {
 
-/// Overload-control knobs (adversarial-skew extension). Three cooperating
-/// mechanisms, each individually disableable:
-///  - hot-arc splitting: the detector flags nodes running persistently hot
-///    (by index work) and fans their arc out across `split_ways - 1` virtual
-///    successor delegates via the replication machinery;
+/// Overload-control knobs (adversarial-skew extension). Two mechanisms,
+/// each individually disableable, run on each node's own counters and
+/// window timer:
 ///  - load shedding: a bounded per-window ingest budget; overflow stores are
 ///    dropped as accounted fault::DropCause::kShedOverload (never silent);
 ///  - ingest backpressure: a per-source publish budget defers closed batches
 ///    into a bounded FIFO instead of flooding the ring; queue overflow drops
 ///    the oldest batch as accounted kBackpressure.
 struct OverloadOptions {
-  /// Hot-arc detector hysteresis (core/hot_arc.hpp).
-  HotArcConfig detector;
-
-  /// Detector window: per-node work counters are read + reset, transitions
-  /// applied, and deferred publications drained at this period.
+  /// Each node's overload window: its ingest and publish budgets refill,
+  /// and its deferred publications drain, at this period.
   sim::Duration window = sim::Duration::millis(2000);
 
-  /// A hot node's arc is split this many ways: itself plus split_ways - 1
-  /// successor-list delegates. 1 disables splitting (detect-only).
-  std::size_t split_ways = 3;
-
-  /// Max MBR stores a node accepts per detector window; past it, deliveries
-  /// shed as kShedOverload. 0 = unbounded (shedding off).
+  /// Max MBR stores a node accepts per window; past it, deliveries shed as
+  /// kShedOverload. 0 = unbounded (shedding off).
   std::uint64_t ingest_capacity = 0;
 
   /// Deterministic forced shed fraction in [0, 1): every store attempt
@@ -140,9 +130,9 @@ struct MiddlewareConfig {
 
   // --- Overload control (adversarial-skew extension) ----------------------
 
-  /// Hot-arc splitting, load shedding, and ingest backpressure; nullopt
-  /// (the default) disables the whole layer with zero overhead and leaves
-  /// every existing run byte-identical.
+  /// Load shedding and ingest backpressure; nullopt (the default) disables
+  /// the whole layer with zero overhead and leaves every existing run
+  /// byte-identical.
   std::optional<OverloadOptions> overload;
 };
 
@@ -231,11 +221,6 @@ class NodeHost {
 
   /// A response reached its client node, which has already acked it.
   virtual void on_response(const ResponsePayload& response) = 0;
-
-  /// The split delegates of another node, read by the designated-reporter
-  /// rule; nullptr when the host does not know `node`.
-  virtual const std::vector<NodeIndex>* split_delegates(
-      NodeIndex node) const = 0;
 };
 
 class MiddlewareNode {
@@ -282,14 +267,10 @@ class MiddlewareNode {
   /// Wipes the soft state a crash loses; local streams survive.
   void reset_soft_state();
 
-  /// Overload window, hot side: fans the arc out to the next split_ways - 1
-  /// successors and mirrors the live subscriptions to them.
-  void split_arc();
-
-  /// Overload window, source side: refills the publish budget and drains
-  /// the deferral queue FIFO, oldest batch first (its batch_seq is assigned
-  /// now, at actual publication).
-  void drain_deferred();
+  /// The node's overload window: refills the ingest and publish budgets,
+  /// then drains the deferral queue FIFO, oldest batch first (its batch_seq
+  /// is assigned now, at actual publication).
+  void overload_window();
 
   // --- State ---------------------------------------------------------------
 
@@ -337,15 +318,11 @@ class MiddlewareNode {
 
   /// Overload-control state (touched only when MiddlewareConfig::overload is
   /// set). All mutations happen on the middleware's serial paths, so the
-  /// same seed yields the same shed/split/defer schedule.
+  /// same seed yields the same shed/defer schedule.
   struct OverloadState {
-    std::uint64_t window_work = 0;       // index work this detector window
     std::uint64_t window_ingest = 0;     // MBR stores accepted this window
     std::uint64_t window_published = 0;  // publications sent this window
     double shed_accumulator = 0.0;       // forced-shed fractional counter
-    /// Virtual successor nodes sharing this node's arc while it is hot;
-    /// empty when cool.
-    std::vector<NodeIndex> split_delegates;
     /// Source-side backpressure queue of closed-but-unpublished batches.
     std::deque<DeferredPublication> deferred;
   };
@@ -394,9 +371,8 @@ class MiddlewareNode {
 
   /// The designated-reporter rule, the match pass's report filter: this
   /// node reports a (batch, subscription) candidate only when it covers the
-  /// candidate's nearest_overlap_key (or is a split delegate of the hot
-  /// node that does), or when no batch range meets a query range (never a
-  /// dismissal).
+  /// candidate's nearest_overlap_key, or when no batch range meets a query
+  /// range (never a dismissal).
   bool designated_reporter(const IndexStore::StoredMbr& entry,
                            const IndexStore::Subscription& sub);
 
@@ -492,34 +468,10 @@ class MiddlewareNode {
 
   // --- Overload-control helpers --------------------------------------------
 
-  /// Credits `units` of index work: feeds both the per-window hot-arc
-  /// counter and the exported per-node work totals.
-  void note_work(std::uint64_t units);
-
-  /// The store body shared by handle_mbr's split and non-split paths:
-  /// add_mbr with duplicate accounting, work credit, and the replica-set
-  /// mirror when this node owns the range's hi end. Returns whether the
-  /// entry was freshly stored.
-  bool store_mbr_with_work(const Message& msg, const MbrPayload& payload,
-                           sim::SimTime now);
-
   /// The load-shedding gate for one delivered MBR store attempt. Returns
   /// true when the store must be skipped; the drop is then already
   /// accounted (kShedOverload via the routing drop path + shed_mbrs).
   bool shed_ingest(const Message& msg);
-
-  /// Where a hot node's store lands within its split group: itself
-  /// (kInvalidNode = keep local) or one of its delegates, chosen by a
-  /// deterministic hash of (stream, batch_seq).
-  NodeIndex divert_target(StreamId stream, std::uint64_t batch_seq) const;
-
-  /// Forwards one store entry to a split delegate via kReplicaPut
-  /// (idempotent at the receiver).
-  void divert_store(NodeIndex target, const IndexStore::StoredMbr& entry);
-
-  /// Forwards one freshly installed subscription to the split delegates
-  /// (keeps the split group matching while hot).
-  void forward_subscription_to_delegates(const IndexStore::Subscription& sub);
 
   /// Source-side deferral: queues the closed batch; on queue overflow the
   /// oldest deferred batch is dropped as accounted kBackpressure.

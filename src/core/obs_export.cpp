@@ -135,7 +135,9 @@ obs::Json metrics_to_json(const Experiment& experiment) {
   // run.overload flag.
   // v4 (additive): run.strategy names the indexing strategy
   // (core/strategy.hpp); everything else is unchanged for the default.
-  doc["schema_version"] = obs::Json(4);
+  // v5: hot-arc splitting is gone, and with it the robustness counters
+  // hot_arc_splits, hot_arc_merges and split_diverted_stores.
+  doc["schema_version"] = obs::Json(5);
   doc["kind"] = obs::Json("sdsi.metrics");
 
   obs::Json run = obs::Json::object();
@@ -264,10 +266,6 @@ obs::Json metrics_to_json(const Experiment& experiment) {
       obs::Json(robustness_report.oracle_fallbacks);
   robustness["failover_latency_ms"] =
       histogram_to_json(robustness_report.failover_latency_ms);
-  robustness["hot_arc_splits"] = obs::Json(robustness_report.hot_arc_splits);
-  robustness["hot_arc_merges"] = obs::Json(robustness_report.hot_arc_merges);
-  robustness["split_diverted_stores"] =
-      obs::Json(robustness_report.split_diverted_stores);
   robustness["shed_mbrs"] = obs::Json(robustness_report.shed_mbrs);
   robustness["backpressure_deferrals"] =
       obs::Json(robustness_report.backpressure_deferrals);

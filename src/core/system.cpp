@@ -16,11 +16,9 @@ MiddlewareSystem::MiddlewareSystem(routing::RoutingSystem& routing,
   strategy_ = IndexingStrategy::make(config_.strategy, config_.features,
                                      routing_.id_space());
   if (config_.overload.has_value()) {
-    SDSI_CHECK(config_.overload->split_ways >= 1);
     SDSI_CHECK(config_.overload->forced_shed_rate >= 0.0 &&
                config_.overload->forced_shed_rate < 1.0);
     SDSI_CHECK(config_.overload->window > sim::Duration());
-    hot_arc_ = HotArcDetector(config_.overload->detector, routing.num_nodes());
   }
   for (NodeIndex i = 0; i < routing.num_nodes(); ++i) {
     nodes_.emplace_back(i, routing_, static_cast<NodeHost&>(*this), config_,
@@ -56,20 +54,30 @@ void MiddlewareSystem::schedule_node(NodeIndex index, std::int64_t slot,
   }
 }
 
+void MiddlewareSystem::schedule_overload_window(NodeIndex index) {
+  if (!config_.overload.has_value()) {
+    return;
+  }
+  sim::Simulator& sim = routing_.simulator();
+  const sim::Duration window = config_.overload->window;
+  const std::int64_t passed =
+      (sim.now() - start_time_).count_micros() / window.count_micros();
+  MiddlewareNode& node = nodes_[index];
+  sim.schedule_periodic(start_time_ + window * (passed + 1), window,
+                        [&node] { node.overload_window(); });
+}
+
 void MiddlewareSystem::start() {
   SDSI_CHECK(!started_);
   started_ = true;
+  start_time_ = routing_.simulator().now();
   for (NodeIndex i = 0; i < nodes_.size(); ++i) {
     schedule_node(i, i, static_cast<std::int64_t>(nodes_.size()));
   }
-  if (config_.overload.has_value()) {
-    // One GLOBAL detector window (not per-node, not staggered): split and
-    // merge decisions read every node's counter in one serial pass, so the
-    // schedule is a pure function of the seed.
-    sim::Simulator& sim = routing_.simulator();
-    sim.schedule_periodic(sim.now() + config_.overload->window,
-                          config_.overload->window,
-                          [this] { overload_tick(); });
+  // Scheduled after every cadence: where a cadence falls on the windows'
+  // grid, it runs first, and the windows of one instant run in node order.
+  for (NodeIndex i = 0; i < nodes_.size(); ++i) {
+    schedule_overload_window(i);
   }
 }
 
@@ -87,6 +95,7 @@ void MiddlewareSystem::attach_node(NodeIndex index) {
                         config_, *strategy_, mapper_, metrics_, rng_);
     if (started_) {
       schedule_node(fresh, 0, 1);
+      schedule_overload_window(fresh);
     }
   }
   metrics_.ensure_nodes(nodes_.size());
@@ -186,42 +195,7 @@ void MiddlewareSystem::on_response(const ResponsePayload& response) {
   }
 }
 
-const std::vector<NodeIndex>* MiddlewareSystem::split_delegates(
-    NodeIndex node) const {
-  return node < nodes_.size() ? &nodes_[node].overload.split_delegates
-                              : nullptr;
-}
-
 // --- Overload control --------------------------------------------------------
-
-void MiddlewareSystem::overload_tick() {
-  hot_arc_.ensure_nodes(nodes_.size());
-
-  // Harvest + reset the window counters. Dead nodes report zero: they do no
-  // work, and their stale counters must not distort the ring median.
-  std::vector<std::uint64_t> work(nodes_.size(), 0);
-  for (NodeIndex i = 0; i < nodes_.size(); ++i) {
-    MiddlewareNode::OverloadState& ov = nodes_[i].overload;
-    if (routing_.is_alive(i)) {
-      work[i] = ov.window_work;
-    }
-    ov.window_work = 0;
-    ov.window_ingest = 0;
-  }
-
-  const HotArcDetector::Transitions transitions = hot_arc_.observe(work);
-  for (const std::size_t node : transitions.split) {
-    nodes_[node].split_arc();
-    metrics_.count(&RobustnessCounters::hot_arc_splits, "overload.splits");
-  }
-  for (const std::size_t node : transitions.merge) {
-    nodes_[node].overload.split_delegates.clear();
-    metrics_.count(&RobustnessCounters::hot_arc_merges, "overload.merges");
-  }
-  for (NodeIndex i = 0; i < nodes_.size(); ++i) {
-    nodes_[i].drain_deferred();
-  }
-}
 
 double MiddlewareSystem::ingest_backpressure(NodeIndex node) const {
   if (!config_.overload.has_value() || node >= nodes_.size() ||

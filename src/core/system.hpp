@@ -13,8 +13,7 @@
 // and range replication, similarity matching with no false dismissals,
 // middle-node aggregation, the h2 location service, and the periodic
 // notification machinery of Table I. The host keeps what spans nodes: the
-// node table and its staggered schedules, the client records, and the
-// global hot-arc window of the overload layer.
+// node table and its schedules, and the client records.
 #pragma once
 
 #include <deque>
@@ -25,7 +24,6 @@
 #include <unordered_set>
 #include <vector>
 
-#include "core/hot_arc.hpp"
 #include "core/node.hpp"
 
 namespace sdsi::core {
@@ -186,12 +184,10 @@ class MiddlewareSystem : private NodeHost {
   void set_query_hook(QueryPoseHook hook) { query_hook_ = std::move(hook); }
 
  private:
-  // NodeHost: counts and reports publications, files a response into its
-  // client record, and serves the nodes' split tables.
+  // NodeHost: counts and reports publications, and files a response into
+  // its client record.
   void on_publish(const MbrPayload& payload) override;
   void on_response(const ResponsePayload& response) override;
-  const std::vector<NodeIndex>* split_delegates(
-      NodeIndex node) const override;
 
   /// nodes_[index], growing the table for late joiners.
   MiddlewareNode& state_of(NodeIndex index);
@@ -200,10 +196,10 @@ class MiddlewareSystem : private NodeHost {
   /// last two when configured), each `slot` / `slots` of its period late.
   void schedule_node(NodeIndex index, std::int64_t slot, std::int64_t slots);
 
-  /// The global detector window: harvests + resets per-node work counters,
-  /// applies split/merge transitions, and drains deferral queues into the
-  /// fresh publish budgets. Runs serially off the simulator.
-  void overload_tick();
+  /// Starts the node's overload window (when configured) on the grid
+  /// start + k * window, the next point after now; unlike the cadences
+  /// above it is not staggered.
+  void schedule_overload_window(NodeIndex index);
 
   routing::RoutingSystem& routing_;
   MiddlewareConfig config_;
@@ -219,9 +215,9 @@ class MiddlewareSystem : private NodeHost {
   QueryId next_query_id_ = 1;
   std::uint64_t mbrs_routed_ = 0;
   bool started_ = false;
+  sim::SimTime start_time_;  // the origin of the overload windows' grid
   MbrPublishHook publish_hook_;
   QueryPoseHook query_hook_;
-  HotArcDetector hot_arc_;  // overload layer; empty unless config.overload
 };
 
 }  // namespace sdsi::core

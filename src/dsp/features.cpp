@@ -46,23 +46,6 @@ FeatureVector slice_features(std::span<const Complex> spectrum,
   return FeatureVector(std::move(coeffs));
 }
 
-double symmetric_lower_bound(const FeatureVector& a, const FeatureVector& b,
-                             const FeatureConfig& config) noexcept {
-  SDSI_DCHECK(a.size() == b.size());
-  const std::size_t first = config.first_coefficient();
-  const std::size_t n = config.window_size;
-  double total = 0.0;
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    const std::size_t f = first + i;
-    // Coefficient F pairs with N-F; both retained-and-mirrored frequencies
-    // contribute, except DC (F=0) and Nyquist (F=N/2) which are their own
-    // mirror.
-    const double factor = (f == 0 || 2 * f == n) ? 1.0 : 2.0;
-    total += factor * std::norm(a[i] - b[i]);
-  }
-  return std::sqrt(total);
-}
-
 std::vector<Sample> reconstruct(const FeatureVector& features,
                                 const FeatureConfig& config) {
   config.validate();

@@ -37,13 +37,13 @@ struct FeatureConfig {
 
   /// Retained coefficients must stay within [0, N/2]: a real window has
   /// X_{N-F} = conj(X_F), so a coefficient past N/2 mirrors one below it and
-  /// carries nothing new, while reconstruct() and symmetric_lower_bound()
-  /// would count the pair twice (Rafiei & Mendelzon).
-  void validate() const {
-    SDSI_CHECK(window_size >= 2);
-    SDSI_CHECK(num_coefficients >= 1);
-    SDSI_CHECK(first_coefficient() + num_coefficients <= window_size / 2 + 1);
+  /// carries nothing new, while reconstruct() would count the pair twice
+  /// (Rafiei & Mendelzon).
+  bool valid() const noexcept {
+    return window_size >= 2 && num_coefficients >= 1 &&
+           first_coefficient() + num_coefficients <= window_size / 2 + 1;
   }
+  void validate() const { SDSI_CHECK(valid()); }
 };
 
 /// A point in the feature space: the retained DFT coefficients of one
@@ -103,13 +103,6 @@ FeatureVector extract_features(std::span<const Sample> window,
 /// [0, first_coefficient + num_coefficients).
 FeatureVector slice_features(std::span<const Complex> spectrum,
                              const FeatureConfig& config);
-
-/// Tighter lower bound on the window distance that exploits the conjugate
-/// symmetry of real signals: coefficient F and N-F contribute equally, so
-/// retained coefficients with 1 <= F < N/2 count twice (after StatStream).
-/// Still never exceeds the true distance.
-double symmetric_lower_bound(const FeatureVector& a, const FeatureVector& b,
-                             const FeatureConfig& config) noexcept;
 
 /// Eq. 7: reconstructs an approximate window of length config.window_size
 /// from the retained coefficients, using conjugate symmetry to fill the

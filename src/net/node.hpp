@@ -136,9 +136,6 @@ class NetNode final : private core::NodeHost {
   // core::NodeHost
   void on_publish(const core::MbrPayload& payload) override;
   void on_response(const core::ResponsePayload& response) override;
-  const std::vector<NodeIndex>* split_delegates(NodeIndex) const override {
-    return nullptr;  // no overload layer on the socket ring
-  }
 
   bool reliable() const noexcept { return config_.reliability.enabled; }
 

@@ -432,8 +432,8 @@ std::uint64_t candidate_windows(const IndexStore& store) {
 
 TEST(MatchPruning, WorkProxyIsTheCandidateWindowOnEveryPass) {
   // On a steady pass old subscriptions meet only the new batches, but
-  // last_match_work() — the hot-arc detector's input and metrics.json
-  // load.per_node_work — must still report the full candidate windows.
+  // last_match_work() — metrics.json's load.per_node_work — must still
+  // report the full candidate windows.
   common::Pcg32 rng(9, 4);
   IndexStore store;
   const auto forever = at_ms(1000000);

@@ -1,5 +1,5 @@
 // MiddlewareNode hosted without MiddlewareSystem: a node's whole outside
-// world is a RoutingSystem, a MetricsCollector and the three-method
+// world is a RoutingSystem, a MetricsCollector and the two-method
 // NodeHost, so a handful of nodes on a StaticRing plus a test host run the
 // Sec IV pipeline end to end.
 #include <gtest/gtest.h>
@@ -19,7 +19,6 @@ namespace {
 constexpr std::size_t kWindow = 16;
 
 struct TestHost final : NodeHost {
-  const std::deque<MiddlewareNode>* nodes = nullptr;
   const sim::Simulator* clock = nullptr;
   std::vector<std::pair<StreamId, std::uint64_t>> published;
   std::vector<std::pair<QueryId, StreamId>> matches;
@@ -34,11 +33,6 @@ struct TestHost final : NodeHost {
     for (const SimilarityMatch& match : response.matches) {
       matches.emplace_back(response.query, match.stream);
     }
-  }
-  const std::vector<NodeIndex>* split_delegates(
-      NodeIndex node) const override {
-    return node < nodes->size() ? &(*nodes)[node].overload.split_delegates
-                                : nullptr;
   }
 };
 
@@ -58,7 +52,6 @@ struct FourNodeRing {
       : config(middleware),
         strategy(IndexingStrategy::make(config.strategy, config.features,
                                         space)) {
-    host.nodes = &nodes;
     host.clock = &sim;
     for (NodeIndex i = 0; i < ring.num_nodes(); ++i) {
       nodes.emplace_back(i, ring, host, config, *strategy, mapper, metrics,

@@ -1,14 +1,12 @@
 // Determinism gate of the overload-control layer: the same seeded
-// adversarial run — Zipf pattern pool, skewed placement, hot-arc splitting,
-// forced shedding, and publish backpressure all active — replayed twice in
-// one process must produce identical shed counts, identical
-// split/merge/divert decisions, identical per-query matched stream sets,
-// and a byte-identical metrics.json. The overload decisions are
-// deterministic functions of the seed (the shed accumulator is rng-free),
-// so nothing that differs between two runs in one process, such as a static
-// or a wall-clock reading, may reach them while the mitigation machinery is
-// rewriting the data path. A second test checks that hot-arc splitting
-// keeps every match while it moves the work.
+// adversarial run — Zipf pattern pool, skewed placement, forced shedding,
+// and publish backpressure all active — replayed twice in one process must
+// produce identical shed and deferral counts, identical per-query matched
+// stream sets, and a byte-identical metrics.json. The overload decisions
+// are deterministic functions of the seed (the shed accumulator is
+// rng-free), so nothing that differs between two runs in one process, such
+// as a static or a wall-clock reading, may reach them while the overload
+// layer is rewriting the data path.
 //
 // Runs under the chaos-smoke label (tests/CMakeLists.txt).
 #include <gtest/gtest.h>
@@ -50,18 +48,12 @@ ExperimentConfig skew_config(const std::string& obs_dir) {
   adversarial.placement_skew = 2.0;
   config.adversarial = adversarial;
 
-  // Every overload mechanism on at once, with thresholds low enough that
-  // all of them fire inside the short window: detector splits (fast
-  // hysteresis), forced shedding (deterministic accumulator), and publish
-  // backpressure (tiny budget, bounded deferral queue).
+  // Both overload mechanisms on at once, with thresholds low enough that
+  // both fire inside the short window: forced shedding (deterministic
+  // accumulator) and publish backpressure (tiny budget, bounded deferral
+  // queue).
   OverloadOptions overload;
   overload.window = sim::Duration::millis(500);
-  overload.detector.enter_ratio = 2.0;
-  overload.detector.enter_windows = 2;
-  overload.detector.exit_ratio = 1.0;
-  overload.detector.exit_windows = 3;
-  overload.detector.min_median_work = 2;
-  overload.split_ways = 3;
   overload.forced_shed_rate = 0.2;
   overload.publish_budget = 3;
   overload.defer_capacity = 8;
@@ -83,9 +75,6 @@ struct RunDigest {
   std::uint64_t matches = 0;
   double recall = 0.0;
   std::uint64_t shed = 0;
-  std::uint64_t splits = 0;
-  std::uint64_t merges = 0;
-  std::uint64_t diverted = 0;
   std::uint64_t deferrals = 0;
   std::uint64_t backpressure_drops = 0;
   std::string metrics_json;
@@ -105,9 +94,6 @@ RunDigest run_once(const std::string& obs_dir) {
   const RobustnessReport robustness = experiment.robustness_report();
   digest.recall = robustness.recall;
   digest.shed = robustness.shed_mbrs;
-  digest.splits = robustness.hot_arc_splits;
-  digest.merges = robustness.hot_arc_merges;
-  digest.diverted = robustness.split_diverted_stores;
   digest.deferrals = robustness.backpressure_deferrals;
   digest.backpressure_drops = robustness.backpressure_drops;
   digest.metrics_json = slurp(obs_dir + "/metrics.json");
@@ -123,8 +109,6 @@ TEST(SkewDeterminism, OverloadDecisionsReplayIdentically) {
   ASSERT_GT(first.queries, 0u);
   ASSERT_GT(first.matches, 0u);
   ASSERT_GT(first.shed, 0u) << "forced shedding never fired";
-  ASSERT_GT(first.splits, 0u) << "hot-arc detector never split";
-  ASSERT_GT(first.diverted, 0u) << "split group diverted nothing";
   ASSERT_GT(first.deferrals, 0u) << "publish budget never deferred";
   ASSERT_FALSE(first.metrics_json.empty());
 
@@ -134,52 +118,11 @@ TEST(SkewDeterminism, OverloadDecisionsReplayIdentically) {
   EXPECT_EQ(replay.matched, first.matched);
   EXPECT_EQ(replay.recall, first.recall);
   EXPECT_EQ(replay.shed, first.shed);
-  EXPECT_EQ(replay.splits, first.splits);
-  EXPECT_EQ(replay.merges, first.merges);
-  EXPECT_EQ(replay.diverted, first.diverted);
   EXPECT_EQ(replay.deferrals, first.deferrals);
   EXPECT_EQ(replay.backpressure_drops, first.backpressure_drops);
   // Byte equality of the export document: per-node work vectors, drop
   // causes, imbalance ratios.
   EXPECT_EQ(replay.metrics_json, first.metrics_json);
-}
-
-TEST(HotArcSplit, DelegatesReportWhatTheirHotNodeDiverted) {
-  // Each (batch, query) pair has one designated reporter. A hot node that
-  // diverts a batch to a split delegate no longer stores it, so the
-  // delegate must report in its place: splitting moves work, not matches.
-  // The reference is the same flash crowd under the detector alone
-  // (split_ways 1: same splits, nothing diverted).
-  const auto run = [](std::size_t split_ways) {
-    ExperimentConfig config;
-    config.num_nodes = 60;
-    config.seed = 42;
-    config.stream_family = StreamFamily::kStockMarket;
-    config.warmup = sim::Duration::seconds(30);
-    config.measure = sim::Duration::seconds(60);
-    config.drain = sim::Duration::seconds(20);
-    config.oracle_sample_period = sim::Duration::seconds(5);
-    streams::AdversarialSpec adversarial;
-    adversarial.pattern_pool = 8;
-    adversarial.zipf_exponent = 1.1;
-    adversarial.zipf_clients = true;
-    adversarial.placement_skew = 2.0;
-    streams::FlashCrowd crowd;
-    crowd.at_seconds = 40.0;
-    adversarial.flash_crowd = crowd;
-    config.adversarial = adversarial;
-    OverloadOptions overload;
-    overload.split_ways = split_ways;
-    config.overload = overload;
-    Experiment experiment(config);
-    experiment.run();
-    return experiment.robustness_report();
-  };
-  const RobustnessReport detect_only = run(1);
-  const RobustnessReport split = run(3);
-  ASSERT_GT(split.split_diverted_stores, 0u);
-  ASSERT_GT(detect_only.oracle_pairs, 1000u);
-  EXPECT_GE(split.recall, detect_only.recall);
 }
 
 }  // namespace

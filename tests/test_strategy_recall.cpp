@@ -39,8 +39,8 @@ double measured_recall(StrategyKind kind) {
 }
 
 TEST(StrategyRecall, DftRecallIsNearLossless) {
-  // The paper's pipeline: interval-pruned matching with symmetric lower
-  // bounds never dismisses a true match. End-to-end recall still dips a
+  // The paper's pipeline: interval-pruned matching with the Eq. 9 lower
+  // bound never dismisses a true match. End-to-end recall still dips a
   // hair under 1: a pair the oracle predicts in the last instants of the
   // window is dropped if its query expires before the next notify tick
   // reports it — a property of the periodic push protocol, not the index.

@@ -340,7 +340,6 @@ TEST(MiddlewareOverload, EveryShedAndBackpressureLossIsAccounted) {
   // unregisters with two still queued, and the next window drops both.
   MiddlewareConfig config = small_config();
   OverloadOptions overload;
-  overload.split_ways = 1;
   overload.ingest_capacity = 1;
   overload.publish_budget = 1;
   overload.defer_capacity = 2;

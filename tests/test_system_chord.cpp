@@ -27,7 +27,8 @@ struct Harness {
   chord::ChordNetwork net;
   MiddlewareSystem system;
 
-  explicit Harness(std::size_t nodes)
+  explicit Harness(std::size_t nodes,
+                   const MiddlewareConfig& middleware = small_config())
       : net(sim,
             [] {
               chord::ChordConfig config;
@@ -38,7 +39,7 @@ struct Harness {
         system((net.bootstrap(
                     routing::hash_node_ids(nodes, common::IdSpace(32), 99)),
                 net),
-               small_config()) {
+               middleware) {
     system.start();
   }
 
@@ -162,6 +163,36 @@ TEST(ChordMiddleware, JoinedNodeServesNewStreams) {
   const ClientQueryRecord* record = h.system.client_record(id);
   EXPECT_TRUE(record->matched_streams.contains(910));
   EXPECT_TRUE(record->matched_streams.contains(911));
+}
+
+TEST(ChordMiddleware, JoinedNodeDrainsItsDeferralsOnItsOwnWindow) {
+  // Overload control runs on each node's own window timer, so a data center
+  // that joins after start() needs a window of its own, or batches it
+  // defers under backpressure never publish.
+  MiddlewareConfig config = small_config();
+  OverloadOptions overload;
+  overload.publish_budget = 1;
+  overload.defer_capacity = 8;
+  config.overload = overload;
+  Harness h(8, config);
+  h.run_for(1.0);
+
+  const NodeIndex newcomer = h.net.join(
+      h.net.id_space().wrap(0xDEADBEEFCAFEull), /*via=*/0);
+  h.net.run_maintenance_rounds(4);
+  h.system.attach_node(newcomer);
+  const std::uint64_t routed = h.system.mbrs_routed();
+  h.system.register_stream(newcomer, 930);
+  // kWindow + 2 samples close one batch and every 3 more close another:
+  // four batches, of which one publishes and three defer.
+  h.feed_exponential(newcomer, 930, 1.1, static_cast<int>(kWindow) + 11);
+  EXPECT_EQ(h.system.mbrs_routed(), routed + 1);
+  EXPECT_EQ(h.system.ingest_backpressure(newcomer), 3.0 / 8.0);
+
+  // One deferred batch publishes per 2 s window.
+  h.run_for(7.0);
+  EXPECT_EQ(h.system.mbrs_routed(), routed + 4);
+  EXPECT_EQ(h.system.ingest_backpressure(newcomer), 0.0);
 }
 
 TEST(ChordMiddleware, DeterministicAcrossRuns) {

@@ -1,9 +1,10 @@
 // Flag values of the command-line tools (sdsi_sim, net_equiv, sdsi_node):
-// a number must parse whole, and a probability must lie in the range the
-// code needs, or the tool prints its usage and exits 2. A mistyped value
-// never aborts a tool or runs another experiment than the one asked for.
+// a number must parse whole and lie in the range the code needs, or the
+// tool prints its usage and exits 2. A mistyped value never aborts a tool
+// or runs another experiment than the one asked for.
 #pragma once
 
+#include <cmath>
 #include <cstdlib>
 
 namespace sdsi::tools {
@@ -11,21 +12,24 @@ namespace sdsi::tools {
 /// Prints the tool's usage to stderr and exits 2; each tool defines it.
 [[noreturn]] void usage_error(const char* argv0);
 
-/// All of `text` as a double.
-inline double parse_double(const char* text, const char* argv0) {
+/// All of `text` as a finite double of at least `min` (by default, a
+/// non-negative one).
+inline double parse_double(const char* text, const char* argv0,
+                           double min = 0.0) {
   char* end = nullptr;
   const double value = std::strtod(text, &end);
-  if (end == text || *end != '\0') {
+  if (end == text || *end != '\0' || !std::isfinite(value) || value < min) {
     usage_error(argv0);
   }
   return value;
 }
 
-/// All of `text` as a non-negative integer.
-inline long parse_long(const char* text, const char* argv0) {
+/// All of `text` as an integer of at least `min` (by default, a
+/// non-negative one).
+inline long parse_long(const char* text, const char* argv0, long min = 0) {
   char* end = nullptr;
   const long value = std::strtol(text, &end, 10);
-  if (end == text || *end != '\0' || value < 0) {
+  if (end == text || *end != '\0' || value < min) {
     usage_error(argv0);
   }
   return value;
@@ -34,11 +38,14 @@ inline long parse_long(const char* text, const char* argv0) {
 /// The largest double below 1: the bound of a fraction in [0, 1).
 inline constexpr double kBelowOne = 1.0 - 0x1p-53;
 
+/// The smallest double above 0: the `min` of a positive value.
+inline constexpr double kAboveZero = 0x1p-1074;
+
 /// All of `text` as a probability in [0, max].
 inline double parse_probability(const char* text, const char* argv0,
                                 double max = 1.0) {
   const double value = parse_double(text, argv0);
-  if (!(value >= 0.0 && value <= max)) {
+  if (value > max) {
     usage_error(argv0);
   }
   return value;

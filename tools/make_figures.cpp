@@ -2,7 +2,7 @@
 //
 // Takes one observability run directory (produced by `sdsi_sim --obs-dir`
 // or `bench_robustness --obs-dir`), validates the emitted documents against
-// the published schemas (metrics.json `sdsi.metrics` v4, v1–v3 accepted;
+// the published schemas (metrics.json `sdsi.metrics` v5, v1–v4 accepted;
 // trace.jsonl `sdsi.trace` v1 when present), and renders the figure data
 // tables:
 //
@@ -84,12 +84,13 @@ void check_metrics_schema(const Json& doc) {
   // component, the replication category, and the failover robustness fields.
   // v3 adds load.per_node_work, robustness.imbalance + the overload-survival
   // counters, the shed_overload/backpressure drop causes, and run.overload.
-  // v4 adds run.strategy (the indexing strategy name).
+  // v4 adds run.strategy (the indexing strategy name). v5 drops the three
+  // hot-arc splitting counters.
   std::int64_t schema = 0;
   if (version != nullptr) {
     schema = version->as_int();
-    require(schema >= 1 && schema <= 4,
-            "metrics.json: schema_version must be 1 through 4");
+    require(schema >= 1 && schema <= 5,
+            "metrics.json: schema_version must be 1 through 5");
   }
   const Json* kind = field(doc, "kind", Json::Type::kString, "metrics.json");
   if (kind != nullptr) {
@@ -216,9 +217,14 @@ void check_metrics_schema(const Json& doc) {
     }
     if (schema >= 3) {
       for (const char* key :
-           {"hot_arc_splits", "hot_arc_merges", "split_diverted_stores",
-            "shed_mbrs", "backpressure_deferrals", "backpressure_drops"}) {
+           {"shed_mbrs", "backpressure_deferrals", "backpressure_drops"}) {
         field(*robustness, key, Json::Type::kNumber, "robustness");
+      }
+      if (schema <= 4) {
+        for (const char* key :
+             {"hot_arc_splits", "hot_arc_merges", "split_diverted_stores"}) {
+          field(*robustness, key, Json::Type::kNumber, "robustness");
+        }
       }
       const Json* imbalance = field(*robustness, "imbalance",
                                     Json::Type::kObject, "robustness");
@@ -587,8 +593,8 @@ int main(int argc, char** argv) {
   }
 
   // Adversarial-skew figure (v3 runs): per-node index work next to the
-  // per-node message load, plus the two summary imbalance ratios — the
-  // quantities the hot-arc mitigation is judged on (BENCH_skew.json).
+  // per-node message load, plus the two summary imbalance ratios that
+  // BENCH_skew.json records for the flash crowd.
   int tables = 6;
   if (doc->find("schema_version")->as_int() >= 3) {
     std::string csv = "node,msgs_per_sec,work_units\n";

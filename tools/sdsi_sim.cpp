@@ -61,10 +61,7 @@ using namespace sdsi;
       "  --placement-skew S   non-uniform node ids (u^S; 0 = uniform hash)\n"
       "  --flash-crowd T      sector-correlated flash crowd at T seconds\n"
       "                       (stock family only; implies --adversarial)\n"
-      "  --overload           overload control with defaults (hot-arc\n"
-      "                       detector + 3-way splitting)\n"
-      "  --overload-window MS detector/drain window (default 2000)\n"
-      "  --split-ways N       fan a hot arc across N nodes (1 = detect only)\n"
+      "  --overload-window MS each node's shed/drain window (default 2000)\n"
       "  --ingest-capacity N  stores accepted per node per window before\n"
       "                       shedding (0 = unbounded)\n"
       "  --shed-rate P        deterministic forced shed fraction in [0,1)\n"
@@ -80,6 +77,7 @@ using namespace sdsi;
   std::exit(code);
 }
 
+using tools::kAboveZero;
 using tools::parse_double;
 using tools::parse_long;
 using tools::parse_probability;
@@ -117,7 +115,8 @@ int main(int argc, char** argv) {
     if (is("--help") || is("-h")) {
       usage(argv[0], stdout, 0);
     } else if (is("--nodes")) {
-      config.num_nodes = static_cast<std::size_t>(parse_long(value(), argv[0]));
+      config.num_nodes =
+          static_cast<std::size_t>(parse_long(value(), argv[0], 1));
     } else if (is("--radius")) {
       config.workload.query_radius = parse_double(value(), argv[0]);
     } else if (is("--seed")) {
@@ -150,7 +149,7 @@ int main(int argc, char** argv) {
       }
     } else if (is("--beta")) {
       config.batching.batch_size =
-          static_cast<std::size_t>(parse_long(value(), argv[0]));
+          static_cast<std::size_t>(parse_long(value(), argv[0], 1));
     } else if (is("--window")) {
       config.features.window_size =
           static_cast<std::size_t>(parse_long(value(), argv[0]));
@@ -162,7 +161,8 @@ int main(int argc, char** argv) {
     } else if (is("--measure")) {
       config.measure = sim::Duration::seconds(parse_double(value(), argv[0]));
     } else if (is("--query-rate")) {
-      config.workload.query_rate_per_sec = parse_double(value(), argv[0]);
+      config.workload.query_rate_per_sec =
+          parse_double(value(), argv[0], kAboveZero);
     } else if (is("--adaptive-precision")) {
       config.adaptive_precision = core::AdaptivePrecisionController::Options{};
     } else if (is("--family")) {
@@ -224,13 +224,9 @@ int main(int argc, char** argv) {
       streams::FlashCrowd crowd;
       crowd.at_seconds = parse_double(value(), argv[0]);
       adversarial().flash_crowd = crowd;
-    } else if (is("--overload")) {
-      overload();
     } else if (is("--overload-window")) {
-      overload().window = sim::Duration::millis(parse_long(value(), argv[0]));
-    } else if (is("--split-ways")) {
-      overload().split_ways =
-          static_cast<std::size_t>(parse_long(value(), argv[0]));
+      overload().window =
+          sim::Duration::millis(parse_long(value(), argv[0], 1));
     } else if (is("--ingest-capacity")) {
       overload().ingest_capacity =
           static_cast<std::uint64_t>(parse_long(value(), argv[0]));
@@ -254,10 +250,13 @@ int main(int argc, char** argv) {
       config.obs.trace = true;
     } else if (is("--obs-window")) {
       config.obs.window =
-          sim::Duration::millis(parse_long(value(), argv[0]));
+          sim::Duration::millis(parse_long(value(), argv[0], 1));
     } else {
       usage(argv[0]);
     }
+  }
+  if (!config.features.valid()) {
+    usage(argv[0]);  // the window cannot hold the retained coefficients
   }
   if (config.obs.trace && !config.obs.enabled()) {
     std::fprintf(stderr, "%s: --trace requires --obs-dir\n", argv[0]);
@@ -302,9 +301,9 @@ int main(int argc, char** argv) {
   if (config.overload.has_value()) {
     const auto& ov = *config.overload;
     std::printf(
-        "overload control: window %.0f ms, split ways %zu, ingest cap %llu, "
+        "overload control: window %.0f ms, ingest cap %llu, "
         "shed rate %.2f, publish budget %llu, defer cap %zu\n",
-        static_cast<double>(ov.window.count_micros()) / 1000.0, ov.split_ways,
+        static_cast<double>(ov.window.count_micros()) / 1000.0,
         static_cast<unsigned long long>(ov.ingest_capacity),
         ov.forced_shed_rate,
         static_cast<unsigned long long>(ov.publish_budget), ov.defer_capacity);
@@ -410,11 +409,7 @@ int main(int argc, char** argv) {
         robustness.work_p99_over_median);
     if (config.overload.has_value()) {
       std::printf(
-          "  hot-arc splits %llu, merges %llu, diverted stores %llu\n"
           "  shed MBRs %llu, backpressure deferrals %llu, drops %llu\n",
-          static_cast<unsigned long long>(robustness.hot_arc_splits),
-          static_cast<unsigned long long>(robustness.hot_arc_merges),
-          static_cast<unsigned long long>(robustness.split_diverted_stores),
           static_cast<unsigned long long>(robustness.shed_mbrs),
           static_cast<unsigned long long>(robustness.backpressure_deferrals),
           static_cast<unsigned long long>(robustness.backpressure_drops));
