@@ -324,7 +324,7 @@ int main(int argc, char** argv) {
           responses += record.responses_received;
           matches += record.match_events;
         }
-        const std::uint64_t lost = net.lost_messages();
+        const std::uint64_t lost = net.total_drops();
         windows.push_back(Window{sim.now().as_seconds() - 10.0,
                                  responses - last_responses,
                                  matches - last_matches, lost - last_lost,

@@ -18,16 +18,14 @@ int main() {
   for (const std::size_t n : {std::size_t{100}, std::size_t{300}}) {
     std::vector<core::ExperimentConfig> configs;
     for (const auto substrate :
-         {core::SubstrateKind::kChord, core::SubstrateKind::kChord,
-          core::SubstrateKind::kPrefixRing,
+         {core::SubstrateKind::kChord, core::SubstrateKind::kPrefixRing,
           core::SubstrateKind::kStaticRing}) {
       configs.push_back(bench::paper_experiment(n));
       configs.back().substrate = substrate;
     }
-    configs[1].chord_lookup = chord::LookupStyle::kIterative;
     const auto experiments = bench::run_sweep(configs);
-    const char* names[] = {"Chord (recursive)", "Chord (iterative)",
-                           "prefix (Pastry-like)", "ideal one-hop"};
+    const char* names[] = {"Chord (recursive)", "prefix (Pastry-like)",
+                           "ideal one-hop"};
     for (std::size_t i = 0; i < experiments.size(); ++i) {
       const auto& experiment = experiments[i];
       const core::HopsReport hops = experiment->hops_report();

@@ -113,7 +113,7 @@ int main() {
   std::printf("ring repaired: %zu alive data centers, %llu message(s) lost "
               "in flight during the repair window\n",
               network.alive_count(),
-              static_cast<unsigned long long>(network.lost_messages()));
+              static_cast<unsigned long long>(network.total_drops()));
 
   // New streams can land on the newcomer immediately.
   middleware.register_stream(newcomer, 799);

@@ -8,7 +8,7 @@ namespace sdsi::chord {
 
 ChordNetwork::ChordNetwork(sim::Simulator& simulator, ChordConfig config)
     : RoutingSystem(simulator, common::IdSpace(config.id_bits),
-                    config.hop_latency),
+                    routing::kHopLatency),
       config_(config) {
   SDSI_CHECK(config_.successor_list_length >= 1);
 }
@@ -81,7 +81,7 @@ NodeIndex ChordNetwork::join(Key id, NodeIndex via) {
   const NodeIndex newcomer = create_node(id);
   NodeState& node = nodes_[newcomer];
   // find_successor(id) over current protocol state, asked through `via`.
-  const LookupTrace trace = trace_lookup(via, id);
+  const routing::LookupTrace trace = trace_lookup(via, id);
   SDSI_CHECK(trace.result != kInvalidNode);
   node.successor = trace.result;
   node.predecessor = kInvalidNode;
@@ -126,7 +126,7 @@ void ChordNetwork::recover(NodeIndex node, NodeIndex via) {
   NodeState& state = nodes_[node];
   state.alive = true;
   ++alive_count_;
-  const LookupTrace trace = trace_lookup(via, state.id);
+  const routing::LookupTrace trace = trace_lookup(via, state.id);
   SDSI_CHECK(trace.result != kInvalidNode);
   state.successor = trace.result;
   state.predecessor = kInvalidNode;
@@ -208,7 +208,7 @@ void ChordNetwork::fix_finger(NodeIndex node, unsigned finger) {
   }
   SDSI_CHECK(finger < config_.id_bits);
   const Key start = id_space().finger_start(nodes_[node].id, finger);
-  const LookupTrace trace = trace_lookup(node, start);
+  const routing::LookupTrace trace = trace_lookup(node, start);
   if (trace.result != kInvalidNode) {
     nodes_[node].fingers.set(finger, trace.result);
   }
@@ -317,13 +317,13 @@ NodeIndex ChordNetwork::next_hop(NodeIndex current, Key key,
   return closest_preceding_node(current, key);
 }
 
-ChordNetwork::LookupTrace ChordNetwork::trace_lookup(NodeIndex from,
-                                                     Key key) const {
+routing::LookupTrace ChordNetwork::trace_lookup(NodeIndex from,
+                                                Key key) const {
   SDSI_CHECK(is_alive(from));
-  LookupTrace trace;
+  routing::LookupTrace trace;
   trace.path.push_back(from);
   NodeIndex current = from;
-  for (int hop = 0; hop <= config_.max_route_hops; ++hop) {
+  for (int hop = 0; hop <= kMaxRouteHops; ++hop) {
     bool final_here = false;
     const NodeIndex next = next_hop(current, key, final_here);
     if (final_here) {
@@ -353,74 +353,17 @@ ChordNetwork::LookupTrace ChordNetwork::trace_lookup(NodeIndex from,
 void ChordNetwork::route_to_key(NodeIndex from, Key key, Message msg) {
   // Even a locally-covered key goes through the event queue, so the deliver
   // upcall never reenters the sender's call stack.
-  if (config_.lookup_style == LookupStyle::kIterative) {
-    schedule_msg(sim::Duration(), std::move(msg),
-                 [this, from, key](Message m) {
-                   iterate_step(from, from, key, std::move(m));
-                 });
-    return;
-  }
   schedule_msg(sim::Duration(), std::move(msg), [this, from, key](Message m) {
     route_step(from, key, std::move(m));
   });
 }
 
-void ChordNetwork::iterate_step(NodeIndex origin, NodeIndex current, Key key,
-                                Message msg) {
-  if (!is_alive(origin) || !is_alive(current)) {
-    ++lost_messages_;
-    record_drop(fault::DropCause::kDeadNode, msg);
-    return;
-  }
-  if (msg.hops > config_.max_route_hops) {
-    ++lost_messages_;
-    record_drop(fault::DropCause::kHopLimit, msg);
-    return;
-  }
-  bool final_here = false;
-  const NodeIndex next = next_hop(current, key, final_here);
-  if (final_here) {
-    // The responsible node is known: one direct transmission delivers.
-    const sim::Duration delay =
-        current == origin ? sim::Duration() : transmission_latency();
-    msg.hops += current == origin ? 0 : 1;
-    schedule_msg(delay, std::move(msg), [this, current](Message m) {
-      if (is_alive(current)) {
-        deliver_at(current, std::move(m));
-      } else if (m.reroute_on_dead) {
-        detour_around_dead(current, std::move(m));
-      } else {
-        ++lost_messages_;
-        record_drop(fault::DropCause::kDeadNode, m);
-      }
-    });
-    return;
-  }
-  // One probe round: origin -> current (request), current -> origin
-  // (reply naming `next`). Two transmissions, charged as transit at the
-  // probed node; then the origin interrogates `next`. The origin's own
-  // first lookup step is local and free.
-  const sim::Duration round_trip =
-      current == origin ? sim::Duration()
-                        : transmission_latency() + transmission_latency();
-  if (current != origin) {
-    notify_transit(current, msg);
-    msg.hops += 2;
-  }
-  schedule_msg(round_trip, std::move(msg),
-               [this, origin, next, key](Message m) {
-                 iterate_step(origin, next, key, std::move(m));
-               });
-}
-
 void ChordNetwork::route_step(NodeIndex current, Key key, Message msg) {
   if (!is_alive(current)) {
-    ++lost_messages_;
     record_drop(fault::DropCause::kDeadNode, msg);
     return;
   }
-  if (msg.hops > config_.max_route_hops) {
-    ++lost_messages_;
+  if (msg.hops > kMaxRouteHops) {
     record_drop(fault::DropCause::kHopLimit, msg);
     return;
   }
@@ -449,7 +392,6 @@ void ChordNetwork::route_step(NodeIndex current, Key key, Message msg) {
                      detour_around_dead(next, std::move(m));
                      return;
                    }
-                   ++lost_messages_;
                    record_drop(fault::DropCause::kDeadNode, m);
                    return;
                  }
@@ -472,7 +414,6 @@ void ChordNetwork::route_direct(NodeIndex from, NodeIndex to, Message msg) {
         detour_around_dead(to, std::move(m));
         return;
       }
-      ++lost_messages_;
       record_drop(fault::DropCause::kDeadNode, m);
       return;
     }
@@ -481,8 +422,7 @@ void ChordNetwork::route_direct(NodeIndex from, NodeIndex to, Message msg) {
 }
 
 void ChordNetwork::detour_around_dead(NodeIndex dead, Message msg) {
-  if (msg.hops > config_.max_route_hops) {
-    ++lost_messages_;
+  if (msg.hops > kMaxRouteHops) {
     record_drop(fault::DropCause::kHopLimit, msg);
     return;
   }
@@ -501,7 +441,6 @@ void ChordNetwork::detour_around_dead(NodeIndex dead, Message msg) {
   }
   if (next == kInvalidNode) {
     // The whole replica set is gone; nothing can inherit the state.
-    ++lost_messages_;
     record_drop(fault::DropCause::kDeadAggregator, msg);
     return;
   }

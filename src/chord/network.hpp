@@ -4,8 +4,9 @@
 // Chord simulator): consistent hashing onto an m-bit identifier circle,
 // per-node finger tables giving O(log N) lookups, and the join / leave /
 // stabilize machinery that makes the ring adapt to membership changes.
-// Key-routed messages travel hop by hop with a constant 50 ms per-hop delay,
-// exactly as the paper states its simulator does.
+// Key-routed messages travel recursively, hop by hop, with a constant 50 ms
+// per-hop delay (routing::kHopLatency), exactly as the paper states its
+// simulator does.
 //
 // Two ways to form a ring:
 //  - bootstrap(ids): instantly installs globally consistent state (used by
@@ -22,35 +23,12 @@
 
 namespace sdsi::chord {
 
-/// How key-routed messages traverse the overlay (both appear in the Chord
-/// paper):
-///  - recursive: each node forwards the message to the next hop (one
-///    transmission per hop — what the evaluation figures assume);
-///  - iterative: the ORIGIN probes each hop and gets the next-hop address
-///    back, then sends the payload directly to the responsible node
-///    (2 transmissions per resolved hop + 1 delivery; the origin stays in
-///    control, at double the traffic and latency).
-enum class LookupStyle : std::uint8_t {
-  kRecursive,
-  kIterative,
-};
-
 struct ChordConfig {
   /// Ring width m. Experiments use 32; Figure-1 tests use 5.
   unsigned id_bits = 32;
 
-  /// Constant per-hop latency ("the Chord simulator simulates a constant
-  /// 50ms delay per hop").
-  sim::Duration hop_latency = sim::Duration::millis(50);
-
-  LookupStyle lookup_style = LookupStyle::kRecursive;
-
   /// Successor-list length r (fault tolerance of routing).
   std::size_t successor_list_length = 4;
-
-  /// Safety valve: a routed message that exceeds this hop count is dropped
-  /// and counted in lost_messages() (can only happen mid-churn).
-  int max_route_hops = 512;
 };
 
 class ChordNetwork final : public routing::RoutingSystem {
@@ -107,15 +85,9 @@ class ChordNetwork final : public routing::RoutingSystem {
 
   // --- Introspection ------------------------------------------------------
 
-  struct LookupTrace {
-    NodeIndex result = kInvalidNode;
-    int hops = 0;
-    std::vector<NodeIndex> path;  // nodes visited, origin first
-  };
-
   /// Executes the lookup algorithm over current protocol state without
   /// sending messages or advancing time. This is what Figure 1(b) depicts.
-  LookupTrace trace_lookup(NodeIndex from, Key key) const;
+  routing::LookupTrace trace_lookup(NodeIndex from, Key key) const;
 
   const NodeState& state(NodeIndex node) const {
     SDSI_CHECK(node < nodes_.size());
@@ -123,7 +95,6 @@ class ChordNetwork final : public routing::RoutingSystem {
   }
 
   std::size_t alive_count() const noexcept { return alive_count_; }
-  std::uint64_t lost_messages() const noexcept { return lost_messages_; }
 
   // --- RoutingSystem interface ---------------------------------------------
 
@@ -150,6 +121,10 @@ class ChordNetwork final : public routing::RoutingSystem {
   void route_direct(NodeIndex from, NodeIndex to, Message msg) override;
 
  private:
+  /// Safety valve: a routed message that exceeds this hop count is dropped
+  /// under kHopLimit (can only happen mid-churn).
+  static constexpr int kMaxRouteHops = 512;
+
   NodeIndex create_node(Key id);
 
   /// First alive entry of `node`'s successor list (patches the successor
@@ -169,10 +144,6 @@ class ChordNetwork final : public routing::RoutingSystem {
   /// there).
   void route_step(NodeIndex current, Key key, Message msg);
 
-  /// Iterative flavor: the origin probes `current` for the next hop; each
-  /// probe round costs two transmissions (request + reply).
-  void iterate_step(NodeIndex origin, NodeIndex current, Key key, Message msg);
-
   /// A transmission with reroute_on_dead found `dead` down on arrival:
   /// forward to the first live entry of the dead node's successor list (the
   /// node that inherits its arc) instead of dropping. Drops with
@@ -186,7 +157,6 @@ class ChordNetwork final : public routing::RoutingSystem {
   std::vector<NodeState> nodes_;
   std::vector<std::pair<Key, NodeIndex>> oracle_;  // sorted alive nodes
   std::size_t alive_count_ = 0;
-  std::uint64_t lost_messages_ = 0;
 };
 
 }  // namespace sdsi::chord

@@ -41,21 +41,14 @@ void Experiment::build() {
     case SubstrateKind::kChord: {
       chord::ChordConfig chord_config;
       chord_config.id_bits = config_.id_bits;
-      chord_config.lookup_style = config_.chord_lookup;
       auto network = std::make_unique<chord::ChordNetwork>(sim_, chord_config);
       network->bootstrap(ids);
       routing_ = std::move(network);
       break;
     }
-    case SubstrateKind::kPrefixRing: {
-      routing::PrefixRingConfig prefix_config;
-      prefix_config.id_bits = config_.id_bits;
-      auto network =
-          std::make_unique<routing::PrefixRing>(sim_, prefix_config);
-      network->bootstrap(ids);
-      routing_ = std::move(network);
+    case SubstrateKind::kPrefixRing:
+      routing_ = std::make_unique<routing::PrefixRing>(sim_, space, ids);
       break;
-    }
     case SubstrateKind::kStaticRing:
       routing_ = std::make_unique<routing::StaticRing>(sim_, space, ids);
       break;

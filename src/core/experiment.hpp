@@ -63,8 +63,8 @@ inline dsp::FeatureConfig experiment_feature_config() {
 }
 
 /// Observability exports. When `dir` is non-empty the run attaches a
-/// time-series MetricsRegistry and writes `<dir>/metrics.json` (schema v1)
-/// when it finishes; with `trace` also set it streams `<dir>/trace.jsonl`
+/// time-series MetricsRegistry and writes `<dir>/metrics.json` when it
+/// finishes; with `trace` also set it streams `<dir>/trace.jsonl`
 /// span events as the run executes. The directory is created if missing.
 /// docs/OBSERVABILITY.md documents both schemas.
 struct ObsOptions {
@@ -92,8 +92,6 @@ struct ExperimentConfig {
   /// Sec VI-A closed loop for every stream (nullopt = paper's fixed beta).
   std::optional<AdaptivePrecisionController::Options> adaptive_precision;
   SubstrateKind substrate = SubstrateKind::kChord;
-  /// Recursive (paper default) vs iterative Chord lookups.
-  chord::LookupStyle chord_lookup = chord::LookupStyle::kRecursive;
   StreamFamily stream_family = StreamFamily::kRandomWalk;
   /// Steady-state ramp before measurement starts (active query population
   /// needs query_rate * mean lifespan ~ 120 queries to stabilize).

@@ -66,7 +66,6 @@ bool RoutingSystem::message_lost(const Message& msg) {
     const std::optional<fault::DropCause> cause =
         fault_model_->sample_drop(msg.target_key, sim_.now());
     if (cause.has_value()) {
-      ++dropped_;
       record_drop(*cause, msg);
       return true;
     }

@@ -32,6 +32,18 @@
 
 namespace sdsi::routing {
 
+/// The simulated substrates' constant per-hop delay ("the Chord simulator
+/// simulates a constant 50ms delay per hop").
+inline constexpr sim::Duration kHopLatency = sim::Duration::millis(50);
+
+/// A lookup executed over a substrate's routing state without messages or
+/// time (ChordNetwork::trace_lookup, PrefixRing::trace_lookup).
+struct LookupTrace {
+  NodeIndex result = kInvalidNode;  // kInvalidNode: the hop limit ran out
+  int hops = 0;
+  std::vector<NodeIndex> path;  // nodes visited, origin first
+};
+
 /// How a range-of-keys multicast propagates.
 enum class MulticastStrategy : std::uint8_t {
   kSequential,
@@ -91,7 +103,6 @@ class RoutingSystem {
 
   const common::IdSpace& id_space() const noexcept { return space_; }
   sim::Simulator& simulator() noexcept { return sim_; }
-  sim::Duration hop_latency() const noexcept { return hop_latency_; }
 
   /// Number of node slots ever created (dead nodes keep their index).
   virtual std::size_t num_nodes() const = 0;
@@ -105,10 +116,10 @@ class RoutingSystem {
   /// Up to `count` distinct live nodes following `node` clockwise — the
   /// replica set of the keys `node` covers (successor-list replication).
   /// The base implementation chain-walks successor_index, which is exact
-  /// for substrates with global knowledge (StaticRing, PrefixRing); Chord
-  /// overrides it with the node's protocol successor list, so the replica
-  /// set degrades with protocol state exactly as real churn would degrade
-  /// it.
+  /// for substrates with global knowledge (StaticRing and its PrefixRing);
+  /// Chord overrides it with the node's protocol successor list, so the
+  /// replica set degrades with protocol state exactly as real churn would
+  /// degrade it.
   virtual std::vector<NodeIndex> successors(NodeIndex node,
                                             std::size_t count) const;
 
@@ -141,13 +152,10 @@ class RoutingSystem {
     return fault_model_.get();
   }
 
-  /// Transmissions dropped by the link-level loss models so far (uniform +
-  /// burst + partition; routing-level losses are counted per cause below).
-  std::uint64_t dropped_messages() const noexcept { return dropped_; }
-
-  /// Drops recorded under one cause label — unified accounting across the
-  /// link loss models (kUniformLoss/kBurstLoss/kPartition) and the
-  /// routing-level losses substrates report (kDeadNode/kHopLimit).
+  /// Drops recorded under one cause label — the one loss ledger across the
+  /// link loss models (kUniformLoss/kBurstLoss/kPartition), the
+  /// routing-level losses substrates report (kDeadNode/kHopLimit/
+  /// kDeadAggregator) and the middleware's sheds (account_app_drop).
   std::uint64_t drop_count(fault::DropCause cause) const noexcept {
     return drops_by_cause_[static_cast<std::size_t>(cause)];
   }
@@ -160,14 +168,6 @@ class RoutingSystem {
     }
     return total;
   }
-
-  /// Times the substrate bypassed its protocol state with ground truth
-  /// (see MetricsHook::on_oracle_fallback).
-  std::uint64_t oracle_fallbacks() const noexcept { return oracle_fallbacks_; }
-
-  /// Direct transmissions saved by detouring around a dead destination via
-  /// its successor list (Message::reroute_on_dead).
-  std::uint64_t detours() const noexcept { return detours_; }
 
   /// Routes `msg` to successor(key) through the overlay ("put"/"get").
   void send(NodeIndex from, Key key, Message msg);
@@ -215,8 +215,7 @@ class RoutingSystem {
   }
 
   /// Loss-model sample: true when this transmission should vanish. Consults
-  /// the fault model and records the drop (counter + cause + metrics hook)
-  /// itself.
+  /// the fault model and records the drop (cause + metrics hook) itself.
   bool message_lost(const Message& msg);
 
   /// Makes allocate_trace_id() count up from `base`: a substrate that routes
@@ -238,12 +237,11 @@ class RoutingSystem {
     }
   }
 
-  /// Accounting for a substrate's ground-truth fallback (the routing cheat
-  /// satellite): counter + hook + a trace event so churn runs report how
-  /// often routing bypassed the protocol. Const because the lookup paths
-  /// that need it are const; the counter is mutable bookkeeping.
+  /// Accounting for a substrate's ground-truth fallback: hook + a trace
+  /// event so churn runs report how often routing bypassed the protocol.
+  /// Const because the lookup paths that need it are const; the metrics
+  /// hook keeps the count.
   void record_oracle_fallback(NodeIndex node) const {
-    ++oracle_fallbacks_;
     if (metrics_ != nullptr) {
       metrics_->on_oracle_fallback(node);
     }
@@ -256,9 +254,9 @@ class RoutingSystem {
     }
   }
 
-  /// Accounting for a successful dead-destination detour.
+  /// Accounting for a successful dead-destination detour (the metrics hook
+  /// keeps the count).
   void record_detour(NodeIndex around, const Message& msg) {
-    ++detours_;
     if (metrics_ != nullptr) {
       metrics_->on_detour(around, msg);
     }
@@ -308,9 +306,6 @@ class RoutingSystem {
   obs::TraceSink* trace_ = nullptr;
   std::uint64_t last_trace_id_ = 0;
   std::shared_ptr<fault::LinkFaultModel> fault_model_;
-  std::uint64_t dropped_ = 0;
-  mutable std::uint64_t oracle_fallbacks_ = 0;
-  std::uint64_t detours_ = 0;
   std::array<std::uint64_t, static_cast<std::size_t>(fault::DropCause::kCount)>
       drops_by_cause_{};
   sim::ObjectPool<Message> msg_pool_;

@@ -1,26 +1,49 @@
 #include "routing/prefix_ring.hpp"
 
-#include <algorithm>
-#include <unordered_set>
+#include <utility>
 
 #include "common/check.hpp"
 
 namespace sdsi::routing {
 
-PrefixRing::PrefixRing(sim::Simulator& simulator, PrefixRingConfig config)
-    : RoutingSystem(simulator, common::IdSpace(config.id_bits),
-                    config.hop_latency),
-      config_(config),
-      digits_per_id_(config.id_bits / config.digit_bits),
-      columns_(1u << config.digit_bits) {
-  SDSI_CHECK(config.digit_bits >= 1 && config.digit_bits <= 8);
-  SDSI_CHECK(config.id_bits % config.digit_bits == 0);
+PrefixRing::PrefixRing(sim::Simulator& simulator, common::IdSpace space,
+                       std::vector<Key> node_ids, unsigned digit_bits)
+    : StaticRing(simulator, space, std::move(node_ids)),
+      digit_bits_(digit_bits) {
+  SDSI_CHECK(digit_bits >= 1 && digit_bits <= 8);
+  SDSI_CHECK(space.bits() % digit_bits == 0);
+  digits_per_id_ = space.bits() / digit_bits;
+  columns_ = 1u << digit_bits;
+
+  // Routing tables: for every (row, digit), the candidate sharing `row`
+  // digits with us, with `digit` next, closest clockwise (deterministic).
+  const std::size_t n = num_nodes();
+  tables_.assign(n * digits_per_id_ * columns_, kInvalidNode);
+  for (NodeIndex self = 0; self < n; ++self) {
+    const Key id = node_id(self);
+    for (NodeIndex m = 0; m < n; ++m) {
+      if (m == self) {
+        continue;
+      }
+      const unsigned row = shared_prefix_digits(id, node_id(m));
+      if (row >= digits_per_id_) {
+        continue;  // identical id cannot happen (the ring's ids are distinct)
+      }
+      NodeIndex& slot =
+          tables_[(static_cast<std::size_t>(self) * digits_per_id_ + row) *
+                      columns_ +
+                  digit_of(node_id(m), row)];
+      if (slot == kInvalidNode || id_space().distance(id, node_id(m)) <
+                                      id_space().distance(id, node_id(slot))) {
+        slot = m;
+      }
+    }
+  }
 }
 
 unsigned PrefixRing::digit_of(Key id, unsigned position) const noexcept {
   SDSI_DCHECK(position < digits_per_id_);
-  const unsigned shift =
-      config_.id_bits - (position + 1) * config_.digit_bits;
+  const unsigned shift = id_space().bits() - (position + 1) * digit_bits_;
   return static_cast<unsigned>((id >> shift) & (columns_ - 1));
 }
 
@@ -33,103 +56,29 @@ unsigned PrefixRing::shared_prefix_digits(Key a, Key b) const noexcept {
   return digits_per_id_;
 }
 
-void PrefixRing::bootstrap(std::span<const Key> ids) {
-  SDSI_CHECK(nodes_.empty());
-  SDSI_CHECK(!ids.empty());
-  std::unordered_set<Key> seen;
-  nodes_.reserve(ids.size());
-  for (const Key id : ids) {
-    SDSI_CHECK(id == id_space().wrap(id));
-    SDSI_CHECK(seen.insert(id).second);
-    NodeRecord record;
-    record.id = id;
-    nodes_.push_back(std::move(record));
-  }
-  sorted_.reserve(ids.size());
-  for (NodeIndex i = 0; i < nodes_.size(); ++i) {
-    sorted_.emplace_back(nodes_[i].id, i);
-  }
-  std::sort(sorted_.begin(), sorted_.end());
-  for (std::size_t p = 0; p < sorted_.size(); ++p) {
-    nodes_[sorted_[p].second].ring_position = p;
-  }
-
-  // Routing tables: for every (row, digit), the candidate sharing `row`
-  // digits with us, with `digit` next, closest clockwise (deterministic).
-  for (NodeIndex n = 0; n < nodes_.size(); ++n) {
-    NodeRecord& node = nodes_[n];
-    node.table.assign(static_cast<std::size_t>(digits_per_id_) * columns_,
-                      kInvalidNode);
-    for (NodeIndex m = 0; m < nodes_.size(); ++m) {
-      if (m == n) {
-        continue;
-      }
-      const unsigned row = shared_prefix_digits(node.id, nodes_[m].id);
-      if (row >= digits_per_id_) {
-        continue;  // identical id cannot happen (distinct check above)
-      }
-      const unsigned digit = digit_of(nodes_[m].id, row);
-      const std::size_t slot =
-          static_cast<std::size_t>(row) * columns_ + digit;
-      const NodeIndex incumbent = node.table[slot];
-      if (incumbent == kInvalidNode ||
-          id_space().distance(node.id, nodes_[m].id) <
-              id_space().distance(node.id, nodes_[incumbent].id)) {
-        node.table[slot] = m;
-      }
-    }
-  }
-}
-
-Key PrefixRing::node_id(NodeIndex node) const {
-  SDSI_CHECK(node < nodes_.size());
-  return nodes_[node].id;
-}
-
-NodeIndex PrefixRing::successor_index(NodeIndex node) const {
-  SDSI_CHECK(node < nodes_.size());
-  const std::size_t p = nodes_[node].ring_position;
-  return sorted_[(p + 1) % sorted_.size()].second;
-}
-
-NodeIndex PrefixRing::predecessor_index(NodeIndex node) const {
-  SDSI_CHECK(node < nodes_.size());
-  const std::size_t p = nodes_[node].ring_position;
-  return sorted_[(p + sorted_.size() - 1) % sorted_.size()].second;
-}
-
-NodeIndex PrefixRing::find_successor_oracle(Key key) const {
-  SDSI_CHECK(!sorted_.empty());
-  const auto it = std::lower_bound(
-      sorted_.begin(), sorted_.end(), key,
-      [](const std::pair<Key, NodeIndex>& entry, Key k) {
-        return entry.first < k;
-      });
-  return it == sorted_.end() ? sorted_.front().second : it->second;
-}
-
 NodeIndex PrefixRing::table_entry(NodeIndex node, unsigned row,
                                   unsigned digit) const {
-  SDSI_CHECK(node < nodes_.size());
+  SDSI_CHECK(node < num_nodes());
   SDSI_CHECK(row < digits_per_id_ && digit < columns_);
-  return nodes_[node].table[static_cast<std::size_t>(row) * columns_ + digit];
+  return tables_[(static_cast<std::size_t>(node) * digits_per_id_ + row) *
+                     columns_ +
+                 digit];
 }
 
 NodeIndex PrefixRing::next_hop(NodeIndex current, Key key,
                                bool& final_here) const {
   final_here = false;
-  const NodeRecord& node = nodes_[current];
-  const Key pred_id = nodes_[predecessor_index(current)].id;
-  if (sorted_.size() == 1 ||
-      id_space().in_half_open(key, pred_id, node.id)) {
+  const Key id = node_id(current);
+  if (num_nodes() == 1 ||
+      id_space().in_half_open(key, node_id(predecessor_index(current)), id)) {
     final_here = true;
     return current;
   }
   const NodeIndex succ = successor_index(current);
-  if (id_space().in_half_open(key, node.id, nodes_[succ].id)) {
+  if (id_space().in_half_open(key, id, node_id(succ))) {
     return succ;  // leaf-set finish: the successor covers the key
   }
-  const unsigned row = shared_prefix_digits(node.id, key);
+  const unsigned row = shared_prefix_digits(id, key);
   if (row < digits_per_id_) {
     const unsigned key_digit = digit_of(key, row);
     const NodeIndex entry = table_entry(current, row, key_digit);
@@ -138,10 +87,10 @@ NodeIndex PrefixRing::next_hop(NodeIndex current, Key key,
     }
     // No node carries the key's exact digit at this position, so
     // successor(key) lives under the next-higher digit that IS populated
-    // within this block (an empty row cell is global knowledge: the
-    // bootstrap table indexes every node). Jump straight to that sub-block
-    // instead of crawling the ring toward it.
-    const unsigned own_digit = digit_of(node.id, row);
+    // within this block (an empty row cell is global knowledge: the tables
+    // index every node). Jump straight to that sub-block instead of crawling
+    // the ring toward it.
+    const unsigned own_digit = digit_of(id, row);
     for (unsigned digit = key_digit + 1; digit < columns_; ++digit) {
       if (digit == own_digit) {
         break;  // we are in the first populated sub-block after the key
@@ -155,19 +104,18 @@ NodeIndex PrefixRing::next_hop(NodeIndex current, Key key,
   // Finish with the leaf set, walking whichever ring direction is shorter.
   // (A prefix jump can land past successor(key) inside the final sub-block;
   // walking predecessors back is O(sub-block) instead of O(ring).)
-  if (id_space().distance(node.id, key) <= id_space().distance(key, node.id)) {
+  if (id_space().distance(id, key) <= id_space().distance(key, id)) {
     return succ;
   }
   return predecessor_index(current);
 }
 
-PrefixRing::LookupTrace PrefixRing::trace_lookup(NodeIndex from,
-                                                 Key key) const {
-  SDSI_CHECK(from < nodes_.size());
+LookupTrace PrefixRing::trace_lookup(NodeIndex from, Key key) const {
+  SDSI_CHECK(from < num_nodes());
   LookupTrace trace;
   trace.path.push_back(from);
   NodeIndex current = from;
-  for (int hop = 0; hop <= config_.max_route_hops; ++hop) {
+  for (int hop = 0; hop <= kMaxRouteHops; ++hop) {
     bool final_here = false;
     const NodeIndex next = next_hop(current, key, final_here);
     if (final_here) {
@@ -189,8 +137,7 @@ void PrefixRing::route_to_key(NodeIndex from, Key key, Message msg) {
 }
 
 void PrefixRing::route_step(NodeIndex current, Key key, Message msg) {
-  if (msg.hops > config_.max_route_hops) {
-    ++lost_messages_;
+  if (msg.hops > kMaxRouteHops) {
     record_drop(fault::DropCause::kHopLimit, msg);
     return;
   }
@@ -208,14 +155,6 @@ void PrefixRing::route_step(NodeIndex current, Key key, Message msg) {
                [this, next, key](Message m) {
                  route_step(next, key, std::move(m));
                });
-}
-
-void PrefixRing::route_direct(NodeIndex from, NodeIndex to, Message msg) {
-  SDSI_CHECK(to < nodes_.size());
-  msg.hops = from == to ? 0 : 1;
-  const sim::Duration delay = from == to ? sim::Duration() : transmission_latency();
-  schedule_msg(delay, std::move(msg),
-               [this, to](Message m) { deliver_at(to, std::move(m)); });
 }
 
 }  // namespace sdsi::routing

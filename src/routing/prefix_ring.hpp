@@ -4,8 +4,8 @@
 // hashing table interface ... rather than on a particular implementation"
 // and "can be used on top of virtually any existing content-based routing
 // implementation" (CAN, Chord, Pastry, Tapestry). This substrate proves that
-// claim in code: it keeps Chord's successor-based key coverage (which the
-// range multicast needs) but routes with Pastry/Tapestry-style
+// claim in code: it keeps the static ring's successor-based key coverage
+// (which the range multicast needs) but routes with Pastry/Tapestry-style
 // longest-matching-prefix tables instead of finger tables:
 //
 //  - identifiers are strings of base-2^b digits (default b = 4, hex digits);
@@ -17,42 +17,29 @@
 //    (ring neighbors) finishes numerically, landing on successor(K).
 //
 // Expected hop count is log_{2^b} N — flatter than Chord's (1/2) log2 N —
-// which bench_substrates compares empirically.
+// which bench_substrates compares empirically. Ring order, neighbors and
+// direct sends are StaticRing's; only route_to_key differs.
 #pragma once
 
-#include <span>
 #include <vector>
 
-#include "routing/api.hpp"
+#include "routing/static_ring.hpp"
 
 namespace sdsi::routing {
 
-struct PrefixRingConfig {
-  unsigned id_bits = 32;
-  /// Digit width b: digits are b-bit groups, 2^b routing-table columns.
-  unsigned digit_bits = 4;
-  sim::Duration hop_latency = sim::Duration::millis(50);
-  int max_route_hops = 128;
-};
-
-class PrefixRing final : public RoutingSystem {
+class PrefixRing final : public StaticRing {
  public:
-  PrefixRing(sim::Simulator& simulator, PrefixRingConfig config);
+  /// Installs every node (as StaticRing does) and builds their routing
+  /// tables. Digits are `digit_bits`-bit groups of an id, so the tables
+  /// have 2^digit_bits columns; the id width must be a multiple of it.
+  PrefixRing(sim::Simulator& simulator, common::IdSpace space,
+             std::vector<Key> node_ids, unsigned digit_bits = 4);
 
-  /// Installs all nodes and builds their routing tables and leaf sets.
-  void bootstrap(std::span<const Key> ids);
-
-  const PrefixRingConfig& config() const noexcept { return config_; }
   unsigned digits_per_id() const noexcept { return digits_per_id_; }
 
   /// Longest common digit prefix of two identifiers (diagnostics/tests).
   unsigned shared_prefix_digits(Key a, Key b) const noexcept;
 
-  struct LookupTrace {
-    NodeIndex result = kInvalidNode;
-    int hops = 0;
-    std::vector<NodeIndex> path;
-  };
   /// Executes the prefix-routing algorithm without messages or time.
   LookupTrace trace_lookup(NodeIndex from, Key key) const;
 
@@ -60,27 +47,12 @@ class PrefixRing final : public RoutingSystem {
   /// `digit`; kInvalidNode when empty.
   NodeIndex table_entry(NodeIndex node, unsigned row, unsigned digit) const;
 
-  // --- RoutingSystem interface ---------------------------------------------
-  std::size_t num_nodes() const override { return nodes_.size(); }
-  bool is_alive(NodeIndex node) const override {
-    return node < nodes_.size();
-  }
-  Key node_id(NodeIndex node) const override;
-  NodeIndex successor_index(NodeIndex node) const override;
-  NodeIndex predecessor_index(NodeIndex node) const override;
-  NodeIndex find_successor_oracle(Key key) const override;
-
  protected:
   void route_to_key(NodeIndex from, Key key, Message msg) override;
-  void route_direct(NodeIndex from, NodeIndex to, Message msg) override;
 
  private:
-  struct NodeRecord {
-    Key id = 0;
-    std::size_t ring_position = 0;
-    /// routing_table[row * columns + digit].
-    std::vector<NodeIndex> table;
-  };
+  /// A routed message past this many hops is dropped (kHopLimit).
+  static constexpr int kMaxRouteHops = 128;
 
   unsigned digit_of(Key id, unsigned position) const noexcept;
   /// One prefix-routing step from `current` toward `key`; sets final_here
@@ -88,12 +60,11 @@ class PrefixRing final : public RoutingSystem {
   NodeIndex next_hop(NodeIndex current, Key key, bool& final_here) const;
   void route_step(NodeIndex current, Key key, Message msg);
 
-  PrefixRingConfig config_;
-  unsigned digits_per_id_;
-  unsigned columns_;
-  std::vector<NodeRecord> nodes_;
-  std::vector<std::pair<Key, NodeIndex>> sorted_;  // ring order
-  std::uint64_t lost_messages_ = 0;
+  unsigned digit_bits_;
+  unsigned digits_per_id_ = 0;
+  unsigned columns_ = 0;
+  /// tables_[(node * digits_per_id_ + row) * columns_ + digit].
+  std::vector<NodeIndex> tables_;
 };
 
 }  // namespace sdsi::routing

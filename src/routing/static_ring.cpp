@@ -1,6 +1,5 @@
 #include "routing/static_ring.hpp"
 
-#include <algorithm>
 #include <string>
 #include <unordered_set>
 
@@ -10,21 +9,9 @@
 namespace sdsi::routing {
 
 StaticRing::StaticRing(sim::Simulator& simulator, common::IdSpace space,
-                       std::vector<Key> node_ids, sim::Duration hop_latency)
-    : RoutingSystem(simulator, space, hop_latency),
+                       std::vector<Key> node_ids)
+    : RoutingSystem(simulator, space, kHopLatency),
       table_(space, std::move(node_ids)) {}
-
-std::vector<NodeIndex> StaticRing::successors(NodeIndex node,
-                                              std::size_t count) const {
-  SDSI_CHECK(node < table_.size());
-  const std::size_t n = table_.size();
-  std::vector<NodeIndex> result;
-  result.reserve(std::min(count, n - 1));
-  for (std::size_t s = 1; s <= count && s < n; ++s) {
-    result.push_back(table_.successor_index(node, s));
-  }
-  return result;
-}
 
 void StaticRing::route_to_key(NodeIndex from, Key key, Message msg) {
   const NodeIndex dst = find_successor_oracle(key);

@@ -4,7 +4,9 @@
 // every key-routed message reaches successor(key) in exactly one hop. It
 // exists to (a) unit-test the middleware in isolation from Chord's routing
 // behavior, and (b) serve as the "ideal DHT" lower bound in ablation benches
-// (how much of the system cost is overlay transit vs. inherent).
+// (how much of the system cost is overlay transit vs. inherent). PrefixRing
+// keeps this ring, its neighbors and its direct sends, and overrides only
+// how a key-routed message travels.
 #pragma once
 
 #include <vector>
@@ -14,37 +16,30 @@
 
 namespace sdsi::routing {
 
-class StaticRing final : public RoutingSystem {
+class StaticRing : public RoutingSystem {
  public:
   /// `node_ids` are distinct ring identifiers; the node with index i gets
   /// node_ids[i]. Indices are the simulator-level handles the application
-  /// uses.
+  /// uses. Every hop costs kHopLatency.
   StaticRing(sim::Simulator& simulator, common::IdSpace space,
-             std::vector<Key> node_ids,
-             sim::Duration hop_latency = sim::Duration::millis(50));
+             std::vector<Key> node_ids);
 
-  std::size_t num_nodes() const override { return table_.size(); }
-  bool is_alive(NodeIndex node) const override { return node < table_.size(); }
-  Key node_id(NodeIndex node) const override { return table_.id(node); }
-  NodeIndex successor_index(NodeIndex node) const override {
+  std::size_t num_nodes() const final { return table_.size(); }
+  bool is_alive(NodeIndex node) const final { return node < table_.size(); }
+  Key node_id(NodeIndex node) const final { return table_.id(node); }
+  NodeIndex successor_index(NodeIndex node) const final {
     return table_.successor_index(node);
   }
-  NodeIndex predecessor_index(NodeIndex node) const override {
+  NodeIndex predecessor_index(NodeIndex node) const final {
     return table_.predecessor_index(node);
   }
-  NodeIndex find_successor_oracle(Key key) const override {
+  NodeIndex find_successor_oracle(Key key) const final {
     return table_.successor_of_key(key);
   }
 
-  /// Ring-order successor list (the static-ring equivalent of Chord's
-  /// protocol successor list), read straight off the sorted ring so the
-  /// replication layer stays substrate-agnostic.
-  std::vector<NodeIndex> successors(NodeIndex node,
-                                    std::size_t count) const override;
-
  protected:
   void route_to_key(NodeIndex from, Key key, Message msg) override;
-  void route_direct(NodeIndex from, NodeIndex to, Message msg) override;
+  void route_direct(NodeIndex from, NodeIndex to, Message msg) final;
 
  private:
   RingTable table_;

@@ -20,6 +20,7 @@
 #include "core/experiment.hpp"
 #include "core/index_store.hpp"
 #include "core/system.hpp"
+#include "routing/prefix_ring.hpp"
 #include "routing/static_ring.hpp"
 #include "streams/generators.hpp"
 
@@ -207,13 +208,14 @@ TEST(ChurnConvergence, MatchSetsEqualTheBruteForceReferenceAfterChurn) {
 }
 
 // The substrate-agnostic successor-list contract the replication layer
-// mirrors through: both substrates return the next `count` distinct live
+// mirrors through: every substrate returns the next `count` distinct live
 // nodes in ring order, never including the node itself.
 TEST(ChurnConvergence, SuccessorListsAgreeAcrossSubstrates) {
   sim::Simulator sim;
   const auto ids = routing::hash_node_ids(10, common::IdSpace(32), 7);
 
   routing::StaticRing ring(sim, common::IdSpace(32), ids);
+  routing::PrefixRing prefix(sim, common::IdSpace(32), ids);
   chord::ChordNetwork net(sim, ChurnHarness::chord_config());
   net.bootstrap(ids);
 
@@ -221,10 +223,22 @@ TEST(ChurnConvergence, SuccessorListsAgreeAcrossSubstrates) {
     const auto expect = ring.successors(node, 3);
     ASSERT_EQ(expect.size(), 3u);
     EXPECT_EQ(net.successors(node, 3), expect) << "node " << node;
+    EXPECT_EQ(prefix.successors(node, 3), expect) << "node " << node;
     EXPECT_EQ(std::count(expect.begin(), expect.end(), node), 0);
     // Ring order: each entry is the successor of the previous one.
     EXPECT_EQ(expect[0], ring.successor_index(node));
     EXPECT_EQ(expect[1], ring.successor_index(expect[0]));
+
+    // A count past the ring size wraps to every other node exactly once.
+    const auto all = ring.successors(node, 12);
+    ASSERT_EQ(all.size(), 9u) << "node " << node;
+    EXPECT_EQ(prefix.successors(node, 12), all) << "node " << node;
+    EXPECT_EQ(std::count(all.begin(), all.end(), node), 0);
+    NodeIndex previous = node;
+    for (const NodeIndex entry : all) {
+      EXPECT_EQ(entry, ring.successor_index(previous)) << "node " << node;
+      previous = entry;
+    }
   }
 }
 

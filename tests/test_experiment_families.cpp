@@ -1,6 +1,6 @@
-// Experiment driver variants: stream families, iterative lookups, message
-// loss, and the adaptive-precision flag — everything the CLI exposes must
-// run and stay deterministic.
+// Experiment variants: stream families, message loss, and the
+// adaptive-precision flag — everything the CLI exposes must run and stay
+// deterministic.
 #include <gtest/gtest.h>
 
 #include "core/experiment.hpp"
@@ -49,30 +49,14 @@ INSTANTIATE_TEST_SUITE_P(Families, FamilyRuns,
                                            StreamFamily::kStockMarket,
                                            StreamFamily::kHostLoad));
 
-TEST(ExperimentVariants, IterativeChordMatchesRecursiveResults) {
-  ExperimentConfig recursive = quick(25);
-  ExperimentConfig iterative = quick(25);
-  iterative.chord_lookup = chord::LookupStyle::kIterative;
-  Experiment a(recursive);
-  Experiment b(iterative);
-  a.run();
-  b.run();
-  // Functional outcomes agree (timing-shifted expiry may wiggle slightly);
-  // transmission counts roughly double.
-  const auto qa = a.quality_report();
-  const auto qb = b.quality_report();
-  EXPECT_NEAR(static_cast<double>(qb.matches_reported),
-              static_cast<double>(qa.matches_reported),
-              0.15 * static_cast<double>(qa.matches_reported) + 5.0);
-  EXPECT_GT(b.hops_report().mbr, 1.5 * a.hops_report().mbr);
-}
-
 TEST(ExperimentVariants, MessageLossDegradesGracefully) {
   ExperimentConfig lossy = quick(25);
   lossy.faults.uniform_loss = 0.05;
   Experiment experiment(lossy);
   experiment.run();
-  EXPECT_GT(experiment.routing_system().dropped_messages(), 0u);
+  EXPECT_GT(experiment.routing_system().drop_count(
+                fault::DropCause::kUniformLoss),
+            0u);
   // The system keeps producing answers.
   EXPECT_GT(experiment.quality_report().responses_received, 0u);
 }

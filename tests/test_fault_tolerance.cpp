@@ -118,9 +118,8 @@ TEST(MessageLoss, SamplerRespectsProbability) {
               std::move(msg));
   }
   sim.run_all();
-  EXPECT_EQ(delivered + static_cast<int>(ring.dropped_messages()), kSends);
-  EXPECT_NEAR(static_cast<double>(ring.dropped_messages()) / kSends, 0.25,
-              0.03);
+  EXPECT_EQ(delivered + static_cast<int>(ring.total_drops()), kSends);
+  EXPECT_NEAR(static_cast<double>(ring.total_drops()) / kSends, 0.25, 0.03);
 }
 
 TEST(MessageLoss, ZeroProbabilityDropsNothing) {
@@ -134,7 +133,7 @@ TEST(MessageLoss, ZeroProbabilityDropsNothing) {
     ring.send(0, static_cast<Key>(i), std::move(msg));
   }
   sim.run_all();
-  EXPECT_EQ(ring.dropped_messages(), 0u);
+  EXPECT_EQ(ring.total_drops(), 0u);
 }
 
 TEST(MessageLoss, SoftStateStillDetectsSimilarity) {
@@ -152,7 +151,7 @@ TEST(MessageLoss, SoftStateStillDetectsSimilarity) {
       4, h.exponential_features(1.10), 0.08, sim::Duration::seconds(60));
   h.run_for(20.0);
   const ClientQueryRecord* record = h.system.client_record(id);
-  EXPECT_GT(h.net.dropped_messages(), 0u);
+  EXPECT_GT(h.net.drop_count(fault::DropCause::kUniformLoss), 0u);
   EXPECT_TRUE(record->matched_streams.contains(100));
   EXPECT_FALSE(record->matched_streams.contains(101));
   EXPECT_GT(record->responses_received, 0u);

@@ -1,5 +1,5 @@
 // metrics.json export: the Json value model round-trips, the emitted
-// document carries the sdsi.metrics v2 shape, and the on-disk file written
+// document carries the sdsi.metrics v5 shape, and the on-disk file written
 // by an --obs-dir run parses back to the in-memory document.
 #include <gtest/gtest.h>
 

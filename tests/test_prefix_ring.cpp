@@ -13,20 +13,13 @@
 namespace sdsi::routing {
 namespace {
 
-PrefixRingConfig small_config(unsigned id_bits = 8, unsigned digit_bits = 2) {
-  PrefixRingConfig config;
-  config.id_bits = id_bits;
-  config.digit_bits = digit_bits;
-  return config;
-}
-
 struct Harness {
   sim::Simulator sim;
   PrefixRing ring;
   std::vector<std::pair<NodeIndex, Message>> deliveries;
 
-  Harness(PrefixRingConfig config, std::vector<Key> ids) : ring(sim, config) {
-    ring.bootstrap(ids);
+  Harness(std::vector<Key> ids, unsigned id_bits = 8, unsigned digit_bits = 2)
+      : ring(sim, common::IdSpace(id_bits), std::move(ids), digit_bits) {
     ring.set_deliver([this](NodeIndex at, const Message& msg) {
       deliveries.emplace_back(at, msg);
     });
@@ -34,7 +27,7 @@ struct Harness {
 };
 
 TEST(PrefixRing, SharedPrefixDigits) {
-  Harness h(small_config(), {0x00, 0x55, 0xAA, 0xFF});
+  Harness h({0x00, 0x55, 0xAA, 0xFF});
   // 8-bit ids, 2-bit digits -> 4 digits per id.
   EXPECT_EQ(h.ring.digits_per_id(), 4u);
   EXPECT_EQ(h.ring.shared_prefix_digits(0x00, 0x00), 4u);
@@ -46,7 +39,7 @@ TEST(PrefixRing, SharedPrefixDigits) {
 }
 
 TEST(PrefixRing, OracleAndNeighborsMatchRingOrder) {
-  Harness h(small_config(), {10, 80, 160, 230});
+  Harness h({10, 80, 160, 230});
   EXPECT_EQ(h.ring.node_id(h.ring.find_successor_oracle(100)), 160u);
   EXPECT_EQ(h.ring.node_id(h.ring.find_successor_oracle(231)), 10u);  // wrap
   const NodeIndex n80 = h.ring.find_successor_oracle(80);
@@ -72,7 +65,7 @@ TEST(PrefixRing, RoutingTableEntriesShareExpectedPrefix) {
   while (ids.size() < 40) {
     ids.insert(space.wrap(rng.next64()));
   }
-  Harness h(small_config(16, 4), std::vector<Key>(ids.begin(), ids.end()));
+  Harness h(std::vector<Key>(ids.begin(), ids.end()), 16, 4);
   for (NodeIndex n = 0; n < h.ring.num_nodes(); ++n) {
     for (unsigned row = 0; row < h.ring.digits_per_id(); ++row) {
       for (unsigned digit = 0; digit < 16; ++digit) {
@@ -96,7 +89,7 @@ TEST(PrefixRing, LookupAgreesWithOracleEverywhere) {
   while (ids.size() < 30) {
     ids.insert(space.wrap(rng.next64()));
   }
-  Harness h(small_config(16, 4), std::vector<Key>(ids.begin(), ids.end()));
+  Harness h(std::vector<Key>(ids.begin(), ids.end()), 16, 4);
   for (int i = 0; i < 500; ++i) {
     const Key key = space.wrap(rng.next64());
     const auto from = static_cast<NodeIndex>(
@@ -108,14 +101,14 @@ TEST(PrefixRing, LookupAgreesWithOracleEverywhere) {
 }
 
 TEST(PrefixRing, SingleNodeCoversEverything) {
-  Harness h(small_config(), {42});
+  Harness h({42});
   const auto trace = h.ring.trace_lookup(0, 7);
   EXPECT_EQ(trace.result, 0u);
   EXPECT_EQ(trace.hops, 0);
 }
 
 TEST(PrefixRing, MessageRoutingDeliversWithHopLatency) {
-  Harness h(small_config(), {10, 80, 160, 230});
+  Harness h({10, 80, 160, 230});
   Message msg;
   msg.kind = static_cast<routing::MsgKind>(1);
   const NodeIndex n10 = h.ring.find_successor_oracle(10);
@@ -136,7 +129,7 @@ TEST(PrefixRing, RangeMulticastCoversOracleSet) {
   while (ids.size() < 20) {
     ids.insert(space.wrap(rng.next64()));
   }
-  Harness h(small_config(16, 4), std::vector<Key>(ids.begin(), ids.end()));
+  Harness h(std::vector<Key>(ids.begin(), ids.end()), 16, 4);
   const Key lo = 1000;
   const Key hi = 20000;
   std::set<NodeIndex> expected;
@@ -167,9 +160,9 @@ class PrefixHopScaling : public ::testing::TestWithParam<std::size_t> {};
 TEST_P(PrefixHopScaling, HopsAreLogBase16) {
   const std::size_t n = GetParam();
   sim::Simulator sim;
-  PrefixRingConfig config;  // 32-bit ids, 4-bit digits
-  PrefixRing ring(sim, config);
-  ring.bootstrap(hash_node_ids(n, common::IdSpace(32), 4));
+  // 32-bit ids, 4-bit digits
+  PrefixRing ring(sim, common::IdSpace(32),
+                  hash_node_ids(n, common::IdSpace(32), 4));
   common::Pcg32 rng(n, 6);
   double total = 0.0;
   constexpr int kLookups = 300;
@@ -195,8 +188,8 @@ TEST(PrefixRing, FlatterPathsThanChordAtScale) {
   // four bits per hop vs Chord's expected one.
   constexpr std::size_t kNodes = 500;
   sim::Simulator sim;
-  PrefixRing ring(sim, PrefixRingConfig{});
-  ring.bootstrap(hash_node_ids(kNodes, common::IdSpace(32), 4));
+  PrefixRing ring(sim, common::IdSpace(32),
+                  hash_node_ids(kNodes, common::IdSpace(32), 4));
   common::Pcg32 rng(1, 1);
   double total = 0.0;
   constexpr int kLookups = 500;

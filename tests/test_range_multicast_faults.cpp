@@ -146,7 +146,7 @@ TEST_P(RangeMulticastFaults, LossInsideMulticastHealsWithoutDuplicates) {
       << "healing must prevent a false dismissal under 30% loss";
   EXPECT_EQ(record->match_events, record->matched_streams.size())
       << "retries/refreshes must not double-count a matched stream";
-  EXPECT_GT(h.net.dropped_messages(), 0u);
+  EXPECT_GT(h.net.drop_count(fault::DropCause::kUniformLoss), 0u);
   // The multicast actually spanned nodes (internal copies existed to lose).
   EXPECT_GT(h.system.metrics().mbr().range_internal, 0u);
 }

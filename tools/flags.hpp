@@ -1,11 +1,16 @@
 // Flag values of the command-line tools (sdsi_sim, net_equiv, sdsi_node):
 // a number must parse whole and lie in the range the code needs, or the
 // tool prints its usage and exits 2. A mistyped value never aborts a tool
-// or runs another experiment than the one asked for.
+// or runs another experiment than the one asked for. A value that becomes
+// a sim::Duration is bounded here, at the command line, by the largest
+// span sim::Duration holds in microseconds; the library takes any span
+// that fits.
 #pragma once
 
 #include <cmath>
+#include <cstdint>
 #include <cstdlib>
+#include <limits>
 
 namespace sdsi::tools {
 
@@ -40,6 +45,41 @@ inline constexpr double kBelowOne = 1.0 - 0x1p-53;
 
 /// The smallest double above 0: the `min` of a positive value.
 inline constexpr double kAboveZero = 0x1p-1074;
+
+/// 2^63, the first count of microseconds sim::Duration does not hold.
+inline constexpr double kDurationLimitMicros = 0x1p63;
+
+/// All of `text` as a non-negative count of seconds (of milliseconds, with
+/// `per_second` 1000) whose sim::Duration::seconds conversion fits.
+inline double parse_seconds(const char* text, const char* argv0,
+                            double per_second = 1.0) {
+  const double seconds = parse_double(text, argv0) / per_second;
+  if (!(seconds * 1e6 < kDurationLimitMicros)) {
+    usage_error(argv0);
+  }
+  return seconds;
+}
+
+/// All of `text` as a count of milliseconds of at least `min` whose
+/// sim::Duration::millis conversion fits.
+inline long parse_millis(const char* text, const char* argv0, long min) {
+  const long millis = parse_long(text, argv0, min);
+  if (millis > std::numeric_limits<std::int64_t>::max() / 1000) {
+    usage_error(argv0);
+  }
+  return millis;
+}
+
+/// All of `text` as a positive Poisson rate (events per second) whose
+/// longest Pcg32::exponential gap still converts to a sim::Duration:
+/// 1 - uniform01() is at least 2^-53, so no gap exceeds -log(2^-53) / rate.
+inline double parse_rate(const char* text, const char* argv0) {
+  const double rate = parse_double(text, argv0, kAboveZero);
+  if (!(-std::log(0x1p-53) / rate * 1e6 < kDurationLimitMicros)) {
+    usage_error(argv0);
+  }
+  return rate;
+}
 
 /// All of `text` as a probability in [0, max].
 inline double parse_probability(const char* text, const char* argv0,

@@ -150,7 +150,7 @@ Options parse_args(int argc, char** argv) {
         opts.faults.burst_loss = ge;
       }
     } else if (arg == "--fault-jitter-ms") {
-      const long ms = whole();
+      const long ms = tools::parse_millis(next(), argv[0], 0);
       if (ms > 0) {
         opts.faults.jitter = fault::LatencyJitter{sim::Duration::millis(ms)};
       }

@@ -77,10 +77,11 @@ using namespace sdsi;
   std::exit(code);
 }
 
-using tools::kAboveZero;
 using tools::parse_double;
 using tools::parse_long;
+using tools::parse_millis;
 using tools::parse_probability;
+using tools::parse_seconds;
 
 }  // namespace
 
@@ -157,12 +158,13 @@ int main(int argc, char** argv) {
       config.features.num_coefficients =
           static_cast<std::size_t>(parse_long(value(), argv[0]));
     } else if (is("--warmup")) {
-      config.warmup = sim::Duration::seconds(parse_double(value(), argv[0]));
+      config.warmup = sim::Duration::seconds(parse_seconds(value(), argv[0]));
     } else if (is("--measure")) {
-      config.measure = sim::Duration::seconds(parse_double(value(), argv[0]));
+      config.measure =
+          sim::Duration::seconds(parse_seconds(value(), argv[0]));
     } else if (is("--query-rate")) {
       config.workload.query_rate_per_sec =
-          parse_double(value(), argv[0], kAboveZero);
+          tools::parse_rate(value(), argv[0]);
     } else if (is("--adaptive-precision")) {
       config.adaptive_precision = core::AdaptivePrecisionController::Options{};
     } else if (is("--family")) {
@@ -192,23 +194,23 @@ int main(int argc, char** argv) {
       crash_fraction = parse_probability(value(), argv[0], tools::kBelowOne);
     } else if (is("--jitter")) {
       config.faults.jitter = fault::LatencyJitter{
-          sim::Duration::seconds(parse_double(value(), argv[0]) / 1000.0)};
+          sim::Duration::seconds(parse_seconds(value(), argv[0], 1000.0))};
     } else if (is("--mbr-acks")) {
       config.mbr_acks = true;
     } else if (is("--response-acks")) {
       config.response_acks = true;
     } else if (is("--mbr-refresh")) {
       config.mbr_refresh_period =
-          sim::Duration::seconds(parse_double(value(), argv[0]));
+          sim::Duration::seconds(parse_seconds(value(), argv[0]));
     } else if (is("--query-refresh")) {
       config.query_refresh_period =
-          sim::Duration::seconds(parse_double(value(), argv[0]));
+          sim::Duration::seconds(parse_seconds(value(), argv[0]));
     } else if (is("--replication-factor")) {
       config.replication_factor =
           static_cast<std::size_t>(parse_long(value(), argv[0]));
     } else if (is("--anti-entropy-period")) {
       config.anti_entropy_period =
-          sim::Duration::seconds(parse_double(value(), argv[0]));
+          sim::Duration::seconds(parse_seconds(value(), argv[0]));
     } else if (is("--adversarial")) {
       adversarial();
     } else if (is("--zipf")) {
@@ -222,11 +224,11 @@ int main(int argc, char** argv) {
       adversarial().placement_skew = parse_double(value(), argv[0]);
     } else if (is("--flash-crowd")) {
       streams::FlashCrowd crowd;
-      crowd.at_seconds = parse_double(value(), argv[0]);
+      crowd.at_seconds = parse_seconds(value(), argv[0]);
       adversarial().flash_crowd = crowd;
     } else if (is("--overload-window")) {
       overload().window =
-          sim::Duration::millis(parse_long(value(), argv[0], 1));
+          sim::Duration::millis(parse_millis(value(), argv[0], 1));
     } else if (is("--ingest-capacity")) {
       overload().ingest_capacity =
           static_cast<std::uint64_t>(parse_long(value(), argv[0]));
@@ -241,16 +243,16 @@ int main(int argc, char** argv) {
           static_cast<std::size_t>(parse_long(value(), argv[0]));
     } else if (is("--oracle")) {
       config.oracle_sample_period =
-          sim::Duration::seconds(parse_double(value(), argv[0]));
+          sim::Duration::seconds(parse_seconds(value(), argv[0]));
     } else if (is("--drain")) {
-      config.drain = sim::Duration::seconds(parse_double(value(), argv[0]));
+      config.drain = sim::Duration::seconds(parse_seconds(value(), argv[0]));
     } else if (is("--obs-dir")) {
       config.obs.dir = value();
     } else if (is("--trace")) {
       config.obs.trace = true;
     } else if (is("--obs-window")) {
       config.obs.window =
-          sim::Duration::millis(parse_long(value(), argv[0], 1));
+          sim::Duration::millis(parse_millis(value(), argv[0], 1));
     } else {
       usage(argv[0]);
     }
