@@ -50,7 +50,7 @@ core::ExperimentConfig scenario(core::StrategyKind kind, std::size_t nodes,
   config.num_nodes = nodes;
   config.id_bits = 16;
   config.seed = seed;
-  config.strategy.kind = kind;
+  config.strategy = kind;
   config.features.window_size = 64;
   config.features.num_coefficients = 2;
   config.warmup = sim::Duration::seconds(20);

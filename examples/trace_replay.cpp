@@ -2,9 +2,14 @@
 // it, and drive the distributed index from the file — the workflow for
 // indexing recorded real-world datasets (the paper's S&P500 / host-load
 // files) instead of live generators.
+#include <stdlib.h>
+#include <unistd.h>
+
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
+#include <string>
 
 #include "chord/network.hpp"
 #include "core/system.hpp"
@@ -26,13 +31,22 @@ int main() {
         streams::record_generator(sensor, stream, 300, /*period=*/0.1);
     records.insert(records.end(), captured.begin(), captured.end());
   }
-  const char* path = "/tmp/sdsi_example_trace.csv";
+  // A fresh name per run, so runs from two build trees never share a file.
+  std::string path = (std::filesystem::temp_directory_path() /
+                      "sdsi_example_trace_XXXXXX")
+                         .string();
+  const int fd = mkstemp(path.data());
+  if (fd < 0) {
+    std::perror("mkstemp");
+    return 1;
+  }
+  close(fd);
   {
     std::ofstream out(path);
     streams::write_trace(out, records);
   }
   std::printf("captured %zu records from 3 sensors -> %s\n", records.size(),
-              path);
+              path.c_str());
 
   // 2. Reload and replay through the index.
   std::ifstream in(path);
@@ -84,6 +98,6 @@ int main() {
   }
   std::printf("\n(sensor #1 must match itself; whether #2/#3 match depends"
               "\n on how correlated their recorded load shapes are)\n");
-  std::remove(path);
+  std::remove(path.c_str());
   return 0;
 }

@@ -99,7 +99,6 @@ void Experiment::wire_observability() {
   std::filesystem::create_directories(config_.obs.dir);
   obs::MetricsRegistry::Options options;
   options.window = config_.obs.window;
-  options.ring_capacity = config_.obs.ring_capacity;
   registry_ = std::make_unique<obs::MetricsRegistry>(&sim_, options);
   system_->metrics().set_registry(registry_.get());
   if (config_.obs.trace) {
@@ -371,24 +370,21 @@ void Experiment::schedule_adversarial() {
   }
   if (spec.flash_crowd.has_value()) {
     // The shock marches the sector's tickers in lockstep (correlated keys)
-    // while the crowd's queries arrive query_boost times faster — the
+    // while the crowd's queries arrive kQueryBoost times faster — the
     // combined pile-up the overload layer exists to survive.
     SDSI_CHECK(config_.stream_family == StreamFamily::kStockMarket &&
                "flash crowds shock the stock-market sector factor");
     SDSI_CHECK(market_ != nullptr);
-    const streams::FlashCrowd crowd = *spec.flash_crowd;
-    SDSI_CHECK(crowd.query_boost > 0.0);
-    sim_.schedule_after(sim::Duration::seconds(crowd.at_seconds),
-                        [this, crowd] {
-                          market_->apply_sector_shock(
-                              crowd.sector, crowd.magnitude, crowd.steps);
-                          current_query_rate_ =
-                              config_.workload.query_rate_per_sec *
-                              crowd.query_boost;
-                        });
+    using Crowd = streams::FlashCrowd;
+    const double at_seconds = spec.flash_crowd->at_seconds;
+    sim_.schedule_after(sim::Duration::seconds(at_seconds), [this] {
+      market_->apply_sector_shock(Crowd::kSector, Crowd::kMagnitude,
+                                  Crowd::kSteps);
+      current_query_rate_ =
+          config_.workload.query_rate_per_sec * Crowd::kQueryBoost;
+    });
     sim_.schedule_after(
-        sim::Duration::seconds(crowd.at_seconds +
-                               crowd.boost_duration_seconds),
+        sim::Duration::seconds(at_seconds + Crowd::kBoostDurationSeconds),
         [this] {
           current_query_rate_ = config_.workload.query_rate_per_sec;
         });

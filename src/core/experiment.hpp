@@ -72,7 +72,6 @@ struct ObsOptions {
   bool trace = false;
   /// Simulated-time window the series fold into.
   sim::Duration window = sim::Duration::seconds(1);
-  std::size_t ring_capacity = 1024;
 
   bool enabled() const noexcept { return !dir.empty(); }
 };
@@ -85,7 +84,7 @@ struct ExperimentConfig {
   dsp::FeatureConfig features = experiment_feature_config();
   /// Summary/index/routing-key strategy (core/strategy.hpp): the default
   /// kDft is the paper's pipeline, byte-identical to pre-strategy builds.
-  StrategyOptions strategy;
+  StrategyKind strategy = StrategyKind::kDft;
   MbrBatcher::Options batching;  // defaults: fixed batches of beta = 5
   routing::MulticastStrategy multicast =
       routing::MulticastStrategy::kSequential;

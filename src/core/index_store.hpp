@@ -122,11 +122,12 @@ class IndexStore {
     return subscriptions_.size();
   }
 
-  /// The node's "index work" in the most recent match() pass, used by the
-  /// overload layer: the sum over subscriptions of their interval-index
-  /// candidate window, upper_bound(query_high) - lower_bound(query_low -
-  /// max_extent). That is what a full rescan would visit, not the pairs the
-  /// incremental pass evaluated.
+  /// The node's "index work" in the most recent match() pass, read by
+  /// the per-node work metric (metrics.json's load.per_node_work): the sum
+  /// over subscriptions of their interval-index candidate window,
+  /// upper_bound(query_high) - lower_bound(query_low - max_extent). That is
+  /// what a full rescan would visit, not the pairs the incremental pass
+  /// evaluated.
   std::uint64_t last_match_work() const noexcept { return last_match_work_; }
 
   /// Candidates the most recent match() pass found but its filter declined.

@@ -25,6 +25,17 @@
 
 namespace sdsi::core {
 
+/// LshKeyMap geometry; the lsh strategy runs the defaults.
+struct LshOptions {
+  /// Signature bits (hyperplanes); the ring splits into 2^planes bucket
+  /// arcs. Must not exceed the id-space bit width.
+  std::size_t planes = 6;
+  /// Multi-probe cap: primary bucket + at most (max_probes - 1) single-bit
+  /// flips of low-margin planes.
+  std::size_t max_probes = 8;
+  std::uint64_t seed = 0x15b45eedULL;
+};
+
 class LshKeyMap final : public ContentKeyMap {
  public:
   /// `dims` is the flattened real dimensionality of the feature space
@@ -40,9 +51,6 @@ class LshKeyMap final : public ContentKeyMap {
                   std::vector<std::pair<Key, Key>>& out) const override;
   void query_ranges(const dsp::FeatureVector& features, double radius,
                     std::vector<std::pair<Key, Key>>& out) const override;
-
-  const LshOptions& options() const noexcept { return options_; }
-  std::size_t dims() const noexcept { return dims_; }
 
   /// The b-bit sign signature of a point (bit p = sign of plane p's
   /// projection).

@@ -27,9 +27,8 @@ std::pair<Key, Key> SummaryMapper::key_range(double lo, double hi) const noexcep
   return {key_for_coordinate(lo), key_for_coordinate(hi)};
 }
 
-Key SummaryMapper::key_for_stream(StreamId stream) const noexcept {
-  return space_.wrap(
-      common::sha1_prefix64("stream:" + std::to_string(stream)));
+Key key_for_stream(const common::IdSpace& space, StreamId stream) noexcept {
+  return space.wrap(common::sha1_prefix64("stream:" + std::to_string(stream)));
 }
 
 }  // namespace sdsi::core

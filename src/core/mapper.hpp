@@ -15,11 +15,14 @@
 
 #include "common/ring_math.hpp"
 #include "common/types.hpp"
+#include "core/strategy.hpp"
 #include "dsp/mbr.hpp"
 
 namespace sdsi::core {
 
-class SummaryMapper {
+/// The key map of the dft and ecm strategies (any embedding with
+/// coordinates in [-1, 1] maps monotonically onto the ring).
+class SummaryMapper final : public ContentKeyMap {
  public:
   explicit SummaryMapper(common::IdSpace space);
 
@@ -30,7 +33,7 @@ class SummaryMapper {
   Key key_for_coordinate(double x) const noexcept;
 
   /// Key of a feature vector = Eq. 6 of its routing coordinate.
-  Key key_for(const dsp::FeatureVector& features) const noexcept {
+  Key key_for(const dsp::FeatureVector& features) const noexcept override {
     return key_for_coordinate(features.routing_coordinate());
   }
 
@@ -40,22 +43,23 @@ class SummaryMapper {
 
   /// Key range of a similarity ball (Eq. 8): [h(x1 - r), h(x1 + r)].
   std::pair<Key, Key> query_range(const dsp::FeatureVector& features,
-                                  double radius) const noexcept {
+                                  double radius) const noexcept override {
     const double x = features.routing_coordinate();
     return key_range(x - radius, x + radius);
   }
 
   /// Key range of an MBR: the image of [low_1re, high_1re].
-  std::pair<Key, Key> mbr_range(const dsp::Mbr& mbr) const noexcept {
+  std::pair<Key, Key> mbr_range(const dsp::Mbr& mbr) const noexcept override {
     return key_range(mbr.routing_low(), mbr.routing_high());
   }
-
-  /// The location-service hash h2: stream id -> key (SHA-1 based, unrelated
-  /// to content so the directory load spreads independently of data).
-  Key key_for_stream(StreamId stream) const noexcept;
 
  private:
   common::IdSpace space_;
 };
+
+/// The location-service hash h2: stream id -> key of `space` (SHA-1 based,
+/// unrelated to content so the directory load spreads independently of
+/// data).
+Key key_for_stream(const common::IdSpace& space, StreamId stream) noexcept;
 
 }  // namespace sdsi::core

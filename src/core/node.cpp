@@ -5,6 +5,7 @@
 #include <utility>
 
 #include "core/arc_sync.hpp"
+#include "core/mapper.hpp"
 #include "dsp/normalize.hpp"
 
 namespace sdsi::core {
@@ -45,14 +46,12 @@ void summarize_value(LocalStream& local, Sample value,
 MiddlewareNode::MiddlewareNode(NodeIndex self, routing::RoutingSystem& routing,
                                NodeHost& host, const MiddlewareConfig& config,
                                const IndexingStrategy& strategy,
-                               const SummaryMapper& mapper,
                                MetricsCollector& metrics, common::Pcg32& rng)
     : index(self),
       routing_(routing),
       host_(host),
       config_(config),
       strategy_(strategy),
-      mapper_(mapper),
       metrics_(metrics),
       rng_(rng) {}
 
@@ -108,7 +107,8 @@ void MiddlewareNode::register_stream(StreamId stream) {
                        config_.adaptive_precision)
           .second;
   SDSI_CHECK(inserted);
-  send_to_key(mapper_.key_for_stream(stream), MsgKind::kLocationPut,
+  send_to_key(key_for_stream(routing_.id_space(), stream),
+              MsgKind::kLocationPut,
               std::make_shared<const LocationPutPayload>(
                   LocationPutPayload{stream, index}));
 }
@@ -120,7 +120,8 @@ void MiddlewareNode::unregister_stream(StreamId stream) {
     route_mbr(it->second, std::move(*partial));
   }
   streams.erase(it);
-  send_to_key(mapper_.key_for_stream(stream), MsgKind::kLocationPut,
+  send_to_key(key_for_stream(routing_.id_space(), stream),
+              MsgKind::kLocationPut,
               std::make_shared<const LocationPutPayload>(
                   LocationPutPayload{stream, kInvalidNode}));  // tombstone
 }
@@ -296,7 +297,8 @@ void MiddlewareNode::refresh_mbrs() {
   // mappings may itself have crashed and lost the registration.
   for (const auto& [stream_id, local] : streams) {
     (void)local;
-    send_to_key(mapper_.key_for_stream(stream_id), MsgKind::kLocationPut,
+    send_to_key(key_for_stream(routing_.id_space(), stream_id),
+                MsgKind::kLocationPut,
                 std::make_shared<const LocationPutPayload>(
                     LocationPutPayload{stream_id, index}));
   }
@@ -352,7 +354,8 @@ void MiddlewareNode::subscribe_inner_product(
   const bool resolution_in_flight = pending_inner_queries.contains(stream);
   pending_inner_queries[stream].push_back(std::move(query));
   if (!resolution_in_flight) {
-    send_to_key(mapper_.key_for_stream(stream), MsgKind::kLocationGet,
+    send_to_key(key_for_stream(routing_.id_space(), stream),
+                MsgKind::kLocationGet,
                 std::make_shared<const LocationGetPayload>(
                     LocationGetPayload{stream, index}));
   }
@@ -573,7 +576,8 @@ void MiddlewareNode::retry_location_get(StreamId stream) {
     return;
   }
   metrics_.count(&RobustnessCounters::location_retries, nullptr);
-  send_to_key(mapper_.key_for_stream(stream), MsgKind::kLocationGet,
+  send_to_key(key_for_stream(routing_.id_space(), stream),
+              MsgKind::kLocationGet,
               std::make_shared<const LocationGetPayload>(
                   LocationGetPayload{stream, index}));
 }

@@ -18,7 +18,6 @@
 #include "common/rng.hpp"
 #include "core/batcher.hpp"
 #include "core/index_store.hpp"
-#include "core/mapper.hpp"
 #include "core/metrics.hpp"
 #include "core/precision.hpp"
 #include "core/query.hpp"
@@ -66,7 +65,7 @@ struct MiddlewareConfig {
   /// Indexing strategy: summary + content-to-key map (core/strategy.hpp).
   /// The default ("dft") is the paper's pipeline, byte-identical to the
   /// pre-strategy code; "ecm" and "lsh" are the PAPERS.md alternatives.
-  StrategyOptions strategy;
+  StrategyKind strategy = StrategyKind::kDft;
 
   /// MBR batching (Sec IV-G / VI-A).
   MbrBatcher::Options batching;
@@ -146,9 +145,8 @@ struct InnerProductSubscription {
 /// one stream" in the experiments; the API supports several).
 struct LocalStream {
   StreamId id = 0;
-  /// Strategy-made summary (core/strategy.hpp); never null. The dft
-  /// strategy wraps streams::StreamSummarizer verbatim.
-  std::unique_ptr<Summarizer> summarizer;
+  /// Strategy-made summary (core/strategy.hpp); never null.
+  std::unique_ptr<streams::Summarizer> summarizer;
   /// Per-stream Sec VI-A closed loop, when the middleware enables it.
   std::optional<AdaptivePrecisionController> precision;
   /// Fixed-count batching, or adaptive under `precision`'s extent budget.
@@ -225,12 +223,12 @@ class NodeHost {
 
 class MiddlewareNode {
  public:
-  /// `config`, `strategy`, `mapper`, `metrics` and `rng` (the retry jitter)
-  /// are the host's and outlive the node.
+  /// `config`, `strategy`, `metrics` and `rng` (the retry jitter) are the
+  /// host's and outlive the node.
   MiddlewareNode(NodeIndex self, routing::RoutingSystem& routing,
                  NodeHost& host, const MiddlewareConfig& config,
-                 const IndexingStrategy& strategy, const SummaryMapper& mapper,
-                 MetricsCollector& metrics, common::Pcg32& rng);
+                 const IndexingStrategy& strategy, MetricsCollector& metrics,
+                 common::Pcg32& rng);
   /// Timers and periodic tasks hold the node's address, so it never moves.
   MiddlewareNode(const MiddlewareNode&) = delete;
   MiddlewareNode& operator=(const MiddlewareNode&) = delete;
@@ -486,7 +484,6 @@ class MiddlewareNode {
   NodeHost& host_;
   const MiddlewareConfig& config_;
   const IndexingStrategy& strategy_;
-  const SummaryMapper& mapper_;
   MetricsCollector& metrics_;
   common::Pcg32& rng_;
   /// Scratch for multi-range strategies' probe sets.

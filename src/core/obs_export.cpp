@@ -141,7 +141,7 @@ obs::Json metrics_to_json(const Experiment& experiment) {
   doc["kind"] = obs::Json("sdsi.metrics");
 
   obs::Json run = obs::Json::object();
-  run["strategy"] = obs::Json(strategy_name(config.strategy.kind));
+  run["strategy"] = obs::Json(strategy_name(config.strategy));
   run["nodes"] = obs::Json(static_cast<std::uint64_t>(config.num_nodes));
   run["id_bits"] = obs::Json(static_cast<std::uint64_t>(config.id_bits));
   run["seed"] = obs::Json(config.seed);

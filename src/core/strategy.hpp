@@ -5,11 +5,12 @@
 // A strategy bundles the three axes the paper fixes in Sections III-IV:
 //
 //  - Summarizer     — per-stream incremental summary (raw samples in,
-//                     FeatureVector out). The paper's instance is first-k
-//                     sliding-window DFT coefficients (streams/summarizer.hpp).
+//                     FeatureVector out; streams/summarizer.hpp). The
+//                     paper's instance is first-k sliding-window DFT
+//                     coefficients (streams::StreamSummarizer).
 //  - ContentKeyMap  — feature space -> identifier circle. The paper's
 //                     instance is the Eq. 6 coefficient-interval map
-//                     (core/mapper.hpp).
+//                     (core::SummaryMapper, core/mapper.hpp).
 //  - IndexStore     — node-local storage + matching. All built-in strategies
 //                     share core::IndexStore (interval-pruned MBRs): its
 //                     pruning is a pure first-coordinate distance lower
@@ -29,18 +30,21 @@
 //  - Coordinates live in [-1, 1] (the Eq. 6 clamp domain), and the FIRST
 //    coordinate is the routing coordinate (Mbr::routing_low/high).
 //
-// Built-in strategies:
+// Built-in strategies, each with fixed constants (no caller tunes them):
 //  - "dft" — the paper's pipeline, bit-identical to the pre-strategy code
 //            (pinned by tests/test_strategy_equivalence.cpp).
 //  - "ecm" — ECM-sketch summarizer (Papapetrou et al.): Count-Min of
 //            exponential histograms over the sliding window; features are
 //            the unit-L2 sqrt-frequency (Hellinger) embedding of the
-//            window's value histogram. Routing reuses the Eq. 6 map.
+//            window's value histogram. Routing reuses the Eq. 6 map. Its
+//            constants are the defaults of streams::EcmStreamSummarizer::
+//            Options.
 //  - "lsh" — distributed LSH routing (Bahmani et al.): DFT features, but
 //            the content-to-key map hashes them with signed random
 //            projections so each signature bucket owns one ring arc;
 //            queries multi-probe low-margin neighbor buckets. Recall < 1 by
-//            design; the oracle quantifies the loss.
+//            design; the oracle quantifies the loss. Its constants are the
+//            defaults of LshOptions (core/lsh_map.hpp).
 #pragma once
 
 #include <cstdint>
@@ -55,6 +59,7 @@
 #include "common/types.hpp"
 #include "dsp/features.hpp"
 #include "dsp/mbr.hpp"
+#include "streams/summarizer.hpp"
 
 namespace sdsi::core {
 
@@ -69,66 +74,6 @@ const char* strategy_name(StrategyKind kind) noexcept;
 
 /// Inverse of strategy_name; nullopt on unknown spellings.
 std::optional<StrategyKind> parse_strategy(std::string_view name) noexcept;
-
-/// ECM-sketch strategy knobs (streams/ecm_sketch.hpp holds the sketch).
-struct EcmOptions {
-  /// Histogram bins = feature dimensions (packed two per complex coeff,
-  /// so `bins` must be even). Routing coordinate = central bin's mass.
-  std::size_t bins = 8;
-  /// Count-Min geometry: `width` cells per row, `depth` rows (estimate =
-  /// min over rows). With width >= bins collisions are rare and the
-  /// exponential-histogram window error dominates.
-  std::size_t width = 32;
-  std::size_t depth = 3;
-  /// Exponential-histogram merge threshold k: per-cell sliding-window
-  /// counts carry relative error <= 1/(2k) (Datar et al. bound).
-  std::size_t eh_k = 8;
-  /// Quantization: samples are z-scaled by running (Welford) stream stats
-  /// and binned uniformly over [-z_span, +z_span].
-  double z_span = 3.0;
-  std::uint64_t seed = 0xec5eedULL;
-};
-
-/// LSH-routing strategy knobs.
-struct LshOptions {
-  /// Signature bits (hyperplanes); the ring splits into 2^planes bucket
-  /// arcs. Must not exceed the id-space bit width.
-  std::size_t planes = 6;
-  /// Multi-probe cap: primary bucket + at most (max_probes - 1) single-bit
-  /// flips of low-margin planes.
-  std::size_t max_probes = 8;
-  std::uint64_t seed = 0x15b45eedULL;
-};
-
-struct StrategyOptions {
-  StrategyKind kind = StrategyKind::kDft;
-  EcmOptions ecm;
-  LshOptions lsh;
-};
-
-/// Per-stream incremental summary. Mirrors streams::StreamSummarizer's
-/// surface (which the dft strategy adapts verbatim); one instance is owned
-/// by exactly one stream and never shared across threads.
-class Summarizer {
- public:
-  virtual ~Summarizer() = default;
-
-  virtual void push(Sample value) = 0;
-
-  /// True once a full window has been observed.
-  virtual bool ready() const noexcept = 0;
-  virtual std::uint64_t samples_seen() const noexcept = 0;
-
-  /// Current feature vector into `out` (reusing capacity); false until
-  /// ready() or when the window is degenerate. `out` unchanged on false.
-  virtual bool features_into(dsp::FeatureVector& out) const = 0;
-
-  /// Approximate raw window (oldest first, raw data scale) for local
-  /// inner-product answering (paper Eq. 7); false when not ready. The dft
-  /// strategy reconstructs from the synopsis and undoes the normalization;
-  /// ecm copies its exact raw ring.
-  virtual bool approx_window(std::vector<Sample>& out) const = 0;
-};
 
 /// Feature space -> identifier circle. Pure and deterministic: equal inputs
 /// give equal keys on every node (the property content-based routing needs).
@@ -171,7 +116,9 @@ std::optional<Key> nearest_overlap_key(
 /// is immutable after construction and safe to share const across threads.
 class IndexingStrategy {
  public:
-  static std::unique_ptr<IndexingStrategy> make(const StrategyOptions& options,
+  /// Aborts when `space` is wider than 52 bits, whatever the kind: a ring
+  /// must fit Eq. 6 (2^m exact in a double) for every strategy.
+  static std::unique_ptr<IndexingStrategy> make(StrategyKind kind,
                                                 dsp::FeatureConfig features,
                                                 common::IdSpace space);
 
@@ -187,7 +134,7 @@ class IndexingStrategy {
   }
 
   /// Fresh summarizer for one local stream.
-  virtual std::unique_ptr<Summarizer> make_summarizer() const = 0;
+  virtual std::unique_ptr<streams::Summarizer> make_summarizer() const = 0;
 
   /// The shared, stateless key map.
   virtual const ContentKeyMap& key_map() const = 0;

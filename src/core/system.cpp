@@ -9,7 +9,6 @@ MiddlewareSystem::MiddlewareSystem(routing::RoutingSystem& routing,
                                    MiddlewareConfig config)
     : routing_(routing),
       config_(config),
-      mapper_(routing.id_space()),
       metrics_(routing.num_nodes()),
       rng_(common::RngFactory(config.rng_seed).make("middleware.jitter")) {
   config_.features.validate();
@@ -22,7 +21,7 @@ MiddlewareSystem::MiddlewareSystem(routing::RoutingSystem& routing,
   }
   for (NodeIndex i = 0; i < routing.num_nodes(); ++i) {
     nodes_.emplace_back(i, routing_, static_cast<NodeHost&>(*this), config_,
-                        *strategy_, mapper_, metrics_, rng_);
+                        *strategy_, metrics_, rng_);
   }
   metrics_.set_clock(&routing_.simulator());
   routing_.set_metrics_hook(&metrics_);
@@ -92,7 +91,7 @@ void MiddlewareSystem::attach_node(NodeIndex index) {
   while (nodes_.size() <= index) {
     const auto fresh = static_cast<NodeIndex>(nodes_.size());
     nodes_.emplace_back(fresh, routing_, static_cast<NodeHost&>(*this),
-                        config_, *strategy_, mapper_, metrics_, rng_);
+                        config_, *strategy_, metrics_, rng_);
     if (started_) {
       schedule_node(fresh, 0, 1);
       schedule_overload_window(fresh);

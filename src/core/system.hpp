@@ -55,7 +55,6 @@ class MiddlewareSystem : private NodeHost {
   MiddlewareSystem(routing::RoutingSystem& routing, MiddlewareConfig config);
 
   const MiddlewareConfig& config() const noexcept { return config_; }
-  const SummaryMapper& mapper() const noexcept { return mapper_; }
   const IndexingStrategy& strategy() const noexcept { return *strategy_; }
   MetricsCollector& metrics() noexcept { return metrics_; }
   const MetricsCollector& metrics() const noexcept { return metrics_; }
@@ -203,7 +202,6 @@ class MiddlewareSystem : private NodeHost {
 
   routing::RoutingSystem& routing_;
   MiddlewareConfig config_;
-  SummaryMapper mapper_;
   /// The pluggable summary/key-map pair; never null (defaults to "dft").
   std::unique_ptr<IndexingStrategy> strategy_;
   MetricsCollector metrics_;

@@ -180,9 +180,6 @@ class LinkFaultModel {
   /// Extra latency for this transmission (zero without a jitter process).
   sim::Duration sample_jitter();
 
-  /// Whether the burst chain currently sits in the bad state (tests).
-  bool in_burst() const noexcept { return in_bad_state_; }
-
   const FaultPlan& plan() const noexcept { return plan_; }
 
  private:

@@ -36,13 +36,11 @@ NetNode::NetNode(const NetRing& ring, NodeIndex self, Transport& transport,
       middleware_(middleware_config(config_)),
       strategy_(core::IndexingStrategy::make(config_.strategy,
                                              config_.features, ring.space())),
-      mapper_(ring.space()),
       metrics_(ring.size()),
       rng_(common::RngFactory(middleware_.rng_seed).make("middleware.jitter")),
       detector_(config_.reliability.detector, ring.size(), self),
       routing_(clock_, ring, self, transport, detector_),
-      node_(self, routing_, *this, middleware_, *strategy_, mapper_, metrics_,
-            rng_) {
+      node_(self, routing_, *this, middleware_, *strategy_, metrics_, rng_) {
   config_.features.validate();
   routing_.set_deliver(
       [this](NodeIndex, const routing::Message& msg) { node_.deliver(msg); });

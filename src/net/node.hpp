@@ -48,7 +48,7 @@ inline constexpr std::size_t kReplication = 2;
 
 struct NetNodeConfig {
   dsp::FeatureConfig features;
-  core::StrategyOptions strategy;
+  core::StrategyKind strategy = core::StrategyKind::kDft;
   core::MbrBatcher::Options batching;
   sim::Duration mbr_lifespan = sim::Duration::seconds(3600);
   NetReliabilityConfig reliability;
@@ -148,7 +148,6 @@ class NetNode final : private core::NodeHost {
   NetNodeConfig config_;
   core::MiddlewareConfig middleware_;
   std::unique_ptr<core::IndexingStrategy> strategy_;
-  core::SummaryMapper mapper_;
   core::MetricsCollector metrics_;
   common::Pcg32 rng_;
   FailureDetector detector_;  // idle unless config_.reliability.enabled

@@ -40,7 +40,7 @@ struct WorkloadConfig {
   /// Indexing strategy both worlds run (core/strategy.hpp). The gate is
   /// strategy-generic: sim and socket share the strategy code, so equal
   /// digests check the wire/transport layers for every strategy.
-  core::StrategyOptions strategy;
+  core::StrategyKind strategy = core::StrategyKind::kDft;
 };
 
 /// One continuous similarity query of the workload. `id` is the globally

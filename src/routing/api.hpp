@@ -148,9 +148,6 @@ class RoutingSystem {
   void set_fault_model(std::shared_ptr<fault::LinkFaultModel> model) {
     fault_model_ = std::move(model);
   }
-  const fault::LinkFaultModel* fault_model() const noexcept {
-    return fault_model_.get();
-  }
 
   /// Drops recorded under one cause label — the one loss ledger across the
   /// link loss models (kUniformLoss/kBurstLoss/kPartition), the

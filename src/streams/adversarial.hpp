@@ -63,18 +63,19 @@ std::vector<Key> skewed_node_ids(std::size_t count, common::IdSpace space,
                                  std::uint64_t seed, double skew);
 
 /// One sector-correlated flash crowd: at `at_seconds` (absolute simulation
-/// time; warmup starts at 0) the given sector's factor gets an additive
-/// `magnitude` shock for `steps` market steps, marching every ticker of the
-/// sector in lockstep — their DFT keys converge onto one narrow arc. Over
-/// the same window the query arrival rate is multiplied by `query_boost`
-/// (the crowd *asks* about what is moving).
+/// time; warmup starts at 0) sector kSector's factor gets an additive
+/// kMagnitude shock for kSteps market steps, marching every ticker of the
+/// sector in lockstep — their DFT keys converge onto one narrow arc. For
+/// kBoostDurationSeconds from then the query arrival rate is multiplied by
+/// kQueryBoost (the crowd *asks* about what is moving).
 struct FlashCrowd {
-  std::size_t sector = 0;
-  double magnitude = 0.03;  // per-step additive sector log-return
-  int steps = 40;
+  static constexpr std::size_t kSector = 0;
+  static constexpr double kMagnitude = 0.03;  // per-step sector log-return
+  static constexpr int kSteps = 40;
+  static constexpr double kQueryBoost = 4.0;
+  static constexpr double kBoostDurationSeconds = 20.0;
+
   double at_seconds = 0.0;
-  double query_boost = 4.0;
-  double boost_duration_seconds = 20.0;
 };
 
 /// Full adversarial-workload scenario consumed by core::Experiment.

@@ -27,6 +27,7 @@
 #include "common/check.hpp"
 #include "common/types.hpp"
 #include "dsp/features.hpp"
+#include "streams/summarizer.hpp"
 
 namespace sdsi::streams {
 
@@ -76,8 +77,6 @@ class EcmSketch {
 
   explicit EcmSketch(Options options);
 
-  const Options& options() const noexcept { return options_; }
-
   /// Records one arrival of `level` at arrival index `t`.
   void add(std::uint64_t level, std::uint64_t t);
 
@@ -92,11 +91,12 @@ class EcmSketch {
   std::vector<ExpHistogram> cells_;  // depth x width, row-major
 };
 
-/// The ECM strategy's per-stream summarizer (adapted into core::Summarizer
-/// by core/strategy.cpp). Keeps the exact raw ring alongside the sketch:
-/// the ring answers local inner-product queries and the window statistics;
-/// the *sketch* is what the routed features are computed from.
-class EcmStreamSummarizer {
+/// The ECM strategy's per-stream summarizer. Keeps the exact raw ring
+/// alongside the sketch: the ring answers local inner-product queries and
+/// the window statistics; the *sketch* is what the routed features are
+/// computed from. The ecm strategy runs the Options defaults over the
+/// run's feature window.
+class EcmStreamSummarizer final : public Summarizer {
  public:
   struct Options {
     std::size_t window = 256;
@@ -110,29 +110,37 @@ class EcmStreamSummarizer {
 
   explicit EcmStreamSummarizer(Options options);
 
-  void push(Sample value);
+  void push(Sample value) override;
   void push_span(std::span<const Sample> values) {
     for (const Sample value : values) {
       push(value);
     }
   }
 
-  bool ready() const noexcept { return seen_ >= options_.window; }
-  std::uint64_t samples_seen() const noexcept { return seen_; }
+  bool ready() const noexcept override { return seen_ >= options_.window; }
+  std::uint64_t samples_seen() const noexcept override { return seen_; }
 
   /// Unit-L2 sqrt-frequency embedding of the estimated window histogram,
   /// `bins/2` complex coordinates. Coordinate 0 (the routing coordinate) is
   /// the central bin's mass — the one that varies most across windows.
   /// False until ready() or if the estimated histogram is empty.
-  bool features_into(dsp::FeatureVector& out) const;
+  bool features_into(dsp::FeatureVector& out) const override;
 
   /// Exact raw window, oldest first (inner-product answering).
   void copy_window(std::vector<Sample>& out) const;
 
+  /// The exact ring, not a reconstruction: the sketch is what gets routed,
+  /// but the source node still holds every sample of its window.
+  bool approx_window(std::vector<Sample>& out) const override {
+    if (!ready()) {
+      return false;
+    }
+    copy_window(out);
+    return true;
+  }
+
   /// The bin a sample quantizes into right now (running z-scaling).
   std::size_t bin_of(Sample value) const noexcept;
-
-  const EcmSketch& sketch() const noexcept { return sketch_; }
 
  private:
   Options options_;

@@ -77,4 +77,20 @@ bool StreamSummarizer::features_into(dsp::FeatureVector& out) const {
   return true;
 }
 
+bool StreamSummarizer::approx_window(std::vector<Sample>& out) const {
+  const std::optional<dsp::FeatureVector> synopsis = features();
+  if (!synopsis.has_value()) {
+    return false;
+  }
+  out = dsp::reconstruct(*synopsis, config_);
+  const double denom = normalization_denominator();
+  const double mu = config_.normalization == dsp::Normalization::kZNormalize
+                        ? window_mean()
+                        : 0.0;
+  for (Sample& x : out) {
+    x = x * denom + mu;
+  }
+  return true;
+}
+
 }  // namespace sdsi::streams

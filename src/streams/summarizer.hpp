@@ -1,5 +1,7 @@
-// Per-stream incremental summarizer: raw samples in, normalized feature
-// vectors out, O(k) per sample.
+// Per-stream summaries: the Summarizer interface every indexing strategy's
+// summary implements (core/strategy.hpp), and the paper's instance,
+// StreamSummarizer: raw samples in, normalized feature vectors out, O(k) per
+// sample.
 //
 // Normalization (Eqs. 1-2) conceptually happens before the DFT, but
 // recomputing a normalized window per arrival would cost O(N). Linearity of
@@ -16,25 +18,46 @@
 
 #include <cstdint>
 #include <optional>
+#include <vector>
 
 #include "dsp/features.hpp"
 #include "dsp/sliding_dft.hpp"
 
 namespace sdsi::streams {
 
-class StreamSummarizer {
+/// Per-stream incremental summary; one instance is owned by exactly one
+/// stream and never shared across threads.
+class Summarizer {
+ public:
+  virtual ~Summarizer() = default;
+
+  virtual void push(Sample value) = 0;
+
+  /// True once a full window has been observed.
+  virtual bool ready() const noexcept = 0;
+  virtual std::uint64_t samples_seen() const noexcept = 0;
+
+  /// Current feature vector into `out` (reusing capacity); false until
+  /// ready() or when the window is degenerate. `out` unchanged on false.
+  virtual bool features_into(dsp::FeatureVector& out) const = 0;
+
+  /// Approximate raw window (oldest first, raw data scale) for local
+  /// inner-product answering (paper Eq. 7); false when not ready.
+  virtual bool approx_window(std::vector<Sample>& out) const = 0;
+};
+
+class StreamSummarizer final : public Summarizer {
  public:
   explicit StreamSummarizer(dsp::FeatureConfig config);
 
-  const dsp::FeatureConfig& config() const noexcept { return config_; }
-
   /// Feeds one raw sample.
-  void push(Sample value);
+  void push(Sample value) override;
 
-  /// True once a full window has been observed.
-  bool ready() const noexcept { return dft_.full(); }
+  bool ready() const noexcept override { return dft_.full(); }
 
-  std::uint64_t samples_seen() const noexcept { return dft_.samples_seen(); }
+  std::uint64_t samples_seen() const noexcept override {
+    return dft_.samples_seen();
+  }
 
   /// Current normalized feature vector; nullopt until ready() or when the
   /// window is degenerate (constant for znorm / all-zero for unit norm),
@@ -45,7 +68,11 @@ class StreamSummarizer {
   /// place (reusing its capacity) and returns true, or returns false in
   /// exactly the cases features() returns nullopt. `out` is unchanged on
   /// false.
-  bool features_into(dsp::FeatureVector& out) const;
+  bool features_into(dsp::FeatureVector& out) const override;
+
+  /// Eq. 7: the window rebuilt from the synopsis, with the normalization
+  /// undone (this node knows the window mean and norm).
+  bool approx_window(std::vector<Sample>& out) const override;
 
   /// Mean of the current raw window.
   double window_mean() const noexcept;

@@ -79,7 +79,7 @@ TEST(AdaptiveController, AdaptsOnlyAtWindowBoundaries) {
 
 /// Pass-through summary: each sample becomes a one-coefficient feature
 /// vector (value, 0), so the tests drive the batcher with exact coordinates.
-class PassThroughSummarizer final : public Summarizer {
+class PassThroughSummarizer final : public streams::Summarizer {
  public:
   void push(Sample value) override {
     last_ = value;

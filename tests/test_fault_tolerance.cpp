@@ -178,7 +178,7 @@ TEST(QueryRefresh, HealsSubscriptionAfterHolderCrash) {
     EXPECT_TRUE(record->matched_streams.contains(200));
 
     // Crash the subscription holder (the node covering the probe's key).
-    const Key key = h.system.mapper().key_for(probe);
+    const Key key = h.system.strategy().key_map().key_for(probe);
     const NodeIndex holder = h.net.find_successor_oracle(key);
     if (holder == 0 || holder == 1) {
       continue;  // degenerate layout for this seed; scenario not applicable

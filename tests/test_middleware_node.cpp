@@ -54,8 +54,7 @@ struct FourNodeRing {
                                         space)) {
     host.clock = &sim;
     for (NodeIndex i = 0; i < ring.num_nodes(); ++i) {
-      nodes.emplace_back(i, ring, host, config, *strategy, mapper, metrics,
-                         rng);
+      nodes.emplace_back(i, ring, host, config, *strategy, metrics, rng);
     }
     ring.set_deliver([this](NodeIndex at, const routing::Message& msg) {
       if (!drop_acks || msg.kind != MsgKind::kResponseAck) {
@@ -86,7 +85,6 @@ struct FourNodeRing {
   routing::StaticRing ring{sim, space, routing::hash_node_ids(4, space, 77)};
   const MiddlewareConfig config;
   const std::unique_ptr<IndexingStrategy> strategy;
-  const SummaryMapper mapper{space};
   MetricsCollector metrics{ring.num_nodes()};
   common::Pcg32 rng{1, 1};
   TestHost host;
@@ -109,7 +107,7 @@ TEST(MiddlewareNode, BatchMeetsSubscriptionWithoutTheSimulatorHost) {
   const dsp::FeatureVector features =
       dsp::extract_features(window, r.config.features);
   const NodeIndex home =
-      r.ring.find_successor_oracle(r.mapper.key_for(features));
+      r.ring.find_successor_oracle(r.strategy->key_map().key_for(features));
   const NodeIndex source = home == 0 ? 1 : 0;
   const NodeIndex client = home == 2 ? 3 : 2;
 

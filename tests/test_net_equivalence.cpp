@@ -65,7 +65,7 @@ TEST(NetEquivalence, HoldsAcrossSeedsAndRingSizes) {
       config.nodes = nodes;
       config.seed = seed;
       config.samples_per_stream = 300;
-      config.strategy.kind = kind;
+      config.strategy = kind;
       const RunDigest sim_digest = run_sim_reference(config);
       EXPECT_EQ(sim_digest.inner.size(), config.nodes);
       EXPECT_EQ(ring_digest(config), sim_digest)
@@ -141,7 +141,7 @@ class RecordingTransport final : public Transport {
 /// count folded in last.
 FrameDigest socket_path_frames(core::StrategyKind kind, bool reliable) {
   WorkloadConfig config;
-  config.strategy.kind = kind;
+  config.strategy = kind;
   NetReliabilityConfig reliability;
   reliability.enabled = reliable;
   FrameDigest digest;

@@ -167,7 +167,7 @@ TEST_P(RangeMulticastFaults, CoveringNodeCrashMidStreamHealsAfterRefresh) {
   // Crash the node covering the stream's content key while batches keep
   // closing: multicasts in flight lose a covering replica, stored state on
   // the crashed arc is gone.
-  const Key key = h.system.mapper().key_for(probe);
+  const Key key = h.system.strategy().key_map().key_for(probe);
   const NodeIndex holder = h.net.find_successor_oracle(key);
   if (holder == 0 || holder == 5) {
     GTEST_SKIP() << "degenerate layout for this seed";

@@ -148,7 +148,7 @@ TEST(MbrRefresh, ReroutesLiveBatchesAfterHolderRestart) {
     h.run_for(2.0);
 
     const dsp::FeatureVector probe = h.exponential_features(1.12);
-    const Key key = h.system.mapper().key_for(probe);
+    const Key key = h.system.strategy().key_map().key_for(probe);
     const NodeIndex holder = h.net.find_successor_oracle(key);
     if (holder == 0 || holder == 2) {
       continue;  // degenerate layout for this seed; scenario not applicable

@@ -25,7 +25,7 @@ ExperimentConfig recall_config(StrategyKind kind) {
   // Let end-of-window publications finish matching and delivery before the
   // report is read; without it even the lossless path reads ~0.94.
   config.drain = sim::Duration::seconds(5);
-  config.strategy.kind = kind;
+  config.strategy = kind;
   return config;
 }
 

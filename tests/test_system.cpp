@@ -75,7 +75,8 @@ TEST(MiddlewareMbr, ReplicatedExactlyOnRangeNodes) {
 
   // A constant-feature stream produces point MBRs: exactly one node (the
   // successor of its key) must store them — plus the source's local copy.
-  const Key key = h.system.mapper().key_for(h.exponential_features(1.15));
+  const Key key =
+      h.system.strategy().key_map().key_for(h.exponential_features(1.15));
   const NodeIndex home = h.ring.find_successor_oracle(key);
   for (NodeIndex i = 0; i < h.system.num_nodes(); ++i) {
     const auto& mbrs = h.system.node(i).store.mbrs();
@@ -306,7 +307,8 @@ TEST(MiddlewareQueries, RangeReplicationCoversQueryBall) {
       h.system.subscribe_similarity(0, probe, radius,
                                     sim::Duration::seconds(60));
   h.run_for(5.0);
-  const auto [lo, hi] = h.system.mapper().query_range(probe, radius);
+  const auto [lo, hi] =
+      h.system.strategy().key_map().query_range(probe, radius);
   for (NodeIndex i = 0; i < h.system.num_nodes(); ++i) {
     const bool has =
         h.system.node(i).store.find_subscription(id) != nullptr;
@@ -348,7 +350,8 @@ TEST(MiddlewareOverload, EveryShedAndBackpressureLossIsAccounted) {
   obs::MetricsRegistry registry(&h.sim, {});
   h.system.metrics().set_registry(&registry);
 
-  const Key key = h.system.mapper().key_for(h.exponential_features(1.15));
+  const Key key =
+      h.system.strategy().key_map().key_for(h.exponential_features(1.15));
   const NodeIndex home = h.ring.find_successor_oracle(key);
   std::vector<NodeIndex> sources;
   for (NodeIndex i = 0; sources.size() < 3; ++i) {
@@ -384,6 +387,26 @@ TEST(MiddlewareOverload, EveryShedAndBackpressureLossIsAccounted) {
               count);
   }
   EXPECT_EQ(h.ring.total_drops(), 6u);
+}
+
+TEST(MiddlewareSystem, RingWiderThan52BitsAbortsForEveryStrategy) {
+  // Eq. 6 needs 2^m exact in a double. The guard holds for every strategy,
+  // whether or not its key map runs Eq. 6.
+  const common::IdSpace space(53);
+  for (const StrategyKind kind :
+       {StrategyKind::kDft, StrategyKind::kEcm, StrategyKind::kLsh}) {
+    MiddlewareConfig config = small_config();
+    config.strategy = kind;
+    EXPECT_DEATH(
+        {
+          sim::Simulator sim;
+          routing::StaticRing ring(sim, space,
+                                   routing::hash_node_ids(4, space, 77));
+          MiddlewareSystem system(ring, config);
+        },
+        "bits\\(\\) <= 52")
+        << strategy_name(kind);
+  }
 }
 
 }  // namespace

@@ -2,6 +2,7 @@
 // directory tombstones, point queries and moving averages.
 #include <gtest/gtest.h>
 
+#include "core/mapper.hpp"
 #include "core/system.hpp"
 #include "routing/static_ring.hpp"
 
@@ -61,7 +62,7 @@ TEST(StreamLifecycle, UnregisterTombstonesDirectory) {
   h.system.register_stream(2, 20);
   h.run_for(1.0);
   // The directory holder knows the stream...
-  const Key key = h.system.mapper().key_for_stream(20);
+  const Key key = key_for_stream(h.ring.id_space(), 20);
   const NodeIndex holder = h.ring.find_successor_oracle(key);
   EXPECT_TRUE(h.system.node(holder).location_directory.contains(20));
   h.system.unregister_stream(2, 20);

@@ -543,7 +543,7 @@ int main(int argc, char** argv) {
   config.nodes = opts.nodes;
   config.seed = opts.seed;
   config.samples_per_stream = opts.samples;
-  config.strategy.kind = opts.strategy;
+  config.strategy = opts.strategy;
   const net::RunDigest sim_digest = net::run_sim_reference(config);
 
   std::size_t nonempty = 0;

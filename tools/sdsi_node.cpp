@@ -128,7 +128,7 @@ Options parse_args(int argc, char** argv) {
     } else if (arg == "--strategy") {
       const auto kind = core::parse_strategy(next());
       if (!kind.has_value()) usage_and_exit(argv[0]);
-      opts.workload.strategy.kind = *kind;
+      opts.workload.strategy = *kind;
     } else if (arg == "--port") {
       opts.port = static_cast<std::uint16_t>(whole());
     } else if (arg == "--epoch") {

@@ -138,7 +138,7 @@ int main(int argc, char** argv) {
       if (!kind.has_value()) {
         usage(argv[0]);
       }
-      config.strategy.kind = *kind;
+      config.strategy = *kind;
     } else if (is("--multicast")) {
       const std::string kind = value();
       if (kind == "seq") {
@@ -284,7 +284,7 @@ int main(int argc, char** argv) {
   std::printf("sdsi_sim: %zu nodes, radius %.2f, seed %llu, strategy %s\n",
               config.num_nodes, config.workload.query_radius,
               static_cast<unsigned long long>(config.seed),
-              core::strategy_name(config.strategy.kind));
+              core::strategy_name(config.strategy));
   bench::print_workload_banner(config.workload);
 
   if (config.faults.uniform_loss > 0.0) {
