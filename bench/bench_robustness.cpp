@@ -24,8 +24,8 @@
 // Acceptance shape: chaos+heal recall >= 0.95 within two refresh periods of
 // the faults clearing; chaos (no healing) demonstrably below that;
 // chaos+heal+repl at or above chaos+heal with a lower heal-latency p90
-// (replicas answer before the retry ladder climbs). All numbers are pure
-// functions of the seed (byte-identical BENCH output).
+// (a replica stores and acks a copy whose landing node died). All numbers
+// are pure functions of the seed (byte-identical BENCH output).
 #include <string>
 
 #include "bench/bench_common.hpp"
@@ -236,7 +236,7 @@ int main(int argc, char** argv) {
       "Successor-list replication alone (no refresh) reaches %.4f because\n"
       "promoted replicas already hold the crashed owners' state; with both\n"
       "layers on, recall is %.4f and the heal-latency p90 drops from\n"
-      "%.0f ms to %.0f ms (replicas answer before the retry ladder climbs).\n",
+      "%.0f ms to %.0f ms (a replica acks a copy whose landing node died).\n",
       ceiling, degraded, healed, replicated, both,
       experiments[2]->robustness_report().heal_latency_ms.p90(),
       experiments[4]->robustness_report().heal_latency_ms.p90());

@@ -69,7 +69,6 @@ void Experiment::build() {
   middleware.replication_factor = config_.replication_factor;
   middleware.anti_entropy_period = config_.anti_entropy_period;
   middleware.overload = config_.overload;
-  middleware.rng_seed = rng_factory_.make("middleware-seed").next64();
   system_ = std::make_unique<MiddlewareSystem>(*routing_, middleware);
   system_->metrics().set_enabled(false);
 

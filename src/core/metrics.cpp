@@ -225,7 +225,7 @@ void MetricsCollector::count(std::uint64_t RobustnessCounters::*field,
   if (series != nullptr && registry_ != nullptr) {
     registry_->counter(series).add(static_cast<double>(n));
   }
-  if (field != nullptr && enabled_) {
+  if (enabled_) {
     robustness_.*field += n;
   }
 }
@@ -235,7 +235,7 @@ void MetricsCollector::observe(obs::LogHistogram RobustnessCounters::*field,
   if (series != nullptr && registry_ != nullptr) {
     registry_->histogram(series).add(ms);
   }
-  if (field != nullptr && enabled_) {
+  if (enabled_) {
     (robustness_.*field).add(ms);
   }
 }

@@ -112,7 +112,7 @@ struct RobustnessCounters {
   std::uint64_t mbr_acks = 0;           // storage confirmations received
   std::uint64_t duplicate_stores = 0;   // redeliveries the store suppressed
   std::uint64_t response_retries = 0;   // resent unacked match pushes
-  std::uint64_t location_retries = 0;   // location-get backoff retries
+  std::uint64_t location_retries = 0;   // location-get re-sends (per period)
   /// One sample per healed batch, in ms. A single log-bucketed histogram
   /// carries the whole story: count/mean/max exactly, p50/p90/p99 estimated.
   obs::LogHistogram heal_latency_ms;
@@ -220,7 +220,7 @@ class MetricsCollector final : public routing::MetricsHook {
   /// inside the measurement window, and to the registry counter `series`
   /// over the whole run, warm-up and drain included, when a registry is
   /// attached. The series is looked up by name, so it first appears when
-  /// its event first fires. Either may be null: a sink without that view.
+  /// its event first fires. A null `series` records the field alone.
   void count(std::uint64_t RobustnessCounters::*field, const char* series,
              std::uint64_t n = 1);
   /// The histogram twin of count(): one `ms` sample into `field` and the

@@ -46,14 +46,13 @@ void summarize_value(LocalStream& local, Sample value,
 MiddlewareNode::MiddlewareNode(NodeIndex self, routing::RoutingSystem& routing,
                                NodeHost& host, const MiddlewareConfig& config,
                                const IndexingStrategy& strategy,
-                               MetricsCollector& metrics, common::Pcg32& rng)
+                               MetricsCollector& metrics)
     : index(self),
       routing_(routing),
       host_(host),
       config_(config),
       strategy_(strategy),
-      metrics_(metrics),
-      rng_(rng) {}
+      metrics_(metrics) {}
 
 // --- Sends -------------------------------------------------------------------
 
@@ -91,9 +90,11 @@ void MiddlewareNode::reset_soft_state() {
   outgoing_reports.clear();
   location_directory.clear();
   location_cache.clear();
+  for (auto& [stream, pending] : pending_inner_queries) {
+    pending.retry.cancel();
+  }
   pending_inner_queries.clear();
   published_mbrs.clear();
-  location_retry_attempts.clear();
   aggregation_replicas.clear();
   overload = OverloadState{};
 }
@@ -236,7 +237,7 @@ void MiddlewareNode::arm_mbr_retry(PublicationLedger::Publication& pub) {
   const StreamId stream = pub.payload->stream;
   const std::uint64_t seq = pub.payload->batch_seq;
   pub.retry_timer = routing_.simulator().schedule_after(
-      config_.mbr_ack.delay(pub.attempts, rng_),
+      config_.mbr_ack.timeout,
       [this, stream, seq] { on_mbr_ack_timeout(stream, seq); });
 }
 
@@ -256,27 +257,6 @@ void MiddlewareNode::on_mbr_ack_timeout(StreamId stream, std::uint64_t seq) {
   emit_trace(obs::TraceEventKind::kRetry, stream, seq, pub->trace_id);
   send_to_range(pub->lo, pub->hi, MsgKind::kMbrUpdate, pub->payload,
                 pub->trace_id);
-  if (replication_on()) {
-    // Hedged retry: a second multicast staggered past the mean burst
-    // length, so a loss burst that swallows the retry no longer doubles the
-    // heal time to another full timeout. Store dedup and idempotent acks
-    // make the extra copy side-effect free (replicas mirror only on first
-    // store), and hedges run only on the rare already-failed publications.
-    routing_.simulator().schedule_after(
-        sim::Duration::millis(150), [this, stream, seq] {
-          if (!routing_.is_alive(index)) {
-            return;
-          }
-          const PublicationLedger::Publication* pending =
-              published_mbrs.owed(stream, seq, routing_.simulator().now());
-          if (pending == nullptr) {
-            return;
-          }
-          metrics_.count(nullptr, "heal.retry_hedges");
-          send_to_range(pending->lo, pending->hi, MsgKind::kMbrUpdate,
-                        pending->payload, pending->trace_id);
-        });
-  }
   arm_mbr_retry(*pub);
 }
 
@@ -345,19 +325,18 @@ void MiddlewareNode::subscribe_similarity(
 
 void MiddlewareNode::subscribe_inner_product(
     std::shared_ptr<const InnerProductQuery> query) {
+  SDSI_CHECK(query->index.size() == query->weights.size());
+  SDSI_CHECK(query->index.size() <= config_.features.window_size);
   const StreamId stream = query->stream;
   const auto cached = location_cache.find(stream);
   if (cached != location_cache.end()) {
     dispatch_inner_query(std::move(query), cached->second);
     return;
   }
-  const bool resolution_in_flight = pending_inner_queries.contains(stream);
-  pending_inner_queries[stream].push_back(std::move(query));
-  if (!resolution_in_flight) {
-    send_to_key(key_for_stream(routing_.id_space(), stream),
-                MsgKind::kLocationGet,
-                std::make_shared<const LocationGetPayload>(
-                    LocationGetPayload{stream, index}));
+  PendingLocation& pending = pending_inner_queries[stream];
+  pending.queries.push_back(std::move(query));
+  if (pending.queries.size() == 1) {  // no resolution in flight yet
+    ask_location(stream, pending);
   }
 }
 
@@ -563,78 +542,52 @@ void MiddlewareNode::handle_location_get(const Message& msg) {
                   LocationReplyPayload{payload->stream, source}));
 }
 
-void MiddlewareNode::retry_location_get(StreamId stream) {
-  if (!routing_.is_alive(index)) {
-    return;  // the querying data center is gone; let its state expire
-  }
-  if (!pending_inner_queries.contains(stream)) {
-    return;  // resolved or expired in the meantime
-  }
-  const auto cached = location_cache.find(stream);
-  if (cached != location_cache.end()) {
-    drain_inner_queries(stream, cached->second);
-    return;
-  }
-  metrics_.count(&RobustnessCounters::location_retries, nullptr);
+void MiddlewareNode::ask_location(StreamId stream, PendingLocation& pending) {
+  // Armed first: a get to a key this node covers may be answered, and
+  // `pending` erased, before send_to_key returns.
+  pending.retry = routing_.simulator().schedule_after(
+      config_.notify_period, [this, stream] { retry_location_get(stream); });
   send_to_key(key_for_stream(routing_.id_space(), stream),
               MsgKind::kLocationGet,
               std::make_shared<const LocationGetPayload>(
                   LocationGetPayload{stream, index}));
 }
 
-void MiddlewareNode::drain_inner_queries(StreamId stream, NodeIndex source) {
-  location_retry_attempts.erase(stream);
+void MiddlewareNode::retry_location_get(StreamId stream) {
   const auto pending = pending_inner_queries.find(stream);
-  if (pending == pending_inner_queries.end()) {
+  if (!routing_.is_alive(index) || pending == pending_inner_queries.end()) {
+    return;  // resolved, or the client crashed (recovery wipes its state)
+  }
+  const sim::SimTime now = routing_.simulator().now();
+  std::erase_if(pending->second.queries,
+                [now](const std::shared_ptr<const InnerProductQuery>& q) {
+                  return q->issued_at + q->lifespan <= now;
+                });
+  if (pending->second.queries.empty()) {
+    pending_inner_queries.erase(pending);
     return;
   }
-  std::vector<std::shared_ptr<const InnerProductQuery>> queries =
-      std::move(pending->second);
-  pending_inner_queries.erase(pending);
-  for (auto& query : queries) {
-    dispatch_inner_query(std::move(query), source);
-  }
+  metrics_.count(&RobustnessCounters::location_retries, nullptr);
+  ask_location(stream, pending->second);
 }
 
 void MiddlewareNode::handle_location_reply(const Message& msg) {
   const auto payload = payload_of<LocationReplyPayload>(msg);
-  auto pending = pending_inner_queries.find(payload->stream);
   if (payload->source == kInvalidNode) {
-    // The directory does not know the stream (yet): its registration may
-    // still be in flight through the overlay, or the stream is truly gone.
-    // Keep the unexpired queries and retry after a notification period; the
-    // pending set drains naturally once every query's lifespan passes.
-    if (pending == pending_inner_queries.end()) {
-      return;
-    }
-    const sim::SimTime now = routing_.simulator().now();
-    std::erase_if(pending->second,
-                  [now](const std::shared_ptr<const InnerProductQuery>& q) {
-                    return q->issued_at + q->lifespan <= now;
-                  });
-    if (pending->second.empty()) {
-      pending_inner_queries.erase(pending);
-      return;
-    }
-    // Capped exponential backoff with jitter, not a flat notify_period:
-    // repeated unknowns mean the registration is slow or its directory
-    // fragment is down, so hammering the same key every period only adds
-    // load where the failure is.
-    const StreamId stream = payload->stream;
-    const int attempts = location_retry_attempts[stream]++;
-    RetryPolicy policy;
-    policy.timeout = config_.notify_period;
-    policy.max_backoff =
-        sim::Duration::micros(config_.notify_period.count_micros() * 8);
-    policy.jitter =
-        sim::Duration::micros(config_.notify_period.count_micros() / 8);
-    routing_.simulator().schedule_after(
-        policy.delay(attempts, rng_),
-        [this, stream] { retry_location_get(stream); });
-    return;
+    return;  // unknown (yet): the stream's retry asks again
   }
   location_cache[payload->stream] = payload->source;
-  drain_inner_queries(payload->stream, payload->source);
+  const auto pending = pending_inner_queries.find(payload->stream);
+  if (pending == pending_inner_queries.end()) {
+    return;
+  }
+  pending->second.retry.cancel();
+  std::vector<std::shared_ptr<const InnerProductQuery>> queries =
+      std::move(pending->second.queries);
+  pending_inner_queries.erase(pending);
+  for (auto& query : queries) {
+    dispatch_inner_query(std::move(query), payload->source);
+  }
 }
 
 // --- Periodic machinery ------------------------------------------------------

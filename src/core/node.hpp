@@ -15,7 +15,6 @@
 #include <vector>
 
 #include "common/dense_map.hpp"
-#include "common/rng.hpp"
 #include "core/batcher.hpp"
 #include "core/index_store.hpp"
 #include "core/metrics.hpp"
@@ -95,12 +94,12 @@ struct MiddlewareConfig {
   // --- Self-healing data path (fault-tolerance extension) -----------------
 
   /// Acked MBR publication: the landing node of each range multicast
-  /// confirms storage; unacked batches are retransmitted under this policy.
+  /// confirms storage; an unacked batch is re-multicast every `timeout`, at
+  /// most `max_attempts` times and never after it lapsed.
   RetryPolicy mbr_ack;
 
   /// Acked match-bearing response pushes: each unacked push is retransmitted
-  /// verbatim by its own timer every `timeout`, at most `max_attempts` times
-  /// (no backoff or jitter).
+  /// verbatim by its own timer every `timeout`, at most `max_attempts` times.
   RetryPolicy response_ack;
 
   /// Soft-state refresh of published MBRs: each source re-routes its live
@@ -108,10 +107,6 @@ struct MiddlewareConfig {
   /// service) at this period, healing state lost to drops or node crashes —
   /// the MBR-side mirror of query_refresh_period. Zero disables.
   sim::Duration mbr_refresh_period = sim::Duration();
-
-  /// Seed of the middleware's own randomness (retry jitter); fixed default
-  /// keeps runs reproducible.
-  std::uint64_t rng_seed = 0x5d51c0de;
 
   // --- Replication & failover (churn-tolerance extension) -----------------
 
@@ -223,12 +218,10 @@ class NodeHost {
 
 class MiddlewareNode {
  public:
-  /// `config`, `strategy`, `metrics` and `rng` (the retry jitter) are the
-  /// host's and outlive the node.
+  /// `config`, `strategy` and `metrics` are the host's and outlive the node.
   MiddlewareNode(NodeIndex self, routing::RoutingSystem& routing,
                  NodeHost& host, const MiddlewareConfig& config,
-                 const IndexingStrategy& strategy, MetricsCollector& metrics,
-                 common::Pcg32& rng);
+                 const IndexingStrategy& strategy, MetricsCollector& metrics);
   /// Timers and periodic tasks hold the node's address, so it never moves.
   MiddlewareNode(const MiddlewareNode&) = delete;
   MiddlewareNode& operator=(const MiddlewareNode&) = delete;
@@ -240,6 +233,8 @@ class MiddlewareNode {
   void post_stream_value(StreamId stream, Sample value);
   /// Poses a query whose id and client (this node) the host assigned.
   void subscribe_similarity(std::shared_ptr<const SimilarityQuery> query);
+  /// The query's `index` and `weights` must match in length and fit the
+  /// window.
   void subscribe_inner_product(std::shared_ptr<const InnerProductQuery> query);
 
   /// The routing layer's deliver upcall at this node.
@@ -296,18 +291,17 @@ class MiddlewareNode {
   /// so next time it does not need to retrieve it").
   DenseMap<StreamId, NodeIndex> location_cache;
 
-  /// Inner-product queries posed here and still waiting for a location
-  /// reply, keyed by stream id.
-  DenseMap<StreamId, std::vector<std::shared_ptr<const InnerProductQuery>>>
-      pending_inner_queries;
+  /// Inner-product queries posed here whose stream's source is not
+  /// resolved yet, and the timer that asks the location service again.
+  struct PendingLocation {
+    std::vector<std::shared_ptr<const InnerProductQuery>> queries;
+    sim::TaskHandle retry;
+  };
+  DenseMap<StreamId, PendingLocation> pending_inner_queries;
 
   /// Acked MBR publications originated here, walked in (stream, batch_seq)
   /// order by the soft-state refresh.
   PublicationLedger published_mbrs;
-
-  /// Location-get retries already spent per unresolved stream (drives the
-  /// capped exponential backoff); erased once the stream resolves.
-  DenseMap<StreamId, int> location_retry_attempts;
 
   /// Partial-aggregation mirrors held for other nodes' queries (this node is
   /// in the middle key's replica set). Promoted into `aggregations` when the
@@ -404,13 +398,14 @@ class MiddlewareNode {
   void dispatch_inner_query(std::shared_ptr<const InnerProductQuery> query,
                             NodeIndex source);
 
-  /// Re-asks the location service about a stream whose first resolution
-  /// came back unknown (registration racing through the overlay).
-  void retry_location_get(StreamId stream);
+  /// Asks the location service for `stream`'s source and arms the retry
+  /// one notify period later.
+  void ask_location(StreamId stream, PendingLocation& pending);
 
-  /// Sends the inner-product queries waiting on `stream` to its resolved
-  /// `source` and ends the stream's location retries.
-  void drain_inner_queries(StreamId stream, NodeIndex source);
+  /// The retry: drops the lapsed queries waiting on `stream` and asks again
+  /// while any remain. A lost get or reply, or an "unknown" reply (the
+  /// registration still racing through the overlay), costs one period.
+  void retry_location_get(StreamId stream);
 
   /// Records the ack of (stream, batch_seq), and the heal latency when it
   /// is the first ack of a retransmitted publication.
@@ -420,8 +415,7 @@ class MiddlewareNode {
   void arm_mbr_retry(PublicationLedger::Publication& pub);
   void on_mbr_ack_timeout(StreamId stream, std::uint64_t seq);
 
-  /// (Re)arms the ack timeout of a tracked push: exactly the policy's
-  /// timeout, drawing nothing from the jitter stream.
+  /// (Re)arms the ack timeout of a tracked push.
   void arm_push_retry(QueryId query, std::uint64_t push_seq);
   void on_push_ack_timeout(QueryId query, std::uint64_t push_seq);
 
@@ -485,7 +479,6 @@ class MiddlewareNode {
   const MiddlewareConfig& config_;
   const IndexingStrategy& strategy_;
   MetricsCollector& metrics_;
-  common::Pcg32& rng_;
   /// Scratch for multi-range strategies' probe sets.
   std::vector<std::pair<Key, Key>> range_scratch_;
   /// Scratch probe sets of the designated-reporter rule.

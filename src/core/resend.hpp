@@ -13,27 +13,19 @@
 #include <memory>
 #include <utility>
 
-#include "common/rng.hpp"
 #include "common/types.hpp"
 #include "core/query.hpp"
 #include "sim/simulator.hpp"
 
 namespace sdsi::core {
 
-/// Capped exponential backoff with seeded jitter. Retry n (0-based) waits
-/// min(timeout * 2^n, max_backoff) + uniform[0, jitter); at most
-/// max_attempts retransmissions follow the first send. Push retries resend
-/// every `timeout`, with no backoff or jitter.
+/// The retry rule of every acked send: wait `timeout`, resend, and stop once
+/// `max_attempts` retransmissions followed the first send or the record
+/// lapsed (its ledger decides).
 struct RetryPolicy {
   bool enabled = false;
   sim::Duration timeout = sim::Duration::millis(1500);
-  sim::Duration max_backoff = sim::Duration::millis(12'000);
-  sim::Duration jitter = sim::Duration::millis(250);
   int max_attempts = 4;  // retransmission budget beyond the first send
-
-  /// The wait before retry number `attempts` (0-based). Draws from `rng`
-  /// only when jitter is positive.
-  sim::Duration delay(int attempts, common::Pcg32& rng) const;
 
   /// Counts one more retransmission in `attempts`; false, counting nothing,
   /// once the budget is spent.
@@ -109,16 +101,6 @@ class PublicationLedger {
       return {Retry::kSpent, &it->second};
     }
     return {Retry::kResend, &it->second};
-  }
-
-  /// The record of (stream, seq) while it is tracked, unacked and not
-  /// lapsed at `now`; nullptr otherwise.
-  const Publication* owed(StreamId stream, std::uint64_t seq,
-                          sim::SimTime now) const {
-    const auto it = records_.find({stream, seq});
-    const bool live = it != records_.end() && !it->second.acked &&
-                      it->second.payload->expires > now;
-    return live ? &it->second : nullptr;
   }
 
   /// The refresh sweep: drops the records lapsed by `now` and calls

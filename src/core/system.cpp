@@ -9,8 +9,7 @@ MiddlewareSystem::MiddlewareSystem(routing::RoutingSystem& routing,
                                    MiddlewareConfig config)
     : routing_(routing),
       config_(config),
-      metrics_(routing.num_nodes()),
-      rng_(common::RngFactory(config.rng_seed).make("middleware.jitter")) {
+      metrics_(routing.num_nodes()) {
   config_.features.validate();
   strategy_ = IndexingStrategy::make(config_.strategy, config_.features,
                                      routing_.id_space());
@@ -21,7 +20,7 @@ MiddlewareSystem::MiddlewareSystem(routing::RoutingSystem& routing,
   }
   for (NodeIndex i = 0; i < routing.num_nodes(); ++i) {
     nodes_.emplace_back(i, routing_, static_cast<NodeHost&>(*this), config_,
-                        *strategy_, metrics_, rng_);
+                        *strategy_, metrics_);
   }
   metrics_.set_clock(&routing_.simulator());
   routing_.set_metrics_hook(&metrics_);
@@ -91,7 +90,7 @@ void MiddlewareSystem::attach_node(NodeIndex index) {
   while (nodes_.size() <= index) {
     const auto fresh = static_cast<NodeIndex>(nodes_.size());
     nodes_.emplace_back(fresh, routing_, static_cast<NodeHost&>(*this),
-                        config_, *strategy_, metrics_, rng_);
+                        config_, *strategy_, metrics_);
     if (started_) {
       schedule_node(fresh, 0, 1);
       schedule_overload_window(fresh);
@@ -130,8 +129,6 @@ QueryId MiddlewareSystem::subscribe_inner_product(
     NodeIndex client, StreamId stream, std::vector<double> index,
     std::vector<double> weights, sim::Duration lifespan) {
   MiddlewareNode& node = state_of(client);
-  SDSI_CHECK(index.size() == weights.size());
-  SDSI_CHECK(index.size() <= config_.features.window_size);
   const sim::SimTime now = routing_.simulator().now();
   const QueryId id = next_query_id_++;
 

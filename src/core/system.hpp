@@ -205,7 +205,6 @@ class MiddlewareSystem : private NodeHost {
   /// The pluggable summary/key-map pair; never null (defaults to "dft").
   std::unique_ptr<IndexingStrategy> strategy_;
   MetricsCollector metrics_;
-  common::Pcg32 rng_;  // retry jitter (seeded from config; reproducible)
   /// A deque, so a late joiner's growth never moves the nodes whose
   /// addresses their timers hold.
   std::deque<MiddlewareNode> nodes_;

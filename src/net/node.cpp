@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <utility>
 
-#include "common/check.hpp"
-
 namespace sdsi::net {
 
 using routing::MsgKind;
@@ -37,10 +35,9 @@ NetNode::NetNode(const NetRing& ring, NodeIndex self, Transport& transport,
       strategy_(core::IndexingStrategy::make(config_.strategy,
                                              config_.features, ring.space())),
       metrics_(ring.size()),
-      rng_(common::RngFactory(middleware_.rng_seed).make("middleware.jitter")),
       detector_(config_.reliability.detector, ring.size(), self),
       routing_(clock_, ring, self, transport, detector_),
-      node_(self, routing_, *this, middleware_, *strategy_, metrics_, rng_) {
+      node_(self, routing_, *this, middleware_, *strategy_, metrics_) {
   config_.features.validate();
   routing_.set_deliver(
       [this](NodeIndex, const routing::Message& msg) { node_.deliver(msg); });
@@ -106,8 +103,6 @@ void NetNode::subscribe_inner_product(core::QueryId id, StreamId stream,
                                       std::vector<double> weights,
                                       sim::Duration lifespan,
                                       sim::SimTime now) {
-  SDSI_CHECK(index.size() == weights.size());
-  SDSI_CHECK(index.size() <= config_.features.window_size);
   clock_.run_until(now);
   inner_posed_.insert(id);
   ++counters_.queries_posed;

@@ -5,11 +5,11 @@
 // content, and inner-product queries, whose source node the h2 location
 // service resolves. It owns what the node needs: a TransportRing over the
 // transport and the failure detector's live ring view, a sim::Simulator
-// that is both routing clock and timer wheel, the strategy, the mapper, a
-// MetricsCollector (the node's event counters, not a routing hook) and the
-// retry rng. It adds only heartbeats, the FailureDetector and the trust
-// boundary in deliver(). Each call first advances the Simulator to the
-// caller's `now`, firing the timers due by then.
+// that is both routing clock and timer wheel, the strategy and a
+// MetricsCollector (the node's event counters, not a routing hook). It adds
+// only heartbeats, the FailureDetector and the trust boundary in deliver().
+// Each call first advances the Simulator to the caller's `now`, firing the
+// timers due by then.
 #pragma once
 
 #include <cstdint>
@@ -35,11 +35,9 @@ struct NetReliabilityConfig {
   std::int64_t refresh_period_ms = 800;
 };
 
-/// Acks of publications and pushes: a resend every 250 ms, no backoff or
-/// jitter, at most 10 resends.
+/// Acks of publications and pushes: a resend every 250 ms, at most 10.
 inline constexpr core::RetryPolicy kAckPolicy{
     .enabled = true, .timeout = sim::Duration::millis(250),
-    .max_backoff = sim::Duration::millis(250), .jitter = sim::Duration(),
     .max_attempts = 10};
 
 /// Anti-entropy cadence, and the live successors mirroring each entry.
@@ -94,7 +92,7 @@ class NetNode final : private core::NodeHost {
   /// Poses a continuous inner-product query (Sec IV-D) over `stream`, whose
   /// source the h2 location service resolves; `id` must be unique
   /// ring-wide. `index` and `weights` must match in length and fit the
-  /// window, as MiddlewareSystem::subscribe_inner_product requires.
+  /// window (core::MiddlewareNode::subscribe_inner_product checks).
   void subscribe_inner_product(core::QueryId id, StreamId stream,
                                std::vector<double> index,
                                std::vector<double> weights,
@@ -149,7 +147,6 @@ class NetNode final : private core::NodeHost {
   core::MiddlewareConfig middleware_;
   std::unique_ptr<core::IndexingStrategy> strategy_;
   core::MetricsCollector metrics_;
-  common::Pcg32 rng_;
   FailureDetector detector_;  // idle unless config_.reliability.enabled
   sim::Simulator clock_;
   TransportRing routing_;

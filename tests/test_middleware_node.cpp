@@ -46,7 +46,9 @@ MiddlewareConfig small_config() {
 }
 
 /// Four nodes on a StaticRing, hosted by a TestHost. With `drop_acks` the
-/// deliver hook swallows every kResponseAck.
+/// deliver hook swallows every kResponseAck and kMbrAck. `landings` holds
+/// the arrival time of each publication's landing copy (not the copies a
+/// range multicast forwards).
 struct FourNodeRing {
   explicit FourNodeRing(const MiddlewareConfig& middleware)
       : config(middleware),
@@ -54,10 +56,15 @@ struct FourNodeRing {
                                         space)) {
     host.clock = &sim;
     for (NodeIndex i = 0; i < ring.num_nodes(); ++i) {
-      nodes.emplace_back(i, ring, host, config, *strategy, metrics, rng);
+      nodes.emplace_back(i, ring, host, config, *strategy, metrics);
     }
     ring.set_deliver([this](NodeIndex at, const routing::Message& msg) {
-      if (!drop_acks || msg.kind != MsgKind::kResponseAck) {
+      if (msg.kind == MsgKind::kMbrUpdate && !msg.range_internal) {
+        landings.push_back(sim.now());
+      }
+      const bool ack = msg.kind == MsgKind::kResponseAck ||
+                       msg.kind == MsgKind::kMbrAck;
+      if (!drop_acks || !ack) {
         nodes[at].deliver(msg);
       }
     });
@@ -86,28 +93,46 @@ struct FourNodeRing {
   const MiddlewareConfig config;
   const std::unique_ptr<IndexingStrategy> strategy;
   MetricsCollector metrics{ring.num_nodes()};
-  common::Pcg32 rng{1, 1};
   TestHost host;
   std::deque<MiddlewareNode> nodes;
   bool drop_acks = false;
+  std::vector<sim::SimTime> landings;
 };
 
-TEST(MiddlewareNode, BatchMeetsSubscriptionWithoutTheSimulatorHost) {
-  FourNodeRing r(small_config());
-
-  // An exponential stream's window shape is invariant under sliding, so
-  // every batch is the point of these features; a query centered on them
-  // has both its batch range and its middle key on one home node.
+/// The features of an exponential stream's window, and the node its batches
+/// land on. Such a window's shape is invariant under sliding, so every batch
+/// is the point of these features.
+std::pair<dsp::FeatureVector, NodeIndex> exponential_home(
+    const FourNodeRing& r) {
   std::vector<Sample> window(kWindow);
   double value = 1.0;
   for (Sample& x : window) {
     value *= 1.15;
     x = value;
   }
-  const dsp::FeatureVector features =
+  dsp::FeatureVector features =
       dsp::extract_features(window, r.config.features);
   const NodeIndex home =
       r.ring.find_successor_oracle(r.strategy->key_map().key_for(features));
+  return {std::move(features), home};
+}
+
+/// Feeds `count` samples of the exponential stream to `stream` at `source`.
+void post_exponential(FourNodeRing& r, NodeIndex source, StreamId stream,
+                      std::size_t count) {
+  double value = 1.0;
+  for (std::size_t i = 0; i < count; ++i) {
+    value *= 1.15;
+    r.nodes[source].post_stream_value(stream, value);
+  }
+}
+
+TEST(MiddlewareNode, BatchMeetsSubscriptionWithoutTheSimulatorHost) {
+  FourNodeRing r(small_config());
+
+  // A query centered on the exponential window has both its batch range and
+  // its middle key on one home node.
+  const auto [features, home] = exponential_home(r);
   const NodeIndex source = home == 0 ? 1 : 0;
   const NodeIndex client = home == 2 ? 3 : 2;
 
@@ -118,11 +143,7 @@ TEST(MiddlewareNode, BatchMeetsSubscriptionWithoutTheSimulatorHost) {
           r.sim.now()}));
   const StreamId stream = 9;
   r.nodes[source].register_stream(stream);
-  value = 1.0;
-  for (std::size_t i = 0; i < kWindow + 8; ++i) {  // closes three batches
-    value *= 1.15;
-    r.nodes[source].post_stream_value(stream, value);
-  }
+  post_exponential(r, source, stream, kWindow + 8);  // closes three batches
   r.run_for(1.0);
   ASSERT_NE(r.nodes[home].store.find_subscription(query), nullptr);
   EXPECT_TRUE(r.host.matches.empty());
@@ -186,6 +207,36 @@ TEST(MiddlewareNode, UnackedPushRetransmitsOnItsOwnTimer) {
       r.nodes[aggregator].aggregations.find(query)->second;
   EXPECT_EQ(record.inflight.size(), 0u)
       << "a push whose budget is spent is forgotten";
+}
+
+TEST(MiddlewareNode, UnackedPublicationIsResentEveryTimeoutUntilItLapses) {
+  MiddlewareConfig config = small_config();
+  config.mbr_ack.enabled = true;
+  config.mbr_ack.max_attempts = 1000;  // the lapse ends the resends, not this
+  FourNodeRing r(config);
+  r.drop_acks = true;
+  const NodeIndex home = exponential_home(r).second;
+  const NodeIndex source = home == 0 ? 1 : 0;  // its acks cross the ring
+  const StreamId stream = 9;
+  r.nodes[source].register_stream(stream);
+  post_exponential(r, source, stream, kWindow + 2);  // closes one batch
+  ASSERT_EQ(r.host.published.size(), 1u);
+  r.run_for(40.0);  // well past the batch's 30 s lifespan
+
+  // A resend every timeout while the batch lives: the one due at the
+  // lifespan finds it lapsed and drops the record.
+  const sim::Duration timeout = r.config.mbr_ack.timeout;
+  const auto resends = static_cast<std::size_t>(
+      (r.config.mbr_lifespan.count_micros() - 1) / timeout.count_micros());
+  ASSERT_EQ(r.landings.size(), 1 + resends);
+  for (std::size_t i = 1; i < r.landings.size(); ++i) {
+    EXPECT_EQ((r.landings[i] - r.landings[i - 1]).count_micros(),
+              timeout.count_micros())
+        << "resend " << i;
+  }
+  EXPECT_EQ(r.metrics.robustness().mbr_retries, resends);
+  EXPECT_EQ(r.metrics.robustness().mbr_retry_exhausted, 0u);
+  EXPECT_EQ(r.nodes[source].published_mbrs.size(), 0u);
 }
 
 }  // namespace

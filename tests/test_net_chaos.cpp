@@ -249,6 +249,29 @@ TEST(NetChaos, UnackedResponsePushIsResentTenTimes250MsApart) {
   EXPECT_EQ(acks_received, 0u);
 }
 
+TEST(NetChaos, LostLocationReplyIsAskedForAgain) {
+  // Fault-free ring but for one location_reply frame: its client asks the
+  // location service again one notify period after its first get, so every
+  // inner-product query still reaches its source and is answered.
+  WorkloadConfig config;
+  config.nodes = 8;
+  InProcessRing ring(config);
+  bool dropped = false;
+  ring.admit = [&dropped](NodeIndex, const routing::Message& msg) {
+    if (dropped || msg.kind != routing::MsgKind::kLocationReply) {
+      return true;
+    }
+    dropped = true;
+    return false;
+  };
+  ring.run_workload(8);
+
+  ASSERT_TRUE(dropped);
+  const RunDigest got = ring.digest();
+  EXPECT_EQ(got.inner.size(), config.nodes);
+  EXPECT_EQ(got.inner, run_sim_reference(config).inner);
+}
+
 TEST(NetChaos, RefreshDoesNotMirrorASelfLandingBatchAgain) {
   // Fault-free 8-node reliable ring. After the workload nothing new is
   // published, so the pump below only refreshes, and a refresh is a

@@ -169,9 +169,10 @@ TEST_P(RangeMulticastFaults, CoveringNodeCrashMidStreamHealsAfterRefresh) {
   // the crashed arc is gone.
   const Key key = h.system.strategy().key_map().key_for(probe);
   const NodeIndex holder = h.net.find_successor_oracle(key);
-  if (holder == 0 || holder == 5) {
-    GTEST_SKIP() << "degenerate layout for this seed";
-  }
+  // The crash must spare the stream's source (0) and the client (5); a
+  // layout change that puts the key on either fails here, not silently.
+  ASSERT_NE(holder, 0u) << "degenerate layout: the key is on the source";
+  ASSERT_NE(holder, 5u) << "degenerate layout: the key is on the client";
   h.net.crash(holder);
   h.run_for(5.0);  // ring heals around the crash; retries re-route batches
   NodeIndex via = 0;

@@ -1,7 +1,7 @@
 // Sender-side soft state (core/resend) of the middleware node both hosts
-// run: the retry backoff, the acked-publication ledger (first ack, retry
-// budget, lapse, refresh, timer cancels) and the ledger of match pushes
-// awaiting their client's ack.
+// run: the acked-publication ledger (first ack, retry budget, lapse,
+// refresh, timer cancels) and the ledger of match pushes awaiting their
+// client's ack.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -35,39 +35,6 @@ RetryPolicy budget(int max_attempts) {
   return policy;
 }
 
-TEST(RetryPolicy, DelayDoublesFromTimeoutUpToTheCap) {
-  RetryPolicy policy;
-  policy.timeout = sim::Duration::millis(100);
-  policy.max_backoff = sim::Duration::millis(700);
-  policy.jitter = sim::Duration();
-  common::Pcg32 rng(1, 2);
-  EXPECT_EQ(policy.delay(0, rng), sim::Duration::millis(100));
-  EXPECT_EQ(policy.delay(1, rng), sim::Duration::millis(200));
-  EXPECT_EQ(policy.delay(2, rng), sim::Duration::millis(400));
-  EXPECT_EQ(policy.delay(3, rng), sim::Duration::millis(700));
-  EXPECT_EQ(policy.delay(1000, rng), sim::Duration::millis(700));
-}
-
-TEST(RetryPolicy, JitterStaysBelowItsBoundAndZeroJitterDrawsNothing) {
-  RetryPolicy policy;
-  policy.timeout = sim::Duration::millis(100);
-  policy.max_backoff = sim::Duration::millis(100);
-  policy.jitter = sim::Duration::millis(5);
-  common::Pcg32 rng(7, 3);
-  for (int i = 0; i < 1000; ++i) {
-    const sim::Duration extra = policy.delay(4, rng) - policy.timeout;
-    EXPECT_GE(extra, sim::Duration());
-    EXPECT_LT(extra, policy.jitter);
-  }
-
-  policy.jitter = sim::Duration();
-  common::Pcg32 untouched = rng;
-  for (int i = 0; i < 10; ++i) {
-    (void)policy.delay(i, rng);
-  }
-  EXPECT_EQ(rng.next(), untouched.next());
-}
-
 TEST(PublicationLedger, OnlyTheFirstAckReports) {
   PublicationLedger ledger;
   ledger.track(batch(4, 1), 10, 20, at_ms(0));
@@ -93,8 +60,6 @@ TEST(PublicationLedger, LapsedRecordsAreDropped) {
   EXPECT_EQ(ledger.retry(1, 0, at_ms(1000), budget(3)).first,
             PublicationLedger::Retry::kNone);
   EXPECT_EQ(ledger.size(), 3u);
-  EXPECT_EQ(ledger.owed(1, 1, at_ms(2000)), nullptr);
-  EXPECT_EQ(ledger.size(), 3u) << "owed() only looks";
 
   ledger.drop_lapsed(at_ms(2000));
   EXPECT_EQ(ledger.size(), 2u);
@@ -136,7 +101,7 @@ TEST(PublicationLedger, SpentBudgetStopsRetriesButKeepsTheRecordForRefresh) {
             PublicationLedger::Retry::kSpent);
   EXPECT_EQ(ledger.retry(1, 0, at_ms(400), policy).first,
             PublicationLedger::Retry::kSpent);
-  EXPECT_NE(ledger.owed(1, 0, at_ms(400)), nullptr);
+  EXPECT_EQ(ledger.size(), 1u);
 
   int refreshed = 0;
   ledger.refresh(at_ms(500),

@@ -7,9 +7,11 @@
 // reference. A change that moves the event order (a new message on the
 // wire, a reordered handler) moves the digest and must say why; it was
 // re-recorded when match reports began to travel to their middle node in
-// one overlay trip from one designated range node, and again when the
+// one overlay trip from one designated range node, again when the
 // middle node began to push new matches on arrival, each unacked push
-// resent by its own timer.
+// resent by its own timer, and again when MBR-ack retries dropped their
+// exponential backoff and jitter for a resend every timeout: a third retry
+// now comes before the batch lapses, so more batches heal.
 //
 // Runs under the chaos-smoke label.
 #include <gtest/gtest.h>
@@ -105,12 +107,12 @@ TEST(SchedulerEquivalence, ChaosRunReplaysGoldenDigest) {
   ASSERT_FALSE(run.metrics_json.empty());
 
   // The golden digest, event for event.
-  EXPECT_EQ(run.events, 168028u);
-  EXPECT_EQ(run.order_hash, 7006266475241755757ull);
-  EXPECT_EQ(run.matches, 328u);
-  EXPECT_EQ(run.mbr_retries, 130u);
-  EXPECT_EQ(run.heals, 127u);
-  EXPECT_EQ(run.recall, 0.95081967213114749);
+  EXPECT_EQ(run.events, 169036u);
+  EXPECT_EQ(run.order_hash, 13771354413497865166ull);
+  EXPECT_EQ(run.matches, 336u);
+  EXPECT_EQ(run.mbr_retries, 221u);
+  EXPECT_EQ(run.heals, 204u);
+  EXPECT_EQ(run.recall, 0.96721311475409832);
 }
 
 }  // namespace

@@ -45,7 +45,7 @@ using namespace sdsi;
       "  --burst-loss P       Gilbert-Elliott bursty loss, stationary rate P\n"
       "  --crash-wave F       crash fraction F at warmup+10s, recover 20s later\n"
       "  --jitter MS          per-transmission latency jitter, uniform [0,MS]\n"
-      "  --mbr-acks           acked MBR publication with retry/backoff\n"
+      "  --mbr-acks           acked MBR publication, resent every 1.5 s\n"
       "  --response-acks      acked match pushes with retransmission\n"
       "  --mbr-refresh S      soft-state MBR re-routing period (0 = off)\n"
       "  --query-refresh S    subscription refresh period (0 = off)\n"
