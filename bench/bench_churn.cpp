@@ -93,9 +93,8 @@ DrillOutcome run_drill(bool crash_middle) {
   }
   const auto features = dsp::extract_features(query_window, mw.features);
   const double radius = 0.3;
-  const auto [lo, hi] =
-      system.strategy().key_map().query_range(features, radius);
-  const Key middle = net.id_space().midpoint(lo, hi);
+  const Key middle =
+      system.strategy().key_map().query_middle(features, radius);
   const NodeIndex aggregator = net.find_successor_oracle(middle);
   const NodeIndex client = aggregator == 0 ? 1 : 0;
 

@@ -103,6 +103,16 @@ Key LshKeyMap::arc_midpoint(std::uint64_t bucket) const {
   return space_.midpoint(lo, hi);
 }
 
+std::pair<Key, Key> LshKeyMap::stub(std::uint64_t bucket,
+                                    const dsp::Mbr& mbr) const {
+  const auto [lo, hi] = bucket_arc(bucket);
+  const double x = std::clamp(
+      (mbr.routing_low() + mbr.routing_high()) / 2.0, -1.0, 1.0);
+  const double offset = (x + 1.0) / 2.0 * static_cast<double>(hi - lo);
+  const Key key = lo + static_cast<Key>(offset);
+  return {key, key};
+}
+
 Key LshKeyMap::key_for(const dsp::FeatureVector& features) const {
   std::vector<double> margins;
   return arc_midpoint(signature(features, margins));
@@ -110,7 +120,7 @@ Key LshKeyMap::key_for(const dsp::FeatureVector& features) const {
 
 std::pair<Key, Key> LshKeyMap::mbr_range(const dsp::Mbr& mbr) const {
   std::vector<bool> straddles;
-  return bucket_arc(box_signature(mbr, straddles));
+  return stub(box_signature(mbr, straddles), mbr);
 }
 
 std::pair<Key, Key> LshKeyMap::query_range(const dsp::FeatureVector& features,
@@ -125,7 +135,7 @@ void LshKeyMap::mbr_ranges(const dsp::Mbr& mbr,
   out.clear();
   std::vector<bool> straddles;
   const std::uint64_t primary = box_signature(mbr, straddles);
-  out.push_back(bucket_arc(primary));
+  out.push_back(stub(primary, mbr));
   // The box genuinely spans every sign combination of its straddled planes,
   // so full coverage enumerates all subsets of the straddle mask (a corner
   // may differ from the center signature in several planes at once). Walk
@@ -152,7 +162,7 @@ void LshKeyMap::mbr_ranges(const dsp::Mbr& mbr,
           sig ^= 1ull << crossed[i];
         }
       }
-      out.push_back(bucket_arc(sig));
+      out.push_back(stub(sig, mbr));
     }
   }
 }

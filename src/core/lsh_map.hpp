@@ -8,12 +8,17 @@
 // membership — so churn moves arcs between nodes without ever re-keying
 // content (the bucket-stability property tests/test_lsh_keymap.cpp pins).
 //
-// Ranges: the primary range is the center signature's arc. Queries
+// Ranges: the primary probe is the center signature's bucket. Queries
 // multi-probe — every plane whose |margin| <= radius could flip somewhere in
 // the similarity ball, so the lowest-margin single-bit neighbors are probed
 // too, capped at max_probes. Boxes probe every plane their projection
 // interval straddles. The cap deliberately trades recall for routed
 // messages; the recall oracle and bench_strategies quantify the trade.
+//
+// A query walks the whole arc of each bucket it probes, so a box is stored
+// on one key inside each of its probed arcs (the ContentKeyMap placement
+// rule): its routing midpoint scaled into the arc, which spreads one
+// bucket's batches over the arc's nodes.
 #pragma once
 
 #include <cstdint>
@@ -69,6 +74,8 @@ class LshKeyMap final : public ContentKeyMap {
   std::uint64_t box_signature(const dsp::Mbr& mbr,
                               std::vector<bool>& straddles) const;
   Key arc_midpoint(std::uint64_t bucket) const;
+  /// The one-key range a box is stored on inside `bucket`'s arc.
+  std::pair<Key, Key> stub(std::uint64_t bucket, const dsp::Mbr& mbr) const;
 
   LshOptions options_;
   std::size_t dims_;

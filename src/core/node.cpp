@@ -4,6 +4,7 @@
 #include <iterator>
 #include <utility>
 
+#include "common/rng.hpp"
 #include "core/arc_sync.hpp"
 #include "core/mapper.hpp"
 #include "dsp/normalize.hpp"
@@ -153,7 +154,7 @@ void MiddlewareNode::publish_mbr(LocalStream& stream, dsp::Mbr mbr) {
   const sim::SimTime now = routing_.simulator().now();
   // The strategy may return several ranges (multi-probe lsh); the first is
   // the primary, which alone drives acks, refresh, and replication mirrors.
-  // For dft/ecm the set is exactly the paper's Eq. 6 interval.
+  // For dft/ecm the set is the one stub of the batch's Eq. 6 interval.
   strategy_.key_map().mbr_ranges(mbr, range_scratch_);
   const auto [lo, hi] = range_scratch_.front();
   // The expiry instant is fixed HERE, once: retransmissions and refreshes
@@ -286,13 +287,13 @@ void MiddlewareNode::refresh_mbrs() {
 
 void MiddlewareNode::subscribe_similarity(
     std::shared_ptr<const SimilarityQuery> query) {
-  // Primary range first: its midpoint keys the aggregator, and the refresh
-  // loop below re-sends it alone. Extra probe ranges (multi-probe lsh) are
-  // installed once, fire-and-forget, after the primary send.
-  strategy_.key_map().query_ranges(query->features, query->radius,
-                                   range_scratch_);
+  // Primary range first: the refresh loop below re-sends it alone. Extra
+  // probe ranges (multi-probe lsh) are installed once, fire-and-forget,
+  // after the primary send.
+  const ContentKeyMap& map = strategy_.key_map();
+  map.query_ranges(query->features, query->radius, range_scratch_);
   const auto [lo, hi] = range_scratch_.front();
-  const Key middle = routing_.id_space().midpoint(lo, hi);
+  const Key middle = map.query_middle(query->features, query->radius);
   const std::vector<std::pair<Key, Key>> probes(range_scratch_.begin() + 1,
                                                 range_scratch_.end());
   const sim::SimTime expires = query->issued_at + query->lifespan;
@@ -1023,13 +1024,15 @@ bool MiddlewareNode::shed_ingest(const Message& msg) {
   const OverloadOptions& opt = *config_.overload;
   bool shed = false;
   if (opt.forced_shed_rate > 0.0) {
-    // Deterministic fractional accumulator (no rng draw: the shed schedule
-    // must be a pure function of the delivery sequence).
-    overload.shed_accumulator += opt.forced_shed_rate;
-    if (overload.shed_accumulator >= 1.0) {
-      overload.shed_accumulator -= 1.0;
-      shed = true;
-    }
+    // Each store attempt is shed with probability forced_shed_rate, by a
+    // hash of (node, attempt number): no rng draw, so the schedule stays a
+    // pure function of the delivery sequence, and no period, so it cannot
+    // fall into step with streams whose batches arrive in a fixed rotation
+    // (an every-1/rate-th shed drops the same stream's batches each round).
+    common::SplitMix64 draw((static_cast<std::uint64_t>(index) << 32) +
+                            overload.shed_draws++);
+    shed = static_cast<double>(draw.next() >> 11) * 0x1.0p-53 <
+           opt.forced_shed_rate;
   }
   if (!shed && opt.ingest_capacity > 0 &&
       overload.window_ingest >= opt.ingest_capacity) {

@@ -43,8 +43,8 @@ struct OverloadOptions {
   /// kShedOverload. 0 = unbounded (shedding off).
   std::uint64_t ingest_capacity = 0;
 
-  /// Deterministic forced shed fraction in [0, 1): every store attempt
-  /// advances a per-node accumulator by this much and sheds on overflow.
+  /// Deterministic forced shed fraction in [0, 1): each store attempt is
+  /// shed with this probability, drawn by hashing (node, attempt number).
   /// Drives the recall-vs-shed-rate degradation curve without any rng.
   double forced_shed_rate = 0.0;
 
@@ -314,7 +314,7 @@ class MiddlewareNode {
   struct OverloadState {
     std::uint64_t window_ingest = 0;     // MBR stores accepted this window
     std::uint64_t window_published = 0;  // publications sent this window
-    double shed_accumulator = 0.0;       // forced-shed fractional counter
+    std::uint64_t shed_draws = 0;        // forced-shed attempts hashed
     /// Source-side backpressure queue of closed-but-unpublished batches.
     std::deque<DeferredPublication> deferred;
   };

@@ -10,7 +10,8 @@
 //                     coefficients (streams::StreamSummarizer).
 //  - ContentKeyMap  — feature space -> identifier circle. The paper's
 //                     instance is the Eq. 6 coefficient-interval map
-//                     (core::SummaryMapper, core/mapper.hpp).
+//                     (core::SummaryMapper, core/mapper.hpp), here with
+//                     stub placement (the rule on ContentKeyMap below).
 //  - IndexStore     — node-local storage + matching. All built-in strategies
 //                     share core::IndexStore (interval-pruned MBRs): its
 //                     pruning is a pure first-coordinate distance lower
@@ -77,18 +78,43 @@ std::optional<StrategyKind> parse_strategy(std::string_view name) noexcept;
 
 /// Feature space -> identifier circle. Pure and deterministic: equal inputs
 /// give equal keys on every node (the property content-based routing needs).
+///
+/// Placement rule: a batch is stored on as few nodes as the map allows and
+/// the query walks far enough to meet it, because batches outnumber queries
+/// by orders of magnitude. Whenever a batch's box can meet a query's ball in
+/// feature space, some range of mbr_ranges(box) meets some range of
+/// query_ranges(ball) (lsh: within its probe cap). The routed ranges are
+/// therefore not the geometric image itself:
+///  - dft, ecm (SummaryMapper): a batch with routing interval [lo, hi] goes
+///    to the stub [min(lo + E, hi), hi], a query to [x1 - r, x1 + r + E];
+///  - lsh (LshKeyMap): a batch goes to one key inside each probed bucket
+///    arc, a query walks each probed arc whole.
+/// Every layer that places or finds an entry (range multicast, designated
+/// reporter, acks, refresh, mirrors, handoff and anti-entropy) reads these
+/// ranges, so the rule holds on both hosts.
 class ContentKeyMap {
  public:
   virtual ~ContentKeyMap() = default;
 
   virtual Key key_for(const dsp::FeatureVector& features) const = 0;
 
-  /// Primary key range of a published MBR / posed query. The primary range
-  /// is the one the reliability layers track (acks, refresh, replication
-  /// arc checks) and the one whose midpoint hosts the query's aggregator.
+  /// Primary routed range of a published MBR / posed query. The primary
+  /// range is the one the reliability layers track (acks, refresh,
+  /// replication arc checks).
   virtual std::pair<Key, Key> mbr_range(const dsp::Mbr& mbr) const = 0;
   virtual std::pair<Key, Key> query_range(const dsp::FeatureVector& features,
                                           double radius) const = 0;
+
+  /// The query's middle key: the node covering it aggregates the query's
+  /// matches (Sec IV-C). It is the midpoint of the query's own range before
+  /// any placement slack, so the slack lengthens the walk without moving the
+  /// aggregator. The default is the query's own key, which for lsh is the
+  /// midpoint of the bucket arc query_range returns.
+  virtual Key query_middle(const dsp::FeatureVector& features,
+                           double radius) const {
+    (void)radius;
+    return key_for(features);
+  }
 
   /// Full probe set, primary first. Single-range maps (dft/ecm) emit
   /// exactly the primary; lsh appends neighbor-bucket probes. `out` is
@@ -104,9 +130,9 @@ class ContentKeyMap {
 /// as mbr_ranges / query_ranges emit it), the key nearest `middle`, ties to
 /// the smaller key. The node covering that key holds both the batch and the
 /// subscription, so it alone reports the pair. Ranges are the non-wrapping
-/// [lo, hi] pairs of the built-in maps (Eq. 6 is monotone; lsh bucket arcs
-/// never cross key 0); a wrapping range is skipped. nullopt when no ranges
-/// overlap.
+/// [lo, hi] pairs of the built-in maps (Eq. 6 is monotone; lsh stores a
+/// batch on single keys and its bucket arcs never cross key 0); a wrapping
+/// range is skipped. nullopt when no ranges overlap.
 std::optional<Key> nearest_overlap_key(
     std::span<const std::pair<Key, Key>> batch,
     std::span<const std::pair<Key, Key>> query, Key middle);

@@ -54,8 +54,8 @@ class Mbr {
   }
 
   /// The routing interval on the first retained coordinate
-  /// [low_1re, high_1re]: the MBR is replicated on every node whose arc
-  /// intersects the image of this interval under Eq. 6.
+  /// [low_1re, high_1re]: the key map places the MBR by this interval (the
+  /// stub of its Eq. 6 image, core/mapper.hpp).
   double routing_low() const noexcept {
     SDSI_DCHECK(!empty());
     return low_.front();

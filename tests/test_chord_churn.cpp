@@ -7,6 +7,8 @@
 
 #include "chord/network.hpp"
 #include "common/rng.hpp"
+#include "core/metrics.hpp"
+#include "obs/timeseries.hpp"
 #include "routing/static_ring.hpp"
 
 namespace sdsi::chord {
@@ -161,6 +163,63 @@ TEST(ChordCrash, MessagesToCrashedCoverageRerouteAfterRepair) {
   sim.run_all();
   ASSERT_EQ(deliveries.size(), 1u);
   EXPECT_EQ(net.node_id(deliveries[0].first), 230u);
+}
+
+/// A four-node ring whose metrics hook counts into a MetricsCollector with
+/// a time-series registry attached, as the middleware's hosts run it.
+struct DetourRig {
+  sim::Simulator sim;
+  ChordNetwork net{sim, ChordConfig{.id_bits = 8}};
+  core::MetricsCollector metrics{4};
+  obs::MetricsRegistry registry{&sim, {}};
+  std::vector<Key> deliveries;  // ids of the nodes that took a message
+
+  DetourRig() {
+    net.bootstrap(std::vector<Key>{10, 80, 160, 230});
+    metrics.set_clock(&sim);
+    metrics.set_registry(&registry);
+    net.set_metrics_hook(&metrics);
+    net.set_deliver([this](NodeIndex at, const Message&) {
+      deliveries.push_back(net.node_id(at));
+    });
+  }
+
+  /// Sends one digest from node 10 straight to node 160, and crashes 160
+  /// while the transmission is on the wire.
+  void send_to_node_crashing_in_flight(bool reroute_on_dead) {
+    Message msg;
+    msg.kind = routing::MsgKind::kNeighborExchange;
+    msg.reroute_on_dead = reroute_on_dead;
+    net.send_direct(by_id(net, 10), by_id(net, 160), std::move(msg));
+    net.crash(by_id(net, 160));
+    sim.run_all();
+  }
+
+  double detour_series() const {
+    const auto it = registry.counters().find("failover.detours");
+    return it == registry.counters().end() ? 0.0 : it->second->total();
+  }
+};
+
+TEST(ChordCrash, DirectSendDetoursAroundANodeThatCrashedInFlight) {
+  // The dead node's first live successor inherits its arc, and takes the
+  // message; the detour is counted once in both sinks.
+  DetourRig rig;
+  rig.send_to_node_crashing_in_flight(/*reroute_on_dead=*/true);
+  EXPECT_EQ(rig.deliveries, std::vector<Key>{230});
+  EXPECT_EQ(rig.metrics.robustness().report_detours, 1u);
+  EXPECT_EQ(rig.detour_series(), 1.0);
+  EXPECT_EQ(rig.metrics.total_drops(), 0u);
+}
+
+TEST(ChordCrash, DirectSendWithoutRerouteDropsAtTheDeadNode) {
+  DetourRig rig;
+  rig.send_to_node_crashing_in_flight(/*reroute_on_dead=*/false);
+  EXPECT_TRUE(rig.deliveries.empty());
+  EXPECT_EQ(rig.metrics.drops(fault::DropCause::kDeadNode), 1u);
+  EXPECT_EQ(rig.metrics.total_drops(), 1u);
+  EXPECT_EQ(rig.metrics.robustness().report_detours, 0u);
+  EXPECT_EQ(rig.detour_series(), 0.0);
 }
 
 TEST(ChordChurn, RoutingUnderContinuousChurnNeverMisdelivers) {

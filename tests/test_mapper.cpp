@@ -1,6 +1,10 @@
-// Eq. 6 content-to-key mapping and the h2 stream-id hash.
+// Eq. 6 content-to-key mapping, the stub placement rule and the h2
+// stream-id hash.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
+#include "common/rng.hpp"
 #include "core/mapper.hpp"
 #include "core/strategy.hpp"
 
@@ -30,22 +34,35 @@ TEST(SummaryMapper, Figure3aQueryRange) {
   // Query X = [-0.08, 0.12], r = 0.29: high boundary 0.21 -> K19, low
   // boundary -0.37 -> K10 (m = 5).
   const SummaryMapper mapper{common::IdSpace(5)};
-  const auto [lo, hi] = mapper.query_range(fv(-0.08, 0.12), 0.29);
+  const auto [lo, hi] = mapper.key_range(-0.08 - 0.29, -0.08 + 0.29);
   EXPECT_EQ(lo, 10u);
   EXPECT_EQ(hi, 19u);
+  // The routed range keeps the low end and widens the high end by the
+  // slack: [h(-0.37), h(0.21 + E)]. One key spans 0.0625 at m = 5, so the
+  // widened end stays on K19.
+  const auto [qlo, qhi] = mapper.query_range(fv(-0.08, 0.12), 0.29);
+  EXPECT_EQ(qlo, 10u);
+  EXPECT_EQ(qhi,
+            mapper.key_for_coordinate(-0.08 + 0.29 + SummaryMapper::kSlack));
+  EXPECT_EQ(qhi, 19u);
 }
 
 TEST(SummaryMapper, Figure4MbrRange) {
-  // MBR low (0.09, 0.12), high (0.21, 0.40): keys K19 and K22 wait — in the
-  // figure the low corner 0.09 maps to K17 region and high 0.21 to K19; the
-  // figure's annotations place the range across N20's arc. We check the
-  // mapping is monotone and matches Eq. 6 arithmetic exactly.
+  // MBR low (0.09, 0.12), high (0.21, 0.40): its routing interval is
+  // [0.09, 0.21], whose Eq. 6 image is [h(0.09), h(0.21)] = [K17, K19].
   const SummaryMapper mapper{common::IdSpace(5)};
-  const dsp::Mbr box({0.09, 0.12}, {0.21, 0.40});
-  const auto [lo, hi] = mapper.mbr_range(box);
+  const auto [lo, hi] = mapper.key_range(0.09, 0.21);
   EXPECT_EQ(lo, mapper.key_for_coordinate(0.09));
   EXPECT_EQ(hi, mapper.key_for_coordinate(0.21));
-  EXPECT_LE(lo, hi);
+  EXPECT_EQ(lo, 17u);
+  EXPECT_EQ(hi, 19u);
+  // The batch is stored over the stub [h(0.09 + E), h(0.21)].
+  const dsp::Mbr box({0.09, 0.12}, {0.21, 0.40});
+  const auto [slo, shi] = mapper.mbr_range(box);
+  EXPECT_EQ(slo, mapper.key_for_coordinate(0.09 + SummaryMapper::kSlack));
+  EXPECT_EQ(shi, hi);
+  EXPECT_LE(lo, slo);
+  EXPECT_LE(slo, shi);
 }
 
 TEST(SummaryMapper, ClampsOutOfRangeCoordinates) {
@@ -110,6 +127,71 @@ TEST(SummaryMapper, QueryRangeClampsAtSphereEdge) {
 }
 
 using Ranges = std::vector<std::pair<Key, Key>>;
+
+bool ranges_meet(std::pair<Key, Key> a, std::pair<Key, Key> b) {
+  return std::max(a.first, b.first) <= std::min(a.second, b.second);
+}
+
+class StubPlacement : public ::testing::TestWithParam<unsigned> {};
+
+TEST_P(StubPlacement, StubMeetsTheWidenedQueryWheneverTheIntervalsMeet) {
+  // Random batch intervals [lo, hi] and query balls [x - r, x + r]: when
+  // the two meet in routing coordinates, the stored stub must meet the
+  // routed query in coordinates and in keys, and the designated report
+  // point must lie inside both ranges.
+  const SummaryMapper mapper{common::IdSpace(GetParam())};
+  const double slack = SummaryMapper::kSlack;
+  common::Pcg32 rng(GetParam(), 0x57ab);
+  int met = 0;
+  for (int i = 0; i < 20000; ++i) {
+    double lo = rng.uniform(-1.0, 1.0);
+    double hi = rng.uniform(-1.0, 1.0);
+    if (lo > hi) {
+      std::swap(lo, hi);
+    }
+    if (i % 4 == 0) {
+      hi = std::min(1.0, lo + rng.uniform(0.0, 2.0 * slack));  // narrow
+    }
+    const double x = rng.uniform(-1.0, 1.0);
+    const double r = rng.uniform(0.0, 0.5);
+    if (lo > x + r || hi < x - r) {
+      continue;  // no obligation: the intervals are disjoint
+    }
+    ++met;
+    const double stub_lo = std::min(lo + slack, hi);
+    EXPECT_LE(stub_lo, x + r + slack);
+    EXPECT_GE(hi, x - r);
+
+    const dsp::Mbr box({lo, 0.0}, {hi, 0.0});
+    const auto batch = mapper.mbr_range(box);
+    const auto query = mapper.query_range(fv(x), r);
+    EXPECT_EQ(batch, mapper.key_range(stub_lo, hi));
+    EXPECT_EQ(query, mapper.key_range(x - r, x + r + slack));
+    ASSERT_TRUE(ranges_meet(batch, query))
+        << "batch [" << lo << ", " << hi << "] query " << x << " +- " << r;
+    const Key middle = mapper.space().midpoint(query.first, query.second);
+    const std::optional<Key> point =
+        nearest_overlap_key(Ranges{batch}, Ranges{query}, middle);
+    ASSERT_TRUE(point.has_value());
+    EXPECT_GE(*point, std::max(batch.first, query.first));
+    EXPECT_LE(*point, std::min(batch.second, query.second));
+  }
+  EXPECT_GT(met, 1000);
+}
+
+TEST_P(StubPlacement, BatchNarrowerThanTheSlackLandsOnOneKey) {
+  const SummaryMapper mapper{common::IdSpace(GetParam())};
+  common::Pcg32 rng(GetParam(), 0x0e);
+  for (int i = 0; i < 1000; ++i) {
+    const double lo = rng.uniform(-1.0, 1.0 - SummaryMapper::kSlack);
+    const double hi = lo + rng.uniform(0.0, SummaryMapper::kSlack);
+    const auto [slo, shi] = mapper.mbr_range(dsp::Mbr({lo, 0.0}, {hi, 0.0}));
+    EXPECT_EQ(slo, shi) << "[" << lo << ", " << hi << "]";
+    EXPECT_EQ(shi, mapper.key_for_coordinate(hi));
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Widths, StubPlacement, ::testing::Values(5u, 32u));
 
 TEST(NearestOverlapKey, MiddleInsideTheOverlapIsItself) {
   EXPECT_EQ(nearest_overlap_key(Ranges{{10, 40}}, Ranges{{20, 60}}, 30),

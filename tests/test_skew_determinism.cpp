@@ -3,10 +3,10 @@
 // and publish backpressure all active — replayed twice in one process must
 // produce identical shed and deferral counts, identical per-query matched
 // stream sets, and a byte-identical metrics.json. The overload decisions
-// are deterministic functions of the seed (the shed accumulator is
-// rng-free), so nothing that differs between two runs in one process, such
-// as a static or a wall-clock reading, may reach them while the overload
-// layer is rewriting the data path.
+// are deterministic functions of the seed (the forced shed hashes the node
+// and its attempt count and draws no rng), so nothing that differs between
+// two runs in one process, such as a static or a wall-clock reading, may
+// reach them while the overload layer is rewriting the data path.
 //
 // Runs under the chaos-smoke label (tests/CMakeLists.txt).
 #include <gtest/gtest.h>
@@ -49,8 +49,8 @@ ExperimentConfig skew_config(const std::string& obs_dir) {
   config.adversarial = adversarial;
 
   // Both overload mechanisms on at once, with thresholds low enough that
-  // both fire inside the short window: forced shedding (deterministic
-  // accumulator) and publish backpressure (tiny budget, bounded deferral
+  // both fire inside the short window: forced shedding (a hashed draw per
+  // store attempt) and publish backpressure (tiny budget, bounded deferral
   // queue).
   OverloadOptions overload;
   overload.window = sim::Duration::millis(500);

@@ -24,7 +24,12 @@
 // chaos_series were regenerated, and chaos_series moved to seed 3: at its
 // old seed no publication reached a node in the instant the crash wave
 // took it, so failover.detours never fired (seed 3 is the first seed from
-// 1 up at which every series in kEventSeries fires).
+// 1 up at which every series in kEventSeries fires). All four were
+// regenerated when each batch began to be stored on a stub of its key range
+// and each query to walk the placement slack, which moves every range-copy,
+// report and heal count (chaos_series also moved because the forced shed
+// became a hashed draw per store attempt); failover.detours then left
+// kEventSeries, since a unit test now fires it by construction.
 //
 // Two configs pin two layers:
 //   base — the paper pipeline (batching, routing, matching, aggregation,
@@ -95,12 +100,11 @@ core::ExperimentConfig golden_heal_crash_config() {
 }
 
 /// heal_crash under overload control and a skewed pattern pool, with the
-/// time-series registry on: fires every heal.*, replication.*, failover.*
-/// and overload.* series, and chord.oracle_fallbacks. On the 16-bit ring
-/// no aggregator of the four pooled patterns fails over, so this config
-/// keeps the default 32-bit ids; at the base seed no report detours around
-/// a dead hop, so it runs its own seed. A publish budget of 2 defers
-/// batches, and a deferral queue of 4 slows the sources
+/// time-series registry on: fires every series in kEventSeries. On the
+/// 16-bit ring no aggregator of the four pooled patterns fails over, so
+/// this config keeps the default 32-bit ids; at the base seed no report
+/// detours around a dead hop, so it runs its own seed. A publish budget of
+/// 2 defers batches, and a deferral queue of 4 slows the sources
 /// (ingest_backpressure).
 core::ExperimentConfig golden_chaos_series_config(const std::string& obs_dir) {
   core::ExperimentConfig config = golden_heal_crash_config();
@@ -204,12 +208,17 @@ TEST(StrategyEquivalence, CrashWaveRunIsByteIdenticalToPreArcSyncBuild) {
 }
 
 /// Every series the middleware records beside its measurement-window
-/// counters; the chaos_series run must fire each one.
+/// counters; the chaos_series run must fire each one. failover.detours is
+/// left out: a detour needs a message to reach a node in the instant the
+/// crash wave takes it, which few seeds produce, so
+/// ChordCrash.DirectSendDetoursAroundANodeThatCrashedInFlight
+/// (test_chord_churn.cpp) fires it by construction instead, and the
+/// fixture still pins its count.
 constexpr const char* kEventSeries[] = {
     "heal.latency_ms", "heal.retries", "heal.refreshes",
     "replication.puts", "replication.repairs", "replication.handoff_entries",
     "replication.handoff_bytes", "failover.promotions", "failover.latency_ms",
-    "failover.detours", "overload.shed_mbrs", "overload.backpressure_deferrals",
+    "overload.shed_mbrs", "overload.backpressure_deferrals",
     "chord.oracle_fallbacks",
 };
 

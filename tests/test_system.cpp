@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <map>
 #include <numbers>
 #include <set>
 
@@ -90,6 +91,51 @@ TEST(MiddlewareMbr, ReplicatedExactlyOnRangeNodes) {
       EXPECT_TRUE(mbrs.empty()) << "node " << i;
     }
   }
+}
+
+TEST(MiddlewareMbr, BatchNarrowerThanTheSlackSitsOnOneNodeAndStillMatches) {
+  // A unit-step ramp has one z-normalized window, so every batch it closes
+  // has zero width: narrower than the placement slack, it must sit in
+  // exactly one node's store besides the source's own local copy. A query
+  // centred on the ramp is routed over [x - r, x + r + E] and must still
+  // report the stream.
+  Harness h(64);
+  std::vector<Sample> ramp(kWindow);
+  for (std::size_t i = 0; i < kWindow; ++i) {
+    ramp[i] = static_cast<Sample>(i);
+  }
+  const dsp::FeatureVector features =
+      dsp::extract_features(ramp, h.system.config().features);
+  const NodeIndex home = h.ring.find_successor_oracle(
+      h.system.strategy().key_map().key_for(features));
+  const NodeIndex source = home == 0 ? 1 : 0;
+  constexpr StreamId kRamp = 700;
+  h.system.register_stream(source, kRamp);
+  for (int i = 0; i < 80; ++i) {
+    h.system.post_stream_value(source, kRamp, static_cast<Sample>(i));
+  }
+  h.run_for(2.0);
+
+  std::map<std::uint64_t, int> holders;  // batch_seq -> stores holding it
+  for (NodeIndex i = 0; i < h.system.num_nodes(); ++i) {
+    for (const auto& entry : h.system.node(i).store.mbrs()) {
+      if (entry.stream == kRamp && i != source) {
+        ++holders[entry.batch_seq];
+        EXPECT_EQ(i, home) << "batch " << entry.batch_seq;
+      }
+    }
+  }
+  EXPECT_EQ(holders.size(), h.system.mbrs_routed());
+  for (const auto& [seq, stores] : holders) {
+    EXPECT_EQ(stores, 1) << "batch " << seq;
+  }
+
+  const QueryId id = h.system.subscribe_similarity(
+      home == 2 ? 3 : 2, features, 0.2, sim::Duration::seconds(60));
+  h.run_for(5.0);
+  const ClientQueryRecord* record = h.system.client_record(id);
+  ASSERT_NE(record, nullptr);
+  EXPECT_TRUE(record->matched_streams.contains(kRamp));
 }
 
 TEST(MiddlewareMbr, LocalCopyKeptWhenConfigured) {
@@ -387,6 +433,50 @@ TEST(MiddlewareOverload, EveryShedAndBackpressureLossIsAccounted) {
               count);
   }
   EXPECT_EQ(h.ring.total_drops(), 6u);
+}
+
+TEST(MiddlewareOverload, ForcedShedDoesNotFallIntoStepWithAStreamRotation) {
+  // Two sources close point batches in strict rotation, and every batch
+  // lands on one home node. At a forced shed rate of 0.5, shedding every
+  // second store there would drop all of one stream's batches; each stream
+  // must keep some of its batches and lose some.
+  MiddlewareConfig config = small_config();
+  config.overload.emplace().forced_shed_rate = 0.5;
+  Harness h(8, config);
+
+  const Key key =
+      h.system.strategy().key_map().key_for(h.exponential_features(1.15));
+  const NodeIndex home = h.ring.find_successor_oracle(key);
+  std::vector<NodeIndex> sources;
+  for (NodeIndex i = 0; sources.size() < 2; ++i) {
+    if (i != home) {
+      sources.push_back(i);
+    }
+  }
+  h.system.register_stream(sources[0], 700);
+  h.system.register_stream(sources[1], 701);
+  // kWindow + 2 samples close one batch; every 3 more close another.
+  constexpr int kBatches = 16;
+  double value = 1.0;
+  for (int i = 0; i < static_cast<int>(kWindow) + 2 + 3 * (kBatches - 1);
+       ++i) {
+    value *= 1.15;
+    h.system.post_stream_value(sources[0], 700, value);
+    h.system.post_stream_value(sources[1], 701, value);
+  }
+  h.run_for(2.0);
+
+  std::map<StreamId, std::uint64_t> stored;
+  for (const auto& entry : h.system.node(home).store.mbrs()) {
+    ++stored[entry.stream];
+  }
+  EXPECT_EQ(stored[700] + stored[701] +
+                h.system.metrics().robustness().shed_mbrs,
+            2u * kBatches);
+  for (const StreamId stream : {StreamId{700}, StreamId{701}}) {
+    EXPECT_GE(stored[stream], 2u) << stream;
+    EXPECT_LE(stored[stream], kBatches - 2u) << stream;
+  }
 }
 
 TEST(MiddlewareSystem, RingWiderThan52BitsAbortsForEveryStrategy) {
